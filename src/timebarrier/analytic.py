@@ -127,11 +127,10 @@ def remaining_settling_time(
         - log_lam0
         - math.log(q * one_minus_a * tc)
     )
+    a = math.exp(log_a) if log_a < 710.0 else math.inf
     if m == 1.0:
-        a = math.exp(log_a) if log_a < 710.0 else math.inf
         log_lam_tau = log_lam0 - a
     else:
-        a = math.exp(log_a) if log_a < 710.0 else math.inf
         g = (m - 1.0) * a
         if m > 1.0:
             log_lam_tau = log_lam0 - math.log1p(g) / (m - 1.0)

@@ -13,6 +13,15 @@ deadline-aware:
   an equilibrium), and the reported settling instant adds the closed-form
   remaining time of the reference law, capped at tc - delta_end.
 
+The trial step of a one-dimensional spec runs on Python floats, with numpy
+arrays only at the ``spec.rhs`` boundary; higher dimensions step on numpy
+arrays. Both share the controller, the clamp, the step budget, the stall
+checks, event refinement and the segment record. Each accepted step keeps its
+seven stage derivatives, and the dense-output coefficients of all steps come
+from one contraction after the loop. Sampling gathers each time's segment and
+evaluates the quartic elementwise, so the value at a time does not depend on
+which other times share the call.
+
 Each simulate() call owns its mutable state; returned trajectories are
 immutable and safe to share.
 """
@@ -44,19 +53,21 @@ __all__ = [
     "settling_report",
 ]
 
-# Dormand-Prince 5(4) tableau with the Shampine quartic interpolant.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+# Dormand-Prince 5(4) tableau with the Shampine quartic interpolant. The float
+# tuples drive the one-dimensional step; the arrays, the vector step.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
 _A = (
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
 )
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_A_ARR = tuple(np.array(row) for row in _A)
+_B_ARR = np.array(_B)
+_E_ARR = np.array(_E)
 _P = np.array(
     [
         [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
@@ -75,7 +86,6 @@ _MAX_FACTOR = 10.0
 _KAPPA = 0.5  # geometric clamp h <= _KAPPA * (tc - t)
 _MAX_STEPS = 1_000_000
 _OUTPUT_POINTS = 512
-_THETA_EXP = np.arange(1.0, 5.0)
 
 
 @dataclass(frozen=True)
@@ -149,8 +159,6 @@ class Trajectory:
 
 
 def _maxnorm(x: np.ndarray) -> float:
-    if x.size == 1:
-        return abs(float(x[0]))
     return float(np.max(np.abs(x))) if x.size else 0.0
 
 
@@ -158,7 +166,8 @@ def _rms(x: np.ndarray) -> float:
     return math.sqrt(float(x @ x) / x.size)
 
 
-def _checked_rhs(spec: DynamicsSpec, x: np.ndarray, t: float) -> np.ndarray:
+def _rhs_array(spec: DynamicsSpec, x: np.ndarray, t: float) -> np.ndarray:
+    """``spec.rhs(x, t)`` as a float64 array of the shape of ``x``."""
     f = spec.rhs(x, t)
     if not isinstance(f, np.ndarray) or f.dtype != np.float64:
         f = np.asarray(f, dtype=float)
@@ -166,14 +175,28 @@ def _checked_rhs(spec: DynamicsSpec, x: np.ndarray, t: float) -> np.ndarray:
         raise ValueError(
             f"rhs returned shape {f.shape}, expected {x.shape} ({spec.label})"
         )
-    if x.size == 1:
-        finite = math.isfinite(f[0])
-    else:
-        finite = bool(np.all(np.isfinite(f)))
-    if not finite:
-        raise BlowUpError(
-            f"dynamics blow-up: non-finite derivative at t={t!r}, x={x!r}", t, x
-        )
+    return f
+
+
+def _blow_up(t: float, x: np.ndarray) -> BlowUpError:
+    return BlowUpError(
+        f"dynamics blow-up: non-finite derivative at t={t!r}, x={x!r}", t, x
+    )
+
+
+def _checked_rhs(spec: DynamicsSpec, x: np.ndarray, t: float) -> np.ndarray:
+    f = _rhs_array(spec, x, t)
+    if not np.all(np.isfinite(f)):
+        raise _blow_up(t, x)
+    return f
+
+
+def _checked_rhs_float(spec: DynamicsSpec, x: float, t: float) -> float:
+    """:func:`_checked_rhs` of a one-dimensional spec at the float ``x``."""
+    xa = np.array([x])
+    f = _rhs_array(spec, xa, t).item()
+    if not math.isfinite(f):
+        raise _blow_up(t, xa)
     return f
 
 
@@ -194,9 +217,79 @@ def _initial_step(spec, x0, f0, scale, limit):
     return min(100 * h0, h1, limit)
 
 
-def _dense_value(x0: np.ndarray, h: float, coef: np.ndarray, theta: float) -> np.ndarray:
-    powers = np.array([theta, theta**2, theta**3, theta**4])
-    return x0 + h * (coef @ powers)
+def _trial_float(spec, t, x, f, h, t_new, atol, rtol):
+    """DOPRI5(4) trial step of a one-dimensional spec on Python floats.
+
+    Returns (x_new, f_new, stage derivatives, RMS error norm). The terms with
+    a zero weight (k2 in the solution and the error) are left out.
+    """
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A
+    _, c2, c3, c4, c5, c6 = _C
+    b1, _, b3, b4, b5, b6 = _B
+    e1, _, e3, e4, e5, e6, e7 = _E
+    k1 = f
+    k2 = _checked_rhs_float(spec, x + h * (a21 * k1), t + c2 * h)
+    k3 = _checked_rhs_float(spec, x + h * (a31 * k1 + a32 * k2), t + c3 * h)
+    k4 = _checked_rhs_float(
+        spec, x + h * (a41 * k1 + a42 * k2 + a43 * k3), t + c4 * h
+    )
+    k5 = _checked_rhs_float(
+        spec, x + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4), t + c5 * h
+    )
+    k6 = _checked_rhs_float(
+        spec,
+        x + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5),
+        t + c6 * h,
+    )
+    x_new = x + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
+    k7 = _checked_rhs_float(spec, x_new, t_new)
+    err = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
+    # the RMS norm of one component is its magnitude
+    err_norm = abs(err) / (atol + rtol * max(abs(x), abs(x_new)))
+    return x_new, k7, (k1, k2, k3, k4, k5, k6, k7), err_norm
+
+
+def _trial_array(spec, t, x, f, h, t_new, atol, rtol):
+    """DOPRI5(4) trial step on numpy arrays; returns what :func:`_trial_float` does."""
+    K = np.empty((7, x.size))
+    K[0] = f
+    for s in range(1, 6):
+        xs = x + h * (_A_ARR[s - 1] @ K[:s])
+        K[s] = _checked_rhs(spec, xs, t + _C[s] * h)
+    x_new = x + h * (_B_ARR @ K[:6])
+    f_new = _checked_rhs(spec, x_new, t_new)
+    K[6] = f_new
+    err_vec = h * (_E_ARR @ K)
+    scale = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
+    return x_new, f_new, K, _rms(err_vec / scale)
+
+
+def _dense_poly(x0, h, coef, theta):
+    """Quartic dense output x0 + h*(c1*theta + ... + c4*theta**4) by Horner's
+    rule, elementwise: floats and broadcasting arrays give the same bits."""
+    c1, c2, c3, c4 = coef
+    return x0 + h * (theta * (c1 + theta * (c2 + theta * (c3 + theta * c4))))
+
+
+def _refine_event(x0, h, coef, eps_conv):
+    """Bisect one step's dense output for its first crossing of eps_conv.
+
+    ``coef`` is the step's (dim, 4) coefficient block. Returns (theta,
+    max|x_i|) at the crossing, theta in (0, 1].
+    """
+    rows = list(zip(x0.tolist(), coef.tolist()))
+
+    def norm(theta):
+        return max(abs(_dense_poly(xi, h, ci, theta)) for xi, ci in rows)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if norm(mid) <= eps_conv:
+            hi = mid
+        else:
+            lo = mid
+    return hi, norm(hi)
 
 
 def simulate(
@@ -228,12 +321,14 @@ def simulate(
     eps_conv = policy.eps_conv
     rtol, atol = policy.rel_tol, policy.abs_tol
 
+    # accepted steps: start time, length, start state, stage derivatives
     seg_t0: list[float] = []
     seg_h: list[float] = []
-    seg_x0: list[np.ndarray] = []
-    seg_coef: list[np.ndarray] = []
+    seg_x0: list = []
+    seg_k: list = []
     step_count = 0
     rejected = 0
+    converged = False
     event: Optional[tuple[float, float]] = None
 
     if _maxnorm(x0) <= eps_conv:
@@ -244,12 +339,15 @@ def simulate(
         # blow-up check, not by floating-point warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             t = 0.0
-            x = x0.copy()
-            f = _checked_rhs(spec, x, t)
-            n = spec.dim
-            K = np.empty((7, n))
-            scale0 = atol + rtol * np.abs(x)
-            h_prop = _initial_step(spec, x, f, scale0, min(_KAPPA * tc, t_end))
+            f0 = _checked_rhs(spec, x0, t)
+            scale0 = atol + rtol * np.abs(x0)
+            h_prop = _initial_step(spec, x0, f0, scale0, min(_KAPPA * tc, t_end))
+            if spec.dim == 1:
+                trial, norm = _trial_float, abs
+                x, f = x0.item(), f0.item()
+            else:
+                trial, norm = _trial_array, _maxnorm
+                x, f = x0, f0
             err_prev = 1e-4
 
             end_guard = 8.0 * math.ulp(t_end)
@@ -260,33 +358,24 @@ def simulate(
                     break
                 if step_count + rejected >= _MAX_STEPS:
                     raise StallError(
-                        f"step budget exhausted at t={t!r} without convergence", t, x
+                        f"step budget exhausted at t={t!r} without convergence",
+                        t, np.atleast_1d(x),
                     )
                 h = min(h_prop, _KAPPA * (tc - t), remaining)
                 t_new = t_end if h >= remaining else t + h
                 h_eff = t_new - t
                 if h_eff <= 4.0 * math.ulp(t):
                     raise StallError(
-                        f"step size underflow (stall) at t={t!r}", t, x
+                        f"step size underflow (stall) at t={t!r}", t, np.atleast_1d(x)
                     )
 
-                K[0] = f
-                for s in range(1, 6):
-                    xs = x + h_eff * (_A[s - 1] @ K[:s])
-                    K[s] = _checked_rhs(spec, xs, t + _C[s] * h_eff)
-                x_new = x + h_eff * (_B @ K[:6])
-                f_new = _checked_rhs(spec, x_new, t_new)
-                K[6] = f_new
-                err_vec = h_eff * (_E @ K)
-                scale = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
-                err_norm = _rms(err_vec / scale)
+                x_new, f_new, k, err_norm = trial(spec, t, x, f, h_eff, t_new, atol, rtol)
 
                 if err_norm <= 1.0:
-                    coef = K.T @ _P
                     seg_t0.append(t)
                     seg_h.append(h_eff)
-                    seg_x0.append(x.copy())
-                    seg_coef.append(coef)
+                    seg_x0.append(x)
+                    seg_k.append(k)
                     step_count += 1
                     if err_norm == 0.0:
                         factor = _MAX_FACTOR
@@ -295,21 +384,10 @@ def simulate(
                     factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
                     err_prev = max(err_norm, 1e-12)
                     h_prop = h_eff * factor
-
-                    if _maxnorm(x_new) <= eps_conv:
-                        lo, hi = 0.0, 1.0
-                        for _ in range(60):
-                            mid = 0.5 * (lo + hi)
-                            if _maxnorm(_dense_value(x, h_eff, coef, mid)) <= eps_conv:
-                                hi = mid
-                            else:
-                                lo = mid
-                        t_event = t + hi * h_eff
-                        v_event = _maxnorm(_dense_value(x, h_eff, coef, hi))
-                        event = (t_event, v_event)
-                        t = t_new
-                        break
                     t = t_new
+                    if norm(x_new) <= eps_conv:
+                        converged = True
+                        break
                     x = x_new
                     f = f_new
                 else:
@@ -317,15 +395,23 @@ def simulate(
                     h_prop = h_eff * max(_MIN_FACTOR, _SAFETY * err_norm**-0.2)
                     if h_prop <= 4.0 * math.ulp(max(t, 0.01 * t_end)):
                         raise StallError(
-                            f"step size underflow (stall) at t={t!r}", t, x
+                            f"step size underflow (stall) at t={t!r}", t, np.atleast_1d(x)
                         )
-        x_final = np.zeros_like(x0) if event is not None else x
+        x_final = np.zeros_like(x0) if converged else np.atleast_1d(x)
 
     n_seg = len(seg_t0)
-    seg_t0_arr = np.array(seg_t0) if n_seg else np.zeros(0)
-    seg_h_arr = np.array(seg_h) if n_seg else np.zeros(0)
-    seg_x0_arr = np.array(seg_x0) if n_seg else np.zeros((0, spec.dim))
-    seg_coef_arr = np.array(seg_coef) if n_seg else np.zeros((0, spec.dim, 4))
+    seg_t0_arr = np.array(seg_t0, dtype=float)
+    seg_h_arr = np.array(seg_h, dtype=float)
+    seg_x0_arr = np.array(seg_x0, dtype=float).reshape(n_seg, spec.dim)
+    # one contraction for the quartic coefficients of every step: (n, dim, 4)
+    stages = np.array(seg_k, dtype=float).reshape(n_seg, 7, spec.dim)
+    seg_coef_arr = np.swapaxes(stages, 1, 2) @ _P
+
+    if converged:
+        theta, v_event = _refine_event(
+            seg_x0_arr[-1], seg_h[-1], seg_coef_arr[-1], eps_conv
+        )
+        event = (seg_t0[-1] + theta * seg_h[-1], v_event)
 
     event_time = event[0] if event is not None else None
     if event is not None:
@@ -365,14 +451,14 @@ def simulate(
     )
     states = _eval_trajectory(traj, sample_times, x0)
     samples = []
-    for t_i, x_i in zip(sample_times, states):
+    for t_i, x_i in zip(sample_times.tolist(), states):
         if spec.v is not None:
-            v_i = spec.v(x_i, float(t_i))
-            w_i = w_transform(v_i, float(t_i), p)
-            vd_i = spec.vdot(x_i, float(t_i)) if spec.vdot is not None else None
+            v_i = spec.v(x_i, t_i)
+            w_i = w_transform(v_i, t_i, p)
+            vd_i = spec.vdot(x_i, t_i) if spec.vdot is not None else None
         else:
             v_i = w_i = vd_i = None
-        samples.append(TrajectorySample(float(t_i), x_i, v_i, w_i, vd_i))
+        samples.append(TrajectorySample(t_i, x_i, v_i, w_i, vd_i))
     traj.samples = samples
     traj.terminal_norm = _maxnorm(states[-1])
     return traj
@@ -380,34 +466,29 @@ def simulate(
 
 def _eval_trajectory(traj: Trajectory, times: np.ndarray, x_start=None) -> np.ndarray:
     """Dense-output evaluation at sorted times within [0, t_end]."""
-    dim = traj.spec.dim
-    out = np.zeros((times.size, dim))
     n_seg = traj._seg_t0.size
     zero_from = traj.event_time if traj.event_time is not None else np.inf
 
     if n_seg == 0:
         # immediate convergence: the initial state holds only at t = 0
+        out = np.zeros((times.size, traj.spec.dim))
         start = x_start if x_start is not None else traj._x_final
         out[times == 0.0] = start
         return out
 
-    idx = np.searchsorted(traj._seg_t0, times, side="right") - 1
-    idx = np.clip(idx, 0, n_seg - 1)
-    boundaries = np.flatnonzero(np.diff(idx)) + 1
-    chunks = np.split(np.arange(times.size), boundaries)
-    for chunk in chunks:
-        if chunk.size == 0:
-            continue
-        k = idx[chunk[0]]
-        t0 = traj._seg_t0[k]
-        h = traj._seg_h[k]
-        theta = (times[chunk] - t0) / h
-        powers = theta[:, None] ** _THETA_EXP
-        out[chunk] = traj._seg_x0[k] + h * (powers @ traj._seg_coef[k].T)
+    k = np.searchsorted(traj._seg_t0, times, side="right") - 1
+    k = np.clip(k, 0, n_seg - 1)
+    h = traj._seg_h[k]
+    theta = (times - traj._seg_t0[k]) / h
+    out = _dense_poly(
+        traj._seg_x0[k],
+        h[:, None],
+        np.moveaxis(traj._seg_coef[k], -1, 0),
+        theta[:, None],
+    )
     t_last = traj._seg_t0[-1] + traj._seg_h[-1]
-    exact_end = times == t_last
-    if np.any(exact_end) and zero_from >= t_last:
-        out[exact_end] = traj._x_final
+    if zero_from >= t_last:
+        out[times == t_last] = traj._x_final
     out[times > zero_from] = 0.0
     return out
 

@@ -83,6 +83,11 @@ def test_finite_difference_fallback_tracks_analytic(default_params, default_poli
     report = check_dissipation(traj, default_params, relaxed)
     assert report.checked_samples > 0
     assert report.violations == []
+    # the second-order stencil at the trajectory edges (t = 0 here) also
+    # certifies the law at the default residual_tol
+    strict = check_dissipation(traj, default_params, default_policy)
+    assert strict.checked_samples == report.checked_samples
+    assert strict.violations == []
 
 
 def test_equilibrium_trajectory_vacuous(default_params, default_policy):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from timebarrier import (
+    DEFAULT_GRID,
     BarrierParams,
     BlowUpError,
     DynamicsSpec,
@@ -91,11 +92,35 @@ def test_oracle_equivalence_sampled(default_policy):
 
 def test_deadline_independent_of_initial_condition(default_params, default_policy):
     spec = make_time_barrier_scalar(default_params, default_policy)
+    accepted = rejected = 0
     for k in range(-6, 7):
         for sign in (1.0, -1.0):
             traj = simulate(spec, sign * 10.0**k, default_params, default_policy)
             assert traj.converged_at is not None
             assert traj.converged_at <= 1.0 - 1e-9
+            accepted += traj.step_count
+            rejected += traj.rejected_steps
+    # the work of these 26 runs (Acceptance 1) is pinned, so that a change in
+    # speed can be told apart from a change in work
+    assert (accepted, rejected) == (5232, 108)
+
+
+@pytest.mark.parametrize(
+    "p",
+    DEFAULT_GRID.grid()[::7],
+    ids=lambda p: f"tc={p.tc:g},beta={p.beta:g},q={p.q:g},alpha={p.alpha:g}",
+)
+def test_float_step_matches_array_step(p, default_policy):
+    # the scalar law steps on Python floats; the componentwise law started at
+    # [x0, x0] steps on numpy arrays through the same controller
+    scalar = make_time_barrier_scalar(p, default_policy)
+    pair = make_time_barrier_componentwise(p, 2, default_policy)
+    for k in range(-6, 7, 3):
+        x0 = (-1.0) ** k * 10.0**k
+        a = simulate(scalar, x0, p, default_policy)
+        b = simulate(pair, [x0, x0], p, default_policy)
+        assert (a.step_count, a.rejected_steps) == (b.step_count, b.rejected_steps)
+        assert a.converged_at == pytest.approx(b.converged_at, rel=1e-12, abs=0.0)
 
 
 def test_w_monotone_along_flow(default_params, default_policy):
@@ -134,10 +159,25 @@ def test_componentwise_vector_run(default_params, default_policy):
     assert dev <= max(1e-6, 10 * default_policy.eps_conv)
 
 
-def test_resample_reproduces_nodes(default_traj):
-    subset = default_traj.times[::5]
-    values = resample(default_traj, subset)
-    assert np.array_equal(values, default_traj.states[::5])
+@pytest.mark.parametrize("one_per_call", [False, True], ids=["batch", "one-per-call"])
+@pytest.mark.parametrize(
+    "x0, sign_eps",
+    # the regularized sign keeps the dim-2 run with unequal magnitudes short
+    [([1.0], 0.0), ([1.0, -0.1], 1e-10)],
+    ids=["dim1", "dim2"],
+)
+def test_resample_reproduces_nodes(x0, sign_eps, one_per_call, default_params):
+    policy = NumericPolicy(sign_eps=sign_eps)
+    spec = make_time_barrier_componentwise(default_params, len(x0), policy)
+    traj = simulate(spec, x0, default_params, policy)
+    times, states = traj.times[::5], traj.states[::5]
+    if one_per_call:
+        # how the finite-difference certificate calls it
+        values = np.concatenate([resample(traj, [t]) for t in times])
+    else:
+        values = resample(traj, times)
+    assert values.shape == states.shape
+    assert np.array_equal(values, states)
 
 
 def test_resample_zero_after_settling(default_traj):
