@@ -34,7 +34,6 @@ from .core import (
     ParamVerdict,
     StallError,
     TimeBarrierError,
-    barrier_exponent,
     validate_params,
     validate_spec,
     w_transform,
@@ -91,7 +90,6 @@ __all__ = [
     "TrajectorySample",
     "Violation",
     "autonomous_settling_integral",
-    "barrier_exponent",
     "barrier_integral",
     "check_dissipation",
     "exact_solution_scalar",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Optional
 
@@ -29,7 +28,7 @@ from .core import (
 )
 from .integrate import Trajectory, settling_report, simulate
 from .sweep import SweepConfig, SweepResult, run_sweep
-from .systems import make_time_barrier_componentwise, make_time_barrier_scalar
+from .systems import _check_law_params, make_time_barrier_componentwise, make_time_barrier_scalar
 
 __all__ = ["main", "entry", "render_trajectory_csv", "parse_trajectory_csv", "render_sweep_csv"]
 
@@ -59,13 +58,9 @@ def render_trajectory_csv(traj: Trajectory) -> str:
     """CSV with header t,x_1..x_n,V,W; floats round-trip exactly."""
     dim = traj.spec.dim
     header = ["t"] + [f"x_{i + 1}" for i in range(dim)] + ["V", "W"]
+    table = np.column_stack([traj.times, traj.states, traj.v_values, traj.w_values])
     lines = [",".join(header)]
-    for s in traj.samples:
-        cells = [_fmt(s.t)]
-        cells.extend(_fmt(s.x[i]) for i in range(dim))
-        cells.append(_fmt(s.v) if s.v is not None else "nan")
-        cells.append(_fmt(s.w) if s.w is not None else "nan")
-        lines.append(",".join(cells))
+    lines.extend(",".join(map(repr, row)) for row in table.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -107,7 +102,7 @@ _SCHEMA = {
     "params": {"tc", "beta", "q", "alpha"},
     "policy": {"eps_conv", "delta_end", "rel_tol", "abs_tol", "sign_eps", "residual_tol"},
     "simulate": {"x0", "bias"},
-    "sweep": {"tc", "beta", "q", "alpha", "x0_decades", "law", "checks", "seed", "workers", "dim"},
+    "sweep": {"tc", "beta", "q", "alpha", "x0_decades", "law", "checks", "seed", "dim"},
     "output": {"trajectory", "report", "sweep"},
 }
 
@@ -163,25 +158,6 @@ def _params_from(args, config: dict) -> BarrierParams:
     )
 
 
-def _check_structural(p: BarrierParams) -> None:
-    """Constructor preconditions: positivity of tc and alpha's range.
-
-    Inadmissible exponents (m < 1) are allowed here; commands that require the
-    full admissibility verdict check it separately.
-    """
-    for name in ("tc", "beta", "q", "alpha"):
-        if not math.isfinite(getattr(p, name)):
-            raise ValueError(f"non-finite parameter: {name}")
-    if p.tc <= 0.0:
-        raise ValueError("tc must be > 0")
-    if p.beta < 0.0:
-        raise ValueError("beta must be >= 0")
-    if p.q < 0.0:
-        raise ValueError("q must be >= 0")
-    if not 0.0 < p.alpha < 1.0:
-        raise ValueError("alpha in (0,1) violated")
-
-
 def _parse_x0(text: str) -> np.ndarray:
     try:
         return np.array([float(part) for part in str(text).split(",")])
@@ -193,7 +169,7 @@ def _parse_x0(text: str) -> np.ndarray:
 
 def _cmd_simulate(args, config: dict) -> int:
     p = _params_from(args, config)
-    _check_structural(p)
+    _check_law_params(p)
     policy = _policy_from_config(config)
     x0 = _parse_x0(_resolve(args, "x0", config, "simulate", "x0", "1.0"))
     if x0.size == 1:
@@ -208,7 +184,7 @@ def _cmd_simulate(args, config: dict) -> int:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(render_trajectory_csv(traj))
         if not args.quiet:
-            print(f"trajectory written to {out_path} ({len(traj.samples)} samples)")
+            print(f"trajectory written to {out_path} ({traj.times.size} samples)")
 
     _print_block(
         [
@@ -225,7 +201,7 @@ def _cmd_simulate(args, config: dict) -> int:
 
 def _cmd_certify(args, config: dict) -> int:
     p = _params_from(args, config)
-    _check_structural(p)
+    _check_law_params(p)
     verdict = validate_params(p)
     if not verdict.admissible:
         raise ValueError(f"inadmissible parameters: {verdict.reason}")
@@ -278,7 +254,7 @@ def _sweep_config_from(config: dict) -> SweepConfig:
     for key in ("law",):
         if key in section:
             kwargs[key] = section.pop(key)
-    for key in ("seed", "workers", "dim"):
+    for key in ("seed", "dim"):
         if key in section:
             kwargs[key] = int(section.pop(key))
     try:
@@ -307,7 +283,7 @@ def _cmd_sweep(args, config: dict) -> int:
 
 def _cmd_bound(args, config: dict) -> int:
     p = _params_from(args, config)
-    _check_structural(p)
+    _check_law_params(p)
     x0 = _parse_x0(_resolve(args, "x0", config, "simulate", "x0", "1.0"))
     v0 = float(np.max(np.abs(x0)))
     sb = settling_bound(p, v0)
@@ -321,7 +297,7 @@ def _cmd_bound(args, config: dict) -> int:
 
 def _cmd_witness(args, config: dict) -> int:
     p = _params_from(args, config)
-    _check_structural(p)
+    _check_law_params(p)
     witness = find_nonautonomy_witness(p, args.vlevel, args.t1, args.t2)
     _print_block(
         [

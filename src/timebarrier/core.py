@@ -23,7 +23,6 @@ __all__ = [
     "NumericPolicy",
     "DynamicsSpec",
     "validate_params",
-    "barrier_exponent",
     "w_transform",
     "validate_spec",
 ]
@@ -123,11 +122,6 @@ def validate_params(p: BarrierParams) -> ParamVerdict:
     if p.m < 1.0:
         return ParamVerdict(False, p.m, f"beta*(1-alpha)={p.m:g} < 1")
     return ParamVerdict(True, p.m, None)
-
-
-def barrier_exponent(p: BarrierParams) -> float:
-    """The exponent m = beta*(1-alpha), as precomputed on the parameter tuple."""
-    return p.m
 
 
 def w_transform(v: float, t: float, p: BarrierParams) -> float:

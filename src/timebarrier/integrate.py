@@ -22,14 +22,19 @@ from one contraction after the loop. Sampling gathers each time's segment and
 evaluates the quartic elementwise, so the value at a time does not depend on
 which other times share the call.
 
-Each simulate() call owns its mutable state; returned trajectories are
-immutable and safe to share.
+The record of a run is a set of arrays computed once, after the loop: the
+output times, the states, and V, W and vdot at each time. The certificate,
+the closed-form oracle and the CSV writer all read these arrays.
+
+Each simulate() call owns its mutable state; the arrays of a returned
+trajectory are read-only, so it is safe to share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -90,7 +95,10 @@ _OUTPUT_POINTS = 512
 
 @dataclass(frozen=True)
 class TrajectorySample:
-    """One recorded point: time, state, and the Lyapunov/barrier values."""
+    """One recorded point: time, state, and the Lyapunov/barrier values.
+
+    A view of one row of a :class:`Trajectory`'s arrays.
+    """
 
     t: float
     x: np.ndarray
@@ -115,16 +123,23 @@ class SettlingReport:
 class Trajectory:
     """Integration record with dense-output support.
 
+    ``times``, ``states`` (one row per time), ``v_values``, ``w_values`` and
+    ``vdot_values`` are computed once by :func:`simulate` and are read-only;
+    V, W and vdot are NaN where the spec has no evaluator for them.
     ``event_time`` is the refined instant where max|x_i| crossed eps_conv;
     ``converged_at`` adds the closed-form remaining settling time of the
     reference law from that point, capped at ``t_end = tc - delta_end``. All
-    recorded samples past ``event_time`` are exactly zero (clamped).
+    recorded states past ``event_time`` are exactly zero (clamped).
     """
 
     spec: DynamicsSpec
     params: BarrierParams
     policy: NumericPolicy
-    samples: list[TrajectorySample]
+    times: np.ndarray
+    states: np.ndarray
+    v_values: np.ndarray
+    w_values: np.ndarray
+    vdot_values: np.ndarray
     converged_at: Optional[float]
     event_time: Optional[float]
     terminal_norm: float
@@ -137,25 +152,20 @@ class Trajectory:
     _seg_coef: np.ndarray
     _x_final: np.ndarray
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
-    @property
-    def states(self) -> np.ndarray:
-        return np.array([s.x for s in self.samples])
-
-    @property
-    def v_values(self) -> np.ndarray:
-        return np.array(
-            [s.v if s.v is not None else np.nan for s in self.samples]
-        )
-
-    @property
-    def w_values(self) -> np.ndarray:
-        return np.array(
-            [s.w if s.w is not None else np.nan for s in self.samples]
-        )
+    @cached_property
+    def samples(self) -> list[TrajectorySample]:
+        """The record as one :class:`TrajectorySample` per time, built on
+        first access; V, W and vdot are None where the spec has none."""
+        n = self.times.size
+        none = [None] * n
+        has_v = self.spec.v is not None
+        v = self.v_values.tolist() if has_v else none
+        w = self.w_values.tolist() if has_v else none
+        vdot = self.vdot_values.tolist() if self.spec.vdot is not None else none
+        return [
+            TrajectorySample(*row)
+            for row in zip(self.times.tolist(), self.states, v, w, vdot)
+        ]
 
 
 def _maxnorm(x: np.ndarray) -> float:
@@ -432,11 +442,16 @@ def simulate(
         )
     )
 
+    absent = np.full(sample_times.size, np.nan)  # V, W or vdot without an evaluator
     traj = Trajectory(
         spec=spec,
         params=p,
         policy=policy,
-        samples=[],
+        times=sample_times,
+        states=absent,
+        v_values=absent,
+        w_values=absent,
+        vdot_values=absent,
         converged_at=converged_at,
         event_time=event_time,
         terminal_norm=0.0,
@@ -449,31 +464,39 @@ def simulate(
         _seg_coef=seg_coef_arr,
         _x_final=x_final,
     )
+    # the dense output reads the segment record, so the states come second
     states = _eval_trajectory(traj, sample_times, x0)
-    samples = []
-    for t_i, x_i in zip(sample_times.tolist(), states):
-        if spec.v is not None:
-            v_i = spec.v(x_i, t_i)
-            w_i = w_transform(v_i, t_i, p)
-            vd_i = spec.vdot(x_i, t_i) if spec.vdot is not None else None
-        else:
-            v_i = w_i = vd_i = None
-        samples.append(TrajectorySample(t_i, x_i, v_i, w_i, vd_i))
-    traj.samples = samples
+    traj.states = states
     traj.terminal_norm = _maxnorm(states[-1])
+    if spec.v is not None:
+        t_list = sample_times.tolist()
+        v_list = [spec.v(x_i, t_i) for t_i, x_i in zip(t_list, states)]
+        traj.v_values = np.array(v_list, dtype=float)
+        traj.w_values = np.array(
+            [w_transform(v_i, t_i, p) for t_i, v_i in zip(t_list, v_list)], dtype=float
+        )
+        if spec.vdot is not None:
+            traj.vdot_values = np.array(
+                [spec.vdot(x_i, t_i) for t_i, x_i in zip(t_list, states)], dtype=float
+            )
+    for values in (traj.times, traj.states, traj.v_values, traj.w_values, traj.vdot_values):
+        values.flags.writeable = False
     return traj
 
 
-def _eval_trajectory(traj: Trajectory, times: np.ndarray, x_start=None) -> np.ndarray:
-    """Dense-output evaluation at sorted times within [0, t_end]."""
+def _eval_trajectory(traj: Trajectory, times: np.ndarray, x_start: np.ndarray) -> np.ndarray:
+    """Dense-output evaluation at times within [0, t_end], in any order.
+
+    ``x_start`` is the initial state, which holds at t = 0 when no step was
+    taken.
+    """
     n_seg = traj._seg_t0.size
     zero_from = traj.event_time if traj.event_time is not None else np.inf
 
     if n_seg == 0:
         # immediate convergence: the initial state holds only at t = 0
         out = np.zeros((times.size, traj.spec.dim))
-        start = x_start if x_start is not None else traj._x_final
-        out[times == 0.0] = start
+        out[times == 0.0] = x_start
         return out
 
     k = np.searchsorted(traj._seg_t0, times, side="right") - 1
@@ -509,15 +532,16 @@ def resample(traj: Trajectory, times) -> np.ndarray:
         raise ValueError(
             f"times outside [0, {traj.t_end!r}] (last sample time)"
         )
-    x_start = traj.samples[0].x if traj.samples else None
-    return _eval_trajectory(traj, times, x_start)
+    return _eval_trajectory(traj, times, traj.states[0])
 
 
 def settling_report(traj: Trajectory, p: Optional[BarrierParams] = None) -> SettlingReport:
     """Compare the measured settling instant against the analytic bound."""
     p = p if p is not None else traj.params
-    first = traj.samples[0]
-    v0 = first.v if first.v is not None else _maxnorm(first.x)
+    if traj.spec.v is not None:
+        v0 = traj.v_values[0].item()
+    else:
+        v0 = _maxnorm(traj.states[0])
     sb = settling_bound(p, v0)
     deadline_pass = traj.converged_at is not None and traj.converged_at <= traj.t_end
     return SettlingReport(

@@ -4,14 +4,13 @@ A sweep is the finite surrogate for "every initial condition": it simulates,
 certifies, and compares against the closed forms for each (params, x0) cell.
 Failures are data, not exceptions -- the point of a sweep is to map the
 failure boundary (for example the non-reaching regime below exponent 1).
-Rows may be computed concurrently but are always reduced in lexicographic
-grid order, so a sweep with a fixed config is bit-reproducible.
+Rows are computed one after another in lexicographic grid order, so a sweep
+with a fixed config is bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -50,7 +49,6 @@ class SweepConfig:
     law: str = "time_barrier"
     checks: tuple[str, ...] = ALL_CHECKS
     seed: int = 0
-    workers: int = 1
     dim: int = 2  # only used by the componentwise law
 
     def __post_init__(self):
@@ -68,8 +66,6 @@ class SweepConfig:
         unknown = set(self.checks) - set(ALL_CHECKS)
         if unknown:
             raise ValueError(f"unknown checks {sorted(unknown)}; expected subset of {ALL_CHECKS}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     def grid(self) -> list[BarrierParams]:
         return [
@@ -126,8 +122,7 @@ def _oracle_tolerance(x0: float, policy: NumericPolicy) -> float:
     return max(1e-6 * abs(x0), 10.0 * policy.eps_conv)
 
 
-def _compute_row(args) -> SweepRow:
-    index, p, x0, cfg, policy = args
+def _compute_row(index, p, x0, cfg, policy) -> SweepRow:
     verdict = validate_params(p)
     base = dict(
         index=index, tc=p.tc, beta=p.beta, q=p.q, alpha=p.alpha, m=p.m,
@@ -192,17 +187,10 @@ def run_sweep(cfg: SweepConfig, policy: Optional[NumericPolicy] = None) -> Sweep
     the row's ``error`` field instead of raising.
     """
     policy = policy if policy is not None else NumericPolicy()
-    tasks = []
-    index = 0
-    for p in cfg.grid():
-        for x0 in cfg.x0_values():
-            tasks.append((index, p, x0, cfg, policy))
-            index += 1
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_compute_row, tasks))
-    else:
-        rows = [_compute_row(task) for task in tasks]
+    cells = [(p, x0) for p in cfg.grid() for x0 in cfg.x0_values()]
+    rows = [
+        _compute_row(index, p, x0, cfg, policy) for index, (p, x0) in enumerate(cells)
+    ]
 
     admissible_rows = [r for r in rows if r.admissible]
     inadmissible = len(rows) - len(admissible_rows)

@@ -8,7 +8,7 @@ be shared freely between concurrent workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,6 +39,11 @@ class AutonomousLaw:
 
 
 def _check_law_params(p: BarrierParams) -> None:
+    """Constructor preconditions, also checked by the CLI before any command.
+
+    Inadmissible exponents (m < 1) pass; callers that need the admissibility
+    verdict ask :func:`timebarrier.core.validate_params`.
+    """
     for name in ("tc", "beta", "q", "alpha"):
         if not math.isfinite(getattr(p, name)):
             raise ValueError(f"non-finite parameter: {name}")
@@ -74,9 +79,7 @@ def make_time_barrier_scalar(
     label = f"time-barrier scalar (tc={p.tc:g}, beta={p.beta:g}, q={p.q:g}, alpha={p.alpha:g})"
     if bias:
         label += f" + bias {bias:g}"
-    return DynamicsSpec(
-        dim=1, rhs=spec.rhs, label=label, v=spec.v, vdot=spec.vdot, tc=p.tc
-    )
+    return replace(spec, label=label)
 
 
 def make_time_barrier_componentwise(

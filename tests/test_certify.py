@@ -90,6 +90,23 @@ def test_finite_difference_fallback_tracks_analytic(default_params, default_poli
     assert strict.violations == []
 
 
+def test_finite_difference_short_horizon_not_vacuous(default_params):
+    # t_end = 1e-6 is shorter than four default spacings (4e-6); the stencil
+    # must shrink to fit, so every checked sample gets a derivative
+    policy = NumericPolicy(delta_end=0.999999)
+    biased = make_time_barrier_scalar(default_params, policy, bias=1.0)
+    stripped = dataclasses.replace(biased, vdot=None)
+    analytic = check_dissipation(
+        simulate(biased, 1.0, default_params, policy), default_params, policy
+    )
+    fd = check_dissipation(
+        simulate(stripped, 1.0, default_params, policy), default_params, policy
+    )
+    assert analytic.checked_samples == fd.checked_samples == 512
+    assert len(analytic.violations) == len(fd.violations) == 512
+    assert not fd.passed
+
+
 def test_equilibrium_trajectory_vacuous(default_params, default_policy):
     spec = make_time_barrier_scalar(default_params, default_policy)
     traj = simulate(spec, 0.0, default_params, default_policy)

@@ -217,6 +217,15 @@ def test_config_unknown_key_named(tmp_path, capsys):
     assert "sweep.betaa" in err
 
 
+def test_config_sweep_workers_rejected(tmp_path, capsys):
+    # sweeps have no worker count, so the key is rejected by name
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"sweep": {"workers": 4}}))
+    code, out, err = run_cli(capsys, "--config", str(cfg_path), "sweep")
+    assert code == EXIT_VALIDATION
+    assert "sweep.workers" in err
+
+
 def test_config_unknown_section_named(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"simulat": {}}))

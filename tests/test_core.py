@@ -1,5 +1,6 @@
 """Parameter validation, the exponent condition, and shared policy checks."""
 
+import importlib
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from timebarrier import (
     BarrierParams,
     DomainError,
     NumericPolicy,
-    barrier_exponent,
     validate_params,
     validate_spec,
     w_transform,
@@ -65,13 +65,13 @@ def test_validate_params_non_finite_distinct():
     [(2.0, 0.5, 1.0), (3.0, 0.5, 1.5), (0.5, 0.5, 0.25)],
 )
 def test_barrier_exponent_values(beta, alpha, expected):
-    assert barrier_exponent(BarrierParams(1, beta, 1, alpha)) == expected
+    assert BarrierParams(1, beta, 1, alpha).m == expected
 
 
 def test_exponent_precomputed_once():
     p = BarrierParams(1, 2.3, 1, 0.37)
     assert p.m == 2.3 * (1.0 - 0.37)
-    assert barrier_exponent(p) is p.m or barrier_exponent(p) == p.m
+    assert validate_params(p).m == p.m
 
 
 def test_validate_monotone_in_beta():
@@ -95,7 +95,7 @@ def test_validate_agrees_with_exponent():
             rng.uniform(-0.2, 1.2),
         )
         positivity = p.tc > 0 and p.beta > 0 and p.q > 0 and 0 < p.alpha < 1
-        expected = positivity and barrier_exponent(p) >= 1.0
+        expected = positivity and p.m >= 1.0
         assert validate_params(p).admissible == expected
 
 
@@ -144,3 +144,14 @@ def test_validate_spec_flags_broken_equilibrium(default_params, default_policy):
     biased = make_time_barrier_scalar(default_params, default_policy, bias=0.1)
     problems = validate_spec(biased, default_params.tc)
     assert problems and "zero vector" in problems[0]
+
+
+@pytest.mark.parametrize(
+    "module", ["timebarrier", "timebarrier.core", "timebarrier.analytic",
+               "timebarrier.systems", "timebarrier.integrate", "timebarrier.certify",
+               "timebarrier.sweep", "timebarrier.cli"],
+)
+def test_public_names_resolve(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []

@@ -58,6 +58,36 @@ def test_clamped_after_event(default_traj):
     assert np.all(default_traj.w_values[after] == 0.0)
 
 
+def test_record_arrays_read_only(default_traj):
+    for values in (default_traj.times, default_traj.states, default_traj.v_values,
+                   default_traj.w_values, default_traj.vdot_values):
+        assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        default_traj.states[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        default_traj.times[0] = 1.0
+
+
+def test_samples_view_of_arrays(default_params, default_policy):
+    law = make_time_barrier_scalar(default_params, default_policy)
+    bare = DynamicsSpec(dim=1, rhs=law.rhs, label="no lyapunov", tc=law.tc)
+    for spec in (law, bare):
+        traj = simulate(spec, 1.0, default_params, default_policy)
+        assert "samples" not in vars(traj)  # built on first access only
+        samples = traj.samples
+        assert traj.samples is samples
+        assert [s.t for s in samples] == traj.times.tolist()
+        assert np.array_equal([s.x for s in samples], traj.states)
+        for name, values in (("v", traj.v_values), ("w", traj.w_values),
+                             ("vdot", traj.vdot_values)):
+            column = [getattr(s, name) for s in samples]
+            if spec is bare:
+                assert column == [None] * len(samples)
+                assert np.all(np.isnan(values))
+            else:
+                assert column == values.tolist()
+
+
 def test_equilibrium_start(default_params, default_policy):
     spec = make_time_barrier_scalar(default_params, default_policy)
     traj = simulate(spec, 0.0, default_params, default_policy)
