@@ -47,7 +47,6 @@ from .integrate import (
     simulate,
 )
 from .sweep import (
-    ALL_CHECKS,
     DEFAULT_GRID,
     SeparationRow,
     SweepConfig,
@@ -66,7 +65,6 @@ from .systems import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_CHECKS",
     "AutonomousLaw",
     "BarrierParams",
     "BlowUpError",

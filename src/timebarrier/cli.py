@@ -10,6 +10,9 @@ Exit codes partition outcomes: 0 success, 1 validation/config error,
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
+import io
 import json
 import sys
 from typing import Optional
@@ -27,7 +30,7 @@ from .core import (
     validate_params,
 )
 from .integrate import Trajectory, settling_report, simulate
-from .sweep import SweepConfig, SweepResult, run_sweep
+from .sweep import SweepConfig, SweepResult, SweepRow, run_sweep
 from .systems import _check_law_params, make_time_barrier_componentwise, make_time_barrier_scalar
 
 __all__ = ["main", "entry", "render_trajectory_csv", "parse_trajectory_csv", "render_sweep_csv"]
@@ -72,23 +75,17 @@ def parse_trajectory_csv(text: str):
     return header, rows
 
 
-_SWEEP_COLUMNS = (
-    "index", "tc", "beta", "q", "alpha", "m", "admissible", "x0",
-    "converged_at", "tau_bound", "reaches_zero", "deadline_pass",
-    "certificate_pass", "bound_gap", "oracle_error", "oracle_pass",
-    "terminal_norm", "step_count", "error",
-)
-
-
 def render_sweep_csv(result: SweepResult) -> str:
-    lines = [",".join(_SWEEP_COLUMNS)]
+    """One column per :class:`SweepRow` field; cells that need it are quoted."""
+    columns = [f.name for f in dataclasses.fields(SweepRow)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
     for row in result.rows:
-        cells = []
-        for col in _SWEEP_COLUMNS:
-            value = getattr(row, col)
-            cells.append(value if col == "error" else _fmt(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        writer.writerow(
+            row.error if col == "error" else _fmt(getattr(row, col)) for col in columns
+        )
+    return buf.getvalue()
 
 
 def _print_block(pairs) -> None:
@@ -99,10 +96,10 @@ def _print_block(pairs) -> None:
 # -------------------------------------------------------------------- config
 
 _SCHEMA = {
-    "params": {"tc", "beta", "q", "alpha"},
-    "policy": {"eps_conv", "delta_end", "rel_tol", "abs_tol", "sign_eps", "residual_tol"},
+    "params": {f.name for f in dataclasses.fields(BarrierParams) if f.init},
+    "policy": {f.name for f in dataclasses.fields(NumericPolicy)},
     "simulate": {"x0", "bias"},
-    "sweep": {"tc", "beta", "q", "alpha", "x0_decades", "law", "checks", "seed", "dim"},
+    "sweep": {"tc", "beta", "q", "alpha", "x0_decades", "seed"},
     "output": {"trajectory", "report", "sweep"},
 }
 
@@ -249,14 +246,8 @@ def _sweep_config_from(config: dict) -> SweepConfig:
     if "x0_decades" in section:
         lo, hi = section.pop("x0_decades")
         kwargs["x0_decades"] = (int(lo), int(hi))
-    if "checks" in section:
-        kwargs["checks"] = tuple(section.pop("checks"))
-    for key in ("law",):
-        if key in section:
-            kwargs[key] = section.pop(key)
-    for key in ("seed", "dim"):
-        if key in section:
-            kwargs[key] = int(section.pop(key))
+    if "seed" in section:
+        kwargs["seed"] = int(section.pop("seed"))
     try:
         return SweepConfig(**kwargs)
     except ValueError as exc:
@@ -406,10 +397,7 @@ def main(argv=None) -> int:
     except (StallError, BlowUpError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except TimeBarrierError as exc:
+    except (ValueError, TimeBarrierError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

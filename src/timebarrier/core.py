@@ -1,7 +1,7 @@
 """Core domain types, parameter validation, and the shared numeric policy.
 
 Every other module builds on these types. All values are immutable after
-construction and safe to share between concurrent workers.
+construction, so one instance can be shared by any number of runs.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Batch experiments over parameter grids and initial conditions.
 
-A sweep is the finite surrogate for "every initial condition": it simulates,
-certifies, and compares against the closed forms for each (params, x0) cell.
+A sweep is the finite surrogate for "every initial condition": each
+(params, x0) cell simulates the scalar law, then checks the deadline, the
+dissipation certificate, the settling-bound gap and the closed-form oracle.
 Failures are data, not exceptions -- the point of a sweep is to map the
 failure boundary (for example the non-reaching regime below exponent 1).
 Rows are computed one after another in lexicographic grid order, so a sweep
@@ -10,7 +11,6 @@ with a fixed config is bit-reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -20,52 +20,48 @@ from .analytic import exact_solution_scalar, settling_bound
 from .certify import check_dissipation
 from .core import BarrierParams, NumericPolicy, TimeBarrierError, validate_params
 from .integrate import simulate
-from .systems import make_autonomous_power_law, make_time_barrier_componentwise, make_time_barrier_scalar
+from .systems import _check_law_params, make_autonomous_power_law, make_time_barrier_scalar
 
 __all__ = [
     "SweepConfig",
     "SweepRow",
     "SweepResult",
     "SeparationRow",
-    "ALL_CHECKS",
     "DEFAULT_GRID",
     "run_sweep",
     "separation_table",
 ]
 
-ALL_CHECKS = ("deadline", "certificate", "bound_tightness", "oracle_error")
-_LAWS = ("time_barrier", "time_barrier_componentwise")
+# 10.0**309 overflows a double
+_MAX_X0_DECADE = 308
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid of parameter values, initial-condition decades, and checks to run."""
+    """Grid of parameter values and initial-condition decades.
+
+    ``seed`` is not read by the sweep, whose grid is fixed; it is kept so
+    that configs naming it stay valid.
+    """
 
     tc_values: tuple[float, ...] = (0.5, 1.0, 2.0)
     beta_values: tuple[float, ...] = (2.0, 3.0, 4.0)
     q_values: tuple[float, ...] = (0.5, 1.0, 2.0)
     alpha_values: tuple[float, ...] = (0.2, 0.4, 0.5)
     x0_decades: tuple[int, int] = (-6, 6)
-    law: str = "time_barrier"
-    checks: tuple[str, ...] = ALL_CHECKS
     seed: int = 0
-    dim: int = 2  # only used by the componentwise law
 
     def __post_init__(self):
         for name in ("tc_values", "beta_values", "q_values", "alpha_values"):
-            values = getattr(self, name)
-            if len(values) == 0:
+            if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be non-empty")
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"{name} contains non-finite values")
         lo, hi = self.x0_decades
         if lo > hi:
             raise ValueError(f"x0_decades lower {lo} exceeds upper {hi}")
-        if self.law not in _LAWS:
-            raise ValueError(f"unknown law {self.law!r}; expected one of {_LAWS}")
-        unknown = set(self.checks) - set(ALL_CHECKS)
-        if unknown:
-            raise ValueError(f"unknown checks {sorted(unknown)}; expected subset of {ALL_CHECKS}")
+        if hi > _MAX_X0_DECADE:
+            raise ValueError(f"x0_decades upper {hi} exceeds {_MAX_X0_DECADE}")
+        for p in self.grid():
+            _check_law_params(p)
 
     def grid(self) -> list[BarrierParams]:
         return [
@@ -86,7 +82,13 @@ DEFAULT_GRID = SweepConfig()
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Results for one (params, x0) cell; check fields are None when skipped."""
+    """Results for one (params, x0) cell.
+
+    Rows whose simulation raised carry the exception in ``error``, ``False``
+    in the three pass flags and ``None`` in every other result field.
+    Otherwise ``converged_at`` and ``bound_gap`` are ``None`` only when the
+    run did not converge, and every other field holds a value.
+    """
 
     index: int
     tc: float
@@ -122,59 +124,36 @@ def _oracle_tolerance(x0: float, policy: NumericPolicy) -> float:
     return max(1e-6 * abs(x0), 10.0 * policy.eps_conv)
 
 
-def _compute_row(index, p, x0, cfg, policy) -> SweepRow:
+def _compute_row(index, p, x0, policy) -> SweepRow:
     verdict = validate_params(p)
     base = dict(
         index=index, tc=p.tc, beta=p.beta, q=p.q, alpha=p.alpha, m=p.m,
         admissible=verdict.admissible, x0=x0,
     )
     try:
-        if cfg.law == "time_barrier":
-            spec = make_time_barrier_scalar(p, policy)
-            start = x0
-        else:
-            spec = make_time_barrier_componentwise(p, cfg.dim, policy)
-            start = np.full(cfg.dim, x0)
-        traj = simulate(spec, start, p, policy)
+        traj = simulate(make_time_barrier_scalar(p, policy), x0, p, policy)
     except TimeBarrierError as exc:
         return SweepRow(
             **base, converged_at=None, tau_bound=None, reaches_zero=None,
-            deadline_pass=False if "deadline" in cfg.checks else None,
-            certificate_pass=False if "certificate" in cfg.checks else None,
-            bound_gap=None, oracle_error=None,
-            oracle_pass=False if "oracle_error" in cfg.checks else None,
-            terminal_norm=None, step_count=None,
-            error=f"{type(exc).__name__}: {exc}",
+            deadline_pass=False, certificate_pass=False, bound_gap=None,
+            oracle_error=None, oracle_pass=False, terminal_norm=None,
+            step_count=None, error=f"{type(exc).__name__}: {exc}",
         )
 
     sb = settling_bound(p, abs(x0))
-    deadline_pass = None
-    if "deadline" in cfg.checks:
-        deadline_pass = traj.converged_at is not None and traj.converged_at <= traj.t_end
-    certificate_pass = None
-    if "certificate" in cfg.checks:
-        certificate_pass = check_dissipation(traj, p, policy).passed
-    bound_gap = None
-    if "bound_tightness" in cfg.checks and traj.converged_at is not None:
-        bound_gap = abs(traj.converged_at - sb.tau_bound)
-    oracle_error = None
-    oracle_pass = None
-    if "oracle_error" in cfg.checks and cfg.law == "time_barrier":
-        times = traj.times
-        sim = traj.states[:, 0]
-        exact = np.array([exact_solution_scalar(p, x0, t) for t in times])
-        oracle_error = float(np.max(np.abs(sim - exact)))
-        oracle_pass = oracle_error <= _oracle_tolerance(x0, policy)
+    converged_at = traj.converged_at
+    exact = np.array([exact_solution_scalar(p, x0, t) for t in traj.times])
+    oracle_error = float(np.max(np.abs(traj.states[:, 0] - exact)))
     return SweepRow(
         **base,
-        converged_at=traj.converged_at,
+        converged_at=converged_at,
         tau_bound=sb.tau_bound,
         reaches_zero=sb.reaches_zero,
-        deadline_pass=deadline_pass,
-        certificate_pass=certificate_pass,
-        bound_gap=bound_gap,
+        deadline_pass=converged_at is not None and converged_at <= traj.t_end,
+        certificate_pass=check_dissipation(traj, p, policy).passed,
+        bound_gap=None if converged_at is None else abs(converged_at - sb.tau_bound),
         oracle_error=oracle_error,
-        oracle_pass=oracle_pass,
+        oracle_pass=oracle_error <= _oracle_tolerance(x0, policy),
         terminal_norm=traj.terminal_norm,
         step_count=traj.step_count,
     )
@@ -183,59 +162,55 @@ def _compute_row(index, p, x0, cfg, policy) -> SweepRow:
 def run_sweep(cfg: SweepConfig, policy: Optional[NumericPolicy] = None) -> SweepResult:
     """Run every (params, x0) cell, in lexicographic grid order.
 
-    Deterministic for a fixed config and seed; simulation failures land in
-    the row's ``error`` field instead of raising.
+    Deterministic for a fixed config; simulation failures land in the row's
+    ``error`` field instead of raising.
     """
     policy = policy if policy is not None else NumericPolicy()
     cells = [(p, x0) for p in cfg.grid() for x0 in cfg.x0_values()]
-    rows = [
-        _compute_row(index, p, x0, cfg, policy) for index, (p, x0) in enumerate(cells)
-    ]
+    rows = [_compute_row(index, p, x0, policy) for index, (p, x0) in enumerate(cells)]
 
     admissible_rows = [r for r in rows if r.admissible]
-    inadmissible = len(rows) - len(admissible_rows)
     numeric_errors = sum(1 for r in rows if r.error)
 
     def failures(rows_, attr):
         return sum(1 for r in rows_ if getattr(r, attr) is False)
 
+    bound_failures = 0
+    worst_gap = 0.0
+    worst_gap_row = None
+    for r in admissible_rows:
+        if r.bound_gap is None:
+            if not r.error and r.converged_at is None:
+                bound_failures += 1
+            continue
+        if r.bound_gap > 1e-4 * r.tc:
+            bound_failures += 1
+        if r.bound_gap > worst_gap:
+            worst_gap, worst_gap_row = r.bound_gap, r.index
+    worst_err = 0.0
+    worst_err_row = None
+    for r in rows:
+        if r.oracle_error is not None and r.oracle_error > worst_err:
+            worst_err, worst_err_row = r.oracle_error, r.index
+
     summary = {
         "rows": len(rows),
         "admissible_rows": len(admissible_rows),
-        "inadmissible_rows": inadmissible,
+        "inadmissible_rows": len(rows) - len(admissible_rows),
         "numeric_errors": numeric_errors,
         "deadline_failures": failures(admissible_rows, "deadline_pass"),
         "certificate_failures": failures(admissible_rows, "certificate_pass"),
         "oracle_failures": failures(rows, "oracle_pass"),
+        "bound_failures": bound_failures,
+        "worst_bound_gap": worst_gap,
+        "worst_bound_gap_row": worst_gap_row,
+        "worst_oracle_error": worst_err,
+        "worst_oracle_error_row": worst_err_row,
     }
-    if "bound_tightness" in cfg.checks:
-        bound_failures = 0
-        worst_gap = 0.0
-        worst_gap_row = None
-        for r in admissible_rows:
-            if r.bound_gap is None:
-                if not r.error and r.converged_at is None:
-                    bound_failures += 1
-                continue
-            if r.bound_gap > 1e-4 * r.tc:
-                bound_failures += 1
-            if r.bound_gap > worst_gap:
-                worst_gap, worst_gap_row = r.bound_gap, r.index
-        summary["bound_failures"] = bound_failures
-        summary["worst_bound_gap"] = worst_gap
-        summary["worst_bound_gap_row"] = worst_gap_row
-    if "oracle_error" in cfg.checks:
-        worst_err = 0.0
-        worst_err_row = None
-        for r in rows:
-            if r.oracle_error is not None and r.oracle_error > worst_err:
-                worst_err, worst_err_row = r.oracle_error, r.index
-        summary["worst_oracle_error"] = worst_err
-        summary["worst_oracle_error_row"] = worst_err_row
-
-    checked_failures = summary["deadline_failures"] + summary["certificate_failures"]
-    checked_failures += summary.get("bound_failures", 0) + summary["oracle_failures"]
-    summary["check_failures"] = checked_failures + numeric_errors
+    summary["check_failures"] = numeric_errors + sum(
+        summary[key] for key in
+        ("deadline_failures", "certificate_failures", "bound_failures", "oracle_failures")
+    )
     return SweepResult(config=cfg, rows=rows, summary=summary)
 
 

@@ -1,8 +1,8 @@
 """Built-in dynamics: the scalar deadline-decay law, its componentwise vector
 extension, and the autonomous power-law comparator.
 
-Constructors are pure and the returned evaluators are stateless, so specs can
-be shared freely between concurrent workers.
+Constructors are pure and the returned evaluators are stateless, so one spec
+can drive any number of runs.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ class AutonomousLaw:
 
 
 def _check_law_params(p: BarrierParams) -> None:
-    """Constructor preconditions, also checked by the CLI before any command.
+    """Constructor preconditions, also checked by the CLI before any command
+    and by ``SweepConfig`` on every grid tuple.
 
     Inadmissible exponents (m < 1) pass; callers that need the admissibility
     verdict ask :func:`timebarrier.core.validate_params`.

@@ -217,13 +217,30 @@ def test_config_unknown_key_named(tmp_path, capsys):
     assert "sweep.betaa" in err
 
 
-def test_config_sweep_workers_rejected(tmp_path, capsys):
-    # sweeps have no worker count, so the key is rejected by name
+_REMOVED_SWEEP_KEYS = {"workers": 4, "law": "time_barrier", "checks": ["deadline"], "dim": 2}
+
+
+@pytest.mark.parametrize("key", sorted(_REMOVED_SWEEP_KEYS))
+def test_config_sweep_workers_rejected(tmp_path, capsys, key):
+    # sweeps have no worker count, law, check selection or dimension, so
+    # each of these keys is rejected by name
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"sweep": {"workers": 4}}))
+    cfg_path.write_text(json.dumps({"sweep": {key: _REMOVED_SWEEP_KEYS[key]}}))
     code, out, err = run_cli(capsys, "--config", str(cfg_path), "sweep")
     assert code == EXIT_VALIDATION
-    assert "sweep.workers" in err
+    assert f"sweep.{key}" in err
+
+
+def test_config_sweep_decade_overflow_named(tmp_path, capsys):
+    # 10.0**309 overflows; the config is rejected before any row runs
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"sweep": {"x0_decades": [309, 309]}}))
+    code, out, err = run_cli(
+        capsys, "--config", str(cfg_path), "--out", str(tmp_path / "s.csv"), "sweep"
+    )
+    assert code == EXIT_VALIDATION
+    assert "x0_decades" in err
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_config_unknown_section_named(tmp_path, capsys):

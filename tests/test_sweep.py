@@ -1,5 +1,7 @@
 """Grid experiments: determinism, failure mapping, and the separation table."""
 
+import csv
+
 import pytest
 
 from timebarrier import (
@@ -53,20 +55,6 @@ def test_inadmissible_rows_flagged_not_failed(default_policy):
     assert result.summary["check_failures"] == 0
 
 
-def test_empty_checks_give_data_only(default_policy):
-    cfg = SweepConfig(
-        tc_values=(1.0,), beta_values=(2.0,), q_values=(1.0,), alpha_values=(0.5,),
-        checks=(), x0_decades=(0, 0),
-    )
-    result = run_sweep(cfg, default_policy)
-    row = result.rows[0]
-    assert row.converged_at is not None
-    assert row.deadline_pass is None
-    assert row.certificate_pass is None
-    assert row.bound_gap is None
-    assert row.oracle_error is None
-
-
 def test_determinism_bit_identical(default_policy):
     cfg = SweepConfig(
         tc_values=(0.5, 1.0), beta_values=(2.0, 3.0), q_values=(1.0,),
@@ -94,10 +82,30 @@ def test_config_validation():
         SweepConfig(tc_values=())
     with pytest.raises(ValueError):
         SweepConfig(x0_decades=(3, -3))
-    with pytest.raises(ValueError):
-        SweepConfig(law="unknown")
-    with pytest.raises(ValueError):
-        SweepConfig(checks=("deadline", "bogus"))
+    with pytest.raises(ValueError, match="x0_decades"):
+        SweepConfig(x0_decades=(309, 309))
+    SweepConfig(x0_decades=(308, 308))
+    # the law's own preconditions reject the grid before any row runs
+    with pytest.raises(ValueError, match="alpha"):
+        SweepConfig(alpha_values=(0.5, 1.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        SweepConfig(tc_values=(1.0, float("inf")))
+
+
+def test_error_rows_keep_csv_columns(default_policy):
+    # near the largest double the dynamics blow up, and the error text, which
+    # contains commas, must stay one quoted cell
+    cfg = SweepConfig(
+        tc_values=(1.0,), beta_values=(2.0,), q_values=(1.0,), alpha_values=(0.5,),
+        x0_decades=(307, 308),
+    )
+    result = run_sweep(cfg, default_policy)
+    assert all(r.error.startswith("BlowUpError") for r in result.rows)
+    header, *rows = csv.reader(render_sweep_csv(result).splitlines())
+    assert len(rows) == 2
+    for row, sweep_row in zip(rows, result.rows):
+        assert len(row) == len(header)
+        assert row[header.index("error")] == sweep_row.error
 
 
 def test_stall_rows_become_failures(default_policy):
