@@ -9,6 +9,9 @@ where J(t) = integral of lam(s)**(-m) over [0, t] and m = beta*(1-alpha).
 Everything here is derived from that identity, with log-space fallbacks so the
 formulas survive extreme exponents. These functions are the oracles the
 adaptive integrator is verified against, so they must not share code with it.
+
+The comparator's settling integral, dV/phi(V) over [0, v0], is a Gauss-Legendre
+quadrature on plain floats, closed by a geometric tail toward V = 0.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
 
 from .core import BarrierParams, DivergentIntegralError, DomainError
 
@@ -28,6 +31,9 @@ __all__ = [
     "exact_solution_scalar",
     "autonomous_settling_integral",
 ]
+
+# 10- and 20-node Gauss-Legendre rules on [-1, 1] as (node, weight) pairs
+_GAUSS_PAIR = [list(zip(*(a.tolist() for a in leggauss(n)))) for n in (10, 20)]
 
 
 @dataclass(frozen=True)
@@ -181,27 +187,51 @@ def exact_solution_scalar(p: BarrierParams, x0: float, t: float) -> float:
     return math.copysign(math.exp(log_x), x0)
 
 
+def _gauss_piece(f, a: float, b: float) -> float:
+    """Integral of f over [a, b], bisected until the Gauss pair agrees."""
+    total, stack = 0.0, [(a, b)]
+    for _ in range(1000):
+        a, b = stack.pop()
+        c, h = 0.5 * (a + b), 0.5 * (b - a)
+        coarse, fine = (h * sum(w * f(c + h * x) for x, w in rule) for rule in _GAUSS_PAIR)
+        if not math.isfinite(fine):
+            raise DivergentIntegralError("settling integrand is not finite")
+        if abs(fine - coarse) <= 1e-13 * abs(fine):
+            total += fine
+        else:
+            stack += [(a, c), (c, b)]
+        if not stack:
+            return total
+    raise DivergentIntegralError("settling quadrature did not converge")
+
+
 def autonomous_settling_integral(law, v0: float) -> float:
     """Settling integral of an autonomous decay law, integral dV/phi(V).
 
-    Evaluated by adaptive quadrature with the substitution V = u**2 so the
-    endpoint V = 0 is integrable without a cutoff; relative accuracy 1e-8.
-    Raises :class:`DivergentIntegralError` when the quadrature does not
-    converge, which signals a (possibly) divergent integral.
+    With V = u**2, [0, sqrt(v0)] is cut into pieces that halve toward u = 0,
+    each summed by the Gauss pair; once the ratio r of successive pieces
+    settles below 1 the rest is the geometric tail piece*r/(1-r). phi is taken
+    to be continuous on (0, v0]: a jump in phi can escape the Gauss pair.
+    Raises :class:`DivergentIntegralError` when r has not settled by
+    u ~ 1e-150 or a piece is not finite: the integral (possibly) diverges.
     """
     if not (math.isfinite(v0) and v0 >= 0.0):
         raise ValueError(f"v0 must be finite and >= 0, got {v0!r}")
     if v0 == 0.0:
         return 0.0
-    phi = law.phi
 
     def integrand(u: float) -> float:
-        return 2.0 * u / phi(u * u)
+        value = law.phi(u * u)
+        return 2.0 * u / value if value else math.inf
 
-    value, abserr, info, *tail = quad(
-        integrand, 0.0, math.sqrt(v0), epsabs=0.0, epsrel=1e-8, limit=200,
-        full_output=1,
-    )
-    if tail or not math.isfinite(value) or abserr > 1e-6 * max(abs(value), 1.0):
-        raise DivergentIntegralError("integral may diverge")
-    return value
+    u = math.sqrt(v0)
+    pieces = []
+    while u > 1e-150 or len(pieces) < 3:
+        pieces.append(_gauss_piece(integrand, 0.5 * u, u))
+        u *= 0.5
+        if len(pieces) >= 3:
+            a, b, c = pieces[-3:]
+            r_prev, r = (b / a if a else 0.0), (c / b if b else 0.0)
+            if r < 1.0 and abs(r - r_prev) <= 1e-10 * (1.0 - r):
+                return sum(pieces) + c * r / (1.0 - r)
+    raise DivergentIntegralError("integral may diverge")

@@ -163,7 +163,6 @@ def find_nonautonomy_witness(
     v_level: float,
     t1: float,
     t2: float,
-    policy: Optional[NumericPolicy] = None,
 ) -> NonAutonomyWitness:
     """Evaluate the equality dissipation rate at one V level and two times.
 

@@ -235,19 +235,20 @@ def _cmd_certify(args, config: dict) -> int:
 
 
 def _sweep_config_from(config: dict) -> SweepConfig:
-    section = dict(config.get("sweep", {}))
     kwargs = {}
-    for key, target in (
-        ("tc", "tc_values"), ("beta", "beta_values"),
-        ("q", "q_values"), ("alpha", "alpha_values"),
-    ):
-        if key in section:
-            kwargs[target] = tuple(float(v) for v in section.pop(key))
-    if "x0_decades" in section:
-        lo, hi = section.pop("x0_decades")
-        kwargs["x0_decades"] = (int(lo), int(hi))
-    if "seed" in section:
-        kwargs["seed"] = int(section.pop("seed"))
+    for key, value in config.get("sweep", {}).items():
+        try:
+            if key == "seed":
+                kwargs["seed"] = int(value)
+            elif not isinstance(value, list):
+                raise TypeError(f"expected a list, got {type(value).__name__}")
+            elif key == "x0_decades":
+                lo, hi = value
+                kwargs[key] = (int(lo), int(hi))
+            else:
+                kwargs[f"{key}_values"] = tuple(float(v) for v in value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid sweep.{key}: {exc}") from exc
     try:
         return SweepConfig(**kwargs)
     except ValueError as exc:

@@ -8,7 +8,7 @@ can drive any number of runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,16 +25,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AutonomousLaw:
-    """A state-only decay law phi(V), with its parameters for reporting.
+    """A state-only decay law phi(V).
 
     ``settling_time(v0)``, when present, is the closed form of the settling
-    integral; the generic quadrature route lives in
-    :func:`timebarrier.analytic.autonomous_settling_integral`.
+    integral of dV/phi(V) over [0, v0]. Any other phi goes through
+    :func:`timebarrier.analytic.autonomous_settling_integral`, a Gauss-Legendre
+    quadrature on pieces that halve toward V = 0 with a geometric tail.
     """
 
     phi: Callable[[float], float]
     label: str
-    params: dict = field(default_factory=dict)
     settling_time: Optional[Callable[[float], float]] = None
 
 
@@ -180,7 +180,6 @@ def make_autonomous_power_law(q: float, alpha: float):
     law = AutonomousLaw(
         phi=phi,
         label=f"power-law decay (q={q:g}, alpha={alpha:g})",
-        params={"q": q, "alpha": alpha},
         settling_time=settling_time,
     )
 

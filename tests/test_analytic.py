@@ -15,9 +15,15 @@ from timebarrier import (
     remaining_settling_time,
     settling_bound,
 )
-from timebarrier.systems import make_autonomous_power_law
+from timebarrier.systems import AutonomousLaw, make_autonomous_power_law
 
-from conftest import dop853_solution, oracle_settling, quad_barrier_integral, random_admissible
+from conftest import (
+    dop853_solution,
+    oracle_settling,
+    quad_barrier_integral,
+    quad_settling_integral,
+    random_admissible,
+)
 
 TAU_DEFAULT = 0.8646647167633873  # 1 - exp(-2), crossing for (1, 2, 1, 0.5) from V0=1
 
@@ -227,6 +233,27 @@ def test_autonomous_settling_integral_matches_closed_form():
         v0 = 10.0 ** rng.uniform(-4, 4)
         want = law.settling_time(v0)
         assert autonomous_settling_integral(law, v0) == pytest.approx(want, rel=1e-7)
+    # alpha near 1: successive pieces shrink slowly, so the tail carries most of it
+    for alpha in (0.95, 0.99, 0.999):
+        law, _ = make_autonomous_power_law(1.3, alpha)
+        for v0 in (1e-4, 1.0, 1e4):
+            want = law.settling_time(v0)
+            assert autonomous_settling_integral(law, v0) == pytest.approx(want, rel=1e-7)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        lambda v: v**0.5 + v**2,
+        lambda v: v**0.9 * (1.0 + math.sin(v) ** 2),
+        lambda v: math.exp(math.sqrt(v)) * math.sqrt(v),
+    ],
+    ids=["sqrt_plus_square", "sin_modulated", "exp_sqrt"],
+)
+def test_autonomous_settling_integral_general_phi(phi):
+    law = AutonomousLaw(phi=phi, label="non-power decay")
+    want = quad_settling_integral(phi, 3.0)
+    assert autonomous_settling_integral(law, 3.0) == pytest.approx(want, rel=1e-8)
 
 
 def test_autonomous_settling_integral_unbounded_in_v0():
@@ -237,6 +264,7 @@ def test_autonomous_settling_integral_unbounded_in_v0():
 
 def test_autonomous_settling_integral_divergence_signal():
     law, _ = make_autonomous_power_law(1.0, 0.5)
-    bad = type(law)(phi=lambda v: v, label="linear decay")
-    with pytest.raises(DivergentIntegralError):
-        autonomous_settling_integral(bad, 1.0)
+    for phi in (lambda v: v, lambda v: v * (1.0 + v)):
+        bad = type(law)(phi=phi, label="linear decay near 0")
+        with pytest.raises(DivergentIntegralError):
+            autonomous_settling_integral(bad, 1.0)

@@ -1,6 +1,9 @@
 """Command-line surface: flags, exit codes, CSV round-trips, report blocks."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -241,6 +244,34 @@ def test_config_sweep_decade_overflow_named(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     assert "x0_decades" in err
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        {"tc": 1.0},
+        {"x0_decades": 5},
+        {"x0_decades": [1, 2, 3]},
+        {"tc": ["a"]},
+    ],
+    ids=["scalar_grid", "scalar_decades", "three_decades", "non_numeric"],
+)
+def test_config_sweep_type_error_named(tmp_path, capsys, section):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"sweep": section}))
+    code, out, err = run_cli(
+        capsys, "--config", str(cfg_path), "--out", str(tmp_path / "s.csv"), "sweep"
+    )
+    assert code == EXIT_VALIDATION
+    (key,) = section
+    assert f"sweep.{key}" in err
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, timebarrier, timebarrier.cli; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_config_unknown_section_named(tmp_path, capsys):
