@@ -9,7 +9,6 @@ where J(t) = integral of lam(s)**(-m) over [0, t] and m = beta*(1-alpha).
 Everything here is derived from that identity, with log-space fallbacks so the
 formulas survive extreme exponents. These functions are the oracles the
 adaptive integrator is verified against, so they must not share code with it.
-
 The comparator's settling integral, dV/phi(V) over [0, v0], is a Gauss-Legendre
 quadrature on plain floats, closed by a geometric tail toward V = 0.
 """
@@ -32,8 +31,8 @@ __all__ = [
     "autonomous_settling_integral",
 ]
 
-# 10- and 20-node Gauss-Legendre rules on [-1, 1] as (node, weight) pairs
-_GAUSS_PAIR = [list(zip(*(a.tolist() for a in leggauss(n)))) for n in (10, 20)]
+# 20-node Gauss-Legendre rule on [-1, 1] as (node, weight) pairs
+_GAUSS_RULE = list(zip(*(a.tolist() for a in leggauss(20))))
 
 
 @dataclass(frozen=True)
@@ -187,19 +186,25 @@ def exact_solution_scalar(p: BarrierParams, x0: float, t: float) -> float:
     return math.copysign(math.exp(log_x), x0)
 
 
-def _gauss_piece(f, a: float, b: float) -> float:
-    """Integral of f over [a, b], bisected until the Gauss pair agrees."""
-    total, stack = 0.0, [(a, b)]
+def _gauss(f, c: float, h: float) -> float:
+    """20-node Gauss-Legendre value of the integral of f over [c - h, c + h]."""
+    return h * sum(w * f(c + h * x) for x, w in _GAUSS_RULE)
+
+
+def _gauss_piece(f, c: float, h: float) -> float:
+    """Integral of f over [c - h, c + h], bisected until halves agree to 1e-13."""
+    whole = _gauss(f, c, h)
+    tol, total, stack = 1e-13 * abs(whole), 0.0, [(c, h, whole)]
     for _ in range(1000):
-        a, b = stack.pop()
-        c, h = 0.5 * (a + b), 0.5 * (b - a)
-        coarse, fine = (h * sum(w * f(c + h * x) for x, w in rule) for rule in _GAUSS_PAIR)
-        if not math.isfinite(fine):
+        c, h, whole = stack.pop()
+        h *= 0.5
+        left, right = _gauss(f, c - h, h), _gauss(f, c + h, h)
+        if not math.isfinite(left + right):
             raise DivergentIntegralError("settling integrand is not finite")
-        if abs(fine - coarse) <= 1e-13 * abs(fine):
-            total += fine
+        if abs(left + right - whole) <= tol:
+            total += left + right
         else:
-            stack += [(a, c), (c, b)]
+            stack += [(c - h, h, left), (c + h, h, right)]
         if not stack:
             return total
     raise DivergentIntegralError("settling quadrature did not converge")
@@ -208,12 +213,10 @@ def _gauss_piece(f, a: float, b: float) -> float:
 def autonomous_settling_integral(law, v0: float) -> float:
     """Settling integral of an autonomous decay law, integral dV/phi(V).
 
-    With V = u**2, [0, sqrt(v0)] is cut into pieces that halve toward u = 0,
-    each summed by the Gauss pair; once the ratio r of successive pieces
-    settles below 1 the rest is the geometric tail piece*r/(1-r). phi is taken
-    to be continuous on (0, v0]: a jump in phi can escape the Gauss pair.
-    Raises :class:`DivergentIntegralError` when r has not settled by
-    u ~ 1e-150 or a piece is not finite: the integral (possibly) diverges.
+    With V = u**2, the pieces [u/2, u] of [0, sqrt(v0)] down to u ~ 1e-150
+    are summed by bisected Gauss-Legendre rules, plus the geometric tail
+    c*r/(1-r) of the last piece c at ratio r. :class:`DivergentIntegralError`
+    if r >= 1, r has not settled as far as the tail needs, or c is not finite.
     """
     if not (math.isfinite(v0) and v0 >= 0.0):
         raise ValueError(f"v0 must be finite and >= 0, got {v0!r}")
@@ -221,17 +224,15 @@ def autonomous_settling_integral(law, v0: float) -> float:
         return 0.0
 
     def integrand(u: float) -> float:
-        value = law.phi(u * u)
-        return 2.0 * u / value if value else math.inf
+        return 2.0 * u / value if (value := law.phi(u * u)) else math.inf
 
     u = math.sqrt(v0)
     pieces = []
     while u > 1e-150 or len(pieces) < 3:
-        pieces.append(_gauss_piece(integrand, 0.5 * u, u))
+        pieces.append(_gauss_piece(integrand, 0.75 * u, 0.25 * u))
         u *= 0.5
-        if len(pieces) >= 3:
-            a, b, c = pieces[-3:]
-            r_prev, r = (b / a if a else 0.0), (c / b if b else 0.0)
-            if r < 1.0 and abs(r - r_prev) <= 1e-10 * (1.0 - r):
-                return sum(pieces) + c * r / (1.0 - r)
-    raise DivergentIntegralError("integral may diverge")
+    a, b, c = pieces[-3:]
+    r_prev, r, total = (b / a if a else 0.0), (c / b if b else 0.0), math.fsum(pieces)
+    if not (r < 1.0 and c * abs(r - r_prev) <= 1e-10 * (1.0 - r) * ((1.0 - r) * total + c)):
+        raise DivergentIntegralError("integral may diverge")
+    return total + c * r / (1.0 - r)

@@ -247,7 +247,7 @@ def _sweep_config_from(config: dict) -> SweepConfig:
                 kwargs[key] = (int(lo), int(hi))
             else:
                 kwargs[f"{key}_values"] = tuple(float(v) for v in value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid sweep.{key}: {exc}") from exc
     try:
         return SweepConfig(**kwargs)

@@ -242,18 +242,33 @@ def test_autonomous_settling_integral_matches_closed_form():
 
 
 @pytest.mark.parametrize(
-    "phi",
+    ("phi", "v0"),
     [
-        lambda v: v**0.5 + v**2,
-        lambda v: v**0.9 * (1.0 + math.sin(v) ** 2),
-        lambda v: math.exp(math.sqrt(v)) * math.sqrt(v),
+        (lambda v: v**0.5 + v**2, 3.0),
+        (lambda v: v**0.9 * (1.0 + math.sin(v) ** 2), 3.0),
+        (lambda v: math.exp(math.sqrt(v)) * math.sqrt(v), 3.0),
+        # the power law changes far below the top pieces
+        (lambda v: min(math.sqrt(v), v**0.9), 100.0),
+        (lambda v: min(math.sqrt(v), 1.0), 100.0),
+        # a jump in phi off the dyadic points
+        (lambda v: math.sqrt(v) * (2.0 if v > 0.5 else 1.0), 1.0),
+        # convergent, but the piece ratio still drifts at u ~ 1e-150
+        (lambda v: math.sqrt(v) * math.log(1.0 / v), 0.5),
     ],
-    ids=["sqrt_plus_square", "sin_modulated", "exp_sqrt"],
+    ids=[
+        "sqrt_plus_square",
+        "sin_modulated",
+        "exp_sqrt",
+        "kink",
+        "saturated",
+        "step",
+        "log_factor",
+    ],
 )
-def test_autonomous_settling_integral_general_phi(phi):
+def test_autonomous_settling_integral_general_phi(phi, v0):
     law = AutonomousLaw(phi=phi, label="non-power decay")
-    want = quad_settling_integral(phi, 3.0)
-    assert autonomous_settling_integral(law, 3.0) == pytest.approx(want, rel=1e-8)
+    want = quad_settling_integral(phi, v0)
+    assert autonomous_settling_integral(law, v0) == pytest.approx(want, rel=1e-8)
 
 
 def test_autonomous_settling_integral_unbounded_in_v0():
@@ -264,7 +279,7 @@ def test_autonomous_settling_integral_unbounded_in_v0():
 
 def test_autonomous_settling_integral_divergence_signal():
     law, _ = make_autonomous_power_law(1.0, 0.5)
-    for phi in (lambda v: v, lambda v: v * (1.0 + v)):
+    for phi in (lambda v: v, lambda v: v * (1.0 + v), lambda v: v * math.log(1.0 / v)):
         bad = type(law)(phi=phi, label="linear decay near 0")
         with pytest.raises(DivergentIntegralError):
-            autonomous_settling_integral(bad, 1.0)
+            autonomous_settling_integral(bad, 0.5)

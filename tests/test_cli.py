@@ -253,8 +253,17 @@ def test_config_sweep_decade_overflow_named(tmp_path, capsys):
         {"x0_decades": 5},
         {"x0_decades": [1, 2, 3]},
         {"tc": ["a"]},
+        {"seed": float("inf")},
+        {"x0_decades": [float("inf"), 1]},
     ],
-    ids=["scalar_grid", "scalar_decades", "three_decades", "non_numeric"],
+    ids=[
+        "scalar_grid",
+        "scalar_decades",
+        "three_decades",
+        "non_numeric",
+        "infinite_seed",
+        "infinite_decade",
+    ],
 )
 def test_config_sweep_type_error_named(tmp_path, capsys, section):
     cfg_path = tmp_path / "cfg.json"
