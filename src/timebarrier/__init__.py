@@ -14,6 +14,7 @@ from .analytic import (
     autonomous_settling_integral,
     barrier_integral,
     exact_solution_scalar,
+    exact_solution_scalar_array,
     remaining_settling_time,
     settling_bound,
 )
@@ -37,6 +38,7 @@ from .core import (
     validate_params,
     validate_spec,
     w_transform,
+    w_transform_array,
 )
 from .integrate import (
     SettlingReport,
@@ -91,6 +93,7 @@ __all__ = [
     "barrier_integral",
     "check_dissipation",
     "exact_solution_scalar",
+    "exact_solution_scalar_array",
     "find_nonautonomy_witness",
     "make_autonomous_power_law",
     "make_time_barrier_componentwise",
@@ -105,4 +108,5 @@ __all__ = [
     "validate_params",
     "validate_spec",
     "w_transform",
+    "w_transform_array",
 ]

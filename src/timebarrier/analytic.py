@@ -18,9 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import BarrierParams, DivergentIntegralError, DomainError
+from .core import BarrierParams, DivergentIntegralError, DomainError, _map_floats
 
 __all__ = [
     "SettlingBound",
@@ -28,6 +29,7 @@ __all__ = [
     "settling_bound",
     "remaining_settling_time",
     "exact_solution_scalar",
+    "exact_solution_scalar_array",
     "autonomous_settling_integral",
 ]
 
@@ -184,6 +186,49 @@ def exact_solution_scalar(p: BarrierParams, x0: float, t: float) -> float:
         return 0.0
     log_x = (m * _log_lambda(tc, t) + math.log(bracket)) / one_minus_a
     return math.copysign(math.exp(log_x), x0)
+
+
+def exact_solution_scalar_array(p: BarrierParams, x0: float, times) -> np.ndarray:
+    """:func:`exact_solution_scalar` at every time of ``times``, bit for bit.
+
+    The same formula on arrays, with every ``math`` call on Python floats.
+    Arguments the scalar function would reject send the call through it, so
+    its errors are raised unchanged.
+    """
+    t = np.asarray(times, dtype=float)
+    tc, q, alpha, m = p.tc, p.q, p.alpha, p.m
+    if not (
+        math.isfinite(x0) and np.all((0.0 <= t) & (t < tc))
+        and 0.0 < alpha < 1.0 and p.beta >= 0.0 and q >= 0.0
+    ):
+        return np.array([exact_solution_scalar(p, x0, s) for s in t.tolist()], dtype=float)
+    out = np.zeros(t.shape)
+    if x0 == 0.0:
+        return out
+    start = t == 0.0
+    out[start] = x0
+    t = t[~start]
+    one_minus_a = 1.0 - alpha
+    z0 = abs(x0) ** one_minus_a
+    log_lam = _map_floats(math.log1p, -t / tc)
+    if q == 0.0:
+        bracket = np.full(t.shape, z0)
+    else:
+        # _scaled_integral below the deadline
+        if m == 1.0:
+            j = -tc * log_lam
+        else:
+            arg = (1.0 - m) * log_lam
+            j = np.full(t.shape, math.inf)
+            finite = ~(arg > 700.0)
+            j[finite] = tc * _map_floats(math.expm1, arg[finite]) / (m - 1.0)
+        bracket = z0 - q * one_minus_a * j
+    live = (bracket > 0.0) & np.isfinite(bracket)
+    log_x = (m * log_lam[live] + _map_floats(math.log, bracket[live])) / one_minus_a
+    values = np.zeros(t.shape)
+    values[live] = np.copysign(_map_floats(math.exp, log_x), x0)
+    out[~start] = values
+    return out
 
 
 def _gauss(f, c: float, h: float) -> float:

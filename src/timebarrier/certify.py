@@ -17,7 +17,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BarrierParams, NumericPolicy, ParamVerdict, validate_params
+from .core import (
+    BarrierParams,
+    NumericPolicy,
+    ParamVerdict,
+    _evaluate,
+    _map_floats,
+    validate_params,
+)
 from .integrate import Trajectory, _eval_trajectory
 
 __all__ = [
@@ -84,8 +91,9 @@ def _fd_vdot(traj: Trajectory, t: np.ndarray, tc: float) -> np.ndarray:
     neighbours lie in [0, t_end]; at the trajectory edges it is the one-sided
     (-3 V(t) + 4 V(t +- h) - V(t +- 2h)) / (+-2h), which keeps second order
     (a first-order edge difference overstates dV/dt at t = 0 by far more than
-    the default residual_tol). The dense output is evaluated at all stencil
-    points in one call.
+    the default residual_tol). The dense output and V are evaluated at all
+    stencil points in one call each (V through its array form when the spec
+    has one).
     """
     t_end = traj.t_end
     h = np.minimum(np.minimum(1e-6 * tc, 0.01 * (tc - t)), 0.25 * t_end)
@@ -96,7 +104,7 @@ def _fd_vdot(traj: Trajectory, t: np.ndarray, tc: float) -> np.ndarray:
     stencil = [tm - hm, tm + hm, tf, tf + hf, tf + 2.0 * hf, tb - 2.0 * hb, tb - hb, tb]
     points = np.concatenate(stencil)
     xs = _eval_trajectory(traj, points, traj.states[0])
-    v = np.array([traj.spec.v(x, s) for x, s in zip(xs, points.tolist())], dtype=float)
+    v = _evaluate(traj.spec, "v", xs, points)
     vm0, vm1, vf0, vf1, vf2, vb0, vb1, vb2 = np.split(v, np.cumsum([s.size for s in stencil[:-1]]))
 
     vdot = np.empty(t.size)
@@ -131,7 +139,7 @@ def check_dissipation(
         lhs = _fd_vdot(traj, t, tc)
     # V**alpha on Python floats: numpy's vectorized power can differ in the
     # last bit, and the certificate must not depend on the platform's loops
-    decay = q * np.array([x**alpha for x in v.tolist()], dtype=float)
+    decay = q * _map_floats(pow, v, alpha)
     rhs_bound = -beta * v / (tc - t) - decay
     residual = lhs - rhs_bound
     flagged = residual > tol * (1.0 + np.abs(rhs_bound))

@@ -30,7 +30,7 @@ from .core import (
     validate_params,
 )
 from .integrate import Trajectory, settling_report, simulate
-from .sweep import SweepConfig, SweepResult, SweepRow, run_sweep
+from .sweep import SweepConfig, SweepResult, SweepRow, _check_x0_decades, run_sweep
 from .systems import _check_law_params, make_time_barrier_componentwise, make_time_barrier_scalar
 
 __all__ = ["main", "entry", "render_trajectory_csv", "parse_trajectory_csv", "render_sweep_csv"]
@@ -245,6 +245,7 @@ def _sweep_config_from(config: dict) -> SweepConfig:
             elif key == "x0_decades":
                 lo, hi = value
                 kwargs[key] = (int(lo), int(hi))
+                _check_x0_decades(*kwargs[key])
             else:
                 kwargs[f"{key}_values"] = tuple(float(v) for v in value)
         except (TypeError, ValueError, OverflowError) as exc:

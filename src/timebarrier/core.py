@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,6 +25,7 @@ __all__ = [
     "DynamicsSpec",
     "validate_params",
     "w_transform",
+    "w_transform_array",
     "validate_spec",
 ]
 
@@ -141,6 +143,50 @@ def w_transform(v: float, t: float, p: BarrierParams) -> float:
     return v / (p.tc - t) ** p.beta
 
 
+def _map_floats(fn, *args) -> np.ndarray:
+    """``fn`` applied elementwise on Python floats; scalar arguments repeat.
+
+    numpy's vectorized ``power``, ``exp``, ``log1p`` and ``expm1`` can differ
+    from Python's ``**`` and ``math`` in the last bit, so every array form of
+    a scalar formula evaluates those calls here. At least one argument must
+    be an array.
+    """
+    lists = [a.tolist() if isinstance(a, np.ndarray) else repeat(a) for a in args]
+    return np.fromiter(map(fn, *lists), dtype=float)
+
+
+def w_transform_array(v, t, p: BarrierParams) -> np.ndarray:
+    """:func:`w_transform` at every (v, t) pair, bit for bit.
+
+    Pairs off the fast path (a time outside [0, tc), a negative or NaN V, a
+    power that overflows or underflows) send the whole call through the
+    scalar function, so its errors are raised unchanged.
+    """
+    v = np.asarray(v, dtype=float)
+    t = np.asarray(t, dtype=float)
+    tc, beta = p.tc, p.beta
+    if np.all((0.0 <= t) & (t < tc)) and np.all(v >= 0.0):
+        nonzero = v != 0.0
+        vn, gap = v[nonzero], tc - t[nonzero]
+        try:
+            if beta > 30.0:
+                wn = _map_floats(
+                    math.exp, _map_floats(math.log, vn) - beta * _map_floats(math.log, gap)
+                )
+            else:
+                power = _map_floats(pow, gap, beta)
+                wn = vn / power if np.all(power != 0.0) else None
+        except OverflowError:
+            wn = None
+        if wn is not None:
+            w = np.zeros(v.shape)
+            w[nonzero] = wn
+            return w
+    return np.array(
+        [w_transform(vi, ti, p) for vi, ti in zip(v.tolist(), t.tolist())], dtype=float
+    )
+
+
 @dataclass(frozen=True)
 class NumericPolicy:
     """Numeric knobs shared by the integrator and the checkers.
@@ -190,6 +236,12 @@ class DynamicsSpec:
     ``v`` and ``vdot`` are the optional Lyapunov value and its derivative along
     trajectories; ``vdot`` may be absent even when ``v`` is present (the
     certificate checker then falls back to finite differences).
+
+    ``v_array`` and ``vdot_array`` are optional array forms of ``v`` and
+    ``vdot``: they map an (n, dim) block of states and n times to the n
+    values the one-state functions return, bit for bit. They are used only
+    while ``v`` and ``vdot`` are the functions they were given with, so
+    ``dataclasses.replace(spec, v=other)`` evaluates ``other``.
     """
 
     dim: int
@@ -198,12 +250,29 @@ class DynamicsSpec:
     v: Optional[Callable[[np.ndarray, float], float]] = None
     vdot: Optional[Callable[[np.ndarray, float], float]] = None
     tc: Optional[float] = None
+    v_array: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    vdot_array: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    # the (v, vdot) the array forms came with; replace() copies it
+    _arrays_of: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim!r}")
         if self.vdot is not None and self.v is None:
             raise ValueError("vdot without v is not meaningful")
+        if not self._arrays_of:
+            object.__setattr__(self, "_arrays_of", (self.v, self.vdot))
+
+
+def _evaluate(spec: DynamicsSpec, which: str, states: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``spec.v`` or ``spec.vdot`` (``which``) at each row of ``states`` and
+    each time: the array form while it belongs to the one-state function,
+    else one call per row."""
+    fn = getattr(spec, which)
+    array_form = getattr(spec, which + "_array")
+    if array_form is not None and fn is spec._arrays_of[which == "vdot"]:
+        return array_form(states, times)
+    return np.array([fn(x, t) for x, t in zip(states, times.tolist())], dtype=float)
 
 
 def validate_spec(

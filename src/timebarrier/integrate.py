@@ -22,9 +22,19 @@ from one contraction after the loop. Sampling gathers each time's segment and
 evaluates the quartic elementwise, so the value at a time does not depend on
 which other times share the call.
 
+A sweep steps many one-dimensional runs as lockstep lanes (``_step_lanes``):
+the float trial step's body is elementwise, so the same code runs on arrays
+over lanes, and each lane keeps its own time, step size, error history,
+counts and event. Every ``**`` of the law and of the controller stays on
+Python floats (``map(pow, ...)``), because numpy's vectorized power, exp,
+log1p and expm1 can differ from them in the last bit; a lane therefore takes
+exactly the steps of a plain run. A finished lane's step record goes back
+through simulate(), which skips its loop and runs the one record builder.
+
 The record of a run is a set of arrays computed once, after the loop: the
-output times, the states, and V, W and vdot at each time. The certificate,
-the closed-form oracle and the CSV writer all read these arrays.
+output times, the states, and V, W and vdot at each time (through the spec's
+array forms where it has them). The certificate, the closed-form oracle and
+the CSV writer all read these arrays.
 
 Each simulate() call owns its mutable state; the arrays of a returned
 trajectory are read-only, so it is safe to share.
@@ -34,7 +44,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -46,7 +57,9 @@ from .core import (
     DynamicsSpec,
     NumericPolicy,
     StallError,
-    w_transform,
+    _evaluate,
+    _map_floats,
+    w_transform_array,
 )
 
 __all__ = [
@@ -227,47 +240,44 @@ def _initial_step(spec, x0, f0, scale, limit):
     return min(100 * h0, h1, limit)
 
 
-def _trial_float(spec, t, x, f, h, t_new, atol, rtol):
-    """DOPRI5(4) trial step of a one-dimensional spec on Python floats.
+def _trial(rhs, larger, atol, rtol, t, x, f, h, t_new):
+    """DOPRI5(4) trial step of one-dimensional runs, elementwise.
 
-    Returns (x_new, f_new, stage derivatives, RMS error norm). The terms with
-    a zero weight (k2 in the solution and the error) are left out.
+    ``t, x, f, h, t_new`` are Python floats (one run, ``larger=max``) or
+    arrays over lanes (``larger=np.maximum``); every operation is elementwise
+    IEEE arithmetic, so a lane gets the bits of the float step. Returns
+    (x_new, f_new, stage derivatives, RMS error norm). The terms with a zero
+    weight (k2 in the solution and the error) are left out.
     """
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A
     _, c2, c3, c4, c5, c6 = _C
     b1, _, b3, b4, b5, b6 = _B
     e1, _, e3, e4, e5, e6, e7 = _E
     k1 = f
-    k2 = _checked_rhs_float(spec, x + h * (a21 * k1), t + c2 * h)
-    k3 = _checked_rhs_float(spec, x + h * (a31 * k1 + a32 * k2), t + c3 * h)
-    k4 = _checked_rhs_float(
-        spec, x + h * (a41 * k1 + a42 * k2 + a43 * k3), t + c4 * h
-    )
-    k5 = _checked_rhs_float(
-        spec, x + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4), t + c5 * h
-    )
-    k6 = _checked_rhs_float(
-        spec,
-        x + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5),
-        t + c6 * h,
+    k2 = rhs(x + h * (a21 * k1), t + c2 * h)
+    k3 = rhs(x + h * (a31 * k1 + a32 * k2), t + c3 * h)
+    k4 = rhs(x + h * (a41 * k1 + a42 * k2 + a43 * k3), t + c4 * h)
+    k5 = rhs(x + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4), t + c5 * h)
+    k6 = rhs(
+        x + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5), t + c6 * h
     )
     x_new = x + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
-    k7 = _checked_rhs_float(spec, x_new, t_new)
+    k7 = rhs(x_new, t_new)
     err = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
     # the RMS norm of one component is its magnitude
-    err_norm = abs(err) / (atol + rtol * max(abs(x), abs(x_new)))
+    err_norm = abs(err) / (atol + rtol * larger(abs(x), abs(x_new)))
     return x_new, k7, (k1, k2, k3, k4, k5, k6, k7), err_norm
 
 
-def _trial_array(spec, t, x, f, h, t_new, atol, rtol):
-    """DOPRI5(4) trial step on numpy arrays; returns what :func:`_trial_float` does."""
+def _trial_array(rhs, atol, rtol, t, x, f, h, t_new):
+    """DOPRI5(4) trial step on numpy arrays; returns what :func:`_trial` does."""
     K = np.empty((7, x.size))
     K[0] = f
     for s in range(1, 6):
         xs = x + h * (_A_ARR[s - 1] @ K[:s])
-        K[s] = _checked_rhs(spec, xs, t + _C[s] * h)
+        K[s] = rhs(xs, t + _C[s] * h)
     x_new = x + h * (_B_ARR @ K[:6])
-    f_new = _checked_rhs(spec, x_new, t_new)
+    f_new = rhs(x_new, t_new)
     K[6] = f_new
     err_vec = h * (_E_ARR @ K)
     scale = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
@@ -302,17 +312,27 @@ def _refine_event(x0, h, coef, eps_conv):
     return hi, norm(hi)
 
 
-def simulate(
-    spec: DynamicsSpec,
-    x0,
-    p: BarrierParams,
-    policy: Optional[NumericPolicy] = None,
-) -> Trajectory:
-    """Integrate ``spec`` from ``x0`` on [0, tc - delta_end].
+@dataclass
+class _Steps:
+    """What a stepping loop hands the record builder.
 
-    Raises :class:`StallError` on step-size underflow before the deadline and
-    :class:`BlowUpError` when the dynamics return a non-finite derivative.
+    Per accepted step: start time, length, start state and the seven stage
+    derivatives, as anything ``np.array`` takes. ``x_last`` is the state the
+    run ended in when it did not converge. A run whose initial state is
+    already within eps_conv has converged with no step.
     """
+
+    t0: object
+    h: object
+    x0: object
+    stages: object
+    rejected: int
+    converged: bool
+    x_last: object
+
+
+def _prepare(spec, x0, p, policy):
+    """simulate()'s argument checks: (policy, x0 array, tc, t_end)."""
     policy = policy if policy is not None else NumericPolicy()
     x0 = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if x0.shape != (spec.dim,):
@@ -326,11 +346,41 @@ def simulate(
         raise ValueError(
             f"spec domain ends at {spec.tc!r}, before the deadline {tc!r}"
         )
-    delta = policy.resolve_delta_end(tc)
-    t_end = tc - delta
+    return policy, x0, tc, tc - policy.resolve_delta_end(tc)
+
+
+def _start(spec, x0, tc, t_end, policy):
+    """The derivative at t = 0 and the first proposed step size."""
+    f0 = _checked_rhs(spec, x0, 0.0)
+    scale0 = policy.abs_tol + policy.rel_tol * np.abs(x0)
+    return f0, _initial_step(spec, x0, f0, scale0, min(_KAPPA * tc, t_end))
+
+
+def simulate(
+    spec: DynamicsSpec,
+    x0,
+    p: BarrierParams,
+    policy: Optional[NumericPolicy] = None,
+    *,
+    _steps: Optional[_Steps] = None,
+) -> Trajectory:
+    """Integrate ``spec`` from ``x0`` on [0, tc - delta_end].
+
+    Raises :class:`StallError` on step-size underflow before the deadline and
+    :class:`BlowUpError` when the dynamics return a non-finite derivative.
+    ``_steps`` is the finished step record of this same run, stepped as a
+    lane of a sweep; the trajectory is then built from it without stepping.
+    """
+    policy, x0, tc, t_end = _prepare(spec, x0, p, policy)
+    if _steps is None:
+        _steps = _step(spec, x0, tc, t_end, policy)
+    return _record(spec, x0, p, policy, t_end, _steps)
+
+
+def _step(spec, x0, tc, t_end, policy) -> _Steps:
+    """The stepping loop of one run."""
     eps_conv = policy.eps_conv
     rtol, atol = policy.rel_tol, policy.abs_tol
-
     # accepted steps: start time, length, start state, stage derivatives
     seg_t0: list[float] = []
     seg_h: list[float] = []
@@ -338,90 +388,96 @@ def simulate(
     seg_k: list = []
     step_count = 0
     rejected = 0
-    converged = False
-    event: Optional[tuple[float, float]] = None
-
     if _maxnorm(x0) <= eps_conv:
-        event = (0.0, _maxnorm(x0))
-        x_final = np.zeros_like(x0)
-    else:
-        # overflow inside a trial step is handled by rejection or the
-        # blow-up check, not by floating-point warnings
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            t = 0.0
-            f0 = _checked_rhs(spec, x0, t)
-            scale0 = atol + rtol * np.abs(x0)
-            h_prop = _initial_step(spec, x0, f0, scale0, min(_KAPPA * tc, t_end))
-            if spec.dim == 1:
-                trial, norm = _trial_float, abs
-                x, f = x0.item(), f0.item()
-            else:
-                trial, norm = _trial_array, _maxnorm
-                x, f = x0, f0
-            err_prev = 1e-4
+        return _Steps(seg_t0, seg_h, seg_x0, seg_k, 0, True, x0)
+    converged = False
+    # overflow inside a trial step is handled by rejection or the blow-up
+    # check, not by floating-point warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t = 0.0
+        f0, h_prop = _start(spec, x0, tc, t_end, policy)
+        if spec.dim == 1:
+            trial = partial(_trial, partial(_checked_rhs_float, spec), max, atol, rtol)
+            norm = abs
+            x, f = x0.item(), f0.item()
+        else:
+            trial = partial(_trial_array, partial(_checked_rhs, spec), atol, rtol)
+            norm = _maxnorm
+            x, f = x0, f0
+        err_prev = 1e-4
 
-            end_guard = 8.0 * math.ulp(t_end)
-            while True:
-                remaining = t_end - t
-                if remaining <= end_guard:
-                    t = t_end
+        end_guard = 8.0 * math.ulp(t_end)
+        while True:
+            remaining = t_end - t
+            if remaining <= end_guard:
+                break
+            if step_count + rejected >= _MAX_STEPS:
+                raise StallError(
+                    f"step budget exhausted at t={t!r} without convergence",
+                    t, np.atleast_1d(x),
+                )
+            h = min(h_prop, _KAPPA * (tc - t), remaining)
+            t_new = t_end if h >= remaining else t + h
+            h_eff = t_new - t
+            if h_eff <= 4.0 * math.ulp(t):
+                raise StallError(
+                    f"step size underflow (stall) at t={t!r}", t, np.atleast_1d(x)
+                )
+
+            x_new, f_new, k, err_norm = trial(t, x, f, h_eff, t_new)
+
+            if err_norm <= 1.0:
+                seg_t0.append(t)
+                seg_h.append(h_eff)
+                seg_x0.append(x)
+                seg_k.append(k)
+                step_count += 1
+                if err_norm == 0.0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = _SAFETY * err_norm**-0.14 * err_prev**0.08
+                factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+                err_prev = max(err_norm, 1e-12)
+                h_prop = h_eff * factor
+                t = t_new
+                if norm(x_new) <= eps_conv:
+                    converged = True
                     break
-                if step_count + rejected >= _MAX_STEPS:
-                    raise StallError(
-                        f"step budget exhausted at t={t!r} without convergence",
-                        t, np.atleast_1d(x),
-                    )
-                h = min(h_prop, _KAPPA * (tc - t), remaining)
-                t_new = t_end if h >= remaining else t + h
-                h_eff = t_new - t
-                if h_eff <= 4.0 * math.ulp(t):
+                x = x_new
+                f = f_new
+            else:
+                rejected += 1
+                h_prop = h_eff * max(_MIN_FACTOR, _SAFETY * err_norm**-0.2)
+                if h_prop <= 4.0 * math.ulp(max(t, 0.01 * t_end)):
                     raise StallError(
                         f"step size underflow (stall) at t={t!r}", t, np.atleast_1d(x)
                     )
+    return _Steps(seg_t0, seg_h, seg_x0, seg_k, rejected, converged, x)
 
-                x_new, f_new, k, err_norm = trial(spec, t, x, f, h_eff, t_new, atol, rtol)
 
-                if err_norm <= 1.0:
-                    seg_t0.append(t)
-                    seg_h.append(h_eff)
-                    seg_x0.append(x)
-                    seg_k.append(k)
-                    step_count += 1
-                    if err_norm == 0.0:
-                        factor = _MAX_FACTOR
-                    else:
-                        factor = _SAFETY * err_norm**-0.14 * err_prev**0.08
-                    factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-                    err_prev = max(err_norm, 1e-12)
-                    h_prop = h_eff * factor
-                    t = t_new
-                    if norm(x_new) <= eps_conv:
-                        converged = True
-                        break
-                    x = x_new
-                    f = f_new
-                else:
-                    rejected += 1
-                    h_prop = h_eff * max(_MIN_FACTOR, _SAFETY * err_norm**-0.2)
-                    if h_prop <= 4.0 * math.ulp(max(t, 0.01 * t_end)):
-                        raise StallError(
-                            f"step size underflow (stall) at t={t!r}", t, np.atleast_1d(x)
-                        )
-        x_final = np.zeros_like(x0) if converged else np.atleast_1d(x)
-
-    n_seg = len(seg_t0)
-    seg_t0_arr = np.array(seg_t0, dtype=float)
-    seg_h_arr = np.array(seg_h, dtype=float)
-    seg_x0_arr = np.array(seg_x0, dtype=float).reshape(n_seg, spec.dim)
+def _record(spec, x0, p, policy, t_end, steps: _Steps) -> Trajectory:
+    """The one post-loop record builder: segments, event, samples, V/W/vdot."""
+    dim = spec.dim
+    n_seg = len(steps.t0)
+    seg_t0_arr = np.array(steps.t0, dtype=float)
+    seg_h_arr = np.array(steps.h, dtype=float)
+    seg_x0_arr = np.array(steps.x0, dtype=float).reshape(n_seg, dim)
     # one contraction for the quartic coefficients of every step: (n, dim, 4)
-    stages = np.array(seg_k, dtype=float).reshape(n_seg, 7, spec.dim)
+    stages = np.array(steps.stages, dtype=float).reshape(n_seg, 7, dim)
     seg_coef_arr = np.swapaxes(stages, 1, 2) @ _P
 
-    if converged:
-        theta, v_event = _refine_event(
-            seg_x0_arr[-1], seg_h[-1], seg_coef_arr[-1], eps_conv
-        )
-        event = (seg_t0[-1] + theta * seg_h[-1], v_event)
+    event = None
+    if steps.converged:
+        x_final = np.zeros_like(x0)
+        if n_seg:
+            theta, v_event = _refine_event(
+                seg_x0_arr[-1], seg_h_arr[-1].item(), seg_coef_arr[-1], policy.eps_conv
+            )
+            event = (seg_t0_arr[-1].item() + theta * seg_h_arr[-1].item(), v_event)
+        else:
+            event = (0.0, _maxnorm(x0))
+    else:
+        x_final = np.atleast_1d(np.asarray(steps.x_last, dtype=float))
 
     event_time = event[0] if event is not None else None
     if event is not None:
@@ -455,8 +511,8 @@ def simulate(
         converged_at=converged_at,
         event_time=event_time,
         terminal_norm=0.0,
-        step_count=step_count,
-        rejected_steps=rejected,
+        step_count=n_seg,
+        rejected_steps=steps.rejected,
         t_end=t_end,
         _seg_t0=seg_t0_arr,
         _seg_h=seg_h_arr,
@@ -469,19 +525,131 @@ def simulate(
     traj.states = states
     traj.terminal_norm = _maxnorm(states[-1])
     if spec.v is not None:
-        t_list = sample_times.tolist()
-        v_list = [spec.v(x_i, t_i) for t_i, x_i in zip(t_list, states)]
-        traj.v_values = np.array(v_list, dtype=float)
-        traj.w_values = np.array(
-            [w_transform(v_i, t_i, p) for t_i, v_i in zip(t_list, v_list)], dtype=float
-        )
+        traj.v_values = _evaluate(spec, "v", states, sample_times)
+        traj.w_values = w_transform_array(traj.v_values, sample_times, p)
         if spec.vdot is not None:
-            traj.vdot_values = np.array(
-                [spec.vdot(x_i, t_i) for t_i, x_i in zip(t_list, states)], dtype=float
-            )
+            traj.vdot_values = _evaluate(spec, "vdot", states, sample_times)
     for values in (traj.times, traj.states, traj.v_values, traj.w_values, traj.vdot_values):
         values.flags.writeable = False
     return traj
+
+
+# rows of the lane table of _step_lanes; the law's parameters follow
+_T, _X, _F, _H, _ERR, _ACC, _REJ, _TC, _TEND, _GUARD, _LAW = range(11)
+# one accepted step of a lane's record: t0, h, x0 and k1..k7 as float64
+_ROW_BYTES = 10 * 8
+
+
+def _lane_start(spec, x0, p, policy, law) -> Optional[list]:
+    """simulate()'s checks and start for a lane: the lane's column of the
+    lane table, or None when the run takes no step (|x0| <= eps_conv).
+
+    ``spec`` is one-dimensional and ``law`` holds its parameters for the
+    lane-form rhs. Raises what simulate() raises before its first step.
+    """
+    policy, x0, tc, t_end = _prepare(spec, x0, p, policy)
+    if _maxnorm(x0) <= policy.eps_conv:
+        return None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f0, h_prop = _start(spec, x0, tc, t_end, policy)
+    guard = 8.0 * math.ulp(t_end)
+    return [0.0, x0.item(), f0.item(), h_prop, 1e-4, 0.0, 0.0, tc, t_end, guard, *law]
+
+
+def _step_lanes(starts, rhs, policy, width):
+    """Step one-dimensional runs as lockstep lanes of a fixed-width pool.
+
+    ``starts`` yields (key, column) pairs, the column from
+    :func:`_lane_start`; the pool takes them in order as lanes free up.
+    ``rhs(x, t, *law)`` is the lane form of the runs' rhs, NaN where the
+    one-state rhs would raise. Every lane follows :func:`_step` to the bit:
+    its own t, step size, error history, counts, clamp, budget, stall checks
+    and convergence event. Yields (key, steps) as each lane finishes, with
+    steps None when the run raised or stalled; re-running it through
+    simulate() raises the same error. A finished lane's record is dropped
+    once the consumer resumes.
+    """
+    atol, rtol, eps_conv = policy.abs_tol, policy.rel_tol, policy.eps_conv
+    starts = iter(starts)
+    keys: list = []
+    records: list = []  # per lane: one _ROW_BYTES row per accepted step
+    lanes = None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while True:
+            fresh = list(islice(starts, width - len(keys)))
+            if fresh:
+                keys += [key for key, _ in fresh]
+                records += [bytearray() for _ in fresh]
+                block = np.array([column for _, column in fresh], dtype=float).T
+                lanes = block if lanes is None else np.concatenate([lanes, block], axis=1)
+            if not keys:
+                return
+            t, x, f, h_prop, err_prev, acc_count, rejected, tc, t_end, guard = lanes[:_LAW]
+            law = lanes[_LAW:]
+
+            remaining = t_end - t
+            done = remaining <= guard
+            h = np.minimum(np.minimum(h_prop, _KAPPA * (tc - t)), remaining)
+            t_new = np.where(h >= remaining, t_end, t + h)
+            h_eff = t_new - t
+            failed = ~done & (
+                (acc_count + rejected >= _MAX_STEPS) | (h_eff <= 4.0 * np.spacing(t))
+            )
+            x_new, f_new, k, err = _trial(
+                lambda xs, ts: rhs(xs, ts, *law), np.maximum, atol, rtol,
+                t, x, f, h_eff, t_new,
+            )
+            stages = np.array(k)
+            failed |= ~done & ~np.isfinite(stages).all(axis=0)
+            live = ~(done | failed)
+            acc = live & (err <= 1.0)
+            rej = live & ~acc
+
+            # record the accepted steps before their lanes move on
+            taken = np.flatnonzero(acc).tolist()
+            rows = np.vstack([t[acc], h_eff[acc], x[acc], stages[:, acc]]).T.tobytes()
+            for j, i in enumerate(taken):
+                records[i] += rows[_ROW_BYTES * j : _ROW_BYTES * (j + 1)]
+
+            e = err[acc]
+            factor = np.full(e.size, _MAX_FACTOR)
+            moved = e != 0.0
+            factor[moved] = (
+                _SAFETY * _map_floats(pow, e[moved], -0.14)
+                * _map_floats(pow, err_prev[acc][moved], 0.08)
+            )
+            factor = np.minimum(_MAX_FACTOR, np.maximum(_MIN_FACTOR, factor))
+            converged = acc & (np.abs(x_new) <= eps_conv)
+            lanes[_ERR, acc] = np.maximum(e, 1e-12)
+            lanes[_H, acc] = h_eff[acc] * factor
+            lanes[_T, acc] = t_new[acc]
+            lanes[_X, acc] = x_new[acc]
+            lanes[_F, acc] = f_new[acc]
+            lanes[_ACC, acc] += 1.0
+
+            h_rej = h_eff[rej] * np.maximum(
+                _MIN_FACTOR, _SAFETY * _map_floats(pow, err[rej], -0.2)
+            )
+            lanes[_H, rej] = h_rej
+            lanes[_REJ, rej] += 1.0
+            failed[rej] = h_rej <= 4.0 * np.spacing(np.maximum(t[rej], 0.01 * t_end[rej]))
+
+            finished = done | converged | failed
+            if not finished.any():
+                continue
+            for i in np.flatnonzero(finished).tolist():
+                if failed[i]:
+                    yield keys[i], None
+                    continue
+                a = np.frombuffer(records[i], dtype=float).reshape(-1, 10)
+                yield keys[i], _Steps(
+                    a[:, 0], a[:, 1], a[:, 2], a[:, 3:], int(lanes[_REJ, i]),
+                    bool(converged[i]), lanes[_X, i].item(),
+                )
+            kept = (~finished).tolist()
+            keys = [key for key, keep in zip(keys, kept) if keep]
+            records = [rec for rec, keep in zip(records, kept) if keep]
+            lanes = lanes[:, ~finished]
 
 
 def _eval_trajectory(traj: Trajectory, times: np.ndarray, x_start: np.ndarray) -> np.ndarray:

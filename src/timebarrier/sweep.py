@@ -5,8 +5,17 @@ A sweep is the finite surrogate for "every initial condition": each
 dissipation certificate, the settling-bound gap and the closed-form oracle.
 Failures are data, not exceptions -- the point of a sweep is to map the
 failure boundary (for example the non-reaching regime below exponent 1).
-Rows are computed one after another in lexicographic grid order, so a sweep
-with a fixed config is bit-reproducible.
+
+The cells step as lockstep lanes of a fixed-width pool (``_LANES`` wide),
+refilled from the cell queue in grid order: numpy arithmetic over the lanes
+replaces a Python-level Dormand-Prince step per cell, and the law's ``**``
+stays on Python floats, so each lane takes exactly the steps its cell takes
+alone. When a lane finishes, its row is built at once through ``simulate``,
+which turns the lane's step record into the trajectory with the same record
+builder as a plain run, and the record is freed. A cell whose lane raised or
+stalled is re-run through plain ``simulate``, so its error row carries the
+same text. Rows land at their grid index, so a sweep with a fixed config is
+bit-reproducible and equal to simulating each cell on its own.
 """
 
 from __future__ import annotations
@@ -16,11 +25,16 @@ from typing import Optional
 
 import numpy as np
 
-from .analytic import exact_solution_scalar, settling_bound
+from .analytic import exact_solution_scalar_array, settling_bound
 from .certify import check_dissipation
 from .core import BarrierParams, NumericPolicy, TimeBarrierError, validate_params
-from .integrate import simulate
-from .systems import _check_law_params, make_autonomous_power_law, make_time_barrier_scalar
+from .integrate import _lane_start, _step_lanes, simulate
+from .systems import (
+    _check_law_params,
+    _scalar_law_lanes,
+    make_autonomous_power_law,
+    make_time_barrier_scalar,
+)
 
 __all__ = [
     "SweepConfig",
@@ -32,8 +46,21 @@ __all__ = [
     "separation_table",
 ]
 
-# 10.0**309 overflows a double
+# 10.0**309 overflows a double and 10.0**-324 underflows to 0.0
 _MAX_X0_DECADE = 308
+_MIN_X0_DECADE = -323
+# lanes stepped at once by run_sweep; each holds one cell's step record
+_LANES = 64
+
+
+def _check_x0_decades(lo: int, hi: int) -> None:
+    """The decade range rule, also checked by the CLI on ``sweep.x0_decades``."""
+    if lo > hi:
+        raise ValueError(f"x0_decades lower {lo} exceeds upper {hi}")
+    if hi > _MAX_X0_DECADE:
+        raise ValueError(f"x0_decades upper {hi} exceeds {_MAX_X0_DECADE}")
+    if lo < _MIN_X0_DECADE:
+        raise ValueError(f"x0_decades lower {lo} is below {_MIN_X0_DECADE}")
 
 
 @dataclass(frozen=True)
@@ -55,11 +82,7 @@ class SweepConfig:
         for name in ("tc_values", "beta_values", "q_values", "alpha_values"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be non-empty")
-        lo, hi = self.x0_decades
-        if lo > hi:
-            raise ValueError(f"x0_decades lower {lo} exceeds upper {hi}")
-        if hi > _MAX_X0_DECADE:
-            raise ValueError(f"x0_decades upper {hi} exceeds {_MAX_X0_DECADE}")
+        _check_x0_decades(*self.x0_decades)
         for p in self.grid():
             _check_law_params(p)
 
@@ -124,25 +147,27 @@ def _oracle_tolerance(x0: float, policy: NumericPolicy) -> float:
     return max(1e-6 * abs(x0), 10.0 * policy.eps_conv)
 
 
-def _compute_row(index, p, x0, policy) -> SweepRow:
+def _compute_row(index, p, x0, policy, spec, steps=None) -> tuple[SweepRow, int]:
+    """The row of one cell and its rejected-step count; ``steps`` is the
+    cell's record from a finished lane, None to simulate the cell here."""
     verdict = validate_params(p)
     base = dict(
         index=index, tc=p.tc, beta=p.beta, q=p.q, alpha=p.alpha, m=p.m,
         admissible=verdict.admissible, x0=x0,
     )
     try:
-        traj = simulate(make_time_barrier_scalar(p, policy), x0, p, policy)
+        traj = simulate(spec, x0, p, policy, _steps=steps)
     except TimeBarrierError as exc:
         return SweepRow(
             **base, converged_at=None, tau_bound=None, reaches_zero=None,
             deadline_pass=False, certificate_pass=False, bound_gap=None,
             oracle_error=None, oracle_pass=False, terminal_norm=None,
             step_count=None, error=f"{type(exc).__name__}: {exc}",
-        )
+        ), 0
 
     sb = settling_bound(p, abs(x0))
     converged_at = traj.converged_at
-    exact = np.array([exact_solution_scalar(p, x0, t) for t in traj.times])
+    exact = exact_solution_scalar_array(p, x0, traj.times)
     oracle_error = float(np.max(np.abs(traj.states[:, 0] - exact)))
     return SweepRow(
         **base,
@@ -156,18 +181,40 @@ def _compute_row(index, p, x0, policy) -> SweepRow:
         oracle_pass=oracle_error <= _oracle_tolerance(x0, policy),
         terminal_norm=traj.terminal_norm,
         step_count=traj.step_count,
-    )
+    ), traj.rejected_steps
 
 
 def run_sweep(cfg: SweepConfig, policy: Optional[NumericPolicy] = None) -> SweepResult:
-    """Run every (params, x0) cell, in lexicographic grid order.
+    """Run every (params, x0) cell; rows come in lexicographic grid order.
 
+    The cells step as lanes of a fixed-width pool (see the module docstring)
+    and every row equals the one a plain ``simulate`` of its cell gives.
     Deterministic for a fixed config; simulation failures land in the row's
-    ``error`` field instead of raising.
+    ``error`` field instead of raising. The summary counts the rows' failures
+    and their accepted and rejected steps, so a change in speed can be told
+    from a change in work.
     """
     policy = policy if policy is not None else NumericPolicy()
     cells = [(p, x0) for p in cfg.grid() for x0 in cfg.x0_values()]
-    rows = [_compute_row(index, p, x0, policy) for index, (p, x0) in enumerate(cells)]
+    results: list = [None] * len(cells)  # (row, rejected steps) per cell
+
+    def lane_starts():
+        # cells that take no step or fail before it get their row here
+        for index, (p, x0) in enumerate(cells):
+            spec = make_time_barrier_scalar(p, policy)
+            try:
+                column = _lane_start(spec, x0, p, policy, (p.tc, p.beta, p.q, p.alpha))
+            except TimeBarrierError:
+                column = None
+            if column is None:
+                results[index] = _compute_row(index, p, x0, policy, spec)
+            else:
+                yield (index, p, x0, spec), column
+
+    lanes = _step_lanes(lane_starts(), _scalar_law_lanes(policy), policy, _LANES)
+    for (index, p, x0, spec), steps in lanes:
+        results[index] = _compute_row(index, p, x0, policy, spec, steps)
+    rows = [row for row, _ in results]
 
     admissible_rows = [r for r in rows if r.admissible]
     numeric_errors = sum(1 for r in rows if r.error)
@@ -206,6 +253,8 @@ def run_sweep(cfg: SweepConfig, policy: Optional[NumericPolicy] = None) -> Sweep
         "worst_bound_gap_row": worst_gap_row,
         "worst_oracle_error": worst_err,
         "worst_oracle_error_row": worst_err_row,
+        "steps_accepted": sum(r.step_count or 0 for r in rows),
+        "steps_rejected": sum(rejected for _, rejected in results),
     }
     summary["check_failures"] = numeric_errors + sum(
         summary[key] for key in

@@ -2,7 +2,10 @@
 extension, and the autonomous power-law comparator.
 
 Constructors are pure and the returned evaluators are stateless, so one spec
-can drive any number of runs.
+can drive any number of runs. Every built-in spec carries array forms of V
+and dV/dt, and the scalar law has a lane form of its rhs for stepping many
+runs in lockstep; each gives the bits of the one-state function, with ``**``
+on Python floats.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import BarrierParams, DomainError, DynamicsSpec, NumericPolicy
+from .core import BarrierParams, DomainError, DynamicsSpec, NumericPolicy, _map_floats
 
 __all__ = [
     "AutonomousLaw",
@@ -56,6 +59,11 @@ def _check_law_params(p: BarrierParams) -> None:
         raise ValueError("q must be >= 0")
     if not 0.0 < p.alpha < 1.0:
         raise ValueError("alpha in (0,1) violated")
+
+
+def _max_abs(states: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Array form of the built-in V = max_i |x_i|, one value per row."""
+    return np.abs(states).max(axis=1)
 
 
 def make_time_barrier_scalar(
@@ -151,11 +159,55 @@ def make_time_barrier_componentwise(
             value += bias * s
         return value
 
+    def vdot_array(states: np.ndarray, times: np.ndarray) -> np.ndarray:
+        if not np.all((0.0 <= times) & (times < tc)):
+            # the one-state function raises the DomainError
+            return np.array([vdot(x, t) for x, t in zip(states, times.tolist())], dtype=float)
+        av = _max_abs(states, times)
+        decay = q * _map_floats(pow, av, alpha)
+        if sign_eps > 0.0:
+            inside = av < sign_eps
+            decay[inside] *= av[inside] / sign_eps
+        value = -beta * av / (tc - times) - decay
+        if bias:
+            top = states[np.arange(len(states)), np.argmax(np.abs(states), axis=1)]
+            value += bias * np.where(top > 0, 1.0, -1.0)
+        value[av == 0.0] = 0.0
+        return value
+
     label = (
         f"time-barrier componentwise n={dim} "
         f"(tc={tc:g}, beta={beta:g}, q={q:g}, alpha={alpha:g})"
     )
-    return DynamicsSpec(dim=dim, rhs=rhs, label=label, v=v, vdot=vdot, tc=tc)
+    return DynamicsSpec(
+        dim=dim, rhs=rhs, label=label, v=v, vdot=vdot, tc=tc,
+        v_array=_max_abs, vdot_array=vdot_array,
+    )
+
+
+def _scalar_law_lanes(policy: Optional[NumericPolicy] = None):
+    """Lane form of the rhs of :func:`make_time_barrier_scalar` (no bias).
+
+    Returns ``rhs(x, t, tc, beta, q, alpha)``, where every argument is an
+    array over lanes and each lane carries its own parameters. A lane's value
+    has the bits of the scalar rhs at the lane's (x, t) and parameters; a
+    lane whose time lies outside [0, tc) gets NaN where the scalar rhs raises
+    :class:`DomainError`.
+    """
+    sign_eps = (policy if policy is not None else NumericPolicy()).sign_eps
+
+    def rhs(x, t, tc, beta, q, alpha):
+        ax = np.abs(x)
+        if sign_eps > 0.0:
+            sgn = x / np.maximum(ax, sign_eps)
+        else:
+            sgn = np.sign(x)
+        # "+ 0.0" is the scalar law's zero bias, which turns -0.0 into 0.0
+        f = -beta * x / (tc - t) - q * _map_floats(pow, ax, alpha) * sgn + 0.0
+        f[~((0.0 <= t) & (t < tc))] = np.nan
+        return f
+
+    return rhs
 
 
 def make_autonomous_power_law(q: float, alpha: float):
@@ -193,7 +245,14 @@ def make_autonomous_power_law(q: float, alpha: float):
         av = float(np.max(np.abs(x)))
         return 0.0 if av == 0.0 else -q * av**alpha
 
+    def vdot_array(states: np.ndarray, times: np.ndarray) -> np.ndarray:
+        av = _max_abs(states, times)
+        value = -q * _map_floats(pow, av, alpha)
+        value[av == 0.0] = 0.0
+        return value
+
     spec = DynamicsSpec(
-        dim=1, rhs=rhs, label=law.label, v=v, vdot=vdot, tc=None
+        dim=1, rhs=rhs, label=law.label, v=v, vdot=vdot, tc=None,
+        v_array=_max_abs, vdot_array=vdot_array,
     )
     return law, spec

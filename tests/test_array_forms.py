@@ -1,0 +1,144 @@
+"""Array forms of V, dV/dt, W and the closed-form oracle against their
+one-point functions, bit for bit."""
+
+import numpy as np
+import pytest
+
+from timebarrier import (
+    BarrierParams,
+    NumericPolicy,
+    exact_solution_scalar,
+    exact_solution_scalar_array,
+    w_transform,
+    w_transform_array,
+)
+from timebarrier.systems import (
+    make_autonomous_power_law,
+    make_time_barrier_componentwise,
+    make_time_barrier_scalar,
+)
+
+P = BarrierParams(1.0, 2.0, 1.0, 0.5)  # m = 1
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # noqa: BLE001 -- type and text are compared
+        return type(exc), str(exc)
+    return None
+
+
+def sample_states(dim, n=400, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.choice([-1.0, 1.0], (n, dim)) * 10.0 ** rng.uniform(-12, 6, (n, dim))
+    x[::7] = 0.0
+    x[3::11, 0] = 1e-5  # inside a sign_eps = 1e-3 layer
+    return x
+
+
+SPECS = {
+    "scalar": make_time_barrier_scalar(P),
+    "scalar_sign_eps": make_time_barrier_scalar(
+        BarrierParams(0.5, 3.0, 2.0, 0.4), NumericPolicy(sign_eps=1e-3)
+    ),
+    "scalar_bias": make_time_barrier_scalar(P, bias=0.5),
+    "componentwise_2": make_time_barrier_componentwise(BarrierParams(2.0, 4.0, 0.5, 0.2), 2),
+    "componentwise_3_bias": make_time_barrier_componentwise(P, 3, _bias=-0.25),
+    "power_law": make_autonomous_power_law(1.5, 0.3)[1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_v_and_vdot_arrays_match_one_state_functions(name):
+    spec = SPECS[name]
+    states = sample_states(spec.dim)
+    horizon = spec.tc if spec.tc is not None else 5.0
+    times = np.linspace(0.0, horizon, states.shape[0], endpoint=False)
+    times[1] = 0.0
+    for which in ("v", "vdot"):
+        one = getattr(spec, which)
+        want = [one(x, t) for x, t in zip(states, times.tolist())]
+        assert same_bits(getattr(spec, which + "_array")(states, times), want), which
+
+
+def test_vdot_array_raises_the_domain_error():
+    spec = SPECS["scalar"]
+    states = sample_states(1, n=4)
+    times = np.array([0.0, 0.5, 1.0, 0.2])  # t = tc is outside [0, tc)
+    want = raised(lambda: [spec.vdot(x, t) for x, t in zip(states, times.tolist())])
+    assert want is not None
+    assert raised(spec.vdot_array, states, times) == want
+
+
+@pytest.mark.parametrize("beta", [2.0, 4.0, 30.0, 35.0, 80.0])
+def test_w_transform_array_matches(beta):
+    p = BarrierParams(2.0, beta, 1.0, 0.5)
+    rng = np.random.default_rng(int(beta))
+    v = 10.0 ** rng.uniform(-300, 10, 600)
+    v[::5] = 0.0
+    t = np.sort(rng.uniform(0.0, 0.9 * p.tc, 600))
+    t[0] = 0.0
+    if beta <= 30.0:  # larger exponents overflow W this close to tc
+        t[-1] = p.tc - 1e-9 * p.tc
+    want = [w_transform(vi, ti, p) for vi, ti in zip(v.tolist(), t.tolist())]
+    assert same_bits(w_transform_array(v, t, p), want)
+
+
+@pytest.mark.parametrize(
+    "p,v,t",
+    [
+        (P, [1.0, 2.0, 3.0], [0.0, 0.5, 1.0]),  # t = tc
+        (P, [1.0, -2.0, 3.0], [0.0, 0.5, 0.7]),  # negative V
+        (BarrierParams(0.01, 30.0, 1.0, 0.5), [1.0, 1.0], [0.0, 0.01 - 1e-11]),  # 0 power
+        (BarrierParams(1e11, 30.0, 1.0, 0.5), [1.0], [0.0]),  # power overflows
+        (BarrierParams(1.0, 80.0, 1.0, 0.5), [1e300, 1e300], [0.0, 1.0 - 1e-9]),  # exp overflows
+        (P, [1.0, float("nan")], [0.0, 0.5]),
+    ],
+    ids=["t_at_tc", "negative_v", "zero_power", "power_overflow", "exp_overflow", "nan_v"],
+)
+def test_w_transform_array_off_the_fast_path(p, v, t):
+    def one_by_one():
+        return [w_transform(vi, ti, p) for vi, ti in zip(v, t)]
+
+    want = raised(one_by_one)
+    if want is None:
+        assert same_bits(w_transform_array(v, t, p), one_by_one())
+    else:
+        assert raised(w_transform_array, v, t, p) == want
+
+
+ORACLE_PARAMS = {
+    "m_1": P,
+    "m_above_1": BarrierParams(0.5, 4.0, 2.0, 0.4),
+    "m_below_1": BarrierParams(1.0, 1.0, 1.0, 0.5),
+    "q_0": BarrierParams(1.0, 2.0, 0.0, 0.5),
+    "arg_above_700": BarrierParams(1.0, 80.0, 1.0, 0.5),
+    "beta_above_30": BarrierParams(3.0, 35.0, 0.3, 0.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PARAMS))
+@pytest.mark.parametrize("x0", [1e-6, -1.0, 3.5, -1e6, 0.0])
+def test_exact_solution_array_matches(name, x0):
+    p = ORACLE_PARAMS[name]
+    t = np.concatenate([
+        [0.0, 0.0],
+        np.linspace(0.0, p.tc - 1e-9 * p.tc, 700),
+        p.tc - p.tc * np.logspace(-1, -15, 60),
+    ])
+    want = [exact_solution_scalar(p, x0, s) for s in t.tolist()]
+    assert same_bits(exact_solution_scalar_array(p, x0, t), want)
+
+
+def test_exact_solution_array_raises_the_scalar_errors():
+    for x0, t in [(float("inf"), [0.0]), (1.0, [0.0, 0.5, 1.0]), (1.0, [-1e-3])]:
+        want = raised(lambda: [exact_solution_scalar(P, x0, s) for s in t])
+        assert want is not None
+        assert raised(exact_solution_scalar_array, P, x0, t) == want
+    assert exact_solution_scalar_array(P, 1.0, []).shape == (0,)

@@ -246,6 +246,18 @@ def test_config_sweep_decade_overflow_named(tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_config_sweep_decade_underflow_named(tmp_path, capsys):
+    # 10.0**-324 underflows to 0.0; the config is rejected before any row runs
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"sweep": {"x0_decades": [-330, -322]}}))
+    code, out, err = run_cli(
+        capsys, "--config", str(cfg_path), "--out", str(tmp_path / "s.csv"), "sweep"
+    )
+    assert code == EXIT_VALIDATION
+    assert "sweep.x0_decades" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize(
     "section",
     [

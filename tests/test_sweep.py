@@ -92,6 +92,19 @@ def test_config_validation():
         SweepConfig(tc_values=(1.0, float("inf")))
 
 
+def test_config_rejects_underflowing_decades():
+    # 10.0**-324 is 0.0, so lower decades would give duplicate x0 = 0 rows;
+    # construction alone must refuse them, before any x0 list is built
+    with pytest.raises(ValueError, match="x0_decades lower -330"):
+        SweepConfig(x0_decades=(-330, -322))
+    with pytest.raises(ValueError, match="x0_decades"):
+        SweepConfig(x0_decades=(-10**9, 0))
+    with pytest.raises(ValueError, match="x0_decades"):
+        SweepConfig(x0_decades=(-324, -324))
+    cfg = SweepConfig(x0_decades=(-323, -322))
+    assert cfg.x0_values() == [1e-323, 1e-322] and 0.0 < 1e-323
+
+
 def test_error_rows_keep_csv_columns(default_policy):
     # near the largest double the dynamics blow up, and the error text, which
     # contains commas, must stay one quoted cell
