@@ -130,7 +130,9 @@ def w_transform(v: float, t: float, p: BarrierParams) -> float:
     """Barrier-rescaled Lyapunov value v / (tc - t)**beta.
 
     This is the single implementation shared by the trajectory recorder and
-    the certificate checker, so both see the same rounding.
+    the certificate checker, so both see the same rounding. It is computed in
+    log space for beta > 30 and wherever (tc - t)**beta leaves the float
+    range; a value above the float range is inf in either form.
     """
     if not 0.0 <= t < p.tc:
         raise DomainError(f"t={t!r} outside [0, tc={p.tc!r})")
@@ -138,9 +140,18 @@ def w_transform(v: float, t: float, p: BarrierParams) -> float:
         return 0.0
     if v < 0.0:
         raise ValueError(f"negative Lyapunov value {v!r}")
-    if p.beta > 30.0:
-        return math.exp(math.log(v) - p.beta * math.log(p.tc - t))
-    return v / (p.tc - t) ** p.beta
+    gap = p.tc - t
+    if p.beta <= 30.0:
+        try:
+            power = gap**p.beta
+        except OverflowError:
+            power = 0.0  # out of range like an underflow: take the log form
+        if power != 0.0:
+            return v / power
+    try:
+        return math.exp(math.log(v) - p.beta * math.log(gap))
+    except OverflowError:
+        return math.inf
 
 
 def _map_floats(fn, *args) -> np.ndarray:
@@ -160,7 +171,8 @@ def w_transform_array(v, t, p: BarrierParams) -> np.ndarray:
 
     Pairs off the fast path (a time outside [0, tc), a negative or NaN V, a
     power that overflows or underflows) send the whole call through the
-    scalar function, so its errors are raised unchanged.
+    scalar function, so its errors are raised and its log form is taken
+    unchanged.
     """
     v = np.asarray(v, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -233,6 +245,15 @@ class DynamicsSpec:
     convergence handling to be valid. ``tc`` bounds the time domain when the
     dynamics are only defined on [0, tc); None means unbounded.
 
+    An ``rhs`` whose coordinates are decoupled, f_i depending only on (x_i, t),
+    may declare it with the function attribute ``rhs.decoupled = True``
+    (:func:`timebarrier.systems.make_time_barrier_componentwise` sets it).
+    The integrator then holds each coordinate at exactly zero from its own
+    eps_conv crossing instead of from the crossing of all of them. The
+    declaration travels with the callable, so a spec that reuses the rhs
+    keeps it; a wrapper function does not, and steps every coordinate to the
+    common event.
+
     ``v`` and ``vdot`` are the optional Lyapunov value and its derivative along
     trajectories; ``vdot`` may be absent even when ``v`` is present (the
     certificate checker then falls back to finite differences).
@@ -262,6 +283,11 @@ class DynamicsSpec:
             raise ValueError("vdot without v is not meaningful")
         if not self._arrays_of:
             object.__setattr__(self, "_arrays_of", (self.v, self.vdot))
+
+    @property
+    def decoupled(self) -> bool:
+        """True when ``rhs`` declares decoupled coordinates (``rhs.decoupled``)."""
+        return getattr(self.rhs, "decoupled", False) is True
 
 
 def _evaluate(spec: DynamicsSpec, which: str, states: np.ndarray, times: np.ndarray) -> np.ndarray:

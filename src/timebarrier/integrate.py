@@ -11,7 +11,14 @@ deadline-aware:
   max|x_i| <= eps_conv; the crossing is refined on the dense output, the state
   is clamped to exactly zero from there on (the dynamics must keep the origin
   an equilibrium), and the reported settling instant adds the closed-form
-  remaining time of the reference law, capped at tc - delta_end.
+  remaining time of the reference law, capped at tc - delta_end. When the
+  spec declares decoupled coordinates (``DynamicsSpec.decoupled``), each
+  coordinate is also held at exactly zero, with a zero derivative and
+  outside the error norm, from the first accepted step that ends with
+  |x_i| <= eps_conv. This is the sliding-mode (Filippov) solution of the
+  discontinuous law; with an exact sign() a settled coordinate would
+  otherwise flip around zero (chattering) and shrink every step until the
+  last coordinate settles.
 
 The trial step of a one-dimensional spec runs on Python floats, with numpy
 arrays only at the ``spec.rhs`` boundary; higher dimensions step on numpy
@@ -223,10 +230,17 @@ def _checked_rhs_float(spec: DynamicsSpec, x: float, t: float) -> float:
     return f
 
 
-def _initial_step(spec, x0, f0, scale, limit):
+def _initial_step(spec, x0, f0, policy, limit):
+    scale = policy.abs_tol + policy.rel_tol * np.abs(x0)
     d0 = _rms(x0 / scale)
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    if math.isnan(h0):
+        # both scaled norms overflowed (inf / inf)
+        raise ValueError(
+            f"tolerances rel_tol={policy.rel_tol!r}, abs_tol={policy.abs_tol!r} "
+            "are too small: the scaled initial state overflows"
+        )
     h0 = min(h0, limit)
     if h0 <= 0.0:
         return limit
@@ -269,8 +283,11 @@ def _trial(rhs, larger, atol, rtol, t, x, f, h, t_new):
     return x_new, k7, (k1, k2, k3, k4, k5, k6, k7), err_norm
 
 
-def _trial_array(rhs, atol, rtol, t, x, f, h, t_new):
-    """DOPRI5(4) trial step on numpy arrays; returns what :func:`_trial` does."""
+def _trial_array(rhs, atol, rtol, t, x, f, h, t_new, live=None):
+    """DOPRI5(4) trial step on numpy arrays; returns what :func:`_trial` does.
+
+    ``live``, a boolean mask, limits the RMS error norm to those coordinates.
+    """
     K = np.empty((7, x.size))
     K[0] = f
     for s in range(1, 6):
@@ -280,8 +297,8 @@ def _trial_array(rhs, atol, rtol, t, x, f, h, t_new):
     f_new = rhs(x_new, t_new)
     K[6] = f_new
     err_vec = h * (_E_ARR @ K)
-    scale = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
-    return x_new, f_new, K, _rms(err_vec / scale)
+    scaled = err_vec / (atol + rtol * np.maximum(np.abs(x), np.abs(x_new)))
+    return x_new, f_new, K, _rms(scaled if live is None else scaled[live])
 
 
 def _dense_poly(x0, h, coef, theta):
@@ -298,9 +315,16 @@ def _refine_event(x0, h, coef, eps_conv):
     max|x_i|) at the crossing, theta in (0, 1].
     """
     rows = list(zip(x0.tolist(), coef.tolist()))
+    if len(rows) == 1:
+        ((xi, ci),) = rows
 
-    def norm(theta):
-        return max(abs(_dense_poly(xi, h, ci, theta)) for xi, ci in rows)
+        def norm(theta):
+            return abs(_dense_poly(xi, h, ci, theta))
+
+    else:
+
+        def norm(theta):
+            return max(abs(_dense_poly(xi, h, ci, theta)) for xi, ci in rows)
 
     lo, hi = 0.0, 1.0
     for _ in range(60):
@@ -352,8 +376,7 @@ def _prepare(spec, x0, p, policy):
 def _start(spec, x0, tc, t_end, policy):
     """The derivative at t = 0 and the first proposed step size."""
     f0 = _checked_rhs(spec, x0, 0.0)
-    scale0 = policy.abs_tol + policy.rel_tol * np.abs(x0)
-    return f0, _initial_step(spec, x0, f0, scale0, min(_KAPPA * tc, t_end))
+    return f0, _initial_step(spec, x0, f0, policy, min(_KAPPA * tc, t_end))
 
 
 def simulate(
@@ -366,8 +389,9 @@ def simulate(
 ) -> Trajectory:
     """Integrate ``spec`` from ``x0`` on [0, tc - delta_end].
 
-    Raises :class:`StallError` on step-size underflow before the deadline and
-    :class:`BlowUpError` when the dynamics return a non-finite derivative.
+    Raises :class:`StallError` on step-size underflow before the deadline,
+    :class:`BlowUpError` when the dynamics return a non-finite derivative and
+    ``ValueError`` when the tolerances are too small to scale the state.
     ``_steps`` is the finished step record of this same run, stepped as a
     lane of a sweep; the trajectory is then built from it without stepping.
     """
@@ -378,7 +402,12 @@ def simulate(
 
 
 def _step(spec, x0, tc, t_end, policy) -> _Steps:
-    """The stepping loop of one run."""
+    """The stepping loop of one run.
+
+    A decoupled spec of dim >= 2 holds each coordinate at zero from its own
+    eps_conv crossing (see the module docstring); the trial step then takes
+    the coordinates not yet held as its ``live`` mask.
+    """
     eps_conv = policy.eps_conv
     rtol, atol = policy.rel_tol, policy.abs_tol
     # accepted steps: start time, length, start state, stage derivatives
@@ -404,6 +433,7 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
             trial = partial(_trial_array, partial(_checked_rhs, spec), atol, rtol)
             norm = _maxnorm
             x, f = x0, f0
+        hold = spec.dim > 1 and spec.decoupled
         err_prev = 1e-4
 
         end_guard = 8.0 * math.ulp(t_end)
@@ -443,6 +473,13 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
                 if norm(x_new) <= eps_conv:
                     converged = True
                     break
+                if hold:
+                    settled = np.abs(x_new) <= eps_conv
+                    if settled.any():
+                        # rhs(0, t) = 0 and decoupling make the zero derivative exact
+                        x_new = np.where(settled, 0.0, x_new)
+                        f_new = np.where(settled, 0.0, f_new)
+                        trial = partial(trial, live=~settled)
                 x = x_new
                 f = f_new
             else:

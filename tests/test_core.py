@@ -135,6 +135,20 @@ def test_w_transform_log_space_branch():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_w_transform_out_of_range_power():
+    # (1e-11)**30 underflows to 0.0: the log form gives v / 1e-330
+    p = BarrierParams(0.01, 30.0, 1.0, 0.5)
+    t = 0.01 - 1e-11
+    assert w_transform(1e-300, t, p) == pytest.approx(1e30, rel=1e-4)
+    # (1e11)**30 overflows: the log form gives v / 1e330
+    assert w_transform(1e300, 0.0, BarrierParams(1e11, 30.0, 1.0, 0.5)) == pytest.approx(
+        1e-30, rel=1e-9
+    )
+    # a W above the float range is inf in both forms
+    assert w_transform(1e300, 1.0 - 1e-9, BarrierParams(1.0, 2.0, 1.0, 0.5)) == math.inf
+    assert w_transform(1e300, 1.0 - 1e-9, BarrierParams(1.0, 80.0, 1.0, 0.5)) == math.inf
+
+
 def test_validate_spec_passes_builtin(default_params, default_policy):
     spec = make_time_barrier_scalar(default_params, default_policy)
     assert validate_spec(spec, default_params.tc) == []

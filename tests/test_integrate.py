@@ -16,6 +16,7 @@ from timebarrier import (
     settling_report,
     simulate,
 )
+from timebarrier.integrate import _refine_event
 from timebarrier.systems import make_time_barrier_componentwise, make_time_barrier_scalar
 
 from conftest import random_admissible
@@ -189,12 +190,61 @@ def test_componentwise_vector_run(default_params, default_policy):
     assert dev <= max(1e-6, 10 * default_policy.eps_conv)
 
 
+@pytest.mark.parametrize(
+    "x0, scalar_x0",
+    [([1e3, 1e-3], 1e3), ([1.0, 0.1], 1.0)],
+    ids=["1e3,1e-3", "1,0.1"],
+)
+def test_decoupled_coordinates_settle_on_their_own(x0, scalar_x0, default_params, default_policy):
+    law = make_time_barrier_componentwise(default_params, 2, default_policy)
+    # a user spec around the law's rhs keeps its decoupling declaration
+    spec = DynamicsSpec(dim=2, rhs=law.rhs, label="user spec", v=law.v, tc=law.tc)
+    assert spec.decoupled
+    traj = simulate(spec, x0, default_params, default_policy)
+    scalar = simulate(
+        make_time_barrier_scalar(default_params, default_policy), scalar_x0,
+        default_params, default_policy,
+    )
+    assert traj.step_count <= 2 * scalar.step_count
+    for i, xi in enumerate(x0):
+        exact = np.array([exact_solution_scalar(default_params, xi, t) for t in traj.times])
+        dev = np.max(np.abs(traj.states[:, i] - exact))
+        assert dev <= max(1e-6 * abs(xi), 10 * default_policy.eps_conv)
+
+
+def test_undeclared_rhs_steps_every_coordinate(default_params, default_policy):
+    law = make_time_barrier_componentwise(default_params, 2, default_policy)
+    wrapped = DynamicsSpec(dim=2, rhs=lambda x, t: law.rhs(x, t), label="wrapper", tc=law.tc)
+    assert law.decoupled and not wrapped.decoupled
+    traj = simulate(wrapped, [1.0, 0.99], default_params, default_policy)
+    # the work of the loop without the per-coordinate hold
+    assert (traj.step_count, traj.rejected_steps) == (450, 13)
+    held = simulate(law, [1.0, 0.99], default_params, default_policy)
+    assert held.step_count < traj.step_count
+
+
+def test_impossible_tolerances_fail_by_name(default_params):
+    policy = NumericPolicy(rel_tol=1e-300, abs_tol=1e-300)
+    spec = make_time_barrier_scalar(default_params, policy)
+    with pytest.raises(ValueError, match="rel_tol=1e-300"):
+        simulate(spec, 1.0, default_params, policy)
+
+
+def test_refine_event_dim1_matches_the_max_over_coordinates(default_traj, default_policy):
+    traj = default_traj
+    x0, h, coef = traj._seg_x0[-1], traj._seg_h[-1].item(), traj._seg_coef[-1]
+    one = _refine_event(x0, h, coef, default_policy.eps_conv)
+    # a repeated coordinate leaves max|x_i| unchanged
+    two = _refine_event(np.repeat(x0, 2), h, np.repeat(coef, 2, axis=0), default_policy.eps_conv)
+    assert one == two
+    assert traj.event_time == traj._seg_t0[-1] + one[0] * h
+
+
 @pytest.mark.parametrize("one_per_call", [False, True], ids=["batch", "one-per-call"])
 @pytest.mark.parametrize(
     "x0, sign_eps",
-    # the regularized sign keeps the dim-2 run with unequal magnitudes short
-    [([1.0], 0.0), ([1.0, -0.1], 1e-10)],
-    ids=["dim1", "dim2"],
+    [([1.0], 0.0), ([1.0, -0.1], 1e-10), ([1.0, -0.1], 0.0)],
+    ids=["dim1", "dim2", "dim2-exact-sign"],
 )
 def test_resample_reproduces_nodes(x0, sign_eps, one_per_call, default_params):
     policy = NumericPolicy(sign_eps=sign_eps)

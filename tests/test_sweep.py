@@ -121,6 +121,17 @@ def test_error_rows_keep_csv_columns(default_policy):
         assert row[header.index("error")] == sweep_row.error
 
 
+def test_underflowing_barrier_power_keeps_the_row(default_policy):
+    # near tc, (tc - t)**30 underflows to 0.0 while V is still ~1e30
+    cfg = SweepConfig(
+        tc_values=(0.01,), beta_values=(30.0,), q_values=(0.0,), alpha_values=(0.5,),
+        x0_decades=(300, 300),
+    )
+    (row,) = run_sweep(cfg, default_policy).rows
+    assert row.error == ""
+    assert row.step_count is not None
+
+
 def test_stall_rows_become_failures(default_policy):
     # absurd tolerances cannot be met; the row reports the error instead of raising
     policy = NumericPolicy(rel_tol=1e-9, abs_tol=1e-12, delta_end=0.999999)
