@@ -251,8 +251,11 @@ class DynamicsSpec:
     The integrator then holds each coordinate at exactly zero from its own
     eps_conv crossing instead of from the crossing of all of them. The
     declaration travels with the callable, so a spec that reuses the rhs
-    keeps it; a wrapper function does not, and steps every coordinate to the
-    common event.
+    keeps it. A plain wrapper function (a ``lambda``) does not, and steps
+    every coordinate to the common event; but ``functools.wraps`` copies the
+    attribute, so a wrapper made with it that couples the coordinates must
+    set ``decoupled = False`` on itself, or the hold zeroes coordinates whose
+    derivative is not zero.
 
     ``v`` and ``vdot`` are the optional Lyapunov value and its derivative along
     trajectories; ``vdot`` may be absent even when ``v`` is present (the
@@ -283,11 +286,6 @@ class DynamicsSpec:
             raise ValueError("vdot without v is not meaningful")
         if not self._arrays_of:
             object.__setattr__(self, "_arrays_of", (self.v, self.vdot))
-
-    @property
-    def decoupled(self) -> bool:
-        """True when ``rhs`` declares decoupled coordinates (``rhs.decoupled``)."""
-        return getattr(self.rhs, "decoupled", False) is True
 
 
 def _evaluate(spec: DynamicsSpec, which: str, states: np.ndarray, times: np.ndarray) -> np.ndarray:

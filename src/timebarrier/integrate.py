@@ -12,7 +12,8 @@ deadline-aware:
   is clamped to exactly zero from there on (the dynamics must keep the origin
   an equilibrium), and the reported settling instant adds the closed-form
   remaining time of the reference law, capped at tc - delta_end. When the
-  spec declares decoupled coordinates (``DynamicsSpec.decoupled``), each
+  rhs declares decoupled coordinates (``rhs.decoupled = True``, see
+  :class:`~timebarrier.core.DynamicsSpec`), each
   coordinate is also held at exactly zero, with a zero derivative and
   outside the error norm, from the first accepted step that ends with
   |x_i| <= eps_conv. This is the sliding-mode (Filippov) solution of the
@@ -236,10 +237,12 @@ def _initial_step(spec, x0, f0, policy, limit):
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     if math.isnan(h0):
-        # both scaled norms overflowed (inf / inf)
-        raise ValueError(
+        # both scaled norms overflowed (inf / inf): no step size can be proposed
+        raise StallError(
             f"tolerances rel_tol={policy.rel_tol!r}, abs_tol={policy.abs_tol!r} "
-            "are too small: the scaled initial state overflows"
+            "are too small: the scaled initial state overflows",
+            0.0,
+            x0,
         )
     h0 = min(h0, limit)
     if h0 <= 0.0:
@@ -315,16 +318,9 @@ def _refine_event(x0, h, coef, eps_conv):
     max|x_i|) at the crossing, theta in (0, 1].
     """
     rows = list(zip(x0.tolist(), coef.tolist()))
-    if len(rows) == 1:
-        ((xi, ci),) = rows
 
-        def norm(theta):
-            return abs(_dense_poly(xi, h, ci, theta))
-
-    else:
-
-        def norm(theta):
-            return max(abs(_dense_poly(xi, h, ci, theta)) for xi, ci in rows)
+    def norm(theta):
+        return max(abs(_dense_poly(xi, h, ci, theta)) for xi, ci in rows)
 
     lo, hi = 0.0, 1.0
     for _ in range(60):
@@ -389,9 +385,9 @@ def simulate(
 ) -> Trajectory:
     """Integrate ``spec`` from ``x0`` on [0, tc - delta_end].
 
-    Raises :class:`StallError` on step-size underflow before the deadline,
-    :class:`BlowUpError` when the dynamics return a non-finite derivative and
-    ``ValueError`` when the tolerances are too small to scale the state.
+    Raises :class:`StallError` on step-size underflow before the deadline or
+    when the tolerances are too small to scale the initial state, and
+    :class:`BlowUpError` when the dynamics return a non-finite derivative.
     ``_steps`` is the finished step record of this same run, stepped as a
     lane of a sweep; the trajectory is then built from it without stepping.
     """
@@ -433,7 +429,7 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
             trial = partial(_trial_array, partial(_checked_rhs, spec), atol, rtol)
             norm = _maxnorm
             x, f = x0, f0
-        hold = spec.dim > 1 and spec.decoupled
+        hold = spec.dim > 1 and getattr(spec.rhs, "decoupled", False) is True
         err_prev = 1e-4
 
         end_guard = 8.0 * math.ulp(t_end)

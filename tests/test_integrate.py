@@ -1,5 +1,7 @@
 """Adaptive integration against the closed forms: accuracy, events, clamping."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from timebarrier import (
     settling_report,
     simulate,
 )
-from timebarrier.integrate import _refine_event
 from timebarrier.systems import make_time_barrier_componentwise, make_time_barrier_scalar
 
 from conftest import random_admissible
@@ -199,7 +200,7 @@ def test_decoupled_coordinates_settle_on_their_own(x0, scalar_x0, default_params
     law = make_time_barrier_componentwise(default_params, 2, default_policy)
     # a user spec around the law's rhs keeps its decoupling declaration
     spec = DynamicsSpec(dim=2, rhs=law.rhs, label="user spec", v=law.v, tc=law.tc)
-    assert spec.decoupled
+    assert spec.rhs.decoupled is True
     traj = simulate(spec, x0, default_params, default_policy)
     scalar = simulate(
         make_time_barrier_scalar(default_params, default_policy), scalar_x0,
@@ -215,7 +216,7 @@ def test_decoupled_coordinates_settle_on_their_own(x0, scalar_x0, default_params
 def test_undeclared_rhs_steps_every_coordinate(default_params, default_policy):
     law = make_time_barrier_componentwise(default_params, 2, default_policy)
     wrapped = DynamicsSpec(dim=2, rhs=lambda x, t: law.rhs(x, t), label="wrapper", tc=law.tc)
-    assert law.decoupled and not wrapped.decoupled
+    assert law.rhs.decoupled is True and not hasattr(wrapped.rhs, "decoupled")
     traj = simulate(wrapped, [1.0, 0.99], default_params, default_policy)
     # the work of the loop without the per-coordinate hold
     assert (traj.step_count, traj.rejected_steps) == (450, 13)
@@ -223,21 +224,32 @@ def test_undeclared_rhs_steps_every_coordinate(default_params, default_policy):
     assert held.step_count < traj.step_count
 
 
+def test_coupled_wraps_wrapper_opts_out(default_params, default_policy):
+    law = make_time_barrier_componentwise(default_params, 2, default_policy)
+
+    @functools.wraps(law.rhs)
+    def coupled(x, t):
+        return law.rhs(x, t) + 0.5 * x[::-1]
+
+    # functools.wraps copies the declaration, which no longer holds here
+    assert coupled.decoupled is True
+    spec = DynamicsSpec(dim=2, rhs=coupled, label="coupled", tc=law.tc)
+    wrongly_held = simulate(spec, [1.0, 0.1], default_params, default_policy)
+    coupled.decoupled = False
+    traj = simulate(spec, [1.0, 0.1], default_params, default_policy)
+    undeclared = DynamicsSpec(dim=2, rhs=lambda x, t: coupled(x, t), label="lambda", tc=law.tc)
+    want = simulate(undeclared, [1.0, 0.1], default_params, default_policy)
+    assert (traj.step_count, traj.rejected_steps) == (want.step_count, want.rejected_steps)
+    assert traj.times.tobytes() == want.times.tobytes()
+    assert traj.states.tobytes() == want.states.tobytes()
+    assert wrongly_held.step_count != traj.step_count
+
+
 def test_impossible_tolerances_fail_by_name(default_params):
     policy = NumericPolicy(rel_tol=1e-300, abs_tol=1e-300)
     spec = make_time_barrier_scalar(default_params, policy)
-    with pytest.raises(ValueError, match="rel_tol=1e-300"):
+    with pytest.raises(StallError, match="rel_tol=1e-300"):
         simulate(spec, 1.0, default_params, policy)
-
-
-def test_refine_event_dim1_matches_the_max_over_coordinates(default_traj, default_policy):
-    traj = default_traj
-    x0, h, coef = traj._seg_x0[-1], traj._seg_h[-1].item(), traj._seg_coef[-1]
-    one = _refine_event(x0, h, coef, default_policy.eps_conv)
-    # a repeated coordinate leaves max|x_i| unchanged
-    two = _refine_event(np.repeat(x0, 2), h, np.repeat(coef, 2, axis=0), default_policy.eps_conv)
-    assert one == two
-    assert traj.event_time == traj._seg_t0[-1] + one[0] * h
 
 
 @pytest.mark.parametrize("one_per_call", [False, True], ids=["batch", "one-per-call"])

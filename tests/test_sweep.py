@@ -129,7 +129,28 @@ def test_underflowing_barrier_power_keeps_the_row(default_policy):
     )
     (row,) = run_sweep(cfg, default_policy).rows
     assert row.error == ""
-    assert row.step_count is not None
+    # q = 0 is inadmissible: the certificate fails on admissibility, and the
+    # linear law only reaches zero at tc, so the run never converges
+    assert (row.admissible, row.certificate_pass) == (False, False)
+    assert (row.converged_at, row.reaches_zero, row.deadline_pass) == (None, False, False)
+    assert row.step_count == 13325
+    assert row.oracle_pass is True
+    assert row.terminal_norm == pytest.approx(1e30, rel=1e-5)
+
+
+def test_impossible_tolerances_become_error_rows():
+    # x0 / (rel_tol * x0) overflows in the RMS norm: no first step size exists
+    policy = NumericPolicy(rel_tol=1e-300, abs_tol=1e-300)
+    cfg = SweepConfig(
+        tc_values=(1.0,), beta_values=(2.0,), q_values=(1.0,), alpha_values=(0.5,),
+        x0_decades=(-7, 0),
+    )
+    result = run_sweep(cfg, policy)
+    assert len(result.rows) == 8
+    for row in result.rows:
+        assert row.error.startswith("StallError: tolerances rel_tol=1e-300, abs_tol=1e-300")
+        assert row.step_count is None
+    assert result.summary["numeric_errors"] == 8
 
 
 def test_stall_rows_become_failures(default_policy):
