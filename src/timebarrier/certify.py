@@ -92,8 +92,8 @@ def _fd_vdot(traj: Trajectory, t: np.ndarray, tc: float) -> np.ndarray:
     (-3 V(t) + 4 V(t +- h) - V(t +- 2h)) / (+-2h), which keeps second order
     (a first-order edge difference overstates dV/dt at t = 0 by far more than
     the default residual_tol). The dense output and V are evaluated at all
-    stencil points in one call each (V through its array form when the spec
-    has one).
+    stencil points in one call each (V in one block call when it is a
+    built-in block form).
     """
     t_end = traj.t_end
     h = np.minimum(np.minimum(1e-6 * tc, 0.01 * (tc - t)), 0.25 * t_end)
@@ -104,7 +104,7 @@ def _fd_vdot(traj: Trajectory, t: np.ndarray, tc: float) -> np.ndarray:
     stencil = [tm - hm, tm + hm, tf, tf + hf, tf + 2.0 * hf, tb - 2.0 * hb, tb - hb, tb]
     points = np.concatenate(stencil)
     xs = _eval_trajectory(traj, points, traj.states[0])
-    v = _evaluate(traj.spec, "v", xs, points)
+    v = _evaluate(traj.spec.v, xs, points)
     vm0, vm1, vf0, vf1, vf2, vb0, vb1, vb2 = np.split(v, np.cumsum([s.size for s in stencil[:-1]]))
 
     vdot = np.empty(t.size)
@@ -151,8 +151,21 @@ def check_dissipation(
     ]
 
     w = traj.w_values
-    increase = np.diff(w)
-    w_monotone = not np.any(increase > tol * (1.0 + np.abs(w[:-1])))
+    with np.errstate(invalid="ignore"):  # inf - inf: decided on log W below
+        increase = np.diff(w)
+    rising = increase > tol * (1.0 + np.abs(w[:-1]))
+    # a step with W past the float range at both ends is decided on
+    # log W = log V - beta*log(tc - t), and a rise there counts as inf
+    over = np.flatnonzero(np.isinf(w[:-1]) & np.isinf(w[1:]))
+    if over.size:
+        log_w0, log_w1 = (
+            _map_floats(math.log, traj.v_values[i])
+            - beta * _map_floats(math.log, tc - traj.times[i])
+            for i in (over, over + 1)
+        )
+        rising[over] = log_w1 - log_w0 > math.log1p(tol)
+        increase[over] = np.where(log_w1 > log_w0, np.inf, 0.0)
+    w_monotone = not rising.any()
     # only rises count, so a NaN increase is skipped as Python's max() skips it
     rises = increase[increase > 0.0]
 

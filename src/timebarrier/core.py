@@ -85,11 +85,6 @@ class BarrierParams:
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "m", self.beta * (1.0 - self.alpha))
 
-    @property
-    def exponent_admissible(self) -> bool:
-        """True iff the barrier exponent condition m >= 1 holds."""
-        return self.m >= 1.0
-
 
 @dataclass(frozen=True)
 class ParamVerdict:
@@ -258,14 +253,13 @@ class DynamicsSpec:
     derivative is not zero.
 
     ``v`` and ``vdot`` are the optional Lyapunov value and its derivative along
-    trajectories; ``vdot`` may be absent even when ``v`` is present (the
-    certificate checker then falls back to finite differences).
-
-    ``v_array`` and ``vdot_array`` are optional array forms of ``v`` and
-    ``vdot``: they map an (n, dim) block of states and n times to the n
-    values the one-state functions return, bit for bit. They are used only
-    while ``v`` and ``vdot`` are the functions they were given with, so
-    ``dataclasses.replace(spec, v=other)`` evaluates ``other``.
+    trajectories, each called as ``v(x, t)`` on one state; ``vdot`` may be
+    absent even when ``v`` is present (the certificate checker then falls
+    back to finite differences). The built-in laws write them as block forms
+    (see :class:`_Blockwise`), which the trajectory recorder and the
+    certificate evaluate on all samples in one call; any other callable is
+    called once per sample, so ``dataclasses.replace(spec, v=other)``
+    evaluates ``other``.
     """
 
     dim: int
@@ -274,52 +268,60 @@ class DynamicsSpec:
     v: Optional[Callable[[np.ndarray, float], float]] = None
     vdot: Optional[Callable[[np.ndarray, float], float]] = None
     tc: Optional[float] = None
-    v_array: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    vdot_array: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    # the (v, vdot) the array forms came with; replace() copies it
-    _arrays_of: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim!r}")
         if self.vdot is not None and self.v is None:
             raise ValueError("vdot without v is not meaningful")
-        if not self._arrays_of:
-            object.__setattr__(self, "_arrays_of", (self.v, self.vdot))
 
 
-def _evaluate(spec: DynamicsSpec, which: str, states: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """``spec.v`` or ``spec.vdot`` (``which``) at each row of ``states`` and
-    each time: the array form while it belongs to the one-state function,
-    else one call per row."""
-    fn = getattr(spec, which)
-    array_form = getattr(spec, which + "_array")
-    if array_form is not None and fn is spec._arrays_of[which == "vdot"]:
-        return array_form(states, times)
+class _Blockwise:
+    """A V or dV/dt written once, as a block form: ``block(states, times)``
+    maps an (n, dim) block of states and n times to the n values. Called on
+    one state, it evaluates a block of one row and returns a float. A wrapper
+    of it (say, one made with ``functools.wraps``) is called once per state.
+    """
+
+    __slots__ = ("block",)
+
+    def __init__(self, block: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+        self.block = block
+
+    def __call__(self, x, t) -> float:
+        states = np.asarray(x, dtype=float).reshape(1, -1)
+        return self.block(states, np.array([t], dtype=float)).item()
+
+
+def _evaluate(fn, states: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``fn`` (a spec's ``v`` or ``vdot``) at each row of ``states`` and each
+    time: one call of its block form, or one call per row for any other
+    callable."""
+    if isinstance(fn, _Blockwise):
+        return fn.block(states, times)
     return np.array([fn(x, t) for x, t in zip(states, times.tolist())], dtype=float)
 
 
-def validate_spec(
-    spec: DynamicsSpec,
-    horizon: float,
-    *,
-    seed: int = 0,
-    points_per_decade: int = 64,
-    radius_decades: tuple[int, int] = (-6, 3),
-    time_points: int = 16,
-) -> list[str]:
+# the sampling of validate_spec
+_VALIDATE_SEED = 0
+_POINTS_PER_DECADE = 64
+_RADIUS_DECADES = (-6, 3)
+_TIME_POINTS = 16
+
+
+def validate_spec(spec: DynamicsSpec, horizon: float) -> list[str]:
     """Sampling-based check of the DynamicsSpec contract.
 
     Verifies rhs(0, t) = 0 and, when a Lyapunov evaluator is present,
-    V(0, t) = 0 and V(x, t) > 0 for x != 0, over random radii spanning the
-    given decades and a grid of times in [0, horizon). Returns a list of
+    V(0, t) = 0 and V(x, t) > 0 for x != 0, over 64 seeded random radii in
+    each decade from 1e-6 to 1e3 and 16 times in [0, horizon). Returns a list of
     human-readable problems (empty when the dynamics pass). The check is
     explicit rather than run at construction because sweeps build thousands
     of cheap spec instances.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_VALIDATE_SEED)
     problems: list[str] = []
-    times = np.linspace(0.0, horizon, time_points, endpoint=False)
+    times = np.linspace(0.0, horizon, _TIME_POINTS, endpoint=False)
     origin = np.zeros(spec.dim)
     for t in times:
         f0 = np.asarray(spec.rhs(origin, float(t)), dtype=float)
@@ -332,9 +334,8 @@ def validate_spec(
             if v0 != 0.0:
                 problems.append(f"V(0, {t:g}) = {v0!r} is not zero")
                 break
-        lo, hi = radius_decades
-        for decade in range(lo, hi):
-            radii = 10.0 ** rng.uniform(decade, decade + 1, points_per_decade)
+        for decade in range(*_RADIUS_DECADES):
+            radii = 10.0 ** rng.uniform(decade, decade + 1, _POINTS_PER_DECADE)
             for r in radii:
                 direction = rng.standard_normal(spec.dim)
                 norm = np.linalg.norm(direction)

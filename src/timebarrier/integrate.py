@@ -40,8 +40,8 @@ exactly the steps of a plain run. A finished lane's step record goes back
 through simulate(), which skips its loop and runs the one record builder.
 
 The record of a run is a set of arrays computed once, after the loop: the
-output times, the states, and V, W and vdot at each time (through the spec's
-array forms where it has them). The certificate, the closed-form oracle and
+output times, the states, and V, W and vdot at each time (in one block call
+where the spec's V or vdot is a built-in block form). The certificate, the closed-form oracle and
 the CSV writer all read these arrays.
 
 Each simulate() call owns its mutable state; the arrays of a returned
@@ -558,10 +558,10 @@ def _record(spec, x0, p, policy, t_end, steps: _Steps) -> Trajectory:
     traj.states = states
     traj.terminal_norm = _maxnorm(states[-1])
     if spec.v is not None:
-        traj.v_values = _evaluate(spec, "v", states, sample_times)
+        traj.v_values = _evaluate(spec.v, states, sample_times)
         traj.w_values = w_transform_array(traj.v_values, sample_times, p)
         if spec.vdot is not None:
-            traj.vdot_values = _evaluate(spec, "vdot", states, sample_times)
+            traj.vdot_values = _evaluate(spec.vdot, states, sample_times)
     for values in (traj.times, traj.states, traj.v_values, traj.w_values, traj.vdot_values):
         values.flags.writeable = False
     return traj
@@ -599,90 +599,94 @@ def _step_lanes(starts, rhs, policy, width):
     its own t, step size, error history, counts, clamp, budget, stall checks
     and convergence event. Yields (key, steps) as each lane finishes, with
     steps None when the run raised or stalled; re-running it through
-    simulate() raises the same error. A finished lane's record is dropped
-    once the consumer resumes.
+    simulate() raises the same error. The starts and the consumer run
+    under the caller's ``np.errstate``, which the stepping alone overrides.
     """
     atol, rtol, eps_conv = policy.abs_tol, policy.rel_tol, policy.eps_conv
     starts = iter(starts)
     keys: list = []
     records: list = []  # per lane: one _ROW_BYTES row per accepted step
     lanes = None
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while True:
-            fresh = list(islice(starts, width - len(keys)))
-            if fresh:
-                keys += [key for key, _ in fresh]
-                records += [bytearray() for _ in fresh]
-                block = np.array([column for _, column in fresh], dtype=float).T
-                lanes = block if lanes is None else np.concatenate([lanes, block], axis=1)
-            if not keys:
-                return
-            t, x, f, h_prop, err_prev, acc_count, rejected, tc, t_end, guard = lanes[:_LAW]
-            law = lanes[_LAW:]
+    while True:
+        fresh = list(islice(starts, width - len(keys)))
+        if fresh:
+            keys += [key for key, _ in fresh]
+            records += [bytearray() for _ in fresh]
+            block = np.array([column for _, column in fresh], dtype=float).T
+            lanes = block if lanes is None else np.concatenate([lanes, block], axis=1)
+        if not keys:
+            return
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            while True:
+                t, x, f, h_prop, err_prev, acc_count, rejected, tc, t_end, guard = lanes[:_LAW]
+                law = lanes[_LAW:]
 
-            remaining = t_end - t
-            done = remaining <= guard
-            h = np.minimum(np.minimum(h_prop, _KAPPA * (tc - t)), remaining)
-            t_new = np.where(h >= remaining, t_end, t + h)
-            h_eff = t_new - t
-            failed = ~done & (
-                (acc_count + rejected >= _MAX_STEPS) | (h_eff <= 4.0 * np.spacing(t))
-            )
-            x_new, f_new, k, err = _trial(
-                lambda xs, ts: rhs(xs, ts, *law), np.maximum, atol, rtol,
-                t, x, f, h_eff, t_new,
-            )
-            stages = np.array(k)
-            failed |= ~done & ~np.isfinite(stages).all(axis=0)
-            live = ~(done | failed)
-            acc = live & (err <= 1.0)
-            rej = live & ~acc
-
-            # record the accepted steps before their lanes move on
-            taken = np.flatnonzero(acc).tolist()
-            rows = np.vstack([t[acc], h_eff[acc], x[acc], stages[:, acc]]).T.tobytes()
-            for j, i in enumerate(taken):
-                records[i] += rows[_ROW_BYTES * j : _ROW_BYTES * (j + 1)]
-
-            e = err[acc]
-            factor = np.full(e.size, _MAX_FACTOR)
-            moved = e != 0.0
-            factor[moved] = (
-                _SAFETY * _map_floats(pow, e[moved], -0.14)
-                * _map_floats(pow, err_prev[acc][moved], 0.08)
-            )
-            factor = np.minimum(_MAX_FACTOR, np.maximum(_MIN_FACTOR, factor))
-            converged = acc & (np.abs(x_new) <= eps_conv)
-            lanes[_ERR, acc] = np.maximum(e, 1e-12)
-            lanes[_H, acc] = h_eff[acc] * factor
-            lanes[_T, acc] = t_new[acc]
-            lanes[_X, acc] = x_new[acc]
-            lanes[_F, acc] = f_new[acc]
-            lanes[_ACC, acc] += 1.0
-
-            h_rej = h_eff[rej] * np.maximum(
-                _MIN_FACTOR, _SAFETY * _map_floats(pow, err[rej], -0.2)
-            )
-            lanes[_H, rej] = h_rej
-            lanes[_REJ, rej] += 1.0
-            failed[rej] = h_rej <= 4.0 * np.spacing(np.maximum(t[rej], 0.01 * t_end[rej]))
-
-            finished = done | converged | failed
-            if not finished.any():
-                continue
-            for i in np.flatnonzero(finished).tolist():
-                if failed[i]:
-                    yield keys[i], None
-                    continue
-                a = np.frombuffer(records[i], dtype=float).reshape(-1, 10)
-                yield keys[i], _Steps(
-                    a[:, 0], a[:, 1], a[:, 2], a[:, 3:], int(lanes[_REJ, i]),
-                    bool(converged[i]), lanes[_X, i].item(),
+                remaining = t_end - t
+                done = remaining <= guard
+                h = np.minimum(np.minimum(h_prop, _KAPPA * (tc - t)), remaining)
+                t_new = np.where(h >= remaining, t_end, t + h)
+                h_eff = t_new - t
+                failed = ~done & (
+                    (acc_count + rejected >= _MAX_STEPS) | (h_eff <= 4.0 * np.spacing(t))
                 )
-            kept = (~finished).tolist()
-            keys = [key for key, keep in zip(keys, kept) if keep]
-            records = [rec for rec, keep in zip(records, kept) if keep]
-            lanes = lanes[:, ~finished]
+                x_new, f_new, k, err = _trial(
+                    lambda xs, ts: rhs(xs, ts, *law), np.maximum, atol, rtol,
+                    t, x, f, h_eff, t_new,
+                )
+                stages = np.array(k)
+                failed |= ~done & ~np.isfinite(stages).all(axis=0)
+                live = ~(done | failed)
+                acc = live & (err <= 1.0)
+                rej = live & ~acc
+
+                # record the accepted steps before their lanes move on
+                taken = np.flatnonzero(acc).tolist()
+                rows = np.vstack([t[acc], h_eff[acc], x[acc], stages[:, acc]]).T.tobytes()
+                for j, i in enumerate(taken):
+                    records[i] += rows[_ROW_BYTES * j : _ROW_BYTES * (j + 1)]
+
+                e = err[acc]
+                factor = np.full(e.size, _MAX_FACTOR)
+                moved = e != 0.0
+                factor[moved] = (
+                    _SAFETY * _map_floats(pow, e[moved], -0.14)
+                    * _map_floats(pow, err_prev[acc][moved], 0.08)
+                )
+                factor = np.minimum(_MAX_FACTOR, np.maximum(_MIN_FACTOR, factor))
+                converged = acc & (np.abs(x_new) <= eps_conv)
+                lanes[_ERR, acc] = np.maximum(e, 1e-12)
+                lanes[_H, acc] = h_eff[acc] * factor
+                lanes[_T, acc] = t_new[acc]
+                lanes[_X, acc] = x_new[acc]
+                lanes[_F, acc] = f_new[acc]
+                lanes[_ACC, acc] += 1.0
+
+                h_rej = h_eff[rej] * np.maximum(
+                    _MIN_FACTOR, _SAFETY * _map_floats(pow, err[rej], -0.2)
+                )
+                lanes[_H, rej] = h_rej
+                lanes[_REJ, rej] += 1.0
+                floor = 4.0 * np.spacing(np.maximum(t[rej], 0.01 * t_end[rej]))
+                failed[rej] = h_rej <= floor
+
+                finished = done | converged | failed
+                if finished.any():
+                    break
+        out = []
+        for i in np.flatnonzero(finished).tolist():
+            if failed[i]:
+                out.append((keys[i], None))
+                continue
+            a = np.frombuffer(records[i], dtype=float).reshape(-1, 10)
+            out.append((keys[i], _Steps(
+                a[:, 0], a[:, 1], a[:, 2], a[:, 3:], int(lanes[_REJ, i]),
+                bool(converged[i]), lanes[_X, i].item(),
+            )))
+        kept = (~finished).tolist()
+        keys = [key for key, keep in zip(keys, kept) if keep]
+        records = [rec for rec, keep in zip(records, kept) if keep]
+        lanes = lanes[:, ~finished]
+        yield from out
 
 
 def _eval_trajectory(traj: Trajectory, times: np.ndarray, x_start: np.ndarray) -> np.ndarray:

@@ -25,10 +25,10 @@ from typing import Optional
 
 import numpy as np
 
-from .analytic import exact_solution_scalar_array, settling_bound
+from .analytic import exact_solution_scalar_array
 from .certify import check_dissipation
 from .core import BarrierParams, NumericPolicy, TimeBarrierError, validate_params
-from .integrate import _lane_start, _step_lanes, simulate
+from .integrate import _lane_start, _step_lanes, settling_report, simulate
 from .systems import (
     _check_law_params,
     _scalar_law_lanes,
@@ -165,18 +165,18 @@ def _compute_row(index, p, x0, policy, spec, steps=None) -> tuple[SweepRow, int]
             step_count=None, error=f"{type(exc).__name__}: {exc}",
         ), 0
 
-    sb = settling_bound(p, abs(x0))
-    converged_at = traj.converged_at
+    report = settling_report(traj, p)
+    converged_at = report.converged_at
     exact = exact_solution_scalar_array(p, x0, traj.times)
     oracle_error = float(np.max(np.abs(traj.states[:, 0] - exact)))
     return SweepRow(
         **base,
         converged_at=converged_at,
-        tau_bound=sb.tau_bound,
-        reaches_zero=sb.reaches_zero,
-        deadline_pass=converged_at is not None and converged_at <= traj.t_end,
+        tau_bound=report.tau_bound,
+        reaches_zero=report.reaches_zero,
+        deadline_pass=report.deadline_pass,
         certificate_pass=check_dissipation(traj, p, policy).passed,
-        bound_gap=None if converged_at is None else abs(converged_at - sb.tau_bound),
+        bound_gap=None if converged_at is None else abs(converged_at - report.tau_bound),
         oracle_error=oracle_error,
         oracle_pass=oracle_error <= _oracle_tolerance(x0, policy),
         terminal_norm=traj.terminal_norm,

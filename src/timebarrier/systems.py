@@ -2,10 +2,11 @@
 extension, and the autonomous power-law comparator.
 
 Constructors are pure and the returned evaluators are stateless, so one spec
-can drive any number of runs. Every built-in spec carries array forms of V
-and dV/dt, and the scalar law has a lane form of its rhs for stepping many
-runs in lockstep; each gives the bits of the one-state function, with ``**``
-on Python floats.
+can drive any number of runs. Every built-in law writes V and dV/dt once, as
+a block form over many states (a one-state call evaluates a block of one
+row), and the scalar law has a lane form of its rhs for stepping many runs
+in lockstep, which gives the bits of the one-state rhs; every ``**`` is on
+Python floats.
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import BarrierParams, DomainError, DynamicsSpec, NumericPolicy, _map_floats
+from .core import (
+    BarrierParams,
+    DomainError,
+    DynamicsSpec,
+    NumericPolicy,
+    _Blockwise,
+    _map_floats,
+)
 
 __all__ = [
     "AutonomousLaw",
@@ -62,7 +70,7 @@ def _check_law_params(p: BarrierParams) -> None:
 
 
 def _max_abs(states: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Array form of the built-in V = max_i |x_i|, one value per row."""
+    """The built-in V = max_i |x_i|, one value per row."""
     return np.abs(states).max(axis=1)
 
 
@@ -130,9 +138,6 @@ def make_time_barrier_componentwise(
                 sgn = float((xi > 0.0) - (xi < 0.0))
             return np.array([-beta * xi / (tc - t) - q * ax**alpha * sgn + bias])
 
-        def v(x: np.ndarray, t: float) -> float:
-            return abs(float(x[0]))
-
     else:
         def rhs(x: np.ndarray, t: float) -> np.ndarray:
             if not 0.0 <= t < tc:
@@ -144,31 +149,11 @@ def make_time_barrier_componentwise(
                 sgn = np.sign(x)
             return -beta * x / (tc - t) - q * ax**alpha * sgn + bias
 
-        def v(x: np.ndarray, t: float) -> float:
-            return float(np.max(np.abs(x)))
-
-    def vdot(x: np.ndarray, t: float) -> float:
-        if not 0.0 <= t < tc:
+    def vdot(states: np.ndarray, times: np.ndarray) -> np.ndarray:
+        outside = ~((0.0 <= times) & (times < tc))
+        if outside.any():
+            t = times[outside][0].item()
             raise DomainError(f"domain exceeded: t={t!r} not in [0, tc={tc!r})")
-        av = v(x, t)
-        if av == 0.0:
-            return 0.0
-        decay = q * av**alpha
-        if sign_eps > 0.0 and av < sign_eps:
-            decay *= av / sign_eps
-        value = -beta * av / (tc - t) - decay
-        if bias:
-            # derivative of the max coordinate; for the biased scalar demo
-            # this is sgn(x)*rhs(x, t)
-            i = int(np.argmax(np.abs(x)))
-            s = 1.0 if x[i] > 0 else -1.0
-            value += bias * s
-        return value
-
-    def vdot_array(states: np.ndarray, times: np.ndarray) -> np.ndarray:
-        if not np.all((0.0 <= times) & (times < tc)):
-            # the one-state function raises the DomainError
-            return np.array([vdot(x, t) for x, t in zip(states, times.tolist())], dtype=float)
         av = _max_abs(states, times)
         decay = q * _map_floats(pow, av, alpha)
         if sign_eps > 0.0:
@@ -176,6 +161,8 @@ def make_time_barrier_componentwise(
             decay[inside] *= av[inside] / sign_eps
         value = -beta * av / (tc - times) - decay
         if bias:
+            # derivative of the max coordinate; for the biased scalar demo
+            # this is sgn(x)*rhs(x, t)
             top = states[np.arange(len(states)), np.argmax(np.abs(states), axis=1)]
             value += bias * np.where(top > 0, 1.0, -1.0)
         value[av == 0.0] = 0.0
@@ -188,8 +175,7 @@ def make_time_barrier_componentwise(
         f"(tc={tc:g}, beta={beta:g}, q={q:g}, alpha={alpha:g})"
     )
     return DynamicsSpec(
-        dim=dim, rhs=rhs, label=label, v=v, vdot=vdot, tc=tc,
-        v_array=_max_abs, vdot_array=vdot_array,
+        dim=dim, rhs=rhs, label=label, v=_Blockwise(_max_abs), vdot=_Blockwise(vdot), tc=tc
     )
 
 
@@ -246,21 +232,13 @@ def make_autonomous_power_law(q: float, alpha: float):
     def rhs(x: np.ndarray, t: float) -> np.ndarray:
         return -q * np.abs(x) ** alpha * np.sign(x)
 
-    def v(x: np.ndarray, t: float) -> float:
-        return float(np.max(np.abs(x)))
-
-    def vdot(x: np.ndarray, t: float) -> float:
-        av = float(np.max(np.abs(x)))
-        return 0.0 if av == 0.0 else -q * av**alpha
-
-    def vdot_array(states: np.ndarray, times: np.ndarray) -> np.ndarray:
+    def vdot(states: np.ndarray, times: np.ndarray) -> np.ndarray:
         av = _max_abs(states, times)
         value = -q * _map_floats(pow, av, alpha)
         value[av == 0.0] = 0.0
         return value
 
     spec = DynamicsSpec(
-        dim=1, rhs=rhs, label=law.label, v=v, vdot=vdot, tc=None,
-        v_array=_max_abs, vdot_array=vdot_array,
+        dim=1, rhs=rhs, label=law.label, v=_Blockwise(_max_abs), vdot=_Blockwise(vdot), tc=None
     )
     return law, spec

@@ -1,14 +1,21 @@
-"""Array forms of V, dV/dt, W and the closed-form oracle against their
-one-point functions, bit for bit."""
+"""Block forms of V and dV/dt against a plain-Python reference, and array
+forms of W and the closed-form oracle against their one-point functions, bit
+for bit."""
+
+import functools
 
 import numpy as np
 import pytest
 
 from timebarrier import (
     BarrierParams,
+    DomainError,
+    DynamicsSpec,
     NumericPolicy,
+    check_dissipation,
     exact_solution_scalar,
     exact_solution_scalar_array,
+    simulate,
     w_transform,
     w_transform_array,
 )
@@ -42,38 +49,126 @@ def sample_states(dim, n=400, seed=0):
     return x
 
 
-SPECS = {
-    "scalar": make_time_barrier_scalar(P),
-    "scalar_sign_eps": make_time_barrier_scalar(
-        BarrierParams(0.5, 3.0, 2.0, 0.4), NumericPolicy(sign_eps=1e-3)
+def reference_pair(p, dim=1, sign_eps=0.0, bias=0.0):
+    """Plain-Python V and dV/dt of the componentwise law, one state at a
+    time: an independent reference for its block forms."""
+    tc, beta, q, alpha = p.tc, p.beta, p.q, p.alpha
+
+    def v(x, t):
+        return abs(float(x[0])) if dim == 1 else float(np.max(np.abs(x)))
+
+    def vdot(x, t):
+        if not 0.0 <= t < tc:
+            raise DomainError(f"domain exceeded: t={t!r} not in [0, tc={tc!r})")
+        av = v(x, t)
+        if av == 0.0:
+            return 0.0
+        decay = q * av**alpha
+        if sign_eps > 0.0 and av < sign_eps:
+            decay *= av / sign_eps
+        value = -beta * av / (tc - t) - decay
+        if bias:
+            i = int(np.argmax(np.abs(x)))
+            value += bias * (1.0 if x[i] > 0 else -1.0)
+        return value
+
+    return v, vdot
+
+
+def reference_power_law(q, alpha):
+    def v(x, t):
+        return float(np.max(np.abs(x)))
+
+    def vdot(x, t):
+        av = float(np.max(np.abs(x)))
+        return 0.0 if av == 0.0 else -q * av**alpha
+
+    return v, vdot
+
+
+P_EPS = BarrierParams(0.5, 3.0, 2.0, 0.4)
+P_2 = BarrierParams(2.0, 4.0, 0.5, 0.2)
+SPECS = {  # name: (spec, reference (v, vdot))
+    "scalar": (make_time_barrier_scalar(P), reference_pair(P)),
+    "scalar_sign_eps": (
+        make_time_barrier_scalar(P_EPS, NumericPolicy(sign_eps=1e-3)),
+        reference_pair(P_EPS, sign_eps=1e-3),
     ),
-    "scalar_bias": make_time_barrier_scalar(P, bias=0.5),
-    "componentwise_2": make_time_barrier_componentwise(BarrierParams(2.0, 4.0, 0.5, 0.2), 2),
-    "componentwise_3_bias": make_time_barrier_componentwise(P, 3, _bias=-0.25),
-    "power_law": make_autonomous_power_law(1.5, 0.3)[1],
+    "scalar_bias": (make_time_barrier_scalar(P, bias=0.5), reference_pair(P, bias=0.5)),
+    "componentwise_2": (make_time_barrier_componentwise(P_2, 2), reference_pair(P_2, 2)),
+    "componentwise_3_bias": (
+        make_time_barrier_componentwise(P, 3, _bias=-0.25),
+        reference_pair(P, 3, bias=-0.25),
+    ),
+    "power_law": (make_autonomous_power_law(1.5, 0.3)[1], reference_power_law(1.5, 0.3)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_v_and_vdot_arrays_match_one_state_functions(name):
-    spec = SPECS[name]
+    spec, reference = SPECS[name]
     states = sample_states(spec.dim)
     horizon = spec.tc if spec.tc is not None else 5.0
     times = np.linspace(0.0, horizon, states.shape[0], endpoint=False)
     times[1] = 0.0
-    for which in ("v", "vdot"):
-        one = getattr(spec, which)
+    for which, one in zip(("v", "vdot"), reference):
         want = [one(x, t) for x, t in zip(states, times.tolist())]
-        assert same_bits(getattr(spec, which + "_array")(states, times), want), which
+        fn = getattr(spec, which)
+        assert same_bits(fn.block(states, times), want), which
+        # a one-state call is a block of one row
+        assert same_bits([fn(x, t) for x, t in zip(states, times.tolist())], want), which
 
 
 def test_vdot_array_raises_the_domain_error():
-    spec = SPECS["scalar"]
+    spec, (_, vdot) = SPECS["scalar"]
     states = sample_states(1, n=4)
     times = np.array([0.0, 0.5, 1.0, 0.2])  # t = tc is outside [0, tc)
-    want = raised(lambda: [spec.vdot(x, t) for x, t in zip(states, times.tolist())])
+    want = raised(lambda: [vdot(x, t) for x, t in zip(states, times.tolist())])
     assert want is not None
-    assert raised(spec.vdot_array, states, times) == want
+    assert raised(spec.vdot.block, states, times) == want
+    assert raised(spec.vdot, states[2], 1.0) == want
+
+
+def counted_blocks(monkeypatch, fn):
+    """Count the calls of the block form of ``fn``, a built-in V or dV/dt."""
+    calls = []
+    block = fn.block
+
+    def counting(states, times):
+        calls.append(len(times))
+        return block(states, times)
+
+    monkeypatch.setattr(fn, "block", counting)
+    return calls
+
+
+def test_user_spec_reusing_law_v_gets_the_block_form(monkeypatch):
+    policy = NumericPolicy()
+    law = make_time_barrier_componentwise(P, 2, policy)
+    spec = DynamicsSpec(dim=2, rhs=law.rhs, label="user", v=law.v, vdot=None, tc=law.tc)
+    calls = counted_blocks(monkeypatch, law.v)
+    traj = simulate(spec, np.array([1.0, -0.1]), P, policy)
+    assert calls == [traj.times.size]  # one block call for the record
+    check_dissipation(traj, P, policy)
+    assert len(calls) == 2  # and one for the finite-difference stencil
+    assert same_bits(traj.v_values, simulate(law, np.array([1.0, -0.1]), P, policy).v_values)
+
+
+def test_wraps_wrapper_of_law_v_is_called_per_state(monkeypatch):
+    policy = NumericPolicy()
+    law = make_time_barrier_componentwise(P, 2, policy)
+    blocks = counted_blocks(monkeypatch, law.v)
+    states = []
+
+    @functools.wraps(law.v)
+    def traced(x, t):
+        states.append(t)
+        return law.v(x, t)
+
+    spec = DynamicsSpec(dim=2, rhs=law.rhs, v=traced, tc=law.tc)
+    traj = simulate(spec, np.array([1.0, -0.1]), P, policy)
+    assert len(states) == traj.times.size
+    assert blocks == [1] * traj.times.size  # each state is a block of one row
 
 
 @pytest.mark.parametrize("beta", [2.0, 4.0, 30.0, 35.0, 80.0])

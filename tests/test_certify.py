@@ -1,6 +1,8 @@
 """Dissipation certificates, finite-difference fallback, and the time-dependence witness."""
 
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,3 +186,29 @@ def test_w_monotonicity_flag_detects_increase(default_params, default_policy):
     report = check_dissipation(traj, default_params, default_policy)
     assert not report.w_monotone
     assert report.worst_w_increase > 0.0
+
+
+def test_w_past_the_float_range_is_compared_in_log_space(default_policy):
+    # W = x0 / tc**30 = 1e360 at every sample of the pure-barrier flow
+    p = BarrierParams(0.01, 30.0, 0.0, 0.5)
+    traj = simulate(make_time_barrier_scalar(p, default_policy), 1e300, p, default_policy)
+    assert np.all(np.isinf(traj.w_values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_dissipation(traj, p, default_policy)
+    assert report.w_monotone
+
+
+def test_rising_w_past_the_float_range_is_flagged(default_policy):
+    # V grows while (tc - t)**beta shrinks, with W = V / tc**80 >= 1e360 throughout
+    p = BarrierParams(0.01, 80.0, 1.0, 0.5)
+    spec = DynamicsSpec(
+        dim=1, rhs=lambda x, t: x.copy(), v=lambda x, t: abs(float(x[0])), tc=p.tc
+    )
+    traj = simulate(spec, 1e200, p, default_policy)
+    assert np.all(np.isinf(traj.w_values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_dissipation(traj, p, default_policy)
+    assert not report.w_monotone
+    assert report.worst_w_increase == math.inf

@@ -181,7 +181,7 @@ def test_summary_step_totals(default_policy, decades):
     assert accepted == sum(row.step_count or 0 for row in result.rows)
 
 
-def test_replaced_v_is_evaluated(default_params, default_policy):
+def test_replaced_v_is_evaluated(default_params, default_policy, monkeypatch):
     spec = make_time_barrier_scalar(default_params, default_policy)
     calls = []
 
@@ -197,12 +197,36 @@ def test_replaced_v_is_evaluated(default_params, default_policy):
     assert np.array_equal(traj.v_values, 2.0 * np.abs(traj.states[:, 0]))
     traj = simulate(dataclasses.replace(spec, vdot=no_decay), 1.0, default_params, default_policy)
     assert np.all(traj.vdot_values == 0.0)
-    # a label change keeps the array forms, which give the same bits
+    # a label change keeps the block forms: one call each, the same bits
     relabeled = dataclasses.replace(spec, label="relabeled")
-    assert relabeled._arrays_of == (spec.v, spec.vdot)
+    blocks = []
+    for fn in (spec.v, spec.vdot):
+        block = fn.block
+        monkeypatch.setattr(fn, "block", lambda s, t, block=block: blocks.append(t) or block(s, t))
     base = simulate(spec, 1.0, default_params, default_policy)
     again = simulate(relabeled, 1.0, default_params, default_policy)
+    assert [t.size for t in blocks] == [base.times.size] * 2 + [again.times.size] * 2
+    assert again.v_values.tobytes() == base.v_values.tobytes()
     assert again.vdot_values.tobytes() == base.vdot_values.tobytes()
+
+
+def test_lane_pool_leaves_the_callers_errstate_alone(default_params, default_policy):
+    # the starts and the consumer run under the caller's floating-point
+    # error state, while the pool steps with overflow and invalid ignored
+    p = default_params
+    seen = []
+
+    def starts():
+        for x0 in (1.0, -2.0, 3.0):
+            seen.append(np.geterr())
+            spec = make_time_barrier_scalar(p, default_policy)
+            yield x0, _lane_start(spec, x0, p, default_policy, (p.tc, p.beta, p.q, p.alpha))
+
+    with np.errstate(all="warn"):
+        caller = np.geterr()
+        for _ in _step_lanes(starts(), _scalar_law_lanes(default_policy), default_policy, 2):
+            seen.append(np.geterr())
+    assert seen == [caller] * 6
 
 
 @pytest.mark.parametrize("jump", [1.0, 1e3, 1e10])
