@@ -15,6 +15,7 @@ import dataclasses
 import io
 import json
 import sys
+from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
@@ -68,11 +69,28 @@ def render_trajectory_csv(traj: Trajectory) -> str:
 
 
 def parse_trajectory_csv(text: str):
-    """Inverse of :func:`render_trajectory_csv`; returns (header, rows array)."""
+    """Inverse of :func:`render_trajectory_csv`; returns (header, rows array).
+
+    Every cell goes through Python's ``float``, so the round trip is exact. A
+    row whose cell count differs from the header's raises ``ValueError``
+    naming its line.
+    """
     lines = [ln for ln in text.splitlines() if ln]
     header = lines[0].split(",")
-    rows = np.array([[float(cell) for cell in ln.split(",")] for ln in lines[1:]])
-    return header, rows
+    width = len(header)
+    body = lines[1:]
+    if set(map(str.count, body, repeat(","))) - {width - 1}:
+        number, line = next(
+            (n, ln) for n, ln in enumerate(text.splitlines(), 1)
+            if ln and ln.count(",") + 1 != width
+        )
+        raise ValueError(
+            f"line {number} has {line.count(',') + 1} cells, the header {width}: {line!r}"
+        )
+    # one flat pass, each row's cells split only while they are read
+    cells = chain.from_iterable(ln.split(",") for ln in body)
+    rows = np.fromiter(map(float, cells), dtype=float, count=len(body) * width)
+    return header, rows.reshape(len(body), width)
 
 
 def render_sweep_csv(result: SweepResult) -> str:

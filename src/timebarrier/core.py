@@ -252,6 +252,13 @@ class DynamicsSpec:
     set ``decoupled = False`` on itself, or the hold zeroes coordinates whose
     derivative is not zero.
 
+    The built-in scalar law's ``rhs`` is a plain-float kernel wrapped in
+    :class:`_Pointwise`: called as above it takes and returns one-element
+    arrays, and the integrator's one-dimensional stepper calls the kernel
+    itself, on floats. A wrapper of it (a ``lambda`` or a ``functools.wraps``
+    function) is an ordinary rhs: it is called on every stage, and each call
+    builds a one-element array for the state and one for the derivative.
+
     ``v`` and ``vdot`` are the optional Lyapunov value and its derivative along
     trajectories, each called as ``v(x, t)`` on one state; ``vdot`` may be
     absent even when ``v`` is present (the certificate checker then falls
@@ -293,6 +300,24 @@ class _Blockwise:
         return self.block(states, np.array([t], dtype=float)).item()
 
 
+class _Pointwise:
+    """A one-dimensional rhs written once, as a plain-float kernel:
+    ``kernel(x, t)`` maps the state's one coordinate and the time to its
+    derivative. Called as an rhs, on a one-element array, it returns the
+    one-element array. The stepper of a one-dimensional run calls the kernel
+    itself; a wrapper of it (say, one made with ``functools.wraps``) is
+    called as an rhs on every stage.
+    """
+
+    __slots__ = ("kernel",)
+
+    def __init__(self, kernel: Callable[[float, float], float]):
+        self.kernel = kernel
+
+    def __call__(self, x, t) -> np.ndarray:
+        return np.array([self.kernel(float(x[0]), t)])
+
+
 def _evaluate(fn, states: np.ndarray, times: np.ndarray) -> np.ndarray:
     """``fn`` (a spec's ``v`` or ``vdot``) at each row of ``states`` and each
     time: one call of its block form, or one call per row for any other
@@ -328,25 +353,34 @@ def validate_spec(spec: DynamicsSpec, horizon: float) -> list[str]:
         if not np.all(f0 == 0.0):
             problems.append(f"rhs(0, {t:g}) = {f0!r} is not the zero vector")
             break
-    if spec.v is not None:
-        for t in times:
-            v0 = spec.v(origin, float(t))
-            if v0 != 0.0:
-                problems.append(f"V(0, {t:g}) = {v0!r} is not zero")
-                break
-        for decade in range(*_RADIUS_DECADES):
-            radii = 10.0 ** rng.uniform(decade, decade + 1, _POINTS_PER_DECADE)
-            for r in radii:
-                direction = rng.standard_normal(spec.dim)
-                norm = np.linalg.norm(direction)
-                if norm == 0.0:
-                    continue
-                x = r * direction / norm
-                t = float(rng.choice(times))
-                value = spec.v(x, t)
-                if not value > 0.0:
-                    problems.append(
-                        f"V(x, {t:g}) = {value!r} not positive at |x|={r:g}"
-                    )
-                    return problems
+    if spec.v is None:
+        return problems
+    # V at the origin at each time, then at the random states
+    n0 = times.size
+    states = [origin] * n0
+    at = times.tolist()
+    radii = []
+    for decade in range(*_RADIUS_DECADES):
+        for r in 10.0 ** rng.uniform(decade, decade + 1, _POINTS_PER_DECADE):
+            direction = rng.standard_normal(spec.dim)
+            norm = np.linalg.norm(direction)
+            if norm == 0.0:
+                continue
+            states.append(r * direction / norm)
+            at.append(float(rng.choice(times)))
+            radii.append(r)
+    if isinstance(spec.v, _Blockwise):
+        values = spec.v.block(np.array(states), np.array(at)).tolist()
+        at_origin, elsewhere = values[:n0], values[n0:]
+    else:  # one call per state, up to the first problem of each kind
+        at_origin = map(spec.v, states[:n0], at[:n0])
+        elsewhere = map(spec.v, states[n0:], at[n0:])
+    for t, value in zip(times, at_origin):
+        if value != 0.0:
+            problems.append(f"V(0, {t:g}) = {value!r} is not zero")
+            break
+    for r, t, value in zip(radii, at[n0:], elsewhere):
+        if not value > 0.0:
+            problems.append(f"V(x, {t:g}) = {value!r} not positive at |x|={r:g}")
+            break
     return problems

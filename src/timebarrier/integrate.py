@@ -21,14 +21,17 @@ deadline-aware:
   otherwise flip around zero (chattering) and shrink every step until the
   last coordinate settles.
 
-The trial step of a one-dimensional spec runs on Python floats, with numpy
-arrays only at the ``spec.rhs`` boundary; higher dimensions step on numpy
-arrays. Both share the controller, the clamp, the step budget, the stall
-checks, event refinement and the segment record. Each accepted step keeps its
-seven stage derivatives, and the dense-output coefficients of all steps come
-from one contraction after the loop. Sampling gathers each time's segment and
-evaluates the quartic elementwise, so the value at a time does not depend on
-which other times share the call.
+The trial step of a one-dimensional spec runs on Python floats. The rhs of
+the built-in scalar law is a plain-float kernel (``core._Pointwise``), which
+the stepper calls itself, so such a run makes no numpy array per stage; any
+other rhs is called through its array contract, a one-element array in and
+out. Higher dimensions step on numpy arrays. All share the controller, the
+clamp, the step budget, the stall checks, event refinement and the segment
+record. Each accepted step keeps its seven stage derivatives, and the
+dense-output coefficients of all steps come from one contraction after the
+loop. Sampling gathers each time's segment and evaluates the quartic
+elementwise, so the value at a time does not depend on which other times
+share the call.
 
 A sweep steps many one-dimensional runs as lockstep lanes (``_step_lanes``):
 the float trial step's body is elementwise, so the same code runs on arrays
@@ -67,6 +70,7 @@ from .core import (
     StallError,
     _evaluate,
     _map_floats,
+    _Pointwise,
     w_transform_array,
 )
 
@@ -228,6 +232,15 @@ def _checked_rhs_float(spec: DynamicsSpec, x: float, t: float) -> float:
     f = _rhs_array(spec, xa, t).item()
     if not math.isfinite(f):
         raise _blow_up(t, xa)
+    return f
+
+
+def _checked_kernel(kernel, x: float, t: float) -> float:
+    """:func:`_checked_rhs_float` of a :class:`~timebarrier.core._Pointwise`
+    rhs, through its plain-float kernel: no array is made."""
+    f = kernel(x, t)
+    if not math.isfinite(f):
+        raise _blow_up(t, np.array([x]))
     return f
 
 
@@ -422,7 +435,12 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
         t = 0.0
         f0, h_prop = _start(spec, x0, tc, t_end, policy)
         if spec.dim == 1:
-            trial = partial(_trial, partial(_checked_rhs_float, spec), max, atol, rtol)
+            # a built-in scalar law's kernel, or any rhs through its array contract
+            if isinstance(spec.rhs, _Pointwise):
+                rhs = partial(_checked_kernel, spec.rhs.kernel)
+            else:
+                rhs = partial(_checked_rhs_float, spec)
+            trial = partial(_trial, rhs, max, atol, rtol)
             norm = abs
             x, f = x0.item(), f0.item()
         else:

@@ -4,9 +4,9 @@ extension, and the autonomous power-law comparator.
 Constructors are pure and the returned evaluators are stateless, so one spec
 can drive any number of runs. Every built-in law writes V and dV/dt once, as
 a block form over many states (a one-state call evaluates a block of one
-row), and the scalar law has a lane form of its rhs for stepping many runs
-in lockstep, which gives the bits of the one-state rhs; every ``**`` is on
-Python floats.
+row). The scalar law writes its rhs as a plain-float kernel and has a lane
+form of it for stepping many runs in lockstep, which gives the bits of the
+kernel; every ``**`` is on Python floats.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .core import (
     NumericPolicy,
     _Blockwise,
     _map_floats,
+    _Pointwise,
 )
 
 __all__ = [
@@ -111,11 +112,13 @@ def make_time_barrier_componentwise(
     unchanged (beta, q, alpha), so the scalar certificate applies per
     coordinate.
 
-    The returned ``rhs`` carries ``rhs.decoupled = True`` (see
+    For dim >= 2 the returned ``rhs`` carries ``rhs.decoupled = True`` (see
     :class:`timebarrier.core.DynamicsSpec`): the integrator holds each
     coordinate at zero from its own eps_conv crossing, so a coordinate that
     settles early costs no extra steps, also when ``rhs`` is reused in a
-    user's own ``DynamicsSpec``.
+    user's own ``DynamicsSpec``. For dim 1 the ``rhs`` is a plain-float
+    kernel wrapped in :class:`timebarrier.core._Pointwise`, which the
+    integrator steps on Python floats, also when it is reused.
     """
     _check_law_params(p)
     if dim < 1:
@@ -126,17 +129,18 @@ def make_time_barrier_componentwise(
     bias = _bias
 
     if dim == 1:
-        # scalar fast path: the integrator calls rhs thousands of times
-        def rhs(x: np.ndarray, t: float) -> np.ndarray:
+        # a plain-float kernel: the integrator calls it thousands of times
+        def kernel(x: float, t: float) -> float:
             if not 0.0 <= t < tc:
                 raise DomainError(f"domain exceeded: t={t!r} not in [0, tc={tc!r})")
-            xi = float(x[0])
-            ax = abs(xi)
+            ax = abs(x)
             if sign_eps > 0.0:
-                sgn = xi / max(ax, sign_eps)
+                sgn = x / max(ax, sign_eps)
             else:
-                sgn = float((xi > 0.0) - (xi < 0.0))
-            return np.array([-beta * xi / (tc - t) - q * ax**alpha * sgn + bias])
+                sgn = float((x > 0.0) - (x < 0.0))
+            return -beta * x / (tc - t) - q * ax**alpha * sgn + bias
+
+        rhs = _Pointwise(kernel)
 
     else:
         def rhs(x: np.ndarray, t: float) -> np.ndarray:
@@ -148,6 +152,9 @@ def make_time_barrier_componentwise(
             else:
                 sgn = np.sign(x)
             return -beta * x / (tc - t) - q * ax**alpha * sgn + bias
+
+        # a bias breaks rhs(0, t) = 0, which the hold needs
+        rhs.decoupled = not bias
 
     def vdot(states: np.ndarray, times: np.ndarray) -> np.ndarray:
         outside = ~((0.0 <= times) & (times < tc))
@@ -168,8 +175,6 @@ def make_time_barrier_componentwise(
         value[av == 0.0] = 0.0
         return value
 
-    # the bias of the scalar demo breaks rhs(0, t) = 0, which the hold needs
-    rhs.decoupled = not bias
     label = (
         f"time-barrier componentwise n={dim} "
         f"(tc={tc:g}, beta={beta:g}, q={q:g}, alpha={alpha:g})"

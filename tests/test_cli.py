@@ -81,6 +81,18 @@ def test_trajectory_csv_round_trip(tmp_path, capsys):
             assert _fmt(value) == cell or cell == "nan"
 
 
+def test_ragged_trajectory_csv_names_its_line():
+    # 3 + 5 cells: a bare reshape would silently make two wrong 4-cell rows
+    text = "t,x_1,V,W\n0.0,1.0,1.0,1.0\n\n0.5,0.25,0.25\n0.6,0.2,0.2,1.0,9.0\n"
+    with pytest.raises(ValueError, match="line 4 has 3 cells, the header 4"):
+        parse_trajectory_csv(text)
+    with pytest.raises(ValueError, match="line 5 has 5 cells, the header 4"):
+        parse_trajectory_csv(text.replace("0.5,0.25,0.25\n", "0.5,0.25,0.25,1.0\n"))
+    header, rows = parse_trajectory_csv(text.replace(",9.0", "").replace(",0.25\n", ",0.25,1.0\n"))
+    assert header == ["t", "x_1", "V", "W"]
+    assert rows.tolist() == [[0.0, 1.0, 1.0, 1.0], [0.5, 0.25, 0.25, 1.0], [0.6, 0.2, 0.2, 1.0]]
+
+
 def test_vector_initial_condition_csv(tmp_path, capsys):
     out_file = tmp_path / "traj.csv"
     code, out, _ = run_cli(

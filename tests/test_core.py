@@ -1,5 +1,6 @@
 """Parameter validation, the exponent condition, and shared policy checks."""
 
+import dataclasses
 import importlib
 import math
 
@@ -9,12 +10,14 @@ import pytest
 from timebarrier import (
     BarrierParams,
     DomainError,
+    DynamicsSpec,
     NumericPolicy,
     validate_params,
     validate_spec,
     w_transform,
 )
-from timebarrier.systems import make_time_barrier_scalar
+from timebarrier.core import _Blockwise
+from timebarrier.systems import make_time_barrier_componentwise, make_time_barrier_scalar
 
 
 def test_validate_params_boundary_admissible():
@@ -158,6 +161,58 @@ def test_validate_spec_flags_broken_equilibrium(default_params, default_policy):
     biased = make_time_barrier_scalar(default_params, default_policy, bias=0.1)
     problems = validate_spec(biased, default_params.tc)
     assert problems and "zero vector" in problems[0]
+
+
+def _zero_in_a_band(origin_value):
+    """A user V, one state per call: max|x_i|, but ``origin_value`` at the
+    origin and zero where max|x_i| lies in [0.5, 0.6)."""
+
+    def v(x, t):
+        r = float(np.max(np.abs(x)))
+        if r == 0.0:
+            return origin_value
+        return 0.0 if 0.5 <= r < 0.6 else r
+
+    return v
+
+
+@pytest.mark.parametrize(
+    "origin_value, expected, calls",
+    [
+        (0.0, ["V(x, 0.5) = 0.0 not positive at |x|=0.806651"], 340),
+        (
+            1e-3,
+            ["V(0, 0) = 0.001 is not zero", "V(x, 0.5) = 0.0 not positive at |x|=0.806651"],
+            1 + 324,
+        ),
+    ],
+    ids=["nonpositive-at-one-radius", "nonzero-at-origin-too"],
+)
+def test_validate_spec_reports_the_first_problem_of_each_kind(
+    origin_value, expected, calls, default_params, default_policy
+):
+    law = make_time_barrier_componentwise(default_params, 2, default_policy)
+    v = _zero_in_a_band(origin_value)
+    seen = []
+
+    def per_state(x, t):
+        seen.append(t)
+        return v(x, t)
+
+    spec = DynamicsSpec(dim=2, rhs=law.rhs, label="user V", v=per_state, tc=law.tc)
+    assert validate_spec(spec, default_params.tc) == expected
+    # each kind stops at its first problem: origin times, then states
+    assert len(seen) == calls
+    blocks = []
+
+    def block(states, times):
+        blocks.append(len(states))
+        return np.array([v(x, t) for x, t in zip(states, times.tolist())])
+
+    # the block form of the same V: one call on every sampled state, same report
+    as_block = dataclasses.replace(spec, v=_Blockwise(block))
+    assert validate_spec(as_block, default_params.tc) == expected
+    assert blocks == [16 + 9 * 64]
 
 
 @pytest.mark.parametrize(

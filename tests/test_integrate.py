@@ -18,6 +18,7 @@ from timebarrier import (
     settling_report,
     simulate,
 )
+from timebarrier.core import _Pointwise
 from timebarrier.systems import make_time_barrier_componentwise, make_time_barrier_scalar
 
 from conftest import random_admissible
@@ -153,6 +154,72 @@ def test_float_step_matches_array_step(p, default_policy):
         b = simulate(pair, [x0, x0], p, default_policy)
         assert (a.step_count, a.rejected_steps) == (b.step_count, b.rejected_steps)
         assert a.converged_at == pytest.approx(b.converged_at, rel=1e-12, abs=0.0)
+
+
+def _through_the_array_contract(spec):
+    """The same spec with its rhs behind a plain wrapper, so the stepper
+    calls it as an array function on every stage."""
+    return DynamicsSpec(
+        dim=1, rhs=lambda x, t: spec.rhs(x, t), label="wrapper", v=spec.v,
+        vdot=spec.vdot, tc=spec.tc,
+    )
+
+
+@pytest.mark.parametrize("sign_eps", [0.0, 1e-9], ids=["exact-sign", "regularized"])
+def test_scalar_kernel_steps_like_the_array_contract(sign_eps):
+    rng = np.random.default_rng(10)
+    policy = NumericPolicy(sign_eps=sign_eps)
+    cases = [(random_admissible(rng), 0.0) for _ in range(40)]
+    cases.append((BarrierParams(1.0, 2.0, 1.0, 0.5), 0.1))  # the bias demo
+    for p, bias in cases:
+        spec = make_time_barrier_scalar(p, policy, bias=bias)
+        assert isinstance(spec.rhs, _Pointwise)
+        x0 = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6, 6)
+        a = simulate(spec, x0, p, policy)
+        b = simulate(_through_the_array_contract(spec), x0, p, policy)
+        assert (a.step_count, a.rejected_steps) == (b.step_count, b.rejected_steps)
+        assert a.converged_at == b.converged_at
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.states.tobytes() == b.states.tobytes()
+        assert a._seg_coef.tobytes() == b._seg_coef.tobytes()
+
+
+def test_wraps_wrapper_of_the_kernel_is_called_on_every_stage(default_params, default_policy):
+    law = make_time_barrier_scalar(default_params, default_policy)
+    calls = []
+
+    @functools.wraps(law.rhs)
+    def counted(x, t):
+        calls.append(t)
+        return law.rhs(x, t)
+
+    spec = DynamicsSpec(dim=1, rhs=counted, label="counted", v=law.v, tc=law.tc)
+    traj = simulate(spec, 1.0, default_params, default_policy)
+    # two calls to start (the derivative at t = 0 and the initial step
+    # proposal), then six per trial step, accepted or rejected
+    assert len(calls) == 2 + 6 * (traj.step_count + traj.rejected_steps)
+    plain = simulate(law, 1.0, default_params, default_policy)
+    assert traj.states.tobytes() == plain.states.tobytes()
+
+
+def test_kernel_blow_up_matches_the_array_path(default_params, default_policy):
+    def kernel(x, t):
+        # finite for the start at t = 0 and its probe step, inf in a trial stage
+        return -x if t < 0.1 else float("inf")
+
+    pointwise = DynamicsSpec(dim=1, rhs=_Pointwise(kernel), label="kernel")
+    array = DynamicsSpec(
+        dim=1, rhs=lambda x, t: np.array([kernel(x[0].item(), t)]), label="array"
+    )
+    errors = []
+    for spec in (pointwise, array):
+        with pytest.raises(BlowUpError) as info:
+            simulate(spec, 1.0, default_params, default_policy)
+        errors.append(info.value)
+    a, b = errors
+    assert str(a) == str(b) and "non-finite derivative" in str(a)
+    assert a.t == b.t and a.t >= 0.1
+    assert a.x.tobytes() == b.x.tobytes() and a.x.shape == (1,)
 
 
 def test_w_monotone_along_flow(default_params, default_policy):
