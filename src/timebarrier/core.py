@@ -241,23 +241,24 @@ class DynamicsSpec:
     dynamics are only defined on [0, tc); None means unbounded.
 
     An ``rhs`` whose coordinates are decoupled, f_i depending only on (x_i, t),
-    may declare it with the function attribute ``rhs.decoupled = True``
-    (:func:`timebarrier.systems.make_time_barrier_componentwise` sets it).
-    The integrator then holds each coordinate at exactly zero from its own
-    eps_conv crossing instead of from the crossing of all of them. The
-    declaration travels with the callable, so a spec that reuses the rhs
-    keeps it. A plain wrapper function (a ``lambda``) does not, and steps
-    every coordinate to the common event; but ``functools.wraps`` copies the
-    attribute, so a wrapper made with it that couples the coordinates must
-    set ``decoupled = False`` on itself, or the hold zeroes coordinates whose
+    may declare it with the attribute ``rhs.decoupled = True``; every
+    built-in law's ``rhs`` is a :class:`_Pointwise`, which carries it (false
+    for a biased law). The integrator then holds each coordinate at exactly
+    zero from its own eps_conv crossing instead of from the crossing of all
+    of them. The declaration travels with the callable, so a spec that
+    reuses the rhs keeps it. A plain wrapper function (a ``lambda``) does
+    not, and steps every coordinate to the common event. ``functools.wraps``
+    copies the attribute, so a wrapper that only observes the rhs (as the
+    bench tracer does for every spec) keeps the hold and does the same work;
+    a wrapper made with it that couples the coordinates must set
+    ``decoupled = False`` on itself, or the hold zeroes coordinates whose
     derivative is not zero.
 
-    The built-in scalar law's ``rhs`` is a plain-float kernel wrapped in
-    :class:`_Pointwise`: called as above it takes and returns one-element
-    arrays, and the integrator's one-dimensional stepper calls the kernel
-    itself, on floats. A wrapper of it (a ``lambda`` or a ``functools.wraps``
-    function) is an ordinary rhs: it is called on every stage, and each call
-    builds a one-element array for the state and one for the derivative.
+    A :class:`_Pointwise` rhs of any dim is one plain-float kernel mapped
+    over the coordinates: called as above it takes and returns arrays, and
+    the integrator's one-dimensional stepper calls the kernel itself, on
+    floats. A wrapper of it (a ``lambda`` or a ``functools.wraps`` function)
+    is an ordinary rhs, called through the array contract on every stage.
 
     ``v`` and ``vdot`` are the optional Lyapunov value and its derivative along
     trajectories, each called as ``v(x, t)`` on one state; ``vdot`` may be
@@ -301,21 +302,26 @@ class _Blockwise:
 
 
 class _Pointwise:
-    """A one-dimensional rhs written once, as a plain-float kernel:
-    ``kernel(x, t)`` maps the state's one coordinate and the time to its
-    derivative. Called as an rhs, on a one-element array, it returns the
-    one-element array. The stepper of a one-dimensional run calls the kernel
-    itself; a wrapper of it (say, one made with ``functools.wraps``) is
-    called as an rhs on every stage.
+    """An rhs written once, as a plain-float kernel: ``kernel(x_i, t)`` maps
+    one coordinate and the time to its derivative. Called as an rhs, on an
+    array of any length, it maps the kernel over the coordinates and returns
+    the array of derivatives. The stepper of a one-dimensional run calls the
+    kernel itself; a wrapper of it (say, one made with ``functools.wraps``)
+    is called as an rhs on every stage.
+
+    ``decoupled`` is the declaration of :class:`DynamicsSpec`: true unless
+    the kernel is nonzero at x_i = 0. It lives in the instance ``__dict__``
+    (no ``__slots__``), so ``functools.wraps`` copies it to a wrapper, and a
+    wrapper that only observes the rhs keeps the per-coordinate hold.
     """
 
-    __slots__ = ("kernel",)
-
-    def __init__(self, kernel: Callable[[float, float], float]):
+    def __init__(self, kernel: Callable[[float, float], float], decoupled: bool = True):
         self.kernel = kernel
+        self.decoupled = decoupled
 
     def __call__(self, x, t) -> np.ndarray:
-        return np.array([self.kernel(float(x[0]), t)])
+        kernel = self.kernel
+        return np.array([kernel(xi, t) for xi in x.tolist()])
 
 
 def _evaluate(fn, states: np.ndarray, times: np.ndarray) -> np.ndarray:

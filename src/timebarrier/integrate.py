@@ -21,26 +21,30 @@ deadline-aware:
   otherwise flip around zero (chattering) and shrink every step until the
   last coordinate settles.
 
-The trial step of a one-dimensional spec runs on Python floats. The rhs of
-the built-in scalar law is a plain-float kernel (``core._Pointwise``), which
-the stepper calls itself, so such a run makes no numpy array per stage; any
-other rhs is called through its array contract, a one-element array in and
-out. Higher dimensions step on numpy arrays. All share the controller, the
-clamp, the step budget, the stall checks, event refinement and the segment
-record. Each accepted step keeps its seven stage derivatives, and the
-dense-output coefficients of all steps come from one contraction after the
-loop. Sampling gathers each time's segment and evaluates the quartic
+The DOPRI5(4) trial step has one body (``_trial``), and every operation in
+it is elementwise. A one-dimensional run calls it on Python floats. The rhs
+of a built-in law is a plain-float kernel (``core._Pointwise``), which the
+stepper of such a run calls itself, so it makes no numpy array per stage;
+any other rhs is called through its array contract, a one-element array in
+and out. A run of dim >= 2 calls the same body on arrays over its
+coordinates, and the rhs through its array contract (a ``_Pointwise`` maps
+its kernel over the coordinates); its error norm is the RMS of the
+coordinates' scaled errors. All share the controller, the clamp, the step
+budget, the stall checks, event refinement and the segment record. Each
+accepted step keeps its seven stage derivatives, and the dense-output
+coefficients of all steps come from one contraction after the loop.
+Sampling gathers each time's segment and evaluates the quartic
 elementwise, so the value at a time does not depend on which other times
 share the call.
 
-A sweep steps many one-dimensional runs as lockstep lanes (``_step_lanes``):
-the float trial step's body is elementwise, so the same code runs on arrays
-over lanes, and each lane keeps its own time, step size, error history,
-counts and event. Every ``**`` of the law and of the controller stays on
-Python floats (``map(pow, ...)``), because numpy's vectorized power, exp,
-log1p and expm1 can differ from them in the last bit; a lane therefore takes
-exactly the steps of a plain run. A finished lane's step record goes back
-through simulate(), which skips its loop and runs the one record builder.
+A sweep steps many one-dimensional runs as lockstep lanes (``_step_lanes``)
+through the same trial body on arrays over lanes, and each lane keeps its
+own time, step size, error history, counts and event. Every ``**`` of the
+law and of the controller stays on Python floats (``map(pow, ...)``),
+because numpy's vectorized power, exp, log1p and expm1 can differ from them
+in the last bit; a lane therefore takes exactly the steps of a plain run. A
+finished lane's step record goes back through simulate(), which skips its
+loop and runs the one record builder.
 
 The record of a run is a set of arrays computed once, after the loop: the
 output times, the states, and V, W and vdot at each time (in one block call
@@ -83,8 +87,7 @@ __all__ = [
     "settling_report",
 ]
 
-# Dormand-Prince 5(4) tableau with the Shampine quartic interpolant. The float
-# tuples drive the one-dimensional step; the arrays, the vector step.
+# Dormand-Prince 5(4) tableau with the Shampine quartic interpolant.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
 _A = (
     (1 / 5,),
@@ -95,9 +98,6 @@ _A = (
 )
 _B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-_A_ARR = tuple(np.array(row) for row in _A)
-_B_ARR = np.array(_B)
-_E_ARR = np.array(_E)
 _P = np.array(
     [
         [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
@@ -221,7 +221,7 @@ def _blow_up(t: float, x: np.ndarray) -> BlowUpError:
 
 def _checked_rhs(spec: DynamicsSpec, x: np.ndarray, t: float) -> np.ndarray:
     f = _rhs_array(spec, x, t)
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise _blow_up(t, x)
     return f
 
@@ -271,13 +271,17 @@ def _initial_step(spec, x0, f0, policy, limit):
 
 
 def _trial(rhs, larger, atol, rtol, t, x, f, h, t_new):
-    """DOPRI5(4) trial step of one-dimensional runs, elementwise.
+    """DOPRI5(4) trial step, elementwise.
 
-    ``t, x, f, h, t_new`` are Python floats (one run, ``larger=max``) or
-    arrays over lanes (``larger=np.maximum``); every operation is elementwise
-    IEEE arithmetic, so a lane gets the bits of the float step. Returns
-    (x_new, f_new, stage derivatives, RMS error norm). The terms with a zero
-    weight (k2 in the solution and the error) are left out.
+    ``x, f`` are Python floats (one-dimensional run, ``larger=max``) or
+    arrays (``larger=np.maximum``) over the lanes of a sweep or over the
+    coordinates of one run; ``t, h, t_new`` are floats, or arrays over lanes.
+    Every operation is elementwise IEEE arithmetic, so a lane or a coordinate
+    gets the bits of the float step. Returns (x_new, f_new, stage
+    derivatives, scaled error): the error of each element over its
+    tolerance, which is the RMS error norm of a one-dimensional run. The
+    terms with a zero weight (k2 in the solution and the error) are left
+    out.
     """
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A
     _, c2, c3, c4, c5, c6 = _C
@@ -294,27 +298,8 @@ def _trial(rhs, larger, atol, rtol, t, x, f, h, t_new):
     x_new = x + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
     k7 = rhs(x_new, t_new)
     err = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
-    # the RMS norm of one component is its magnitude
-    err_norm = abs(err) / (atol + rtol * larger(abs(x), abs(x_new)))
-    return x_new, k7, (k1, k2, k3, k4, k5, k6, k7), err_norm
-
-
-def _trial_array(rhs, atol, rtol, t, x, f, h, t_new, live=None):
-    """DOPRI5(4) trial step on numpy arrays; returns what :func:`_trial` does.
-
-    ``live``, a boolean mask, limits the RMS error norm to those coordinates.
-    """
-    K = np.empty((7, x.size))
-    K[0] = f
-    for s in range(1, 6):
-        xs = x + h * (_A_ARR[s - 1] @ K[:s])
-        K[s] = rhs(xs, t + _C[s] * h)
-    x_new = x + h * (_B_ARR @ K[:6])
-    f_new = rhs(x_new, t_new)
-    K[6] = f_new
-    err_vec = h * (_E_ARR @ K)
-    scaled = err_vec / (atol + rtol * np.maximum(np.abs(x), np.abs(x_new)))
-    return x_new, f_new, K, _rms(scaled if live is None else scaled[live])
+    scaled = abs(err) / (atol + rtol * larger(abs(x), abs(x_new)))
+    return x_new, k7, (k1, k2, k3, k4, k5, k6, k7), scaled
 
 
 def _dense_poly(x0, h, coef, theta):
@@ -413,9 +398,11 @@ def simulate(
 def _step(spec, x0, tc, t_end, policy) -> _Steps:
     """The stepping loop of one run.
 
-    A decoupled spec of dim >= 2 holds each coordinate at zero from its own
-    eps_conv crossing (see the module docstring); the trial step then takes
-    the coordinates not yet held as its ``live`` mask.
+    A one-dimensional run steps on Python floats; any other steps on arrays
+    over its coordinates, with the RMS of the scaled errors of the ``live``
+    ones as its error norm. A decoupled spec of dim >= 2 holds each
+    coordinate at zero from its own eps_conv crossing (see the module
+    docstring) and drops it from ``live``.
     """
     eps_conv = policy.eps_conv
     rtol, atol = policy.rel_tol, policy.abs_tol
@@ -435,7 +422,7 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
         t = 0.0
         f0, h_prop = _start(spec, x0, tc, t_end, policy)
         if spec.dim == 1:
-            # a built-in scalar law's kernel, or any rhs through its array contract
+            # a built-in law's kernel, or any rhs through its array contract
             if isinstance(spec.rhs, _Pointwise):
                 rhs = partial(_checked_kernel, spec.rhs.kernel)
             else:
@@ -443,10 +430,12 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
             trial = partial(_trial, rhs, max, atol, rtol)
             norm = abs
             x, f = x0.item(), f0.item()
+            live = None
         else:
-            trial = partial(_trial_array, partial(_checked_rhs, spec), atol, rtol)
+            trial = partial(_trial, partial(_checked_rhs, spec), np.maximum, atol, rtol)
             norm = _maxnorm
             x, f = x0, f0
+            live = np.ones(spec.dim, dtype=bool)
         hold = spec.dim > 1 and getattr(spec.rhs, "decoupled", False) is True
         err_prev = 1e-4
 
@@ -468,7 +457,8 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
                     f"step size underflow (stall) at t={t!r}", t, np.atleast_1d(x)
                 )
 
-            x_new, f_new, k, err_norm = trial(t, x, f, h_eff, t_new)
+            x_new, f_new, k, err = trial(t, x, f, h_eff, t_new)
+            err_norm = err if live is None else _rms(err[live])
 
             if err_norm <= 1.0:
                 seg_t0.append(t)
@@ -493,7 +483,7 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
                         # rhs(0, t) = 0 and decoupling make the zero derivative exact
                         x_new = np.where(settled, 0.0, x_new)
                         f_new = np.where(settled, 0.0, f_new)
-                        trial = partial(trial, live=~settled)
+                        live = ~settled
                 x = x_new
                 f = f_new
             else:

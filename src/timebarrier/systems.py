@@ -4,9 +4,9 @@ extension, and the autonomous power-law comparator.
 Constructors are pure and the returned evaluators are stateless, so one spec
 can drive any number of runs. Every built-in law writes V and dV/dt once, as
 a block form over many states (a one-state call evaluates a block of one
-row). The scalar law writes its rhs as a plain-float kernel and has a lane
-form of it for stepping many runs in lockstep, which gives the bits of the
-kernel; every ``**`` is on Python floats.
+row), and its rhs once, as a plain-float kernel. The scalar law also has a
+lane form of its kernel for stepping many runs in lockstep, which gives the
+bits of the kernel; every ``**`` is on Python floats.
 """
 
 from __future__ import annotations
@@ -112,13 +112,14 @@ def make_time_barrier_componentwise(
     unchanged (beta, q, alpha), so the scalar certificate applies per
     coordinate.
 
-    For dim >= 2 the returned ``rhs`` carries ``rhs.decoupled = True`` (see
-    :class:`timebarrier.core.DynamicsSpec`): the integrator holds each
-    coordinate at zero from its own eps_conv crossing, so a coordinate that
-    settles early costs no extra steps, also when ``rhs`` is reused in a
-    user's own ``DynamicsSpec``. For dim 1 the ``rhs`` is a plain-float
-    kernel wrapped in :class:`timebarrier.core._Pointwise`, which the
-    integrator steps on Python floats, also when it is reused.
+    The ``rhs`` is one plain-float kernel wrapped in
+    :class:`timebarrier.core._Pointwise` for every dim; it declares
+    ``rhs.decoupled = True`` (see :class:`timebarrier.core.DynamicsSpec`),
+    so the integrator holds each coordinate at zero from its own eps_conv
+    crossing and a coordinate that settles early costs no extra steps. This
+    carries over when ``rhs`` is reused in a user's own ``DynamicsSpec``: a
+    dim-1 run of it steps the kernel on Python floats, and a
+    ``functools.wraps`` wrapper of it keeps the declaration.
     """
     _check_law_params(p)
     if dim < 1:
@@ -128,33 +129,19 @@ def make_time_barrier_componentwise(
     sign_eps = policy.sign_eps
     bias = _bias
 
-    if dim == 1:
-        # a plain-float kernel: the integrator calls it thousands of times
-        def kernel(x: float, t: float) -> float:
-            if not 0.0 <= t < tc:
-                raise DomainError(f"domain exceeded: t={t!r} not in [0, tc={tc!r})")
-            ax = abs(x)
-            if sign_eps > 0.0:
-                sgn = x / max(ax, sign_eps)
-            else:
-                sgn = float((x > 0.0) - (x < 0.0))
-            return -beta * x / (tc - t) - q * ax**alpha * sgn + bias
+    # a plain-float kernel: the integrator calls it thousands of times
+    def kernel(x: float, t: float) -> float:
+        if not 0.0 <= t < tc:
+            raise DomainError(f"domain exceeded: t={t!r} not in [0, tc={tc!r})")
+        ax = abs(x)
+        if sign_eps > 0.0:
+            sgn = x / max(ax, sign_eps)
+        else:
+            sgn = float((x > 0.0) - (x < 0.0))
+        return -beta * x / (tc - t) - q * ax**alpha * sgn + bias
 
-        rhs = _Pointwise(kernel)
-
-    else:
-        def rhs(x: np.ndarray, t: float) -> np.ndarray:
-            if not 0.0 <= t < tc:
-                raise DomainError(f"domain exceeded: t={t!r} not in [0, tc={tc!r})")
-            ax = np.abs(x)
-            if sign_eps > 0.0:
-                sgn = x / np.maximum(ax, sign_eps)
-            else:
-                sgn = np.sign(x)
-            return -beta * x / (tc - t) - q * ax**alpha * sgn + bias
-
-        # a bias breaks rhs(0, t) = 0, which the hold needs
-        rhs.decoupled = not bias
+    # a bias breaks rhs(0, t) = 0, which the hold needs
+    rhs = _Pointwise(kernel, decoupled=not bias)
 
     def vdot(states: np.ndarray, times: np.ndarray) -> np.ndarray:
         outside = ~((0.0 <= times) & (times < tc))
@@ -234,8 +221,8 @@ def make_autonomous_power_law(q: float, alpha: float):
         settling_time=settling_time,
     )
 
-    def rhs(x: np.ndarray, t: float) -> np.ndarray:
-        return -q * np.abs(x) ** alpha * np.sign(x)
+    def kernel(x: float, t: float) -> float:
+        return -q * abs(x) ** alpha * float((x > 0.0) - (x < 0.0))
 
     def vdot(states: np.ndarray, times: np.ndarray) -> np.ndarray:
         av = _max_abs(states, times)
@@ -244,6 +231,7 @@ def make_autonomous_power_law(q: float, alpha: float):
         return value
 
     spec = DynamicsSpec(
-        dim=1, rhs=rhs, label=law.label, v=_Blockwise(_max_abs), vdot=_Blockwise(vdot), tc=None
+        dim=1, rhs=_Pointwise(kernel), label=law.label, v=_Blockwise(_max_abs),
+        vdot=_Blockwise(vdot), tc=None,
     )
     return law, spec

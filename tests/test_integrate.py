@@ -1,5 +1,6 @@
 """Adaptive integration against the closed forms: accuracy, events, clamping."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -19,7 +20,11 @@ from timebarrier import (
     simulate,
 )
 from timebarrier.core import _Pointwise
-from timebarrier.systems import make_time_barrier_componentwise, make_time_barrier_scalar
+from timebarrier.systems import (
+    make_autonomous_power_law,
+    make_time_barrier_componentwise,
+    make_time_barrier_scalar,
+)
 
 from conftest import random_admissible
 
@@ -145,7 +150,8 @@ def test_deadline_independent_of_initial_condition(default_params, default_polic
 )
 def test_float_step_matches_array_step(p, default_policy):
     # the scalar law steps on Python floats; the componentwise law started at
-    # [x0, x0] steps on numpy arrays through the same controller
+    # [x0, x0] steps the same trial body on arrays over its coordinates, so
+    # each coordinate takes the bits of the scalar run
     scalar = make_time_barrier_scalar(p, default_policy)
     pair = make_time_barrier_componentwise(p, 2, default_policy)
     for k in range(-6, 7, 3):
@@ -153,7 +159,11 @@ def test_float_step_matches_array_step(p, default_policy):
         a = simulate(scalar, x0, p, default_policy)
         b = simulate(pair, [x0, x0], p, default_policy)
         assert (a.step_count, a.rejected_steps) == (b.step_count, b.rejected_steps)
-        assert a.converged_at == pytest.approx(b.converged_at, rel=1e-12, abs=0.0)
+        assert a.converged_at == b.converged_at
+        assert a._seg_t0.tobytes() == b._seg_t0.tobytes()
+        assert a._seg_h.tobytes() == b._seg_h.tobytes()
+        for column in b._seg_x0.T:
+            assert column.tobytes() == a._seg_x0[:, 0].tobytes()
 
 
 def _through_the_array_contract(spec):
@@ -166,22 +176,43 @@ def _through_the_array_contract(spec):
 
 
 @pytest.mark.parametrize("sign_eps", [0.0, 1e-9], ids=["exact-sign", "regularized"])
-def test_scalar_kernel_steps_like_the_array_contract(sign_eps):
+def test_scalar_kernel_steps_like_the_array_contract(sign_eps, default_params):
     rng = np.random.default_rng(10)
     policy = NumericPolicy(sign_eps=sign_eps)
     cases = [(random_admissible(rng), 0.0) for _ in range(40)]
     cases.append((BarrierParams(1.0, 2.0, 1.0, 0.5), 0.1))  # the bias demo
-    for p, bias in cases:
-        spec = make_time_barrier_scalar(p, policy, bias=bias)
+
+    def specs():
+        for p, bias in cases:
+            yield p, make_time_barrier_scalar(p, policy, bias=bias)
+        for _ in range(10):  # the power-law comparator, on the barrier's horizon
+            p = random_admissible(rng)
+            yield p, make_autonomous_power_law(p.q, p.alpha)[1]
+
+    for p, spec in specs():
         assert isinstance(spec.rhs, _Pointwise)
         x0 = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6, 6)
-        a = simulate(spec, x0, p, policy)
-        b = simulate(_through_the_array_contract(spec), x0, p, policy)
-        assert (a.step_count, a.rejected_steps) == (b.step_count, b.rejected_steps)
-        assert a.converged_at == b.converged_at
-        assert a.times.tobytes() == b.times.tobytes()
-        assert a.states.tobytes() == b.states.tobytes()
-        assert a._seg_coef.tobytes() == b._seg_coef.tobytes()
+        _assert_same_run(
+            simulate(spec, x0, p, policy),
+            simulate(_through_the_array_contract(spec), x0, p, policy),
+        )
+    for x0 in ([1.0, 0.9], [1.0, -0.1, 1e-3]):
+        # a functools.wraps wrapper, which the bench tracer builds around
+        # every rhs, inherits rhs.decoupled and so the per-coordinate hold
+        law = make_time_barrier_componentwise(default_params, len(x0), policy)
+        wrapped = functools.wraps(law.rhs)(lambda x, t: law.rhs(x, t))
+        _assert_same_run(
+            simulate(law, x0, default_params, policy),
+            simulate(dataclasses.replace(law, rhs=wrapped), x0, default_params, policy),
+        )
+
+
+def _assert_same_run(a, b):
+    assert (a.step_count, a.rejected_steps) == (b.step_count, b.rejected_steps)
+    assert a.converged_at == b.converged_at
+    assert a.times.tobytes() == b.times.tobytes()
+    assert a.states.tobytes() == b.states.tobytes()
+    assert a._seg_coef.tobytes() == b._seg_coef.tobytes()
 
 
 def test_wraps_wrapper_of_the_kernel_is_called_on_every_stage(default_params, default_policy):
