@@ -256,9 +256,11 @@ class DynamicsSpec:
 
     A :class:`_Pointwise` rhs of any dim is one plain-float kernel mapped
     over the coordinates: called as above it takes and returns arrays, and
-    the integrator's one-dimensional stepper calls the kernel itself, on
-    floats. A wrapper of it (a ``lambda`` or a ``functools.wraps`` function)
-    is an ordinary rhs, called through the array contract on every stage.
+    the integrator's stepper calls the kernel itself, on floats, stepping
+    each coordinate with the common step size. A wrapper of it (a
+    ``lambda`` or a ``functools.wraps`` function) is an ordinary rhs,
+    called through the array contract on every stage; it takes the same
+    steps, only slower.
 
     ``v`` and ``vdot`` are the optional Lyapunov value and its derivative along
     trajectories, each called as ``v(x, t)`` on one state; ``vdot`` may be
@@ -305,14 +307,17 @@ class _Pointwise:
     """An rhs written once, as a plain-float kernel: ``kernel(x_i, t)`` maps
     one coordinate and the time to its derivative. Called as an rhs, on an
     array of any length, it maps the kernel over the coordinates and returns
-    the array of derivatives. The stepper of a one-dimensional run calls the
-    kernel itself; a wrapper of it (say, one made with ``functools.wraps``)
-    is called as an rhs on every stage.
+    the array of derivatives. The stepper of a run of any dim calls the
+    kernel itself, on floats, one coordinate at a time (the array contract
+    serves only the run's start); a wrapper of it (say, one made with
+    ``functools.wraps``) is called as an rhs on every stage.
 
     ``decoupled`` is the declaration of :class:`DynamicsSpec`: true unless
     the kernel is nonzero at x_i = 0. It lives in the instance ``__dict__``
     (no ``__slots__``), so ``functools.wraps`` copies it to a wrapper, and a
-    wrapper that only observes the rhs keeps the per-coordinate hold.
+    wrapper that only observes the rhs keeps the per-coordinate hold. One
+    built with ``decoupled=False`` is still stepped per coordinate, with no
+    hold.
     """
 
     def __init__(self, kernel: Callable[[float, float], float], decoupled: bool = True):

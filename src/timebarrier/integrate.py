@@ -24,18 +24,22 @@ deadline-aware:
 The DOPRI5(4) trial step has one body (``_trial``), and every operation in
 it is elementwise. A one-dimensional run calls it on Python floats. The rhs
 of a built-in law is a plain-float kernel (``core._Pointwise``), which the
-stepper of such a run calls itself, so it makes no numpy array per stage;
-any other rhs is called through its array contract, a one-element array in
-and out. A run of dim >= 2 calls the same body on arrays over its
-coordinates, and the rhs through its array contract (a ``_Pointwise`` maps
-its kernel over the coordinates); its error norm is the RMS of the
-coordinates' scaled errors. All share the controller, the clamp, the step
-budget, the stall checks, event refinement and the segment record. Each
-accepted step keeps its seven stage derivatives, and the dense-output
-coefficients of all steps come from one contraction after the loop.
-Sampling gathers each time's segment and evaluates the quartic
-elementwise, so the value at a time does not depend on which other times
-share the call.
+stepper calls itself, so it makes no numpy array per stage; any other rhs
+is called through its array contract, a one-element array in and out. A
+run of dim >= 2 whose rhs is a ``_Pointwise`` steps each coordinate
+through the same float trial with the common step size, and a coordinate
+held at zero skips its trial. A run of dim >= 2 with any other rhs (a
+wrapper of a ``_Pointwise`` included) calls the same body on arrays over
+its coordinates, and the rhs through its array contract. Both take the RMS
+of the live coordinates' scaled errors as their error norm (``_rms``, one
+function), so they take the same steps to the bit, and a blow-up on the
+per-coordinate path is raised as the array path raises it. All share the
+controller, the clamp, the step budget, the stall checks, event refinement
+and the segment record. Each accepted step keeps its seven stage
+derivatives, and the dense-output coefficients of all steps come from one
+contraction after the loop. Sampling gathers each time's segment and
+evaluates the quartic elementwise, so the value at a time does not depend
+on which other times share the call.
 
 A sweep steps many one-dimensional runs as lockstep lanes (``_step_lanes``)
 through the same trial body on arrays over lanes, and each lane keeps its
@@ -197,8 +201,26 @@ def _maxnorm(x: np.ndarray) -> float:
     return float(np.max(np.abs(x))) if x.size else 0.0
 
 
-def _rms(x: np.ndarray) -> float:
-    return math.sqrt(float(x @ x) / x.size)
+def _maxabs(values: list) -> float:
+    return max(map(abs, values))
+
+
+def _rms(values: list) -> float:
+    """RMS of a list of floats: the initial step's norms, and the error norm
+    of every run of dim >= 2 on whichever path it steps.
+
+    The mean of the squares is a running mean, so n equal values give the
+    RMS of one of them exactly (a run from ``[x0, x0, x0]`` takes the steps
+    of the scalar run from ``x0``), and one value v gives sqrt(v*v). A
+    square past the float range gives inf.
+    """
+    mean = 0.0
+    for n, v in enumerate(values, 1):
+        square = v * v
+        if square == math.inf:
+            return math.inf
+        mean += (square - mean) / n
+    return math.sqrt(mean)
 
 
 def _rhs_array(spec: DynamicsSpec, x: np.ndarray, t: float) -> np.ndarray:
@@ -237,7 +259,9 @@ def _checked_rhs_float(spec: DynamicsSpec, x: float, t: float) -> float:
 
 def _checked_kernel(kernel, x: float, t: float) -> float:
     """:func:`_checked_rhs_float` of a :class:`~timebarrier.core._Pointwise`
-    rhs, through its plain-float kernel: no array is made."""
+    rhs, or of one coordinate of it, through its plain-float kernel: no
+    array is made. A run of dim >= 2 raises its blow-up from the array path
+    instead, which names the full state."""
     f = kernel(x, t)
     if not math.isfinite(f):
         raise _blow_up(t, np.array([x]))
@@ -246,8 +270,8 @@ def _checked_kernel(kernel, x: float, t: float) -> float:
 
 def _initial_step(spec, x0, f0, policy, limit):
     scale = policy.abs_tol + policy.rel_tol * np.abs(x0)
-    d0 = _rms(x0 / scale)
-    d1 = _rms(f0 / scale)
+    d0 = _rms((x0 / scale).tolist())
+    d1 = _rms((f0 / scale).tolist())
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     if math.isnan(h0):
         # both scaled norms overflowed (inf / inf): no step size can be proposed
@@ -262,7 +286,7 @@ def _initial_step(spec, x0, f0, policy, limit):
         return limit
     x1 = x0 + h0 * f0
     f1 = _checked_rhs(spec, x1, h0)
-    d2 = _rms((f1 - f0) / scale) / h0
+    d2 = _rms(((f1 - f0) / scale).tolist()) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -273,15 +297,15 @@ def _initial_step(spec, x0, f0, policy, limit):
 def _trial(rhs, larger, atol, rtol, t, x, f, h, t_new):
     """DOPRI5(4) trial step, elementwise.
 
-    ``x, f`` are Python floats (one-dimensional run, ``larger=max``) or
-    arrays (``larger=np.maximum``) over the lanes of a sweep or over the
-    coordinates of one run; ``t, h, t_new`` are floats, or arrays over lanes.
-    Every operation is elementwise IEEE arithmetic, so a lane or a coordinate
-    gets the bits of the float step. Returns (x_new, f_new, stage
-    derivatives, scaled error): the error of each element over its
-    tolerance, which is the RMS error norm of a one-dimensional run. The
-    terms with a zero weight (k2 in the solution and the error) are left
-    out.
+    ``x, f`` are Python floats (one-dimensional run or one coordinate of a
+    pointwise rhs, ``larger=max``) or arrays (``larger=np.maximum``) over
+    the lanes of a sweep or over the coordinates of one run; ``t, h,
+    t_new`` are floats, or arrays over lanes. Every operation is elementwise
+    IEEE arithmetic, so a lane or a coordinate gets the bits of the float
+    step. Returns (x_new, f_new, stage derivatives, scaled error): the error
+    of each element over its tolerance, which is the RMS error norm of a
+    one-dimensional run. The terms with a zero weight (k2 in the solution
+    and the error) are left out.
     """
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A
     _, c2, c3, c4, c5, c6 = _C
@@ -300,6 +324,42 @@ def _trial(rhs, larger, atol, rtol, t, x, f, h, t_new):
     err = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
     scaled = abs(err) / (atol + rtol * larger(abs(x), abs(x_new)))
     return x_new, k7, (k1, k2, k3, k4, k5, k6, k7), scaled
+
+
+# the stage derivatives of a coordinate held at zero
+_HELD = (0.0,) * 7
+
+
+def _coordinate_trial(trial, live, t, x, f, h, t_new):
+    """The float ``trial`` of each live coordinate of ``x, f`` (lists of
+    floats), all with the common step. A held coordinate skips its trial:
+    its state and stages stay exactly zero. Returns (x_new, f_new, stage
+    derivatives as seven rows over the coordinates, error norm).
+    """
+    xs, fs, ks, errs = [], [], [], []
+    for xi, fi, on in zip(x, f, live):
+        if on:
+            xi, fi, ki, ei = trial(t, xi, fi, h, t_new)
+            errs.append(ei)
+        else:
+            ki = _HELD
+        xs.append(xi)
+        fs.append(fi)
+        ks.append(ki)
+    return xs, fs, tuple(zip(*ks)), _rms(errs)
+
+
+def _array_trial(rhs, atol, rtol, live, t, x, f, h, t_new):
+    """:func:`_trial` on arrays over all coordinates of ``x, f`` (lists of
+    floats), for an rhs that only takes the array contract. Returns what
+    :func:`_coordinate_trial` returns; the error norm is of the ``live``
+    coordinates.
+    """
+    x_new, f_new, k, err = _trial(
+        rhs, np.maximum, atol, rtol, t, np.array(x), np.array(f), h, t_new
+    )
+    errs = [e for e, on in zip(err.tolist(), live) if on]
+    return x_new.tolist(), f_new.tolist(), k, _rms(errs)
 
 
 def _dense_poly(x0, h, coef, theta):
@@ -398,11 +458,15 @@ def simulate(
 def _step(spec, x0, tc, t_end, policy) -> _Steps:
     """The stepping loop of one run.
 
-    A one-dimensional run steps on Python floats; any other steps on arrays
-    over its coordinates, with the RMS of the scaled errors of the ``live``
-    ones as its error norm. A decoupled spec of dim >= 2 holds each
-    coordinate at zero from its own eps_conv crossing (see the module
-    docstring) and drops it from ``live``.
+    A one-dimensional run steps :func:`_trial` on Python floats. So does
+    each coordinate of a run of dim >= 2 whose rhs is a
+    :class:`~timebarrier.core._Pointwise` (:func:`_coordinate_trial`); any
+    other rhs of dim >= 2 steps on arrays over the coordinates
+    (:func:`_array_trial`). Both carry the state as a list of floats and
+    take the RMS of the scaled errors of the ``live`` coordinates as their
+    error norm. A decoupled spec of dim >= 2 holds each coordinate at zero
+    from its own eps_conv crossing (see the module docstring) and drops it
+    from ``live``.
     """
     eps_conv = policy.eps_conv
     rtol, atol = policy.rel_tol, policy.abs_tol
@@ -421,21 +485,28 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         t = 0.0
         f0, h_prop = _start(spec, x0, tc, t_end, policy)
+        # the float trial: a built-in law's kernel, or a one-dimensional rhs
+        # through its array contract
+        if isinstance(spec.rhs, _Pointwise):
+            trial = partial(_trial, partial(_checked_kernel, spec.rhs.kernel), max, atol, rtol)
+        elif spec.dim == 1:
+            trial = partial(_trial, partial(_checked_rhs_float, spec), max, atol, rtol)
+        else:
+            trial = None
+        rerun = None  # the array path of a per-coordinate trial that blows up
         if spec.dim == 1:
-            # a built-in law's kernel, or any rhs through its array contract
-            if isinstance(spec.rhs, _Pointwise):
-                rhs = partial(_checked_kernel, spec.rhs.kernel)
-            else:
-                rhs = partial(_checked_rhs_float, spec)
-            trial = partial(_trial, rhs, max, atol, rtol)
             norm = abs
             x, f = x0.item(), f0.item()
-            live = None
         else:
-            trial = partial(_trial, partial(_checked_rhs, spec), np.maximum, atol, rtol)
-            norm = _maxnorm
-            x, f = x0, f0
-            live = np.ones(spec.dim, dtype=bool)
+            norm = _maxabs
+            x, f = x0.tolist(), f0.tolist()
+            live = [True] * spec.dim  # updated in place by the hold
+            array_trial = partial(_array_trial, partial(_checked_rhs, spec), atol, rtol, live)
+            if trial is None:
+                trial = array_trial
+            else:
+                trial = partial(_coordinate_trial, trial, live)
+                rerun = array_trial
         hold = spec.dim > 1 and getattr(spec.rhs, "decoupled", False) is True
         err_prev = 1e-4
 
@@ -457,8 +528,13 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
                     f"step size underflow (stall) at t={t!r}", t, np.atleast_1d(x)
                 )
 
-            x_new, f_new, k, err = trial(t, x, f, h_eff, t_new)
-            err_norm = err if live is None else _rms(err[live])
+            try:
+                x_new, f_new, k, err_norm = trial(t, x, f, h_eff, t_new)
+            except BlowUpError:
+                if rerun is not None:
+                    # the stage, t and full state x of the array path's error
+                    rerun(t, x, f, h_eff, t_new)
+                raise
 
             if err_norm <= 1.0:
                 seg_t0.append(t)
@@ -478,12 +554,11 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
                     converged = True
                     break
                 if hold:
-                    settled = np.abs(x_new) <= eps_conv
-                    if settled.any():
+                    live[:] = [abs(xi) > eps_conv for xi in x_new]
+                    if not all(live):
                         # rhs(0, t) = 0 and decoupling make the zero derivative exact
-                        x_new = np.where(settled, 0.0, x_new)
-                        f_new = np.where(settled, 0.0, f_new)
-                        live = ~settled
+                        x_new = [xi if on else 0.0 for xi, on in zip(x_new, live)]
+                        f_new = [fi if on else 0.0 for fi, on in zip(f_new, live)]
                 x = x_new
                 f = f_new
             else:

@@ -118,8 +118,8 @@ def make_time_barrier_componentwise(
     so the integrator holds each coordinate at zero from its own eps_conv
     crossing and a coordinate that settles early costs no extra steps. This
     carries over when ``rhs`` is reused in a user's own ``DynamicsSpec``: a
-    dim-1 run of it steps the kernel on Python floats, and a
-    ``functools.wraps`` wrapper of it keeps the declaration.
+    run of it steps the kernel on Python floats, one coordinate at a time,
+    and a ``functools.wraps`` wrapper of it keeps the declaration.
     """
     _check_law_params(p)
     if dim < 1:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -150,20 +151,22 @@ def test_deadline_independent_of_initial_condition(default_params, default_polic
 )
 def test_float_step_matches_array_step(p, default_policy):
     # the scalar law steps on Python floats; the componentwise law started at
-    # [x0, x0] steps the same trial body on arrays over its coordinates, so
-    # each coordinate takes the bits of the scalar run
+    # [x0, x0] or [x0, x0, x0] steps each coordinate through the same trial
+    # body, and the error norm of equal errors is that error, so each
+    # coordinate takes the bits of the scalar run
     scalar = make_time_barrier_scalar(p, default_policy)
-    pair = make_time_barrier_componentwise(p, 2, default_policy)
-    for k in range(-6, 7, 3):
-        x0 = (-1.0) ** k * 10.0**k
-        a = simulate(scalar, x0, p, default_policy)
-        b = simulate(pair, [x0, x0], p, default_policy)
-        assert (a.step_count, a.rejected_steps) == (b.step_count, b.rejected_steps)
-        assert a.converged_at == b.converged_at
-        assert a._seg_t0.tobytes() == b._seg_t0.tobytes()
-        assert a._seg_h.tobytes() == b._seg_h.tobytes()
-        for column in b._seg_x0.T:
-            assert column.tobytes() == a._seg_x0[:, 0].tobytes()
+    for dim in (2, 3):
+        vector = make_time_barrier_componentwise(p, dim, default_policy)
+        for k in range(-6, 7, 3):
+            x0 = (-1.0) ** k * 10.0**k
+            a = simulate(scalar, x0, p, default_policy)
+            b = simulate(vector, [x0] * dim, p, default_policy)
+            assert (a.step_count, a.rejected_steps) == (b.step_count, b.rejected_steps)
+            assert a.converged_at == b.converged_at
+            assert a._seg_t0.tobytes() == b._seg_t0.tobytes()
+            assert a._seg_h.tobytes() == b._seg_h.tobytes()
+            for column in b._seg_x0.T:
+                assert column.tobytes() == a._seg_x0[:, 0].tobytes()
 
 
 def _through_the_array_contract(spec):
@@ -196,9 +199,12 @@ def test_scalar_kernel_steps_like_the_array_contract(sign_eps, default_params):
             simulate(spec, x0, p, policy),
             simulate(_through_the_array_contract(spec), x0, p, policy),
         )
-    for x0 in ([1.0, 0.9], [1.0, -0.1, 1e-3]):
+    for x0 in ([1.0, 0.9], [1.0, -0.1, 1e-3], [1e3, 1e-3], [-1.0, 0.0, 1e-9]):
         # a functools.wraps wrapper, which the bench tracer builds around
-        # every rhs, inherits rhs.decoupled and so the per-coordinate hold
+        # every rhs, inherits rhs.decoupled and so the per-coordinate hold;
+        # it steps on arrays over the coordinates, the law's own rhs on
+        # floats per coordinate. The last two coordinates of [-1, 0, 1e-9]
+        # are held from the first accepted step.
         law = make_time_barrier_componentwise(default_params, len(x0), policy)
         wrapped = functools.wraps(law.rhs)(lambda x, t: law.rhs(x, t))
         _assert_same_run(
@@ -251,6 +257,97 @@ def test_kernel_blow_up_matches_the_array_path(default_params, default_policy):
     assert str(a) == str(b) and "non-finite derivative" in str(a)
     assert a.t == b.t and a.t >= 0.1
     assert a.x.tobytes() == b.x.tobytes() and a.x.shape == (1,)
+
+
+def test_vector_kernel_blow_up_matches_the_array_path(default_params, default_policy):
+    def kernel(x, t):
+        # finite for the start at t = 0 and its probe step; then inf for the
+        # small coordinate from t = 0.09 and for the large one from t = 0.1.
+        # One trial has stages at t = 0.0995 and 0.1019, so the large
+        # coordinate alone, stepped first, would fail at the later stage
+        late = 0.09 if abs(x) < 0.7 else 0.1
+        return -x if t < late else float("inf")
+
+    errors = []
+    for rhs in (_Pointwise(kernel), lambda x, t: np.array([kernel(xi, t) for xi in x.tolist()])):
+        with pytest.raises(BlowUpError) as info:
+            simulate(DynamicsSpec(dim=2, rhs=rhs), [1.0, 0.5], default_params, default_policy)
+        errors.append(info.value)
+    a, b = errors
+    assert str(a) == str(b) and "non-finite derivative" in str(a)
+    assert a.t == b.t and 0.09 <= a.t < 0.1
+    assert a.x.tobytes() == b.x.tobytes() and a.x.shape == (2,)
+
+
+def test_vector_kernel_stall_matches_the_array_path(default_params, default_policy):
+    def kernel(x, t):
+        # bounded but violently oscillatory, as in test_stall_error_carries_state
+        return 1e12 if math.sin(x * 1e8 + t * 1e9) > 0 else -1e12
+
+    errors = []
+    for rhs in (
+        _Pointwise(kernel, decoupled=False),
+        lambda x, t: np.array([kernel(xi, t) for xi in x.tolist()]),
+    ):
+        with pytest.raises(StallError) as info:
+            simulate(DynamicsSpec(dim=2, rhs=rhs), [1.0, -0.5], default_params, default_policy)
+        errors.append(info.value)
+    a, b = errors
+    assert str(a) == str(b) and "stall" in str(a)
+    assert a.t == b.t
+    assert a.x.tobytes() == b.x.tobytes() and a.x.shape == (2,)
+
+
+def test_vector_kernel_sees_only_floats(default_params, default_policy):
+    law = make_time_barrier_componentwise(default_params, 3, default_policy)
+    array_calls = []
+
+    def kernel(x, t):
+        assert type(x) is float and type(t) is float
+        return law.rhs.kernel(x, t)
+
+    class Observed(_Pointwise):
+        def __call__(self, x, t):
+            array_calls.append(t)
+            return super().__call__(x, t)
+
+    spec = dataclasses.replace(law, rhs=Observed(kernel))
+    traj = simulate(spec, [1.0, -0.1, 1e-3], default_params, default_policy)
+    # only the start calls the rhs as an array function (the derivative at
+    # t = 0 and the initial step proposal); every stage calls the kernel
+    assert len(array_calls) == 2 and array_calls[0] == 0.0
+    plain = simulate(law, [1.0, -0.1, 1e-3], default_params, default_policy)
+    _assert_same_run(traj, plain)
+
+
+def test_undeclared_pointwise_steps_like_its_lambda(default_params, default_policy):
+    law = make_time_barrier_componentwise(default_params, 2, default_policy)
+    undeclared = _Pointwise(law.rhs.kernel, decoupled=False)
+    per_coordinate = simulate(
+        dataclasses.replace(law, rhs=undeclared), [1.0, 0.99], default_params, default_policy
+    )
+    # the lambda steps on arrays over the coordinates; neither holds
+    wrapped = simulate(
+        dataclasses.replace(law, rhs=lambda x, t: undeclared(x, t)), [1.0, 0.99],
+        default_params, default_policy,
+    )
+    _assert_same_run(per_coordinate, wrapped)
+    assert (per_coordinate.step_count, per_coordinate.rejected_steps) == (450, 13)
+
+
+def test_vector_runs_work_is_pinned(default_params, default_policy):
+    accepted = rejected = 0
+    for dim in (2, 3):
+        law = make_time_barrier_componentwise(default_params, dim, default_policy)
+        for k in range(-4, 5, 2):
+            x0 = [10.0**k, -0.5 * 10.0**k, 10.0 ** (k - 2)][:dim]
+            traj = simulate(law, x0, default_params, default_policy)
+            assert traj.converged_at is not None
+            accepted += traj.step_count
+            rejected += traj.rejected_steps
+    # the work of these 10 componentwise runs is pinned, so that a change in
+    # speed can be told apart from a change in work
+    assert (accepted, rejected) == (2323, 105)
 
 
 def test_w_monotone_along_flow(default_params, default_policy):
