@@ -180,6 +180,18 @@ def _parse_x0(text: str) -> np.ndarray:
         raise ValueError(f"invalid --x0 value {text!r}") from exc
 
 
+def _law_for(x0: np.ndarray, p: BarrierParams, policy: NumericPolicy, bias: float = 0.0):
+    """The built-in law of ``x0``'s dimension: the scalar law for one value,
+    the componentwise law for a vector. Only the scalar law takes a bias."""
+    if x0.size == 1:
+        return make_time_barrier_scalar(p, policy, bias=bias)
+    if bias:
+        raise ValueError(
+            f"--bias {bias!r} applies to a scalar --x0 only, got {x0.size} values"
+        )
+    return make_time_barrier_componentwise(p, x0.size, policy)
+
+
 # ------------------------------------------------------------------ commands
 
 def _cmd_simulate(args, config: dict) -> int:
@@ -187,11 +199,7 @@ def _cmd_simulate(args, config: dict) -> int:
     _check_law_params(p)
     policy = _policy_from_config(config)
     x0 = _parse_x0(_resolve(args, "x0", config, "simulate", "x0", "1.0"))
-    if x0.size == 1:
-        spec = make_time_barrier_scalar(p, policy)
-    else:
-        spec = make_time_barrier_componentwise(p, x0.size, policy)
-    traj = simulate(spec, x0, p, policy)
+    traj = simulate(_law_for(x0, p, policy), x0, p, policy)
     report = settling_report(traj, p)
 
     out_path = args.out or config.get("output", {}).get("trajectory")
@@ -222,9 +230,8 @@ def _cmd_certify(args, config: dict) -> int:
         raise ValueError(f"inadmissible parameters: {verdict.reason}")
     policy = _policy_from_config(config)
     bias = float(_resolve(args, "bias", config, "simulate", "bias", 0.0))
-    spec = make_time_barrier_scalar(p, policy, bias=bias)
     x0 = _parse_x0(_resolve(args, "x0", config, "simulate", "x0", "1.0"))
-    traj = simulate(spec, x0, p, policy)
+    traj = simulate(_law_for(x0, p, policy, bias), x0, p, policy)
     report = check_dissipation(traj, p, policy)
 
     pairs = [

@@ -21,11 +21,13 @@ deadline-aware:
   otherwise flip around zero (chattering) and shrink every step until the
   last coordinate settles.
 
-The DOPRI5(4) trial step has one body (``_trial``), and every operation in
-it is elementwise. A one-dimensional run calls it on Python floats. The rhs
-of a built-in law is a plain-float kernel (``core._Pointwise``), which the
-stepper calls itself, so it makes no numpy array per stage; any other rhs
-is called through its array contract, a one-element array in and out. A
+Every run, a cell of a sweep included, goes through simulate() and one
+stepping loop (``_step``). The DOPRI5(4) trial step has one body
+(``_trial``), and every operation in it is elementwise. A one-dimensional
+run calls it on Python floats. The rhs of a built-in law is a plain-float
+kernel (``core._Pointwise``), which the stepper calls itself, so it makes
+no numpy array per stage; any other rhs is called through its array
+contract, a one-element array in and out. A
 run of dim >= 2 whose rhs is a ``_Pointwise`` steps each coordinate
 through the same float trial with the common step size, and a coordinate
 held at zero skips its trial. A run of dim >= 2 with any other rhs (a
@@ -41,15 +43,6 @@ contraction after the loop. Sampling gathers each time's segment and
 evaluates the quartic elementwise, so the value at a time does not depend
 on which other times share the call.
 
-A sweep steps many one-dimensional runs as lockstep lanes (``_step_lanes``)
-through the same trial body on arrays over lanes, and each lane keeps its
-own time, step size, error history, counts and event. Every ``**`` of the
-law and of the controller stays on Python floats (``map(pow, ...)``),
-because numpy's vectorized power, exp, log1p and expm1 can differ from them
-in the last bit; a lane therefore takes exactly the steps of a plain run. A
-finished lane's step record goes back through simulate(), which skips its
-loop and runs the one record builder.
-
 The record of a run is a set of arrays computed once, after the loop: the
 output times, the states, and V, W and vdot at each time (in one block call
 where the spec's V or vdot is a built-in block form). The certificate, the closed-form oracle and
@@ -64,7 +57,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -77,7 +69,6 @@ from .core import (
     NumericPolicy,
     StallError,
     _evaluate,
-    _map_floats,
     _Pointwise,
     w_transform_array,
 )
@@ -298,10 +289,9 @@ def _trial(rhs, larger, atol, rtol, t, x, f, h, t_new):
     """DOPRI5(4) trial step, elementwise.
 
     ``x, f`` are Python floats (one-dimensional run or one coordinate of a
-    pointwise rhs, ``larger=max``) or arrays (``larger=np.maximum``) over
-    the lanes of a sweep or over the coordinates of one run; ``t, h,
-    t_new`` are floats, or arrays over lanes. Every operation is elementwise
-    IEEE arithmetic, so a lane or a coordinate gets the bits of the float
+    pointwise rhs, ``larger=max``) or arrays over the coordinates of one run
+    (``larger=np.maximum``); ``t, h, t_new`` are floats. Every operation is
+    elementwise IEEE arithmetic, so a coordinate gets the bits of the float
     step. Returns (x_new, f_new, stage derivatives, scaled error): the error
     of each element over its tolerance, which is the RMS error norm of a
     one-dimensional run. The terms with a zero weight (k2 in the solution
@@ -392,18 +382,18 @@ def _refine_event(x0, h, coef, eps_conv):
 
 @dataclass
 class _Steps:
-    """What a stepping loop hands the record builder.
+    """What the stepping loop hands the record builder.
 
-    Per accepted step: start time, length, start state and the seven stage
-    derivatives, as anything ``np.array`` takes. ``x_last`` is the state the
-    run ended in when it did not converge. A run whose initial state is
-    already within eps_conv has converged with no step.
+    Per accepted step, one list entry each: start time, length, start state
+    and the seven stage derivatives. ``x_last`` is the state the run ended
+    in when it did not converge. A run whose initial state is already within
+    eps_conv has converged with no step.
     """
 
-    t0: object
-    h: object
-    x0: object
-    stages: object
+    t0: list
+    h: list
+    x0: list
+    stages: list
     rejected: int
     converged: bool
     x_last: object
@@ -427,32 +417,20 @@ def _prepare(spec, x0, p, policy):
     return policy, x0, tc, tc - policy.resolve_delta_end(tc)
 
 
-def _start(spec, x0, tc, t_end, policy):
-    """The derivative at t = 0 and the first proposed step size."""
-    f0 = _checked_rhs(spec, x0, 0.0)
-    return f0, _initial_step(spec, x0, f0, policy, min(_KAPPA * tc, t_end))
-
-
 def simulate(
     spec: DynamicsSpec,
     x0,
     p: BarrierParams,
     policy: Optional[NumericPolicy] = None,
-    *,
-    _steps: Optional[_Steps] = None,
 ) -> Trajectory:
     """Integrate ``spec`` from ``x0`` on [0, tc - delta_end].
 
     Raises :class:`StallError` on step-size underflow before the deadline or
     when the tolerances are too small to scale the initial state, and
     :class:`BlowUpError` when the dynamics return a non-finite derivative.
-    ``_steps`` is the finished step record of this same run, stepped as a
-    lane of a sweep; the trajectory is then built from it without stepping.
     """
     policy, x0, tc, t_end = _prepare(spec, x0, p, policy)
-    if _steps is None:
-        _steps = _step(spec, x0, tc, t_end, policy)
-    return _record(spec, x0, p, policy, t_end, _steps)
+    return _record(spec, x0, p, policy, t_end, _step(spec, x0, tc, t_end, policy))
 
 
 def _step(spec, x0, tc, t_end, policy) -> _Steps:
@@ -484,7 +462,8 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
     # check, not by floating-point warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         t = 0.0
-        f0, h_prop = _start(spec, x0, tc, t_end, policy)
+        f0 = _checked_rhs(spec, x0, 0.0)
+        h_prop = _initial_step(spec, x0, f0, policy, min(_KAPPA * tc, t_end))
         # the float trial: a built-in law's kernel, or a one-dimensional rhs
         # through its array contract
         if isinstance(spec.rhs, _Pointwise):
@@ -648,128 +627,6 @@ def _record(spec, x0, p, policy, t_end, steps: _Steps) -> Trajectory:
     for values in (traj.times, traj.states, traj.v_values, traj.w_values, traj.vdot_values):
         values.flags.writeable = False
     return traj
-
-
-# rows of the lane table of _step_lanes; the law's parameters follow
-_T, _X, _F, _H, _ERR, _ACC, _REJ, _TC, _TEND, _GUARD, _LAW = range(11)
-# one accepted step of a lane's record: t0, h, x0 and k1..k7 as float64
-_ROW_BYTES = 10 * 8
-
-
-def _lane_start(spec, x0, p, policy, law) -> Optional[list]:
-    """simulate()'s checks and start for a lane: the lane's column of the
-    lane table, or None when the run takes no step (|x0| <= eps_conv).
-
-    ``spec`` is one-dimensional and ``law`` holds its parameters for the
-    lane-form rhs. Raises what simulate() raises before its first step.
-    """
-    policy, x0, tc, t_end = _prepare(spec, x0, p, policy)
-    if _maxnorm(x0) <= policy.eps_conv:
-        return None
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f0, h_prop = _start(spec, x0, tc, t_end, policy)
-    guard = 8.0 * math.ulp(t_end)
-    return [0.0, x0.item(), f0.item(), h_prop, 1e-4, 0.0, 0.0, tc, t_end, guard, *law]
-
-
-def _step_lanes(starts, rhs, policy, width):
-    """Step one-dimensional runs as lockstep lanes of a fixed-width pool.
-
-    ``starts`` yields (key, column) pairs, the column from
-    :func:`_lane_start`; the pool takes them in order as lanes free up.
-    ``rhs(x, t, *law)`` is the lane form of the runs' rhs, NaN where the
-    one-state rhs would raise. Every lane follows :func:`_step` to the bit:
-    its own t, step size, error history, counts, clamp, budget, stall checks
-    and convergence event. Yields (key, steps) as each lane finishes, with
-    steps None when the run raised or stalled; re-running it through
-    simulate() raises the same error. The starts and the consumer run
-    under the caller's ``np.errstate``, which the stepping alone overrides.
-    """
-    atol, rtol, eps_conv = policy.abs_tol, policy.rel_tol, policy.eps_conv
-    starts = iter(starts)
-    keys: list = []
-    records: list = []  # per lane: one _ROW_BYTES row per accepted step
-    lanes = None
-    while True:
-        fresh = list(islice(starts, width - len(keys)))
-        if fresh:
-            keys += [key for key, _ in fresh]
-            records += [bytearray() for _ in fresh]
-            block = np.array([column for _, column in fresh], dtype=float).T
-            lanes = block if lanes is None else np.concatenate([lanes, block], axis=1)
-        if not keys:
-            return
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            while True:
-                t, x, f, h_prop, err_prev, acc_count, rejected, tc, t_end, guard = lanes[:_LAW]
-                law = lanes[_LAW:]
-
-                remaining = t_end - t
-                done = remaining <= guard
-                h = np.minimum(np.minimum(h_prop, _KAPPA * (tc - t)), remaining)
-                t_new = np.where(h >= remaining, t_end, t + h)
-                h_eff = t_new - t
-                failed = ~done & (
-                    (acc_count + rejected >= _MAX_STEPS) | (h_eff <= 4.0 * np.spacing(t))
-                )
-                x_new, f_new, k, err = _trial(
-                    lambda xs, ts: rhs(xs, ts, *law), np.maximum, atol, rtol,
-                    t, x, f, h_eff, t_new,
-                )
-                stages = np.array(k)
-                failed |= ~done & ~np.isfinite(stages).all(axis=0)
-                live = ~(done | failed)
-                acc = live & (err <= 1.0)
-                rej = live & ~acc
-
-                # record the accepted steps before their lanes move on
-                taken = np.flatnonzero(acc).tolist()
-                rows = np.vstack([t[acc], h_eff[acc], x[acc], stages[:, acc]]).T.tobytes()
-                for j, i in enumerate(taken):
-                    records[i] += rows[_ROW_BYTES * j : _ROW_BYTES * (j + 1)]
-
-                e = err[acc]
-                factor = np.full(e.size, _MAX_FACTOR)
-                moved = e != 0.0
-                factor[moved] = (
-                    _SAFETY * _map_floats(pow, e[moved], -0.14)
-                    * _map_floats(pow, err_prev[acc][moved], 0.08)
-                )
-                factor = np.minimum(_MAX_FACTOR, np.maximum(_MIN_FACTOR, factor))
-                converged = acc & (np.abs(x_new) <= eps_conv)
-                lanes[_ERR, acc] = np.maximum(e, 1e-12)
-                lanes[_H, acc] = h_eff[acc] * factor
-                lanes[_T, acc] = t_new[acc]
-                lanes[_X, acc] = x_new[acc]
-                lanes[_F, acc] = f_new[acc]
-                lanes[_ACC, acc] += 1.0
-
-                h_rej = h_eff[rej] * np.maximum(
-                    _MIN_FACTOR, _SAFETY * _map_floats(pow, err[rej], -0.2)
-                )
-                lanes[_H, rej] = h_rej
-                lanes[_REJ, rej] += 1.0
-                floor = 4.0 * np.spacing(np.maximum(t[rej], 0.01 * t_end[rej]))
-                failed[rej] = h_rej <= floor
-
-                finished = done | converged | failed
-                if finished.any():
-                    break
-        out = []
-        for i in np.flatnonzero(finished).tolist():
-            if failed[i]:
-                out.append((keys[i], None))
-                continue
-            a = np.frombuffer(records[i], dtype=float).reshape(-1, 10)
-            out.append((keys[i], _Steps(
-                a[:, 0], a[:, 1], a[:, 2], a[:, 3:], int(lanes[_REJ, i]),
-                bool(converged[i]), lanes[_X, i].item(),
-            )))
-        kept = (~finished).tolist()
-        keys = [key for key, keep in zip(keys, kept) if keep]
-        records = [rec for rec, keep in zip(records, kept) if keep]
-        lanes = lanes[:, ~finished]
-        yield from out
 
 
 def _eval_trajectory(traj: Trajectory, times: np.ndarray, x_start: np.ndarray) -> np.ndarray:

@@ -6,16 +6,10 @@ dissipation certificate, the settling-bound gap and the closed-form oracle.
 Failures are data, not exceptions -- the point of a sweep is to map the
 failure boundary (for example the non-reaching regime below exponent 1).
 
-The cells step as lockstep lanes of a fixed-width pool (``_LANES`` wide),
-refilled from the cell queue in grid order: numpy arithmetic over the lanes
-replaces a Python-level Dormand-Prince step per cell, and the law's ``**``
-stays on Python floats, so each lane takes exactly the steps its cell takes
-alone. When a lane finishes, its row is built at once through ``simulate``,
-which turns the lane's step record into the trajectory with the same record
-builder as a plain run, and the record is freed. A cell whose lane raised or
-stalled is re-run through plain ``simulate``, so its error row carries the
-same text. Rows land at their grid index, so a sweep with a fixed config is
-bit-reproducible and equal to simulating each cell on its own.
+Each cell's row comes from a plain ``simulate`` of its cell, in grid order,
+so a row is the run a user gets from the same (params, x0) and a cell that
+raises carries the error text of that run. A sweep with a fixed config is
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -28,13 +22,8 @@ import numpy as np
 from .analytic import exact_solution_scalar_array
 from .certify import check_dissipation
 from .core import BarrierParams, NumericPolicy, TimeBarrierError, validate_params
-from .integrate import _lane_start, _step_lanes, settling_report, simulate
-from .systems import (
-    _check_law_params,
-    _scalar_law_lanes,
-    make_autonomous_power_law,
-    make_time_barrier_scalar,
-)
+from .integrate import settling_report, simulate
+from .systems import _check_law_params, make_autonomous_power_law, make_time_barrier_scalar
 
 __all__ = [
     "SweepConfig",
@@ -49,8 +38,6 @@ __all__ = [
 # 10.0**309 overflows a double and 10.0**-324 underflows to 0.0
 _MAX_X0_DECADE = 308
 _MIN_X0_DECADE = -323
-# lanes stepped at once by run_sweep; each holds one cell's step record
-_LANES = 64
 
 
 def _check_x0_decades(lo: int, hi: int) -> None:
@@ -147,16 +134,15 @@ def _oracle_tolerance(x0: float, policy: NumericPolicy) -> float:
     return max(1e-6 * abs(x0), 10.0 * policy.eps_conv)
 
 
-def _compute_row(index, p, x0, policy, spec, steps=None) -> tuple[SweepRow, int]:
-    """The row of one cell and its rejected-step count; ``steps`` is the
-    cell's record from a finished lane, None to simulate the cell here."""
+def _compute_row(index, p, x0, policy, spec) -> tuple[SweepRow, int]:
+    """The row of one cell and its rejected-step count."""
     verdict = validate_params(p)
     base = dict(
         index=index, tc=p.tc, beta=p.beta, q=p.q, alpha=p.alpha, m=p.m,
         admissible=verdict.admissible, x0=x0,
     )
     try:
-        traj = simulate(spec, x0, p, policy, _steps=steps)
+        traj = simulate(spec, x0, p, policy)
     except TimeBarrierError as exc:
         return SweepRow(
             **base, converged_at=None, tau_bound=None, reaches_zero=None,
@@ -187,8 +173,7 @@ def _compute_row(index, p, x0, policy, spec, steps=None) -> tuple[SweepRow, int]
 def run_sweep(cfg: SweepConfig, policy: Optional[NumericPolicy] = None) -> SweepResult:
     """Run every (params, x0) cell; rows come in lexicographic grid order.
 
-    The cells step as lanes of a fixed-width pool (see the module docstring)
-    and every row equals the one a plain ``simulate`` of its cell gives.
+    Every row is the one a plain ``simulate`` of its cell gives.
     Deterministic for a fixed config; simulation failures land in the row's
     ``error`` field instead of raising. The summary counts the rows' failures
     and their accepted and rejected steps, so a change in speed can be told
@@ -196,24 +181,11 @@ def run_sweep(cfg: SweepConfig, policy: Optional[NumericPolicy] = None) -> Sweep
     """
     policy = policy if policy is not None else NumericPolicy()
     cells = [(p, x0) for p in cfg.grid() for x0 in cfg.x0_values()]
-    results: list = [None] * len(cells)  # (row, rejected steps) per cell
-
-    def lane_starts():
-        # cells that take no step or fail before it get their row here
-        for index, (p, x0) in enumerate(cells):
-            spec = make_time_barrier_scalar(p, policy)
-            try:
-                column = _lane_start(spec, x0, p, policy, (p.tc, p.beta, p.q, p.alpha))
-            except TimeBarrierError:
-                column = None
-            if column is None:
-                results[index] = _compute_row(index, p, x0, policy, spec)
-            else:
-                yield (index, p, x0, spec), column
-
-    lanes = _step_lanes(lane_starts(), _scalar_law_lanes(policy), policy, _LANES)
-    for (index, p, x0, spec), steps in lanes:
-        results[index] = _compute_row(index, p, x0, policy, spec, steps)
+    # (row, rejected steps) per cell
+    results = [
+        _compute_row(index, p, x0, policy, make_time_barrier_scalar(p, policy))
+        for index, (p, x0) in enumerate(cells)
+    ]
     rows = [row for row, _ in results]
 
     admissible_rows = [r for r in rows if r.admissible]

@@ -4,9 +4,8 @@ extension, and the autonomous power-law comparator.
 Constructors are pure and the returned evaluators are stateless, so one spec
 can drive any number of runs. Every built-in law writes V and dV/dt once, as
 a block form over many states (a one-state call evaluates a block of one
-row), and its rhs once, as a plain-float kernel. The scalar law also has a
-lane form of its kernel for stepping many runs in lockstep, which gives the
-bits of the kernel; every ``**`` is on Python floats.
+row), and its rhs once, as a plain-float kernel that the integrator steps on
+Python floats.
 """
 
 from __future__ import annotations
@@ -169,31 +168,6 @@ def make_time_barrier_componentwise(
     return DynamicsSpec(
         dim=dim, rhs=rhs, label=label, v=_Blockwise(_max_abs), vdot=_Blockwise(vdot), tc=tc
     )
-
-
-def _scalar_law_lanes(policy: Optional[NumericPolicy] = None):
-    """Lane form of the rhs of :func:`make_time_barrier_scalar` (no bias).
-
-    Returns ``rhs(x, t, tc, beta, q, alpha)``, where every argument is an
-    array over lanes and each lane carries its own parameters. A lane's value
-    has the bits of the scalar rhs at the lane's (x, t) and parameters; a
-    lane whose time lies outside [0, tc) gets NaN where the scalar rhs raises
-    :class:`DomainError`.
-    """
-    sign_eps = (policy if policy is not None else NumericPolicy()).sign_eps
-
-    def rhs(x, t, tc, beta, q, alpha):
-        ax = np.abs(x)
-        if sign_eps > 0.0:
-            sgn = x / np.maximum(ax, sign_eps)
-        else:
-            sgn = np.sign(x)
-        # "+ 0.0" is the scalar law's zero bias, which turns -0.0 into 0.0
-        f = -beta * x / (tc - t) - q * _map_floats(pow, ax, alpha) * sgn + 0.0
-        f[~((0.0 <= t) & (t < tc))] = np.nan
-        return f
-
-    return rhs
 
 
 def make_autonomous_power_law(q: float, alpha: float):

@@ -124,6 +124,18 @@ def test_certify_bias_fails(tmp_path, capsys):
     assert any(line.startswith("violation=") for line in lines)
 
 
+def test_certify_vector_initial_condition(capsys):
+    code, out, _ = run_cli(capsys, "certify", "--x0", "1,0.5")
+    assert code == EXIT_OK
+    assert block_of(out)["violations"] == "0"
+
+
+def test_certify_vector_with_bias_is_a_validation_error(capsys):
+    code, _, err = run_cli(capsys, "certify", "--x0", "1,0.5", "--bias", "0.1")
+    assert code == EXIT_VALIDATION
+    assert "--bias" in err
+
+
 def test_certify_inadmissible_params(capsys):
     code, out, err = run_cli(capsys, "certify", "--beta", "1", "--alpha", "0.5")
     assert code == EXIT_VALIDATION

@@ -97,6 +97,35 @@ def test_samples_view_of_arrays(default_params, default_policy):
                 assert column == values.tolist()
 
 
+def test_replaced_v_is_evaluated(default_params, default_policy, monkeypatch):
+    spec = make_time_barrier_scalar(default_params, default_policy)
+    calls = []
+
+    def doubled(x, t):
+        calls.append(t)
+        return 2.0 * abs(float(x[0]))
+
+    def no_decay(x, t):
+        return 0.0
+
+    traj = simulate(dataclasses.replace(spec, v=doubled), 1.0, default_params, default_policy)
+    assert len(calls) == traj.times.size
+    assert np.array_equal(traj.v_values, 2.0 * np.abs(traj.states[:, 0]))
+    traj = simulate(dataclasses.replace(spec, vdot=no_decay), 1.0, default_params, default_policy)
+    assert np.all(traj.vdot_values == 0.0)
+    # a label change keeps the block forms: one call each, the same bits
+    relabeled = dataclasses.replace(spec, label="relabeled")
+    blocks = []
+    for fn in (spec.v, spec.vdot):
+        block = fn.block
+        monkeypatch.setattr(fn, "block", lambda s, t, block=block: blocks.append(t) or block(s, t))
+    base = simulate(spec, 1.0, default_params, default_policy)
+    again = simulate(relabeled, 1.0, default_params, default_policy)
+    assert [t.size for t in blocks] == [base.times.size] * 2 + [again.times.size] * 2
+    assert again.v_values.tobytes() == base.v_values.tobytes()
+    assert again.vdot_values.tobytes() == base.vdot_values.tobytes()
+
+
 def test_equilibrium_start(default_params, default_policy):
     spec = make_time_barrier_scalar(default_params, default_policy)
     traj = simulate(spec, 0.0, default_params, default_policy)

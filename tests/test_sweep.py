@@ -1,18 +1,24 @@
 """Grid experiments: determinism, failure mapping, and the separation table."""
 
 import csv
+import hashlib
 
 import pytest
 
 from timebarrier import (
+    DEFAULT_GRID,
     BarrierParams,
+    BlowUpError,
     NumericPolicy,
     SweepConfig,
+    TimeBarrierError,
     run_sweep,
     separation_table,
     settling_bound,
+    simulate,
 )
 from timebarrier.cli import render_sweep_csv
+from timebarrier.systems import make_time_barrier_scalar
 
 
 def test_single_tuple_grid_all_pass(default_policy):
@@ -113,12 +119,49 @@ def test_error_rows_keep_csv_columns(default_policy):
         x0_decades=(307, 308),
     )
     result = run_sweep(cfg, default_policy)
-    assert all(r.error.startswith("BlowUpError") for r in result.rows)
+    # each error row carries the error of a plain run of its cell
+    (p,) = cfg.grid()
+    spec = make_time_barrier_scalar(p, default_policy)
+    for r in result.rows:
+        with pytest.raises(BlowUpError) as exc:
+            simulate(spec, r.x0, p, default_policy)
+        assert r.error == f"BlowUpError: {exc.value}"
     header, *rows = csv.reader(render_sweep_csv(result).splitlines())
     assert len(rows) == 2
     for row, sweep_row in zip(rows, result.rows):
         assert len(row) == len(header)
         assert row[header.index("error")] == sweep_row.error
+
+
+def test_default_grid_sweep_is_pinned():
+    # the fixed DEFAULT_GRID gate: the CSV bytes and the work behind them
+    result = run_sweep(DEFAULT_GRID)
+    digest = hashlib.sha256(render_sweep_csv(result).encode()).hexdigest()
+    assert digest == "7950ceac9d1a20e55247ffaab36f05fa87c0d2a0a0ebe98a933fe6c9f9ef74d7"
+    assert result.summary["steps_accepted"] == 202636
+    assert result.summary["steps_rejected"] == 9519
+
+
+@pytest.mark.parametrize("decades", [(-9, 3), (306, 308)])
+def test_summary_step_totals(default_policy, decades):
+    cfg = SweepConfig(
+        tc_values=(0.5, 1.0), beta_values=(2.0,), q_values=(0.0, 1.0),
+        alpha_values=(0.5,), x0_decades=decades,
+    )
+    result = run_sweep(cfg, default_policy)
+    accepted = rejected = 0
+    for p in cfg.grid():
+        spec = make_time_barrier_scalar(p, default_policy)
+        for x0 in cfg.x0_values():
+            try:
+                traj = simulate(spec, x0, p, default_policy)
+            except TimeBarrierError:  # error rows carry no trajectory
+                continue
+            accepted += traj.step_count
+            rejected += traj.rejected_steps
+    assert result.summary["steps_accepted"] == accepted > 0
+    assert result.summary["steps_rejected"] == rejected
+    assert accepted == sum(row.step_count or 0 for row in result.rows)
 
 
 def test_underflowing_barrier_power_keeps_the_row(default_policy):
