@@ -187,7 +187,8 @@ def _law_for(x0: np.ndarray, p: BarrierParams, policy: NumericPolicy, bias: floa
         return make_time_barrier_scalar(p, policy, bias=bias)
     if bias:
         raise ValueError(
-            f"--bias {bias!r} applies to a scalar --x0 only, got {x0.size} values"
+            f"bias {bias!r} (--bias or simulate.bias) applies to a scalar --x0 only, "
+            f"got {x0.size} values"
         )
     return make_time_barrier_componentwise(p, x0.size, policy)
 
@@ -198,8 +199,9 @@ def _cmd_simulate(args, config: dict) -> int:
     p = _params_from(args, config)
     _check_law_params(p)
     policy = _policy_from_config(config)
+    bias = float(_resolve(args, "bias", config, "simulate", "bias", 0.0))
     x0 = _parse_x0(_resolve(args, "x0", config, "simulate", "x0", "1.0"))
-    traj = simulate(_law_for(x0, p, policy), x0, p, policy)
+    traj = simulate(_law_for(x0, p, policy, bias), x0, p, policy)
     report = settling_report(traj, p)
 
     out_path = args.out or config.get("output", {}).get("trajectory")

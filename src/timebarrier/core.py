@@ -256,11 +256,14 @@ class DynamicsSpec:
 
     A :class:`_Pointwise` rhs of any dim is one plain-float kernel mapped
     over the coordinates: called as above it takes and returns arrays, and
-    the integrator's stepper calls the kernel itself, on floats, stepping
-    each coordinate with the common step size. A wrapper of it (a
-    ``lambda`` or a ``functools.wraps`` function) is an ordinary rhs,
-    called through the array contract on every stage; it takes the same
-    steps, only slower.
+    the integrator's stepper calls the kernel itself, bare, on floats,
+    stepping each coordinate with the common step size. It checks a trial's
+    seven stages once; a trial with a non-finite stage is re-run with every
+    stage checked, which names the stage, so the kernel must be a pure
+    function of (x_i, t). A wrapper of it (a ``lambda`` or a
+    ``functools.wraps`` function) is an ordinary rhs, called through the
+    array contract and checked on every stage; it takes the same steps,
+    only slower.
 
     ``v`` and ``vdot`` are the optional Lyapunov value and its derivative along
     trajectories, each called as ``v(x, t)`` on one state; ``vdot`` may be
@@ -308,9 +311,15 @@ class _Pointwise:
     one coordinate and the time to its derivative. Called as an rhs, on an
     array of any length, it maps the kernel over the coordinates and returns
     the array of derivatives. The stepper of a run of any dim calls the
-    kernel itself, on floats, one coordinate at a time (the array contract
-    serves only the run's start); a wrapper of it (say, one made with
-    ``functools.wraps``) is called as an rhs on every stage.
+    kernel itself, bare, on floats, one coordinate at a time (the array
+    contract serves only the run's start); a wrapper of it (say, one made
+    with ``functools.wraps``) is called as an rhs on every stage.
+
+    The stepper checks a trial's seven stages once, after the trial. A
+    trial with a non-finite stage, or whose kernel raises, is re-run with
+    every stage checked, which names the stage in its ``BlowUpError``, so
+    the kernel must be a pure function of (x_i, t): the re-run must see the
+    values the first run saw.
 
     ``decoupled`` is the declaration of :class:`DynamicsSpec`: true unless
     the kernel is nonzero at x_i = 0. It lives in the instance ``__dict__``

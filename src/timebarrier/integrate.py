@@ -25,17 +25,25 @@ Every run, a cell of a sweep included, goes through simulate() and one
 stepping loop (``_step``). The DOPRI5(4) trial step has one body
 (``_trial``), and every operation in it is elementwise. A one-dimensional
 run calls it on Python floats. The rhs of a built-in law is a plain-float
-kernel (``core._Pointwise``), which the stepper calls itself, so it makes
-no numpy array per stage; any other rhs is called through its array
-contract, a one-element array in and out. A
+kernel (``core._Pointwise``), which the stepper calls itself, bare, so it
+makes no numpy array and no check per stage; any other rhs is called
+through its array contract, a one-element array in and out, and checked
+at every stage. A
 run of dim >= 2 whose rhs is a ``_Pointwise`` steps each coordinate
 through the same float trial with the common step size, and a coordinate
 held at zero skips its trial. A run of dim >= 2 with any other rhs (a
 wrapper of a ``_Pointwise`` included) calls the same body on arrays over
 its coordinates, and the rhs through its array contract. Both take the RMS
 of the live coordinates' scaled errors as their error norm (``_rms``, one
-function), so they take the same steps to the bit, and a blow-up on the
-per-coordinate path is raised as the array path raises it. All share the
+function), so they take the same steps to the bit. A kernel trial checks
+its seven stages once, after the trial, by their sum (per coordinate at
+dim >= 2). A trial whose stages do not sum to a finite float, or whose
+kernel raises, is re-run with every stage checked: through
+``_checked_kernel`` at dim 1, on the array path at dim >= 2. The re-run
+raises the blow-up of the first non-finite stage, with the ``t`` and
+state the array path names; when every stage was finite after all (their
+sum overflowed), its result has the bits of the first. The kernel must
+therefore be a pure function of (x, t). All share the
 controller, the clamp, the step budget, the stall checks, event refinement
 and the segment record. Each accepted step keeps its seven stage
 derivatives, and the dense-output coefficients of all steps come from one
@@ -57,6 +65,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -82,17 +91,8 @@ __all__ = [
     "settling_report",
 ]
 
-# Dormand-Prince 5(4) tableau with the Shampine quartic interpolant.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# The Shampine quartic interpolant of the Dormand-Prince 5(4) pair (the
+# pair's own tableau is written out in _trial).
 _P = np.array(
     [
         [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
@@ -249,10 +249,13 @@ def _checked_rhs_float(spec: DynamicsSpec, x: float, t: float) -> float:
 
 
 def _checked_kernel(kernel, x: float, t: float) -> float:
-    """:func:`_checked_rhs_float` of a :class:`~timebarrier.core._Pointwise`
-    rhs, or of one coordinate of it, through its plain-float kernel: no
-    array is made. A run of dim >= 2 raises its blow-up from the array path
-    instead, which names the full state."""
+    """:func:`_checked_rhs_float` of a one-dimensional
+    :class:`~timebarrier.core._Pointwise` rhs, through its plain-float
+    kernel: no array is made. The stepper calls the kernel bare and checks
+    a trial's seven stages once; only a trial that fails that check is
+    re-run through this one, which raises the blow-up of the first
+    non-finite stage. A run of dim >= 2 re-runs such a trial on the array
+    path instead, which names the full state."""
     f = kernel(x, t)
     if not math.isfinite(f):
         raise _blow_up(t, np.array([x]))
@@ -294,24 +297,23 @@ def _trial(rhs, larger, atol, rtol, t, x, f, h, t_new):
     elementwise IEEE arithmetic, so a coordinate gets the bits of the float
     step. Returns (x_new, f_new, stage derivatives, scaled error): the error
     of each element over its tolerance, which is the RMS error norm of a
-    one-dimensional run. The terms with a zero weight (k2 in the solution
-    and the error) are left out.
+    one-dimensional run. The Dormand-Prince coefficients are written as
+    fractions, which the compiler folds into constants; the terms with a
+    zero weight (k2 in the solution and the error) are left out.
     """
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A
-    _, c2, c3, c4, c5, c6 = _C
-    b1, _, b3, b4, b5, b6 = _B
-    e1, _, e3, e4, e5, e6, e7 = _E
     k1 = f
-    k2 = rhs(x + h * (a21 * k1), t + c2 * h)
-    k3 = rhs(x + h * (a31 * k1 + a32 * k2), t + c3 * h)
-    k4 = rhs(x + h * (a41 * k1 + a42 * k2 + a43 * k3), t + c4 * h)
-    k5 = rhs(x + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4), t + c5 * h)
-    k6 = rhs(
-        x + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5), t + c6 * h
-    )
-    x_new = x + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
+    k2 = rhs(x + h * (1 / 5 * k1), t + 1 / 5 * h)
+    k3 = rhs(x + h * (3 / 40 * k1 + 9 / 40 * k2), t + 3 / 10 * h)
+    k4 = rhs(x + h * (44 / 45 * k1 + -56 / 15 * k2 + 32 / 9 * k3), t + 4 / 5 * h)
+    k5 = rhs(x + h * (19372 / 6561 * k1 + -25360 / 2187 * k2 + 64448 / 6561 * k3
+                      + -212 / 729 * k4), t + 8 / 9 * h)
+    k6 = rhs(x + h * (9017 / 3168 * k1 + -355 / 33 * k2 + 46732 / 5247 * k3 + 49 / 176 * k4
+                      + -5103 / 18656 * k5), t + h)
+    x_new = x + h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4 + -2187 / 6784 * k5
+                     + 11 / 84 * k6)
     k7 = rhs(x_new, t_new)
-    err = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
+    err = h * (71 / 57600 * k1 + -71 / 16695 * k3 + 71 / 1920 * k4 + -17253 / 339200 * k5
+               + 22 / 525 * k6 + -1 / 40 * k7)
     scaled = abs(err) / (atol + rtol * larger(abs(x), abs(x_new)))
     return x_new, k7, (k1, k2, k3, k4, k5, k6, k7), scaled
 
@@ -320,22 +322,32 @@ def _trial(rhs, larger, atol, rtol, t, x, f, h, t_new):
 _HELD = (0.0,) * 7
 
 
-def _coordinate_trial(trial, live, t, x, f, h, t_new):
+def _coordinate_trial(trial, live, rerun, t, x, f, h, t_new):
     """The float ``trial`` of each live coordinate of ``x, f`` (lists of
     floats), all with the common step. A held coordinate skips its trial:
     its state and stages stay exactly zero. Returns (x_new, f_new, stage
     derivatives as seven rows over the coordinates, error norm).
+
+    ``trial`` calls the kernel bare. When the seven stages of a coordinate
+    do not sum to a finite float, the whole trial goes to ``rerun``, the
+    array path with every stage checked, which raises the blow-up of the
+    first non-finite stage with the full state; if it does not raise, every
+    stage was finite and the result stands.
     """
     xs, fs, ks, errs = [], [], [], []
+    finite = True
     for xi, fi, on in zip(x, f, live):
         if on:
             xi, fi, ki, ei = trial(t, xi, fi, h, t_new)
+            finite = finite and math.isfinite(sum(ki))
             errs.append(ei)
         else:
             ki = _HELD
         xs.append(xi)
         fs.append(fi)
         ks.append(ki)
+    if not finite:
+        rerun(t, x, f, h, t_new)
     return xs, fs, tuple(zip(*ks)), _rms(errs)
 
 
@@ -349,7 +361,7 @@ def _array_trial(rhs, atol, rtol, live, t, x, f, h, t_new):
         rhs, np.maximum, atol, rtol, t, np.array(x), np.array(f), h, t_new
     )
     errs = [e for e, on in zip(err.tolist(), live) if on]
-    return x_new.tolist(), f_new.tolist(), k, _rms(errs)
+    return x_new.tolist(), f_new.tolist(), tuple(ki.tolist() for ki in k), _rms(errs)
 
 
 def _dense_poly(x0, h, coef, theta):
@@ -464,28 +476,30 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
         t = 0.0
         f0 = _checked_rhs(spec, x0, 0.0)
         h_prop = _initial_step(spec, x0, f0, policy, min(_KAPPA * tc, t_end))
-        # the float trial: a built-in law's kernel, or a one-dimensional rhs
-        # through its array contract
-        if isinstance(spec.rhs, _Pointwise):
-            trial = partial(_trial, partial(_checked_kernel, spec.rhs.kernel), max, atol, rtol)
-        elif spec.dim == 1:
-            trial = partial(_trial, partial(_checked_rhs_float, spec), max, atol, rtol)
-        else:
-            trial = None
-        rerun = None  # the array path of a per-coordinate trial that blows up
+        # A kernel trial calls the kernel bare; ``rerun`` is the same trial
+        # with every stage checked, which raises the first non-finite one
+        kernel = spec.rhs.kernel if isinstance(spec.rhs, _Pointwise) else None
+        rerun = None
+        check_stages = False  # a one-dimensional kernel trial, checked here
         if spec.dim == 1:
             norm = abs
             x, f = x0.item(), f0.item()
+            if kernel is None:
+                trial = partial(_trial, partial(_checked_rhs_float, spec), max, atol, rtol)
+            else:
+                trial = partial(_trial, kernel, max, atol, rtol)
+                rerun = partial(_trial, partial(_checked_kernel, kernel), max, atol, rtol)
+                check_stages = True
         else:
             norm = _maxabs
             x, f = x0.tolist(), f0.tolist()
             live = [True] * spec.dim  # updated in place by the hold
-            array_trial = partial(_array_trial, partial(_checked_rhs, spec), atol, rtol, live)
-            if trial is None:
-                trial = array_trial
-            else:
-                trial = partial(_coordinate_trial, trial, live)
-                rerun = array_trial
+            trial = partial(_array_trial, partial(_checked_rhs, spec), atol, rtol, live)
+            if kernel is not None:
+                rerun = trial
+                trial = partial(
+                    _coordinate_trial, partial(_trial, kernel, max, atol, rtol), live, rerun
+                )
         hold = spec.dim > 1 and getattr(spec.rhs, "decoupled", False) is True
         err_prev = 1e-4
 
@@ -509,11 +523,14 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
 
             try:
                 x_new, f_new, k, err_norm = trial(t, x, f, h_eff, t_new)
-            except BlowUpError:
+            except Exception:
                 if rerun is not None:
-                    # the stage, t and full state x of the array path's error
+                    # the kernel may have raised on a non-finite stage fed on
+                    # to it: the checked trial raises that stage's blow-up
                     rerun(t, x, f, h_eff, t_new)
                 raise
+            if check_stages and not math.isfinite(sum(k)):
+                rerun(t, x, f, h_eff, t_new)
 
             if err_norm <= 1.0:
                 seg_t0.append(t)
@@ -558,7 +575,10 @@ def _record(spec, x0, p, policy, t_end, steps: _Steps) -> Trajectory:
     seg_h_arr = np.array(steps.h, dtype=float)
     seg_x0_arr = np.array(steps.x0, dtype=float).reshape(n_seg, dim)
     # one contraction for the quartic coefficients of every step: (n, dim, 4)
-    stages = np.array(steps.stages, dtype=float).reshape(n_seg, 7, dim)
+    flat = chain.from_iterable(steps.stages)
+    if dim > 1:
+        flat = chain.from_iterable(flat)
+    stages = np.fromiter(flat, float, n_seg * 7 * dim).reshape(n_seg, 7, dim)
     seg_coef_arr = np.swapaxes(stages, 1, 2) @ _P
 
     event = None

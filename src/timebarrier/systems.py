@@ -132,12 +132,16 @@ def make_time_barrier_componentwise(
     def kernel(x: float, t: float) -> float:
         if not 0.0 <= t < tc:
             raise DomainError(f"domain exceeded: t={t!r} not in [0, tc={tc!r})")
-        ax = abs(x)
         if sign_eps > 0.0:
-            sgn = x / max(ax, sign_eps)
-        else:
-            sgn = float((x > 0.0) - (x < 0.0))
-        return -beta * x / (tc - t) - q * ax**alpha * sgn + bias
+            ax = abs(x)
+            return -beta * x / (tc - t) - q * ax**alpha * (x / max(ax, sign_eps)) + bias
+        # the exact sign by branch: the bits of q*|x|**alpha*sgn(x) with
+        # sgn(x) a float, signed zeros and NaN included
+        if x > 0.0:
+            return -beta * x / (tc - t) - q * x**alpha + bias
+        if x < 0.0:
+            return -beta * x / (tc - t) + q * (-x) ** alpha + bias
+        return -beta * x / (tc - t) - q * abs(x) ** alpha * 0.0 + bias
 
     # a bias breaks rhs(0, t) = 0, which the hold needs
     rhs = _Pointwise(kernel, decoupled=not bias)

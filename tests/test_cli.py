@@ -327,6 +327,30 @@ def test_config_unknown_section_named(tmp_path, capsys):
     assert "simulat" in err
 
 
+def test_simulate_reads_config_bias(tmp_path, capsys):
+    from timebarrier import BarrierParams, NumericPolicy, make_time_barrier_scalar, simulate
+    from timebarrier.cli import render_trajectory_csv
+
+    cfg_path = tmp_path / "bias.json"
+    cfg_path.write_text(json.dumps({"simulate": {"bias": 0.5}}))
+    out_file = tmp_path / "traj.csv"
+    code, _, _ = run_cli(
+        capsys, "--config", str(cfg_path), "--out", str(out_file), "simulate", "--x0", "1"
+    )
+    assert code == EXIT_OK
+    p, policy = BarrierParams(1.0, 2.0, 1.0, 0.5), NumericPolicy()
+    want, unbiased = (
+        render_trajectory_csv(simulate(make_time_barrier_scalar(p, policy, bias=b), 1.0, p, policy))
+        for b in (0.5, 0.0)
+    )
+    text = out_file.read_text()
+    assert text != unbiased
+    assert text.splitlines() == want.splitlines()
+    # only the scalar law takes a bias, and the error names the config key
+    code, _, err = run_cli(capsys, "--config", str(cfg_path), "simulate", "--x0", "1,2")
+    assert code == EXIT_VALIDATION and "simulate.bias" in err
+
+
 def test_config_supplies_defaults_flags_override(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"params": {"beta": 3.0}, "simulate": {"x0": 2.0}}))

@@ -308,6 +308,42 @@ def test_vector_kernel_blow_up_matches_the_array_path(default_params, default_po
     assert a.x.tobytes() == b.x.tobytes() and a.x.shape == (2,)
 
 
+@pytest.mark.parametrize("x0", [[1.0], [1.0, 0.5]])
+@pytest.mark.parametrize("fn", [math.tanh, math.sin])
+def test_non_finite_zero_weight_stage_matches_the_array_path(
+    fn, x0, default_params, default_policy
+):
+    # k2 has a zero weight in the solution and in the error estimate, so a
+    # non-finite k2 alone leaves both finite: tanh(+-inf) = +-1 keeps the
+    # later stages finite, and sin(+-inf) raises ValueError in the next one.
+    # Either way the run must raise the array path's blow-up at k2.
+    times = []
+
+    def logged(x, t):
+        times.append(t)
+        return np.array([-fn(xi) for xi in x.tolist()])
+
+    simulate(DynamicsSpec(dim=len(x0), rhs=logged), x0, default_params, default_policy)
+    # two calls to start, then six per trial: the stage-2 time of the 11th trial
+    tau = times[2 + 6 * 10]
+
+    def kernel(x, t):
+        return math.inf if t == tau else -fn(x)
+
+    def array(x, t):
+        return np.array([kernel(xi, t) for xi in x.tolist()])
+
+    errors = []
+    for rhs in (_Pointwise(kernel), array):
+        with pytest.raises(BlowUpError) as info:
+            simulate(DynamicsSpec(dim=len(x0), rhs=rhs), x0, default_params, default_policy)
+        errors.append(info.value)
+    a, b = errors
+    assert str(a) == str(b) and "non-finite derivative" in str(a)
+    assert a.t == b.t == tau
+    assert a.x.tobytes() == b.x.tobytes() and a.x.shape == (len(x0),)
+
+
 def test_vector_kernel_stall_matches_the_array_path(default_params, default_policy):
     def kernel(x, t):
         # bounded but violently oscillatory, as in test_stall_error_carries_state
