@@ -113,17 +113,28 @@ def _print_block(pairs) -> None:
 
 # -------------------------------------------------------------------- config
 
+_NUMBER = ((int, float), "a number")
+_PATH = ((str,), "a path string")
+
+# section -> key -> (accepted JSON types, their name); None leaves the
+# value's check to the section's own reader
 _SCHEMA = {
-    "params": {f.name for f in dataclasses.fields(BarrierParams) if f.init},
-    "policy": {f.name for f in dataclasses.fields(NumericPolicy)},
-    "simulate": {"x0", "bias"},
-    "sweep": {"tc", "beta", "q", "alpha", "x0_decades", "seed"},
-    "output": {"trajectory", "report", "sweep"},
+    "params": dict.fromkeys(
+        (f.name for f in dataclasses.fields(BarrierParams) if f.init), _NUMBER
+    ),
+    "policy": dict.fromkeys(f.name for f in dataclasses.fields(NumericPolicy)),
+    "simulate": {
+        "x0": ((int, float, str), "a number or a string of comma-separated numbers"),
+        "bias": _NUMBER,
+    },
+    "sweep": dict.fromkeys(("tc", "beta", "q", "alpha", "x0_decades", "seed")),
+    "output": dict.fromkeys(("trajectory", "report", "sweep"), _PATH),
 }
 
 
 def load_config(path: Optional[str]) -> dict:
-    """Strict JSON config: unknown sections or keys are rejected by name."""
+    """Strict JSON config: unknown sections or keys, and values of the wrong
+    JSON type, are rejected by name."""
     if path is None:
         return {}
     try:
@@ -140,9 +151,15 @@ def load_config(path: Optional[str]) -> dict:
             raise ConfigError(f"unknown config key: {section}")
         if not isinstance(content, dict):
             raise ConfigError(f"config section {section!r} must be an object")
-        for key in content:
+        for key, value in content.items():
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown config key: {section}.{key}")
+            expected = _SCHEMA[section][key]
+            # JSON true and false are ints to isinstance
+            if expected and (isinstance(value, bool) or not isinstance(value, expected[0])):
+                raise ConfigError(
+                    f"invalid {section}.{key}: expected {expected[1]}, got {json.dumps(value)}"
+                )
     return data
 
 

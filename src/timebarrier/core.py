@@ -258,12 +258,12 @@ class DynamicsSpec:
     over the coordinates: called as above it takes and returns arrays, and
     the integrator's stepper calls the kernel itself, bare, on floats,
     stepping each coordinate with the common step size. It checks a trial's
-    seven stages once; a trial with a non-finite stage is re-run with every
-    stage checked, which names the stage, so the kernel must be a pure
-    function of (x_i, t). A wrapper of it (a ``lambda`` or a
-    ``functools.wraps`` function) is an ordinary rhs, called through the
-    array contract and checked on every stage; it takes the same steps,
-    only slower.
+    seven stages once; a trial with a non-finite stage, or whose kernel
+    raises, is re-run through the array contract with every stage checked,
+    which names the stage, so the kernel must be a pure function of
+    (x_i, t). A wrapper of it (a ``lambda`` or a ``functools.wraps``
+    function) is an ordinary rhs, stepped through the array contract alone
+    and checked on every stage; it takes the same steps, only slower.
 
     ``v`` and ``vdot`` are the optional Lyapunov value and its derivative along
     trajectories, each called as ``v(x, t)`` on one state; ``vdot`` may be
@@ -316,10 +316,12 @@ class _Pointwise:
     with ``functools.wraps``) is called as an rhs on every stage.
 
     The stepper checks a trial's seven stages once, after the trial. A
-    trial with a non-finite stage, or whose kernel raises, is re-run with
-    every stage checked, which names the stage in its ``BlowUpError``, so
-    the kernel must be a pure function of (x_i, t): the re-run must see the
-    values the first run saw.
+    trial with a non-finite stage, or whose kernel raises, is re-run once,
+    through this rhs called as an rhs with every stage checked (the run's
+    one checked trial, as for any other rhs), which names the stage in its
+    ``BlowUpError`` or raises the kernel's own error again. So the kernel
+    must be a pure function of (x_i, t): the re-run must see the values the
+    first run saw.
 
     ``decoupled`` is the declaration of :class:`DynamicsSpec`: true unless
     the kernel is nonzero at x_i = 0. It lives in the instance ``__dict__``

@@ -23,33 +23,32 @@ deadline-aware:
 
 Every run, a cell of a sweep included, goes through simulate() and one
 stepping loop (``_step``). The DOPRI5(4) trial step has one body
-(``_trial``), and every operation in it is elementwise. A one-dimensional
-run calls it on Python floats. The rhs of a built-in law is a plain-float
-kernel (``core._Pointwise``), which the stepper calls itself, bare, so it
-makes no numpy array and no check per stage; any other rhs is called
-through its array contract, a one-element array in and out, and checked
-at every stage. A
-run of dim >= 2 whose rhs is a ``_Pointwise`` steps each coordinate
-through the same float trial with the common step size, and a coordinate
-held at zero skips its trial. A run of dim >= 2 with any other rhs (a
-wrapper of a ``_Pointwise`` included) calls the same body on arrays over
-its coordinates, and the rhs through its array contract. Both take the RMS
-of the live coordinates' scaled errors as their error norm (``_rms``, one
-function), so they take the same steps to the bit. A kernel trial checks
-its seven stages once, after the trial, by their sum (per coordinate at
-dim >= 2). A trial whose stages do not sum to a finite float, or whose
-kernel raises, is re-run with every stage checked: through
-``_checked_kernel`` at dim 1, on the array path at dim >= 2. The re-run
-raises the blow-up of the first non-finite stage, with the ``t`` and
-state the array path names; when every stage was finite after all (their
-sum overflowed), its result has the bits of the first. The kernel must
-therefore be a pure function of (x, t). All share the
-controller, the clamp, the step budget, the stall checks, event refinement
-and the segment record. Each accepted step keeps its seven stage
-derivatives, and the dense-output coefficients of all steps come from one
-contraction after the loop. Sampling gathers each time's segment and
-evaluates the quartic elementwise, so the value at a time does not depend
-on which other times share the call.
+(``_trial``), and every operation in it is elementwise, so it runs on
+Python floats and on arrays over the coordinates alike.
+
+Every run has a checked trial, which calls the rhs through its array
+contract and checks every stage (``_checked_rhs``, the one place an rhs
+value is coerced and checked): on floats through a one-element array at
+dim 1, on arrays at dim >= 2. A run whose rhs is a plain-float kernel
+(``core._Pointwise``, the rhs of every built-in law) also has a fast
+trial, which calls the kernel itself, bare, on floats, and so makes no
+numpy array and no check per stage: at dim 1 directly, at dim >= 2 for
+each coordinate with the common step size, where a coordinate held at
+zero skips its trial. The fast trial checks its seven stages once, by
+their sum. A fast trial that raises, or whose stages do not sum to a
+finite float, is re-run through the checked trial, which raises the
+blow-up of the first non-finite stage (or the kernel's own error again);
+when every stage was finite after all (their sum overflowed), its result
+has the bits of the fast one. The kernel must therefore be a pure
+function of (x, t). A checked trial is never run twice. Both kinds take
+the RMS of the live coordinates' scaled errors as their error norm
+(``_rms``, one function), so they take the same steps to the bit. All
+share the controller, the clamp, the step budget, the stall checks, event
+refinement and the segment record. Each accepted step keeps its seven
+stage derivatives, and the dense-output coefficients of all steps come
+from one contraction after the loop. Sampling gathers each time's segment
+and evaluates the quartic elementwise, so the value at a time does not
+depend on which other times share the call.
 
 The record of a run is a set of arrays computed once, after the loop: the
 output times, the states, and V, W and vdot at each time (in one block call
@@ -214,8 +213,10 @@ def _rms(values: list) -> float:
     return math.sqrt(mean)
 
 
-def _rhs_array(spec: DynamicsSpec, x: np.ndarray, t: float) -> np.ndarray:
-    """``spec.rhs(x, t)`` as a float64 array of the shape of ``x``."""
+def _checked_rhs(spec: DynamicsSpec, x: np.ndarray, t: float) -> np.ndarray:
+    """``spec.rhs(x, t)`` as a float64 array of the shape of ``x``; a
+    non-finite derivative raises :class:`BlowUpError` at ``t`` and ``x``.
+    The one place an rhs value is coerced and checked."""
     f = spec.rhs(x, t)
     if not isinstance(f, np.ndarray) or f.dtype != np.float64:
         f = np.asarray(f, dtype=float)
@@ -223,43 +224,16 @@ def _rhs_array(spec: DynamicsSpec, x: np.ndarray, t: float) -> np.ndarray:
         raise ValueError(
             f"rhs returned shape {f.shape}, expected {x.shape} ({spec.label})"
         )
-    return f
-
-
-def _blow_up(t: float, x: np.ndarray) -> BlowUpError:
-    return BlowUpError(
-        f"dynamics blow-up: non-finite derivative at t={t!r}, x={x!r}", t, x
-    )
-
-
-def _checked_rhs(spec: DynamicsSpec, x: np.ndarray, t: float) -> np.ndarray:
-    f = _rhs_array(spec, x, t)
     if not np.isfinite(f).all():
-        raise _blow_up(t, x)
+        raise BlowUpError(
+            f"dynamics blow-up: non-finite derivative at t={t!r}, x={x!r}", t, x
+        )
     return f
 
 
 def _checked_rhs_float(spec: DynamicsSpec, x: float, t: float) -> float:
     """:func:`_checked_rhs` of a one-dimensional spec at the float ``x``."""
-    xa = np.array([x])
-    f = _rhs_array(spec, xa, t).item()
-    if not math.isfinite(f):
-        raise _blow_up(t, xa)
-    return f
-
-
-def _checked_kernel(kernel, x: float, t: float) -> float:
-    """:func:`_checked_rhs_float` of a one-dimensional
-    :class:`~timebarrier.core._Pointwise` rhs, through its plain-float
-    kernel: no array is made. The stepper calls the kernel bare and checks
-    a trial's seven stages once; only a trial that fails that check is
-    re-run through this one, which raises the blow-up of the first
-    non-finite stage. A run of dim >= 2 re-runs such a trial on the array
-    path instead, which names the full state."""
-    f = kernel(x, t)
-    if not math.isfinite(f):
-        raise _blow_up(t, np.array([x]))
-    return f
+    return _checked_rhs(spec, np.array([x]), t).item()
 
 
 def _initial_step(spec, x0, f0, policy, limit):
@@ -322,38 +296,30 @@ def _trial(rhs, larger, atol, rtol, t, x, f, h, t_new):
 _HELD = (0.0,) * 7
 
 
-def _coordinate_trial(trial, live, rerun, t, x, f, h, t_new):
-    """The float ``trial`` of each live coordinate of ``x, f`` (lists of
-    floats), all with the common step. A held coordinate skips its trial:
+def _coordinate_trial(trial, live, t, x, f, h, t_new):
+    """The fast trial of a run of dim >= 2: the float ``trial`` of each live
+    coordinate of ``x, f`` (lists of floats), all with the common step, with
+    the kernel called bare. A held coordinate skips its trial:
     its state and stages stay exactly zero. Returns (x_new, f_new, stage
     derivatives as seven rows over the coordinates, error norm).
-
-    ``trial`` calls the kernel bare. When the seven stages of a coordinate
-    do not sum to a finite float, the whole trial goes to ``rerun``, the
-    array path with every stage checked, which raises the blow-up of the
-    first non-finite stage with the full state; if it does not raise, every
-    stage was finite and the result stands.
     """
     xs, fs, ks, errs = [], [], [], []
-    finite = True
     for xi, fi, on in zip(x, f, live):
         if on:
             xi, fi, ki, ei = trial(t, xi, fi, h, t_new)
-            finite = finite and math.isfinite(sum(ki))
             errs.append(ei)
         else:
             ki = _HELD
         xs.append(xi)
         fs.append(fi)
         ks.append(ki)
-    if not finite:
-        rerun(t, x, f, h, t_new)
     return xs, fs, tuple(zip(*ks)), _rms(errs)
 
 
 def _array_trial(rhs, atol, rtol, live, t, x, f, h, t_new):
-    """:func:`_trial` on arrays over all coordinates of ``x, f`` (lists of
-    floats), for an rhs that only takes the array contract. Returns what
+    """The checked trial of a run of dim >= 2: :func:`_trial` on arrays over
+    all coordinates of ``x, f`` (lists of floats), through the array
+    contract with every stage checked. Returns what
     :func:`_coordinate_trial` returns; the error norm is of the ``live``
     coordinates.
     """
@@ -448,15 +414,14 @@ def simulate(
 def _step(spec, x0, tc, t_end, policy) -> _Steps:
     """The stepping loop of one run.
 
-    A one-dimensional run steps :func:`_trial` on Python floats. So does
-    each coordinate of a run of dim >= 2 whose rhs is a
-    :class:`~timebarrier.core._Pointwise` (:func:`_coordinate_trial`); any
-    other rhs of dim >= 2 steps on arrays over the coordinates
-    (:func:`_array_trial`). Both carry the state as a list of floats and
-    take the RMS of the scaled errors of the ``live`` coordinates as their
-    error norm. A decoupled spec of dim >= 2 holds each coordinate at zero
-    from its own eps_conv crossing (see the module docstring) and drops it
-    from ``live``.
+    Each trial is the run's fast trial where it has one, else its checked
+    trial (see the module docstring): :func:`_trial` on floats at dim 1,
+    and at dim >= 2 :func:`_coordinate_trial` (fast) or
+    :func:`_array_trial` (checked). Both carry the state as a list of
+    floats and take the RMS of the scaled errors of the ``live``
+    coordinates as their error norm. A decoupled spec of dim >= 2 holds
+    each coordinate at zero from its own eps_conv crossing (see the module
+    docstring) and drops it from ``live``.
     """
     eps_conv = policy.eps_conv
     rtol, atol = policy.rel_tol, policy.abs_tol
@@ -476,30 +441,25 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
         t = 0.0
         f0 = _checked_rhs(spec, x0, 0.0)
         h_prop = _initial_step(spec, x0, f0, policy, min(_KAPPA * tc, t_end))
-        # A kernel trial calls the kernel bare; ``rerun`` is the same trial
-        # with every stage checked, which raises the first non-finite one
+        # ``checked`` checks every stage. ``fast``, for a _Pointwise rhs,
+        # calls its kernel bare; a fast trial that raises, or whose stages
+        # do not sum to a finite float, is re-run through ``checked``
         kernel = spec.rhs.kernel if isinstance(spec.rhs, _Pointwise) else None
-        rerun = None
-        check_stages = False  # a one-dimensional kernel trial, checked here
+        fast = None
         if spec.dim == 1:
-            norm = abs
+            norm, stage_sum = abs, sum
             x, f = x0.item(), f0.item()
-            if kernel is None:
-                trial = partial(_trial, partial(_checked_rhs_float, spec), max, atol, rtol)
-            else:
-                trial = partial(_trial, kernel, max, atol, rtol)
-                rerun = partial(_trial, partial(_checked_kernel, kernel), max, atol, rtol)
-                check_stages = True
+            checked = partial(_trial, partial(_checked_rhs_float, spec), max, atol, rtol)
+            if kernel is not None:
+                fast = partial(_trial, kernel, max, atol, rtol)
         else:
-            norm = _maxabs
+            # the seven stage rows joined into one tuple, the cheapest sum here
+            norm, stage_sum = _maxabs, lambda rows: sum(sum(rows, ()))
             x, f = x0.tolist(), f0.tolist()
             live = [True] * spec.dim  # updated in place by the hold
-            trial = partial(_array_trial, partial(_checked_rhs, spec), atol, rtol, live)
+            checked = partial(_array_trial, partial(_checked_rhs, spec), atol, rtol, live)
             if kernel is not None:
-                rerun = trial
-                trial = partial(
-                    _coordinate_trial, partial(_trial, kernel, max, atol, rtol), live, rerun
-                )
+                fast = partial(_coordinate_trial, partial(_trial, kernel, max, atol, rtol), live)
         hold = spec.dim > 1 and getattr(spec.rhs, "decoupled", False) is True
         err_prev = 1e-4
 
@@ -521,16 +481,19 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
                     f"step size underflow (stall) at t={t!r}", t, np.atleast_1d(x)
                 )
 
-            try:
-                x_new, f_new, k, err_norm = trial(t, x, f, h_eff, t_new)
-            except Exception:
-                if rerun is not None:
-                    # the kernel may have raised on a non-finite stage fed on
-                    # to it: the checked trial raises that stage's blow-up
-                    rerun(t, x, f, h_eff, t_new)
-                raise
-            if check_stages and not math.isfinite(sum(k)):
-                rerun(t, x, f, h_eff, t_new)
+            if fast is None:
+                x_new, f_new, k, err_norm = checked(t, x, f, h_eff, t_new)
+            else:
+                try:
+                    x_new, f_new, k, err_norm = fast(t, x, f, h_eff, t_new)
+                    finite = math.isfinite(stage_sum(k))
+                except Exception:
+                    # the kernel may have raised on a non-finite stage fed on to it
+                    finite = False
+                if not finite:
+                    # raises the first non-finite stage's blow-up, or the
+                    # kernel's own error again
+                    x_new, f_new, k, err_norm = checked(t, x, f, h_eff, t_new)
 
             if err_norm <= 1.0:
                 seg_t0.append(t)
@@ -691,6 +654,9 @@ def resample(traj: Trajectory, times) -> np.ndarray:
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         return np.zeros((0, traj.spec.dim))
+    # NaN passes both checks below
+    if not np.isfinite(times).all():
+        raise ValueError(f"times must be finite, got {times!r}")
     if np.any(np.diff(times) < 0.0):
         raise ValueError("times must be nondecreasing")
     if times[0] < 0.0 or times[-1] > traj.t_end:

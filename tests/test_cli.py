@@ -312,6 +312,42 @@ def test_config_sweep_type_error_named(tmp_path, capsys, section):
     assert f"sweep.{key}" in err
 
 
+@pytest.mark.parametrize(
+    "config, command",
+    [
+        ({"params": {"tc": None}}, "simulate"),
+        ({"params": {"tc": [1]}}, "simulate"),
+        ({"params": {"beta": "2"}}, "simulate"),
+        ({"params": {"q": True}}, "certify"),
+        ({"simulate": {"bias": None}}, "simulate"),
+        ({"simulate": {"x0": [1, 0.5]}}, "simulate"),
+        ({"output": {"trajectory": 2}}, "simulate"),
+        ({"output": {"report": None}}, "certify"),
+        ({"output": {"sweep": None}}, "sweep"),
+    ],
+    ids=[
+        "null_tc",
+        "list_tc",
+        "string_beta",
+        "bool_q",
+        "null_bias",
+        "list_x0",
+        "descriptor_trajectory",
+        "null_report",
+        "null_sweep",
+    ],
+)
+def test_config_type_error_named(tmp_path, capsys, config, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "--config", str(cfg_path), command)
+    assert code == EXIT_VALIDATION
+    ((section, content),) = config.items()
+    (key,) = content
+    assert f"{section}.{key}" in err
+    assert out == ""
+
+
 def test_import_leaves_scipy_unloaded():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)

@@ -344,6 +344,67 @@ def test_non_finite_zero_weight_stage_matches_the_array_path(
     assert a.x.tobytes() == b.x.tobytes() and a.x.shape == (len(x0),)
 
 
+def _stage_time(x0, params, policy):
+    """The time of stage 3 of the 11th trial of a run of x' = -x."""
+    times = []
+
+    def logged(x, t):
+        times.append(t)
+        return -x
+
+    simulate(DynamicsSpec(dim=len(x0), rhs=logged), x0, params, policy)
+    # two calls to start, then six per trial
+    return times, times[2 + 6 * 10 + 1]
+
+
+@pytest.mark.parametrize("x0", [[1.0], [1.0, 0.5]])
+def test_kernel_error_on_finite_input_matches_the_array_path(
+    x0, default_params, default_policy
+):
+    _, tau = _stage_time(x0, default_params, default_policy)
+
+    def kernel(x, t):
+        if t == tau:
+            raise ValueError(f"kernel refuses x={x!r} at t={t!r}")
+        return -x
+
+    def array(x, t):
+        return np.array([kernel(xi, t) for xi in x.tolist()])
+
+    errors = []
+    for rhs in (_Pointwise(kernel), array):
+        with pytest.raises(ValueError) as info:
+            simulate(DynamicsSpec(dim=len(x0), rhs=rhs), x0, default_params, default_policy)
+        errors.append(info.value)
+    a, b = errors
+    assert type(a) is type(b) is ValueError
+    assert str(a) == str(b) and repr(tau) in str(a)
+
+
+@pytest.mark.parametrize("x0", [[1.0], [1.0, 0.5]])
+@pytest.mark.parametrize("failure", ["raise", "inf"])
+def test_failing_wrapper_is_called_once_per_stage(x0, failure, default_params, default_policy):
+    # a wrapper rhs is stepped through the checked trial alone, which is
+    # never run twice: the call at tau is its last
+    times, tau = _stage_time(x0, default_params, default_policy)
+    rhs = _Pointwise(lambda x, t: -x)
+    calls = []
+
+    @functools.wraps(rhs)
+    def wrapper(x, t):
+        calls.append(t)
+        if t == tau:
+            if failure == "raise":
+                raise ValueError("wrapper refuses")
+            return np.full_like(x, math.inf)
+        return rhs(x, t)
+
+    error = ValueError if failure == "raise" else BlowUpError
+    with pytest.raises(error):
+        simulate(DynamicsSpec(dim=len(x0), rhs=wrapper), x0, default_params, default_policy)
+    assert calls == times[: times.index(tau) + 1]
+
+
 def test_vector_kernel_stall_matches_the_array_path(default_params, default_policy):
     def kernel(x, t):
         # bounded but violently oscillatory, as in test_stall_error_carries_state
@@ -544,6 +605,10 @@ def test_resample_rejects_bad_times(default_traj):
         resample(default_traj, [default_traj.t_end + 1e-6])
     with pytest.raises(ValueError):
         resample(default_traj, [0.5, 0.4])
+    # NaN passes both the range and the order check
+    for times in ([math.nan], [0.1, math.nan], [0.1, math.nan, 0.2]):
+        with pytest.raises(ValueError, match="finite"):
+            resample(default_traj, times)
 
 
 def test_settling_report(default_traj, default_params):
