@@ -122,7 +122,10 @@ _SCHEMA = {
     "params": dict.fromkeys(
         (f.name for f in dataclasses.fields(BarrierParams) if f.init), _NUMBER
     ),
-    "policy": dict.fromkeys(f.name for f in dataclasses.fields(NumericPolicy)),
+    "policy": {
+        **dict.fromkeys((f.name for f in dataclasses.fields(NumericPolicy)), _NUMBER),
+        "delta_end": ((int, float, type(None)), "a number or null"),
+    },
     "simulate": {
         "x0": ((int, float, str), "a number or a string of comma-separated numbers"),
         "bias": _NUMBER,
@@ -165,20 +168,17 @@ def load_config(path: Optional[str]) -> dict:
 
 def _resolve(args, flag: str, config: dict, section: str, key: str, default):
     value = getattr(args, flag, None)
-    if value is not None:
-        return value
-    section_map = config.get(section, {})
-    if key in section_map:
-        return section_map[key]
-    return default
+    return value if value is not None else config.get(section, {}).get(key, default)
 
 
 def _policy_from_config(config: dict) -> NumericPolicy:
     section = config.get("policy", {})
-    try:
-        return NumericPolicy(**section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid policy: {exc}") from exc
+    for key, value in section.items():  # each field is checked alone
+        try:
+            NumericPolicy(**{key: value})
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"invalid policy.{key}: {exc}") from exc
+    return NumericPolicy(**section)
 
 
 def _params_from(args, config: dict) -> BarrierParams:
@@ -190,11 +190,13 @@ def _params_from(args, config: dict) -> BarrierParams:
     )
 
 
-def _parse_x0(text: str) -> np.ndarray:
+def _x0_from(args, config: dict) -> np.ndarray:
+    text = _resolve(args, "x0", config, "simulate", "x0", "1.0")
     try:
         return np.array([float(part) for part in str(text).split(",")])
     except ValueError as exc:
-        raise ValueError(f"invalid --x0 value {text!r}") from exc
+        name = "--x0" if args.x0 is not None else "simulate.x0"
+        raise ValueError(f"invalid {name} value {text!r}") from exc
 
 
 def _law_for(x0: np.ndarray, p: BarrierParams, policy: NumericPolicy, bias: float = 0.0):
@@ -217,7 +219,7 @@ def _cmd_simulate(args, config: dict) -> int:
     _check_law_params(p)
     policy = _policy_from_config(config)
     bias = float(_resolve(args, "bias", config, "simulate", "bias", 0.0))
-    x0 = _parse_x0(_resolve(args, "x0", config, "simulate", "x0", "1.0"))
+    x0 = _x0_from(args, config)
     traj = simulate(_law_for(x0, p, policy, bias), x0, p, policy)
     report = settling_report(traj, p)
 
@@ -249,7 +251,7 @@ def _cmd_certify(args, config: dict) -> int:
         raise ValueError(f"inadmissible parameters: {verdict.reason}")
     policy = _policy_from_config(config)
     bias = float(_resolve(args, "bias", config, "simulate", "bias", 0.0))
-    x0 = _parse_x0(_resolve(args, "x0", config, "simulate", "x0", "1.0"))
+    x0 = _x0_from(args, config)
     traj = simulate(_law_for(x0, p, policy, bias), x0, p, policy)
     report = check_dissipation(traj, p, policy)
 
@@ -321,7 +323,7 @@ def _cmd_sweep(args, config: dict) -> int:
 def _cmd_bound(args, config: dict) -> int:
     p = _params_from(args, config)
     _check_law_params(p)
-    x0 = _parse_x0(_resolve(args, "x0", config, "simulate", "x0", "1.0"))
+    x0 = _x0_from(args, config)
     v0 = float(np.max(np.abs(x0)))
     sb = settling_bound(p, v0)
     _print_block(
@@ -443,7 +445,8 @@ def main(argv=None) -> int:
     except (StallError, BlowUpError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, TimeBarrierError) as exc:
+    except (ValueError, TimeBarrierError, OSError) as exc:
+        # an OSError is an output path that cannot be written; its text names it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

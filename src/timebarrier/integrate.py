@@ -44,7 +44,10 @@ function of (x, t). A checked trial is never run twice. Both kinds take
 the RMS of the live coordinates' scaled errors as their error norm
 (``_rms``, one function), so they take the same steps to the bit. All
 share the controller, the clamp, the step budget, the stall checks, event
-refinement and the segment record. Each accepted step keeps its seven
+refinement and the segment record. Per trial and per bisection step, these
+compare floats where the builtins min() and max() would be called, in the
+builtins' operand order, so every value keeps its bits: on CPython 3.11 a
+builtin call costs 200-300 ns, ~30 ns compared out, and a float trial ~6 us. Each accepted step keeps its seven
 stage derivatives, and the dense-output coefficients of all steps come
 from one contraction after the loop. Sampling gathers each time's segment
 and evaluates the quartic elementwise, so the value at a time does not
@@ -262,11 +265,18 @@ def _initial_step(spec, x0, f0, policy, limit):
     return min(100 * h0, h1, limit)
 
 
+def _larger(a: float, b: float) -> float:
+    """``max(a, b)`` with its bits (``a`` unless ``b > a``), written out: a
+    builtin min/max call costs 200-300 ns on CPython 3.11, ~30 ns compared
+    out, and a float trial of ~6 us made five of them."""
+    return b if b > a else a
+
+
 def _trial(rhs, larger, atol, rtol, t, x, f, h, t_new):
     """DOPRI5(4) trial step, elementwise.
 
     ``x, f`` are Python floats (one-dimensional run or one coordinate of a
-    pointwise rhs, ``larger=max``) or arrays over the coordinates of one run
+    pointwise rhs, ``larger=_larger``) or arrays over the coordinates of one run
     (``larger=np.maximum``); ``t, h, t_new`` are floats. Every operation is
     elementwise IEEE arithmetic, so a coordinate gets the bits of the float
     step. Returns (x_new, f_new, stage derivatives, scaled error): the error
@@ -346,7 +356,11 @@ def _refine_event(x0, h, coef, eps_conv):
     rows = list(zip(x0.tolist(), coef.tolist()))
 
     def norm(theta):
-        return max(abs(_dense_poly(xi, h, ci, theta)) for xi, ci in rows)
+        largest = None  # max() over the coordinates, compared out
+        for xi, ci in rows:
+            v = abs(_dense_poly(xi, h, ci, theta))
+            largest = v if largest is None or v > largest else largest
+        return largest
 
     lo, hi = 0.0, 1.0
     for _ in range(60):
@@ -449,9 +463,9 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
         if spec.dim == 1:
             norm, stage_sum = abs, sum
             x, f = x0.item(), f0.item()
-            checked = partial(_trial, partial(_checked_rhs_float, spec), max, atol, rtol)
+            checked = partial(_trial, partial(_checked_rhs_float, spec), _larger, atol, rtol)
             if kernel is not None:
-                fast = partial(_trial, kernel, max, atol, rtol)
+                fast = partial(_trial, kernel, _larger, atol, rtol)
         else:
             # the seven stage rows joined into one tuple, the cheapest sum here
             norm, stage_sum = _maxabs, lambda rows: sum(sum(rows, ()))
@@ -459,7 +473,7 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
             live = [True] * spec.dim  # updated in place by the hold
             checked = partial(_array_trial, partial(_checked_rhs, spec), atol, rtol, live)
             if kernel is not None:
-                fast = partial(_coordinate_trial, partial(_trial, kernel, max, atol, rtol), live)
+                fast = partial(_coordinate_trial, partial(_trial, kernel, _larger, atol, rtol), live)
         hold = spec.dim > 1 and getattr(spec.rhs, "decoupled", False) is True
         err_prev = 1e-4
 
@@ -473,7 +487,9 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
                     f"step budget exhausted at t={t!r} without convergence",
                     t, np.atleast_1d(x),
                 )
-            h = min(h_prop, _KAPPA * (tc - t), remaining)
+            h = _KAPPA * (tc - t)  # min(h_prop, this, remaining), compared out
+            h = h if h < h_prop else h_prop
+            h = remaining if remaining < h else h
             t_new = t_end if h >= remaining else t + h
             h_eff = t_new - t
             if h_eff <= 4.0 * math.ulp(t):
@@ -501,12 +517,12 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
                 seg_x0.append(x)
                 seg_k.append(k)
                 step_count += 1
-                if err_norm == 0.0:
-                    factor = _MAX_FACTOR
-                else:
+                factor = _MAX_FACTOR
+                if err_norm != 0.0:  # clamped as min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
                     factor = _SAFETY * err_norm**-0.14 * err_prev**0.08
-                factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-                err_prev = max(err_norm, 1e-12)
+                    factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
+                    factor = factor if factor < _MAX_FACTOR else _MAX_FACTOR
+                err_prev = 1e-12 if 1e-12 > err_norm else err_norm
                 h_prop = h_eff * factor
                 t = t_new
                 if norm(x_new) <= eps_conv:
@@ -522,8 +538,9 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
                 f = f_new
             else:
                 rejected += 1
-                h_prop = h_eff * max(_MIN_FACTOR, _SAFETY * err_norm**-0.2)
-                if h_prop <= 4.0 * math.ulp(max(t, 0.01 * t_end)):
+                shrink = _SAFETY * err_norm**-0.2
+                h_prop = h_eff * (shrink if shrink > _MIN_FACTOR else _MIN_FACTOR)
+                if h_prop <= 4.0 * math.ulp(_larger(t, 0.01 * t_end)):
                     raise StallError(
                         f"step size underflow (stall) at t={t!r}", t, np.atleast_1d(x)
                     )
@@ -557,15 +574,11 @@ def _record(spec, x0, p, policy, t_end, steps: _Steps) -> Trajectory:
     else:
         x_final = np.atleast_1d(np.asarray(steps.x_last, dtype=float))
 
-    event_time = event[0] if event is not None else None
+    event_time = converged_at = event[0] if event is not None else None
     if event is not None:
         rem = remaining_settling_time(p, event[1], event[0])
         if rem.reaches_zero:
             converged_at = min(max(rem.tau_bound, event[0]), t_end)
-        else:
-            converged_at = event[0]
-    else:
-        converged_at = None
 
     extra = [0.0, t_end]
     if event_time is not None:

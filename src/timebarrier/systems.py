@@ -134,7 +134,8 @@ def make_time_barrier_componentwise(
             raise DomainError(f"domain exceeded: t={t!r} not in [0, tc={tc!r})")
         if sign_eps > 0.0:
             ax = abs(x)
-            return -beta * x / (tc - t) - q * ax**alpha * (x / max(ax, sign_eps)) + bias
+            scale = sign_eps if sign_eps > ax else ax  # max(ax, sign_eps), compared out
+            return -beta * x / (tc - t) - q * ax**alpha * (x / scale) + bias
         # the exact sign by branch: the bits of q*|x|**alpha*sgn(x) with
         # sgn(x) a float, signed zeros and NaN included
         if x > 0.0:

@@ -348,6 +348,57 @@ def test_config_type_error_named(tmp_path, capsys, config, command):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["simulate", "certify"])
+def test_unwritable_out_path_is_a_validation_error(tmp_path, capsys, command):
+    # --out of simulate is the trajectory CSV, of certify the report
+    out_path = tmp_path / "no_such_dir" / "out.txt"
+    code, out, err = run_cli(capsys, "--quiet", "--out", str(out_path), command)
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error: ")
+    assert str(out_path) in err
+
+
+def test_empty_sweep_output_path_is_a_validation_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "sweep": {"tc": [1.0], "beta": [2.0], "q": [1.0], "alpha": [0.5], "x0_decades": [0, 0]},
+        "output": {"sweep": ""},
+    }))
+    code, out, err = run_cli(capsys, "--config", str(cfg_path), "sweep")
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error: ")
+    assert "''" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify", "bound"])
+def test_bad_config_x0_is_named_by_its_key(tmp_path, capsys, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"simulate": {"x0": "abc"}}))
+    code, out, err = run_cli(capsys, "--config", str(cfg_path), command)
+    assert code == EXIT_VALIDATION
+    assert "simulate.x0" in err and "--x0" not in err
+    # the flag overrides the config, and a bad flag value is named by the flag
+    code, out, err = run_cli(capsys, "--config", str(cfg_path), command, "--x0", "1,x")
+    assert code == EXIT_VALIDATION
+    assert "--x0" in err and "simulate.x0" not in err
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [{"rel_tol": None}, {"rel_tol": True}, {"eps_conv": "1e-8"}, {"abs_tol": -1.0},
+     {"rel_tol": 10**400}],
+    ids=["null_rel_tol", "bool_rel_tol", "string_eps_conv", "negative_abs_tol", "huge_rel_tol"],
+)
+def test_bad_policy_value_is_named_by_its_key(tmp_path, capsys, policy):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"policy": {"sign_eps": 0.0, **policy}}))
+    code, out, err = run_cli(capsys, "--config", str(cfg_path), "simulate")
+    assert code == EXIT_VALIDATION
+    (key,) = policy
+    assert f"policy.{key}" in err
+    assert out == ""
+
+
 def test_import_leaves_scipy_unloaded():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)

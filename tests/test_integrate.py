@@ -2,7 +2,9 @@
 
 import dataclasses
 import functools
+import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from timebarrier import (
     simulate,
 )
 from timebarrier.core import _Pointwise
+from timebarrier.integrate import _dense_poly, _larger, _refine_event
 from timebarrier.systems import (
     make_autonomous_power_law,
     make_time_barrier_componentwise,
@@ -474,6 +477,57 @@ def test_vector_runs_work_is_pinned(default_params, default_policy):
     # the work of these 10 componentwise runs is pinned, so that a change in
     # speed can be told apart from a change in work
     assert (accepted, rejected) == (2323, 105)
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+def test_larger_has_the_bits_of_max():
+    # the float trial's stand-in for the builtin max(a, b): the same value,
+    # the first of two equal values (0.0 and -0.0) and the same NaN of two
+    values = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, math.inf, -math.inf, math.nan, -math.nan]
+    assert _bits(math.nan) != _bits(-math.nan)
+    for a, b in itertools.product(values, repeat=2):
+        assert _bits(_larger(a, b)) == _bits(max(a, b)), (a, b)
+
+
+def _refine_event_with_max(x0, h, coef, eps_conv):
+    """The bisection of ``integrate._refine_event`` with the norm written as
+    the builtin max over the coordinates."""
+    rows = list(zip(x0.tolist(), coef.tolist()))
+
+    def norm(theta):
+        return max(abs(_dense_poly(xi, h, ci, theta)) for xi, ci in rows)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if norm(mid) <= eps_conv:
+            hi = mid
+        else:
+            lo = mid
+    return hi, norm(hi)
+
+
+def test_refine_event_matches_the_max_norm(default_params, default_policy):
+    eps_conv = default_policy.eps_conv
+    law = make_time_barrier_componentwise(default_params, 2, default_policy)
+    wrapped = dataclasses.replace(law, rhs=lambda x, t: law.rhs(x, t))
+    blocks = []
+    # the last step of held runs and of unheld runs, whichever coordinate is larger
+    for spec, x0 in [(law, [1.0, 0.9]), (law, [0.9, -1.0]), (law, [1e3, 1e-3]),
+                     (wrapped, [1.0, 0.9]), (wrapped, [0.9, -1.0])]:
+        traj = simulate(spec, x0, default_params, default_policy)
+        blocks.append((traj._seg_x0[-1], traj._seg_h[-1].item(), traj._seg_coef[-1]))
+    # either coordinate not a number, first or second
+    coef = np.array([[-1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
+    blocks += [(np.array([1.0, math.nan]), 1.0, coef), (np.array([math.nan, 1.0]), 1.0, coef)]
+    for x0, h, coef in blocks:
+        theta, norm = _refine_event(x0, h, coef, eps_conv)
+        want_theta, want_norm = _refine_event_with_max(x0, h, coef, eps_conv)
+        assert _bits(theta) == _bits(want_theta)
+        assert _bits(norm) == _bits(want_norm)
 
 
 def test_w_monotone_along_flow(default_params, default_policy):

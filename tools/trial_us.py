@@ -3,6 +3,7 @@
 Run from the root of a checkout:
 
     python3 tools/trial_us.py [--repeat 20] [--src src]
+    python3 tools/trial_us.py [--repeat 20] --src ../parent/src --src src
 
 Each case is one run of the componentwise law at the default parameters
 (tc=1, beta=2, q=1, alpha=0.5) with the default numeric policy. The stepping
@@ -15,6 +16,14 @@ the per-coordinate hold and so does the same work. The trial counts are
 printed next to the times, so a change in speed can be told apart from a
 change in work: the script exits 1 when a case's accepted/rejected counts,
 on either path, differ from the pinned ones in ``CASES``.
+
+Given ``--src`` twice, the script times two source trees, A and B, in one
+process: B's package is imported under another name, the two trees take
+turns repeat by repeat (the first to go alternating), and each case prints
+both trees' µs/trial and their ratio B/A. The pinned counts are checked on
+both trees. A shared host's speed drifts between runs minutes apart, so
+two separate runs of the script cannot show a 20% per-trial change; the
+interleaved ratio can.
 """
 
 from __future__ import annotations
@@ -22,6 +31,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import importlib
+import importlib.util
 import sys
 import timeit
 from pathlib import Path
@@ -35,42 +46,87 @@ CASES = (
     ([1.0, -0.9, 0.8], (226, 17)),
     ([1.0, -0.1, 1e-3], (307, 19)),
 )
+# the package name each tree is imported under
+NAMES = ("timebarrier", "timebarrier_b")
+
+
+def import_tree(src: Path, name: str):
+    """The ``timebarrier`` package of the tree ``src``, imported as ``name``,
+    and its ``integrate`` module."""
+    package = src.resolve() / "timebarrier"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module, importlib.import_module(f"{name}.integrate")
+
+
+def case_runs(tb, integrate, x0):
+    """(path, stepping-loop callable) of one case on one tree, kernel first."""
+    p = tb.BarrierParams(1.0, 2.0, 1.0, 0.5)
+    policy = tb.NumericPolicy()
+    law = tb.make_time_barrier_componentwise(p, len(x0), policy)
+    wrapped = functools.wraps(law.rhs)(lambda x, t, rhs=law.rhs: rhs(x, t))
+    for path, spec in (("kernel", law), ("array", dataclasses.replace(law, rhs=wrapped))):
+        policy_, x, tc, t_end = integrate._prepare(spec, x0, p, policy)
+        yield path, functools.partial(integrate._step, spec, x, tc, t_end, policy_)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeat", type=int, default=20, help="timeit repeats per case")
-    parser.add_argument("--src", type=Path, default=ROOT / "src", help="library source tree")
+    parser.add_argument(
+        "--src", type=Path, action="append",
+        help="library source tree; give it twice to time two trees interleaved "
+        "(default: src)",
+    )
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
-    import timebarrier as tb
-    from timebarrier import integrate
+    srcs = args.src or [ROOT / "src"]
+    if len(srcs) > 2:
+        parser.error("--src takes at most two trees")
+    trees = [import_tree(src, name) for src, name in zip(srcs, NAMES)]
+    labels = "AB"[: len(trees)]
+    if len(trees) == 2:
+        for label, src in zip(labels, srcs):
+            print(f"{label}: {src}")
 
-    p = tb.BarrierParams(1.0, 2.0, 1.0, 0.5)
-    policy = tb.NumericPolicy()
-    print(f"{'x0':<22} {'path':<8} {'accepted':>8} {'rejected':>8} {'us/trial':>9}")
+    header = f"{'x0':<22} {'path':<8} {'accepted':>8} {'rejected':>8}"
+    if len(trees) == 1:
+        header += f" {'us/trial':>9}"
+    else:
+        header += f" {'us/trial A':>10} {'us/trial B':>10} {'B/A':>6}"
+    print(header)
     changed = []
     for x0, pinned in CASES:
-        law = tb.make_time_barrier_componentwise(p, len(x0), policy)
-        wrapped = functools.wraps(law.rhs)(lambda x, t, rhs=law.rhs: rhs(x, t))
-        for path, spec in (("kernel", law), ("array", dataclasses.replace(law, rhs=wrapped))):
-            policy_, x, tc, t_end = integrate._prepare(spec, x0, p, policy)
-
-            def run():
-                return integrate._step(spec, x, tc, t_end, policy_)
-
-            steps = run()
-            counts = (len(steps.t0), steps.rejected)
-            if counts != pinned:
-                changed.append(
-                    f"{x0} {path}: {counts[0]}/{counts[1]}, pinned {pinned[0]}/{pinned[1]}"
-                )
-            trials = sum(counts)
-            best = min(timeit.repeat(run, number=1, repeat=args.repeat))
-            print(
-                f"{str(x0):<22} {path:<8} {len(steps.t0):>8} {steps.rejected:>8} "
-                f"{1e6 * best / trials:>9.2f}"
-            )
+        runs = [case_runs(tb, integrate, x0) for tb, integrate in trees]
+        for paths in zip(*runs):
+            path = paths[0][0]
+            steppers = [run for _, run in paths]
+            counts = []
+            for label, run in zip(labels, steppers):
+                steps = run()
+                counts.append((len(steps.t0), steps.rejected))
+                if counts[-1] != pinned:
+                    tree = f" tree {label}" if len(trees) == 2 else ""
+                    changed.append(
+                        f"{x0} {path}{tree}: {counts[-1][0]}/{counts[-1][1]}, "
+                        f"pinned {pinned[0]}/{pinned[1]}"
+                    )
+            # the trees take turns, and the one to go first alternates
+            best = [float("inf")] * len(steppers)
+            for r in range(args.repeat):
+                order = range(len(steppers)) if r % 2 == 0 else reversed(range(len(steppers)))
+                for i in order:
+                    best[i] = min(best[i], timeit.timeit(steppers[i], number=1))
+            us = [1e6 * b / sum(c) for b, c in zip(best, counts)]
+            line = f"{str(x0):<22} {path:<8} {counts[0][0]:>8} {counts[0][1]:>8}"
+            if len(trees) == 1:
+                line += f" {us[0]:>9.2f}"
+            else:
+                line += f" {us[0]:>10.2f} {us[1]:>10.2f} {us[1] / us[0]:>6.3f}"
+            print(line)
     for line in changed:
         print(f"accepted/rejected changed: {line}", file=sys.stderr)
     return 1 if changed else 0
