@@ -56,16 +56,14 @@ def _log_lambda(tc: float, t: float) -> float:
     return math.log1p(-t / tc)
 
 
-def _scaled_integral(m: float, tc: float, t: float) -> float:
-    """J(t) = integral of ((tc-s)/tc)**(-m) ds over [0, t]; inf if divergent."""
-    if t == 0.0:
-        return 0.0
-    u = _log_lambda(tc, t) if t < tc else -math.inf
+def _scaled_integral(m: float, tc: float, log_lam: float) -> float:
+    """J(t) = integral of ((tc-s)/tc)**(-m) ds over [0, t] for 0 < t <= tc,
+    from ``log_lam`` = log((tc - t)/tc), -inf at t = tc; inf if divergent."""
+    if log_lam == -math.inf:
+        return math.inf if m >= 1.0 else tc / (1.0 - m)
     if m == 1.0:
-        return math.inf if t >= tc else -tc * u
-    if t >= tc:
-        return math.inf if m > 1.0 else tc / (1.0 - m)
-    arg = (1.0 - m) * u
+        return -tc * log_lam
+    arg = (1.0 - m) * log_lam
     if arg > 700.0:
         return math.inf
     return tc * math.expm1(arg) / (m - 1.0)
@@ -94,7 +92,8 @@ def barrier_integral(p: BarrierParams, t: float) -> float:
     if m == 1.0:
         return -_log_lambda(tc, t)
     if m <= 30.0:
-        return _scaled_integral(m, tc, t) * tc ** (-m)
+        log_lam = _log_lambda(tc, t) if t < tc else -math.inf
+        return _scaled_integral(m, tc, log_lam) * tc ** (-m)
     # log space: I = tc**(1-m) * expm1((1-m)*log(lam)) / (m-1)
     arg = (1.0 - m) * _log_lambda(tc, t)
     if arg > 40.0:
@@ -177,14 +176,14 @@ def exact_solution_scalar(p: BarrierParams, x0: float, t: float) -> float:
         return float(x0)
     one_minus_a = 1.0 - alpha
     z0 = abs(x0) ** one_minus_a
+    log_lam = math.log1p(-t / tc)  # _log_lambda, once per call
     if q == 0.0:
         bracket = z0
     else:
-        j = _scaled_integral(m, tc, t)
-        bracket = z0 - q * one_minus_a * j
+        bracket = z0 - q * one_minus_a * _scaled_integral(m, tc, log_lam)
     if bracket <= 0.0 or not math.isfinite(bracket):
         return 0.0
-    log_x = (m * _log_lambda(tc, t) + math.log(bracket)) / one_minus_a
+    log_x = (m * log_lam + math.log(bracket)) / one_minus_a
     return math.copysign(math.exp(log_x), x0)
 
 

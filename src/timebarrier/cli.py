@@ -15,7 +15,7 @@ import dataclasses
 import io
 import json
 import sys
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -71,8 +71,11 @@ def render_trajectory_csv(traj: Trajectory) -> str:
 def parse_trajectory_csv(text: str):
     """Inverse of :func:`render_trajectory_csv`; returns (header, rows array).
 
-    Every cell goes through Python's ``float``, so the round trip is exact. A
-    row whose cell count differs from the header's raises ``ValueError``
+    All cells are converted in one ``numpy.array(..., dtype=float)`` call,
+    whose string parser gives the bits of Python's ``float`` (``nan``,
+    ``inf``, ``-0.0`` and subnormals included), so the round trip is exact,
+    and a cell that is not a number raises ``float``'s ``ValueError`` text.
+    A row whose cell count differs from the header's raises ``ValueError``
     naming its line.
     """
     lines = [ln for ln in text.splitlines() if ln]
@@ -87,9 +90,9 @@ def parse_trajectory_csv(text: str):
         raise ValueError(
             f"line {number} has {line.count(',') + 1} cells, the header {width}: {line!r}"
         )
-    # one flat pass, each row's cells split only while they are read
-    cells = chain.from_iterable(ln.split(",") for ln in body)
-    rows = np.fromiter(map(float, cells), dtype=float, count=len(body) * width)
+    # the check above leaves exactly len(body) * width cells
+    cells = ",".join(body).split(",") if body else []
+    rows = np.array(cells, dtype=float)
     return header, rows.reshape(len(body), width)
 
 
@@ -163,6 +166,12 @@ def load_config(path: Optional[str]) -> dict:
                 raise ConfigError(
                     f"invalid {section}.{key}: expected {expected[1]}, got {json.dumps(value)}"
                 )
+            # a JSON integer past the float range fails float() by OverflowError
+            if expected and float in expected[0] and isinstance(value, int):
+                try:
+                    float(value)
+                except OverflowError as exc:
+                    raise ConfigError(f"invalid {section}.{key}: {exc}") from exc
     return data
 
 
@@ -171,12 +180,15 @@ def _resolve(args, flag: str, config: dict, section: str, key: str, default):
     return value if value is not None else config.get(section, {}).get(key, default)
 
 
-def _policy_from_config(config: dict) -> NumericPolicy:
+def _policy_from_config(config: dict, tc: Optional[float] = None) -> NumericPolicy:
+    """The config's policy; with ``tc``, a configured delta_end must lie below it."""
     section = config.get("policy", {})
     for key, value in section.items():  # each field is checked alone
         try:
-            NumericPolicy(**{key: value})
-        except (TypeError, ValueError, OverflowError) as exc:
+            alone = NumericPolicy(**{key: value})
+            if key == "delta_end" and tc is not None:
+                alone.resolve_delta_end(tc)
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid policy.{key}: {exc}") from exc
     return NumericPolicy(**section)
 
@@ -217,7 +229,7 @@ def _law_for(x0: np.ndarray, p: BarrierParams, policy: NumericPolicy, bias: floa
 def _cmd_simulate(args, config: dict) -> int:
     p = _params_from(args, config)
     _check_law_params(p)
-    policy = _policy_from_config(config)
+    policy = _policy_from_config(config, p.tc)
     bias = float(_resolve(args, "bias", config, "simulate", "bias", 0.0))
     x0 = _x0_from(args, config)
     traj = simulate(_law_for(x0, p, policy, bias), x0, p, policy)
@@ -249,7 +261,7 @@ def _cmd_certify(args, config: dict) -> int:
     verdict = validate_params(p)
     if not verdict.admissible:
         raise ValueError(f"inadmissible parameters: {verdict.reason}")
-    policy = _policy_from_config(config)
+    policy = _policy_from_config(config, p.tc)
     bias = float(_resolve(args, "bias", config, "simulate", "bias", 0.0))
     x0 = _x0_from(args, config)
     traj = simulate(_law_for(x0, p, policy, bias), x0, p, policy)

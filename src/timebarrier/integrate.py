@@ -67,8 +67,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain
-from typing import Optional
+from itertools import chain, repeat
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -115,11 +115,12 @@ _MAX_STEPS = 1_000_000
 _OUTPUT_POINTS = 512
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
+class TrajectorySample(NamedTuple):
     """One recorded point: time, state, and the Lyapunov/barrier values.
 
-    A view of one row of a :class:`Trajectory`'s arrays.
+    A view of one row of a :class:`Trajectory`'s arrays: ``x`` is the
+    read-only row of ``states``. A named tuple, so its fields cannot be
+    assigned.
     """
 
     t: float
@@ -178,16 +179,14 @@ class Trajectory:
     def samples(self) -> list[TrajectorySample]:
         """The record as one :class:`TrajectorySample` per time, built on
         first access; V, W and vdot are None where the spec has none."""
-        n = self.times.size
-        none = [None] * n
+        none = repeat(None)
         has_v = self.spec.v is not None
         v = self.v_values.tolist() if has_v else none
         w = self.w_values.tolist() if has_v else none
         vdot = self.vdot_values.tolist() if self.spec.vdot is not None else none
-        return [
-            TrajectorySample(*row)
-            for row in zip(self.times.tolist(), self.states, v, w, vdot)
-        ]
+        # tuple.__new__ over the rows in one C-level map: no Python call per row
+        rows = zip(self.times.tolist(), self.states, v, w, vdot)
+        return list(map(tuple.__new__, repeat(TrajectorySample), rows))
 
 
 def _maxnorm(x: np.ndarray) -> float:

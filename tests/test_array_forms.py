@@ -231,6 +231,21 @@ def test_exact_solution_array_matches(name, x0):
     assert same_bits(exact_solution_scalar_array(p, x0, t), want)
 
 
+def test_exact_solution_scalar_matches_array_on_roundtrip_requests():
+    # the trajectory_roundtrip distribution, at the times of each request's run
+    rng = np.random.default_rng(18)
+    policy = NumericPolicy()
+    for _ in range(40):
+        u = rng.uniform(size=6)
+        alpha = 0.1 + 0.8 * u[0]
+        p = BarrierParams(10.0 ** (u[3] - 0.5), (1.0 + u[1]) / (1.0 - alpha),
+                          10.0 ** (u[2] - 0.5), alpha)
+        x0 = (1.0 if u[5] < 0.5 else -1.0) * 10.0 ** (12.0 * u[4] - 6.0)
+        times = simulate(make_time_barrier_scalar(p, policy), x0, p, policy).times
+        want = [exact_solution_scalar(p, x0, s) for s in times.tolist()]
+        assert same_bits(exact_solution_scalar_array(p, x0, times), want)
+
+
 def test_exact_solution_array_raises_the_scalar_errors():
     for x0, t in [(float("inf"), [0.0]), (1.0, [0.0, 0.5, 1.0]), (1.0, [-1e-3])]:
         want = raised(lambda: [exact_solution_scalar(P, x0, s) for s in t])

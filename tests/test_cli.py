@@ -1,11 +1,13 @@
 """Command-line surface: flags, exit codes, CSV round-trips, report blocks."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from timebarrier.cli import (
@@ -91,6 +93,31 @@ def test_ragged_trajectory_csv_names_its_line():
     header, rows = parse_trajectory_csv(text.replace(",9.0", "").replace(",0.25\n", ",0.25,1.0\n"))
     assert header == ["t", "x_1", "V", "W"]
     assert rows.tolist() == [[0.0, 1.0, 1.0, 1.0], [0.5, 0.25, 0.25, 1.0], [0.6, 0.2, 0.2, 1.0]]
+
+
+def test_trajectory_csv_special_cells_round_trip_bit_for_bit():
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+              2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e-310, -2.5]
+    text = "t,x_1,V,W\n" + "".join(
+        ",".join(map(repr, values[i:i + 4])) + "\n" for i in range(0, len(values), 4)
+    )
+    assert "nan" in text and "-0.0" in text and "5e-324" in text
+    header, rows = parse_trajectory_csv(text)
+    assert header == ["t", "x_1", "V", "W"]
+    assert rows.tobytes() == np.array(values).reshape(-1, 4).tobytes()
+    header, rows = parse_trajectory_csv("t,x_1,V,W\n")
+    assert rows.shape == (0, 4)
+
+
+@pytest.mark.parametrize("cell", ["abc", "", "1.0x", "0x10", "nan(1)"])
+def test_non_numeric_csv_cell_raises_the_float_text(cell):
+    try:
+        float(cell)
+    except ValueError as exc:
+        want = str(exc)
+    with pytest.raises(ValueError) as raised:
+        parse_trajectory_csv(f"t,x_1,V,W\n0.0,1.0,1.0,1.0\n0.5,{cell},0.25,1.0\n")
+    assert str(raised.value) == want
 
 
 def test_vector_initial_condition_csv(tmp_path, capsys):
@@ -489,3 +516,35 @@ def test_unknown_flag_is_validation_error(capsys):
 def test_exit_codes_partition():
     build_parser()
     assert {EXIT_OK, EXIT_VALIDATION, EXIT_NUMERIC, EXIT_PROPERTY} == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify", "bound"])
+@pytest.mark.parametrize(
+    "config",
+    [{"params": {"tc": 10**400}}, {"params": {"q": -(10**400)}},
+     {"simulate": {"bias": 10**400}}, {"simulate": {"x0": 10**400}}],
+    ids=["huge_tc", "huge_negative_q", "huge_bias", "huge_x0"],
+)
+def test_config_number_past_the_float_range_is_named(tmp_path, capsys, config, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "--config", str(cfg_path), command)
+    assert code == EXIT_VALIDATION
+    ((section, content),) = config.items()
+    (key,) = content
+    assert err == f"error: invalid {section}.{key}: int too large to convert to float\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify"])
+def test_config_delta_end_not_below_tc_is_named(tmp_path, capsys, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"policy": {"delta_end": 5}}))
+    code, out, err = run_cli(capsys, "--config", str(cfg_path), command)
+    assert code == EXIT_VALIDATION
+    assert err == "error: invalid policy.delta_end: delta_end=5 must lie in (0, tc=1.0)\n"
+    assert out == ""
+    # the flag's tc decides: below it the same delta_end is valid
+    code, out, err = run_cli(capsys, "--config", str(cfg_path), command, "--tc", "10")
+    assert code != EXIT_VALIDATION
+    assert err == ""

@@ -16,6 +16,7 @@ from timebarrier import (
     DynamicsSpec,
     NumericPolicy,
     StallError,
+    TrajectorySample,
     exact_solution_scalar,
     resample,
     settling_bound,
@@ -78,6 +79,25 @@ def test_record_arrays_read_only(default_traj):
         default_traj.states[0, 0] = 2.0
     with pytest.raises(ValueError):
         default_traj.times[0] = 1.0
+
+
+def test_samples_are_named_tuples_over_the_state_rows(default_params, default_policy):
+    assert TrajectorySample._fields == ("t", "x", "v", "w", "vdot")
+    for x0 in (1.0, [1.0, -0.5]):
+        law = make_time_barrier_componentwise(default_params, np.size(x0), default_policy)
+        traj = simulate(law, x0, default_params, default_policy)
+        samples = traj.samples
+        assert all(type(s) is TrajectorySample for s in samples)
+        sample = samples[3]
+        with pytest.raises(AttributeError):
+            sample.t = 0.0
+        # x is the read-only row of states, not a copy
+        assert np.shares_memory(sample.x, traj.states)
+        assert np.array_equal(sample.x, traj.states[3])
+        assert not sample.x.flags.writeable
+        with pytest.raises(TypeError):  # the state row is unhashable, as before
+            hash(sample)
+    assert traj.samples[0] != traj.samples[1]
 
 
 def test_samples_view_of_arrays(default_params, default_policy):

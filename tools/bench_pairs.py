@@ -12,7 +12,12 @@ slow spell of a shared host hits both sides alike. Each run's last stdout line
 is its JSON result. The summary gives, per workload and end-to-end metric,
 each side's median and quartiles and the number of pairs the change won (by
 the metric's ``better`` direction in BENCHMARK.json), and it records whether
-every run was correct and whether attempted/failed agree seed for seed. It is
+every run was correct and whether attempted/failed agree seed for seed. Per
+metric it also gives two verdicts, printed for every workload:
+``claim_rule_met`` (the change won at least nine tenths of the pairs, ties
+counting for neither side, and its median beats the parent's by more than the
+parent's q3 - q1) and ``within_bound`` (the change's median is not worse than
+the parent's by more than the metric's relative ``bound``). It is
 written to ``BENCH_<label>.json`` at the root of the repository holding this
 script; the raw results of every run are kept in it too.
 """
@@ -62,23 +67,45 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "min": min(values), "max": max(values)}
 
 
-def summarize(runs: list[dict], better: dict) -> dict:
-    """Per metric: each side's quartiles and the change's wins over the pairs."""
+def summarize(runs: list[dict], declared: dict) -> dict:
+    """Per metric: each side's quartiles, the change's wins over the pairs,
+    and the claim-rule and bound verdicts."""
     out = {}
-    for metric, direction in better.items():
+    for metric, spec in declared.items():
         sides = {side: [r[side]["metrics"][metric]["value"] for r in runs] for side in SIDES}
-        sign = 1.0 if direction == "higher" else -1.0
+        sign = 1.0 if spec["better"] == "higher" else -1.0
+        # a tie is a win for neither side
         wins = sum(
             sign * (c - p) > 0.0 for p, c in zip(sides["parent"], sides["change"])
         )
+        stats = {side: quartiles(values) for side, values in sides.items()}
+        parent, change = stats["parent"]["median"], stats["change"]["median"]
+        gain = sign * (change - parent)  # > 0 when the change's median is better
         out[metric] = {
-            "better": direction,
-            **{side: quartiles(values) for side, values in sides.items()},
+            "better": spec["better"],
+            **stats,
             "change_wins": wins,
             "pairs": len(runs),
-            "median_ratio": statistics.median(sides["change"]) / statistics.median(sides["parent"]),
+            "median_ratio": change / parent,
+            "claim_rule_met": (
+                10 * wins >= 9 * len(runs)
+                and gain > stats["parent"]["q3"] - stats["parent"]["q1"]
+            ),
+            "within_bound": gain >= -spec["bound"] * abs(parent),
         }
     return out
+
+
+def print_verdicts(workload: str, metrics: dict) -> None:
+    for metric, m in metrics.items():
+        print(
+            f"{workload} {metric}: parent {m['parent']['median']:.4g} "
+            f"[{m['parent']['q1']:.4g}-{m['parent']['q3']:.4g}], change "
+            f"{m['change']['median']:.4g} [{m['change']['q1']:.4g}-{m['change']['q3']:.4g}], "
+            f"wins {m['change_wins']}/{m['pairs']}, claim_rule_met={m['claim_rule_met']}, "
+            f"within_bound={m['within_bound']}",
+            flush=True,
+        )
 
 
 def main(argv=None) -> int:
@@ -92,7 +119,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    metrics = {m["name"]: m for m in declared["end_to_end"]}
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     report = {
         "label": args.label,
@@ -122,8 +149,10 @@ def main(argv=None) -> int:
                 ),
                 flush=True,
             )
+        summary = summarize(runs, metrics)
+        print_verdicts(workload, summary)
         report["workloads"][workload] = {
-            "metrics": summarize(runs, better),
+            "metrics": summary,
             "all_correct": all(r[side]["correct"] for r in runs for side in SIDES),
             "failed_equal_seed_for_seed": all(
                 (r["parent"]["attempted"], r["parent"]["failed"])
