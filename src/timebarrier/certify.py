@@ -22,6 +22,7 @@ from .core import (
     NumericPolicy,
     ParamVerdict,
     _evaluate,
+    _log_w,
     _map_floats,
     validate_params,
 )
@@ -121,7 +122,10 @@ def check_dissipation(
 
     Samples with V <= eps_conv are excluded (the inequality is quantified over
     nonzero states only). A violation is recorded when
-    lhs > rhs_bound + residual_tol * (1 + |rhs_bound|).
+    lhs > rhs_bound + residual_tol * (1 + |rhs_bound|). Monotonicity reads the
+    trajectory's W (from :func:`~timebarrier.core.w_transform_array`), and a
+    step with W past the float range at both ends is decided on log W from
+    the same helper as W's own log form.
     """
     policy = policy if policy is not None else traj.policy
     if traj.spec.v is None:
@@ -154,15 +158,10 @@ def check_dissipation(
     with np.errstate(invalid="ignore"):  # inf - inf: decided on log W below
         increase = np.diff(w)
     rising = increase > tol * (1.0 + np.abs(w[:-1]))
-    # a step with W past the float range at both ends is decided on
-    # log W = log V - beta*log(tc - t), and a rise there counts as inf
+    # a rise on log W, where W is past the float range at both ends, counts as inf
     over = np.flatnonzero(np.isinf(w[:-1]) & np.isinf(w[1:]))
     if over.size:
-        log_w0, log_w1 = (
-            _map_floats(math.log, traj.v_values[i])
-            - beta * _map_floats(math.log, tc - traj.times[i])
-            for i in (over, over + 1)
-        )
+        log_w0, log_w1 = (_log_w(traj.v_values[i], traj.times[i], p) for i in (over, over + 1))
         rising[over] = log_w1 - log_w0 > math.log1p(tol)
         increase[over] = np.where(log_w1 > log_w0, np.inf, 0.0)
     w_monotone = not rising.any()

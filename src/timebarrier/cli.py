@@ -194,12 +194,15 @@ def _policy_from_config(config: dict, tc: Optional[float] = None) -> NumericPoli
 
 
 def _params_from(args, config: dict) -> BarrierParams:
-    return BarrierParams(
+    """The law's parameters from the flags and the config, checked as the law checks them."""
+    p = BarrierParams(
         tc=float(_resolve(args, "tc", config, "params", "tc", 1.0)),
         beta=float(_resolve(args, "beta", config, "params", "beta", 2.0)),
         q=float(_resolve(args, "q", config, "params", "q", 1.0)),
         alpha=float(_resolve(args, "alpha", config, "params", "alpha", 0.5)),
     )
+    _check_law_params(p)
+    return p
 
 
 def _x0_from(args, config: dict) -> np.ndarray:
@@ -228,7 +231,6 @@ def _law_for(x0: np.ndarray, p: BarrierParams, policy: NumericPolicy, bias: floa
 
 def _cmd_simulate(args, config: dict) -> int:
     p = _params_from(args, config)
-    _check_law_params(p)
     policy = _policy_from_config(config, p.tc)
     bias = float(_resolve(args, "bias", config, "simulate", "bias", 0.0))
     x0 = _x0_from(args, config)
@@ -257,7 +259,6 @@ def _cmd_simulate(args, config: dict) -> int:
 
 def _cmd_certify(args, config: dict) -> int:
     p = _params_from(args, config)
-    _check_law_params(p)
     verdict = validate_params(p)
     if not verdict.admissible:
         raise ValueError(f"inadmissible parameters: {verdict.reason}")
@@ -316,7 +317,7 @@ def _sweep_config_from(config: dict) -> SweepConfig:
 
 def _cmd_sweep(args, config: dict) -> int:
     cfg = _sweep_config_from(config)
-    policy = _policy_from_config(config)
+    policy = _policy_from_config(config, min(cfg.tc_values))
     result = run_sweep(cfg, policy)
     out_path = args.out or config.get("output", {}).get("sweep", "sweep.csv")
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -334,7 +335,6 @@ def _cmd_sweep(args, config: dict) -> int:
 
 def _cmd_bound(args, config: dict) -> int:
     p = _params_from(args, config)
-    _check_law_params(p)
     x0 = _x0_from(args, config)
     v0 = float(np.max(np.abs(x0)))
     sb = settling_bound(p, v0)
@@ -348,7 +348,6 @@ def _cmd_bound(args, config: dict) -> int:
 
 def _cmd_witness(args, config: dict) -> int:
     p = _params_from(args, config)
-    _check_law_params(p)
     witness = find_nonautonomy_witness(p, args.vlevel, args.t1, args.t2)
     _print_block(
         [

@@ -122,31 +122,8 @@ def validate_params(p: BarrierParams) -> ParamVerdict:
 
 
 def w_transform(v: float, t: float, p: BarrierParams) -> float:
-    """Barrier-rescaled Lyapunov value v / (tc - t)**beta.
-
-    This is the single implementation shared by the trajectory recorder and
-    the certificate checker, so both see the same rounding. It is computed in
-    log space for beta > 30 and wherever (tc - t)**beta leaves the float
-    range; a value above the float range is inf in either form.
-    """
-    if not 0.0 <= t < p.tc:
-        raise DomainError(f"t={t!r} outside [0, tc={p.tc!r})")
-    if v == 0.0:
-        return 0.0
-    if v < 0.0:
-        raise ValueError(f"negative Lyapunov value {v!r}")
-    gap = p.tc - t
-    if p.beta <= 30.0:
-        try:
-            power = gap**p.beta
-        except OverflowError:
-            power = 0.0  # out of range like an underflow: take the log form
-        if power != 0.0:
-            return v / power
-    try:
-        return math.exp(math.log(v) - p.beta * math.log(gap))
-    except OverflowError:
-        return math.inf
+    """W = v / (tc - t)**beta at one pair: the one-pair view of :func:`w_transform_array`."""
+    return w_transform_array([v], [t], p).item()
 
 
 def _map_floats(fn, *args) -> np.ndarray:
@@ -161,37 +138,61 @@ def _map_floats(fn, *args) -> np.ndarray:
     return np.fromiter(map(fn, *lists), dtype=float)
 
 
-def w_transform_array(v, t, p: BarrierParams) -> np.ndarray:
-    """:func:`w_transform` at every (v, t) pair, bit for bit.
+def _log_w(v, t, p: BarrierParams) -> np.ndarray:
+    """log W = log V - beta*log(tc - t) at every pair with V > 0, on Python
+    floats: the log form of :func:`w_transform_array`, and the certificate's
+    reading of a W past the float range."""
+    return _map_floats(math.log, v) - p.beta * _map_floats(math.log, p.tc - t)
 
-    Pairs off the fast path (a time outside [0, tc), a negative or NaN V, a
-    power that overflows or underflows) send the whole call through the
-    scalar function, so its errors are raised and its log form is taken
-    unchanged.
+
+def _or_on_overflow(fn, value):
+    """``fn`` on Python floats, with ``value`` where its result leaves the float range."""
+    def call(*args):
+        try:
+            return fn(*args)
+        except OverflowError:
+            return value
+    return call
+
+
+def w_transform_array(v, t, p: BarrierParams) -> np.ndarray:
+    """Barrier-rescaled Lyapunov value v / (tc - t)**beta at every (v, t) pair.
+
+    The one implementation of W, shared by the trajectory recorder and the
+    certificate checker; :func:`w_transform` is its one-pair view. An element
+    takes the log form (:func:`_log_w`) for beta > 30 and wherever
+    (tc - t)**beta leaves the float range; a W past the float range is inf,
+    with no warning. The first pair with a time outside [0, tc) raises
+    ``DomainError``, or with a negative V ``ValueError``.
     """
     v = np.asarray(v, dtype=float)
     t = np.asarray(t, dtype=float)
     tc, beta = p.tc, p.beta
-    if np.all((0.0 <= t) & (t < tc)) and np.all(v >= 0.0):
-        nonzero = v != 0.0
-        vn, gap = v[nonzero], tc - t[nonzero]
+    bad = ~((0.0 <= t) & (t < tc)) | (v < 0.0)
+    if bad.any():
+        i = int(bad.argmax())
+        vi, ti = v.flat[i].item(), t.flat[i].item()
+        if not 0.0 <= ti < tc:
+            raise DomainError(f"t={ti!r} outside [0, tc={tc!r})")
+        raise ValueError(f"negative Lyapunov value {vi!r}")
+    nonzero = v != 0.0
+    vn, tn = v[nonzero], t[nonzero]
+    if beta <= 30.0:
         try:
-            if beta > 30.0:
-                wn = _map_floats(
-                    math.exp, _map_floats(math.log, vn) - beta * _map_floats(math.log, gap)
-                )
-            else:
-                power = _map_floats(pow, gap, beta)
-                wn = vn / power if np.all(power != 0.0) else None
-        except OverflowError:
-            wn = None
-        if wn is not None:
-            w = np.zeros(v.shape)
-            w[nonzero] = wn
-            return w
-    return np.array(
-        [w_transform(vi, ti, p) for vi, ti in zip(v.tolist(), t.tolist())], dtype=float
-    )
+            power = _map_floats(pow, tc - tn, beta)
+        except OverflowError:  # an overflow takes the log form, as an underflow does
+            power = _map_floats(_or_on_overflow(pow, 0.0), tc - tn, beta)
+    else:
+        power = np.zeros(vn.shape)
+    # a zero power's quotient is replaced by the log form below
+    with np.errstate(over="ignore", divide="ignore"):
+        wn = vn / power
+    logs = power == 0.0
+    if logs.any():
+        wn[logs] = _map_floats(_or_on_overflow(math.exp, math.inf), _log_w(vn[logs], tn[logs], p))
+    w = np.zeros(v.shape)
+    w[nonzero] = wn
+    return w
 
 
 @dataclass(frozen=True)

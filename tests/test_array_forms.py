@@ -1,8 +1,9 @@
-"""Block forms of V and dV/dt against a plain-Python reference, and array
-forms of W and the closed-form oracle against their one-point functions, bit
-for bit."""
+"""Block forms of V and dV/dt and the array form of W against plain-Python
+references, and the array form of the closed-form oracle against its
+one-point function, bit for bit."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -171,6 +172,30 @@ def test_wraps_wrapper_of_law_v_is_called_per_state(monkeypatch):
     assert blocks == [1] * traj.times.size  # each state is a block of one row
 
 
+def reference_w(v, t, p):
+    """Plain-Python W at one pair: an independent reference for its array
+    form, in log space for beta > 30 and where the power leaves the float
+    range."""
+    if not 0.0 <= t < p.tc:
+        raise DomainError(f"t={t!r} outside [0, tc={p.tc!r})")
+    if v == 0.0:
+        return 0.0
+    if v < 0.0:
+        raise ValueError(f"negative Lyapunov value {v!r}")
+    gap = p.tc - t
+    if p.beta <= 30.0:
+        try:
+            power = gap**p.beta
+        except OverflowError:
+            power = 0.0
+        if power != 0.0:
+            return v / power
+    try:
+        return math.exp(math.log(v) - p.beta * math.log(gap))
+    except OverflowError:
+        return math.inf
+
+
 @pytest.mark.parametrize("beta", [2.0, 4.0, 30.0, 35.0, 80.0])
 def test_w_transform_array_matches(beta):
     p = BarrierParams(2.0, beta, 1.0, 0.5)
@@ -181,8 +206,10 @@ def test_w_transform_array_matches(beta):
     t[0] = 0.0
     if beta <= 30.0:  # larger exponents overflow W this close to tc
         t[-1] = p.tc - 1e-9 * p.tc
-    want = [w_transform(vi, ti, p) for vi, ti in zip(v.tolist(), t.tolist())]
+    want = [reference_w(vi, ti, p) for vi, ti in zip(v.tolist(), t.tolist())]
     assert same_bits(w_transform_array(v, t, p), want)
+    # the one-pair view
+    assert same_bits([w_transform(vi, ti, p) for vi, ti in zip(v.tolist(), t.tolist())], want)
 
 
 @pytest.mark.parametrize(
@@ -194,18 +221,29 @@ def test_w_transform_array_matches(beta):
         (BarrierParams(1e11, 30.0, 1.0, 0.5), [1.0], [0.0]),  # power overflows
         (BarrierParams(1.0, 80.0, 1.0, 0.5), [1e300, 1e300], [0.0, 1.0 - 1e-9]),  # exp overflows
         (P, [1.0, float("nan")], [0.0, 0.5]),
+        (BarrierParams(1.0, 2.0, 1.0, 0.5), [1e308], [0.5]),  # W overflows on the fast path
     ],
-    ids=["t_at_tc", "negative_v", "zero_power", "power_overflow", "exp_overflow", "nan_v"],
+    ids=["t_at_tc", "negative_v", "zero_power", "power_overflow", "exp_overflow", "nan_v",
+         "exp_overflow_fast_path"],
 )
 def test_w_transform_array_off_the_fast_path(p, v, t):
-    def one_by_one():
-        return [w_transform(vi, ti, p) for vi, ti in zip(v, t)]
+    def one_by_one(fn):
+        return [fn(vi, ti, p) for vi, ti in zip(v, t)]
 
-    want = raised(one_by_one)
+    want = raised(one_by_one, reference_w)
+    assert raised(one_by_one, w_transform) == want  # the one-pair view
     if want is None:
-        assert same_bits(w_transform_array(v, t, p), one_by_one())
+        # no RuntimeWarning either: the suite turns one into an error
+        assert same_bits(w_transform_array(v, t, p), one_by_one(reference_w))
+        assert same_bits(one_by_one(w_transform), one_by_one(reference_w))
     else:
         assert raised(w_transform_array, v, t, p) == want
+
+
+def test_w_past_the_float_range_is_inf_along_a_run():
+    p = BarrierParams(0.01, 8.0, 1.0, 0.5)
+    traj = simulate(make_time_barrier_scalar(p), 1e300, p)
+    assert np.all(np.isinf(traj.w_values))
 
 
 ORACLE_PARAMS = {

@@ -548,3 +548,16 @@ def test_config_delta_end_not_below_tc_is_named(tmp_path, capsys, command):
     code, out, err = run_cli(capsys, "--config", str(cfg_path), command, "--tc", "10")
     assert code != EXIT_VALIDATION
     assert err == ""
+
+
+def test_sweep_delta_end_not_below_the_smallest_tc_is_named(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    out_path = tmp_path / "sweep.csv"
+    cfg_path.write_text(json.dumps({
+        "policy": {"delta_end": 5},
+        "sweep": {"tc": [10, 1], "beta": [2], "q": [1], "alpha": [0.5], "x0_decades": [0, 0]},
+    }))
+    code, out, err = run_cli(capsys, "--config", str(cfg_path), "--out", str(out_path), "sweep")
+    assert code == EXIT_VALIDATION
+    assert "invalid policy.delta_end" in err
+    assert not out_path.exists()

@@ -8,6 +8,7 @@ import pytest
 from timebarrier import (
     DEFAULT_GRID,
     BarrierParams,
+    BlowUpError,
     NumericPolicy,
     SweepConfig,
     TimeBarrierError,
@@ -229,3 +230,20 @@ def test_separation_barrier_settling_matches_bound(default_policy):
     p = BarrierParams(1.0, 2.0, 1.0, 0.5)
     want = settling_bound(p, 1.0).tau_bound
     assert rows[0].barrier_settling == pytest.approx(want, abs=1e-4)
+
+
+def test_lane_that_blows_up_is_rerun_with_the_same_error(default_policy):
+    # near the largest double the dynamics blow up; the row's
+    # error text is exactly what simulate raises for the same cell
+    p = BarrierParams(1.0, 2.0, 1.0, 0.5)
+    cfg = SweepConfig(
+        tc_values=(1.0,), beta_values=(2.0,), q_values=(1.0,), alpha_values=(0.5,),
+        x0_decades=(307, 308),
+    )
+    rows = run_sweep(cfg, default_policy).rows
+    assert len(rows) == 2
+    spec = make_time_barrier_scalar(p, default_policy)
+    for row in rows:
+        with pytest.raises(BlowUpError) as exc:
+            simulate(spec, row.x0, p, default_policy)
+        assert row.error == f"BlowUpError: {exc.value}"
