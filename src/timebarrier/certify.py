@@ -115,6 +115,14 @@ def _fd_vdot(traj: Trajectory, t: np.ndarray, tc: float) -> np.ndarray:
     return vdot
 
 
+def _v_error(v0: np.ndarray, v1: np.ndarray, policy: NumericPolicy) -> np.ndarray:
+    """e0/V0 + e1/V1 with e = abs_tol + rel_tol*V: the relative error the
+    policy allows V at both ends of a step (inf where a V is 0)."""
+    e0, e1 = (policy.abs_tol + policy.rel_tol * v for v in (v0, v1))
+    with np.errstate(divide="ignore"):
+        return e0 / v0 + e1 / v1
+
+
 def check_dissipation(
     traj: Trajectory, p: BarrierParams, policy: Optional[NumericPolicy] = None
 ) -> CertificateReport:
@@ -123,9 +131,13 @@ def check_dissipation(
     Samples with V <= eps_conv are excluded (the inequality is quantified over
     nonzero states only). A violation is recorded when
     lhs > rhs_bound + residual_tol * (1 + |rhs_bound|). Monotonicity reads the
-    trajectory's W (from :func:`~timebarrier.core.w_transform_array`), and a
-    step with W past the float range at both ends is decided on log W from
-    the same helper as W's own log form.
+    trajectory's W (from :func:`~timebarrier.core.w_transform_array`): a step
+    counts as a rise when W grows by more than
+    residual_tol * (1 + |W0|) + |W0| * (e0/V0 + e1/V1), where
+    e = abs_tol + rel_tol * V is the error the policy allows the stepper in
+    V (the second term is 0 where V0 = 0). A step with W past the float
+    range at both ends is decided on log W, from the same helper as W's own
+    log form, against log1p(residual_tol) + e0/V0 + e1/V1.
     """
     policy = policy if policy is not None else traj.policy
     if traj.spec.v is None:
@@ -154,15 +166,25 @@ def check_dissipation(
         )
     ]
 
-    w = traj.w_values
+    w, v_all = traj.w_values, traj.v_values
     with np.errstate(invalid="ignore"):  # inf - inf: decided on log W below
         increase = np.diff(w)
-    rising = increase > tol * (1.0 + np.abs(w[:-1]))
+    band = tol * (1.0 + np.abs(w[:-1]))
+    rising = increase > band
+    # a rise within the error the policy allows V at both ends of the step is
+    # the stepper's, not the flow's: W may grow by |W0| * (e0/V0 + e1/V1) more
+    # (nothing more where V0 = 0); only a step that rises past tol needs it
+    up = np.flatnonzero(rising)
+    if up.size:
+        with np.errstate(invalid="ignore"):  # 0 * inf where V0 = 0
+            slack = np.abs(w[up]) * _v_error(v_all[up], v_all[up + 1], policy)
+        rising[up] = increase[up] > band[up] + np.where(v_all[up] == 0.0, 0.0, slack)
     # a rise on log W, where W is past the float range at both ends, counts as inf
     over = np.flatnonzero(np.isinf(w[:-1]) & np.isinf(w[1:]))
     if over.size:
-        log_w0, log_w1 = (_log_w(traj.v_values[i], traj.times[i], p) for i in (over, over + 1))
-        rising[over] = log_w1 - log_w0 > math.log1p(tol)
+        v0, v1, t = v_all[over], v_all[over + 1], traj.times
+        log_w0, log_w1 = _log_w(v0, t[over], p), _log_w(v1, t[over + 1], p)
+        rising[over] = log_w1 - log_w0 > math.log1p(tol) + _v_error(v0, v1, policy)
         increase[over] = np.where(log_w1 > log_w0, np.inf, 0.0)
     w_monotone = not rising.any()
     # only rises count, so a NaN increase is skipped as Python's max() skips it

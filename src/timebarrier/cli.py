@@ -15,7 +15,7 @@ import dataclasses
 import io
 import json
 import sys
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
@@ -58,25 +58,63 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _v_cells(v: np.ndarray, states: np.ndarray, state_cells: list) -> list:
+    """V's CSV cells, reusing the digits of the state cells (row-major).
+
+    Where V equals the largest |x_i| of its row and its sign bit is clear,
+    its cell is that coordinate's cell without the leading ``-``, since
+    ``repr(-y) == '-' + repr(y)``; this holds at every sample of every
+    built-in law (V = max_i |x_i|). Any other V (a user V, NaN, ``-0.0``)
+    goes through ``repr``.
+    """
+    n, dim = states.shape
+    mag = np.abs(states)
+    top = mag.argmax(axis=1)
+    rows = np.arange(n)
+    reuse = (v == mag[rows, top]) & ~np.signbit(v)
+    picked = (rows * dim + top)[reuse].tolist()
+    cells = list(map(str.removeprefix, map(state_cells.__getitem__, picked), repeat("-")))
+    if len(cells) == n:
+        return cells
+    # each row takes the next cell of its source: fresh (False) or reused (True)
+    sources = (map(repr, v[~reuse].tolist()), iter(cells))
+    return list(map(next, map(sources.__getitem__, reuse.tolist())))
+
+
 def render_trajectory_csv(traj: Trajectory) -> str:
-    """CSV with header t,x_1..x_n,V,W; floats round-trip exactly."""
+    """CSV with header t,x_1..x_n,V,W; floats round-trip exactly.
+
+    Each column is formatted in one ``map(repr, ...)`` pass and the rows are
+    joined by a C-level ``map(",".join, zip(*columns))``. V's digits are
+    reused from the state cells where V is the largest |x_i| (see
+    :func:`_v_cells`), so a built-in law's V costs no ``repr``.
+    """
     dim = traj.spec.dim
     header = ["t"] + [f"x_{i + 1}" for i in range(dim)] + ["V", "W"]
-    table = np.column_stack([traj.times, traj.states, traj.v_values, traj.w_values])
-    lines = [",".join(header)]
-    lines.extend(",".join(map(repr, row)) for row in table.tolist())
-    return "\n".join(lines) + "\n"
+    states = traj.states
+    state_cells = list(map(repr, states.ravel().tolist()))
+    columns = [
+        map(repr, traj.times.tolist()),
+        *(state_cells[k::dim] for k in range(dim)),
+        _v_cells(traj.v_values, states, state_cells),
+        map(repr, traj.w_values.tolist()),
+    ]
+    return "\n".join(chain([",".join(header)], map(",".join, zip(*columns)))) + "\n"
 
 
 def parse_trajectory_csv(text: str):
     """Inverse of :func:`render_trajectory_csv`; returns (header, rows array).
 
-    All cells are converted in one ``numpy.array(..., dtype=float)`` call,
-    whose string parser gives the bits of Python's ``float`` (``nan``,
-    ``inf``, ``-0.0`` and subnormals included), so the round trip is exact,
-    and a cell that is not a number raises ``float``'s ``ValueError`` text.
     A row whose cell count differs from the header's raises ``ValueError``
-    naming its line.
+    naming its line. The body is then converted in one numeric scan,
+    ``numpy.loadtxt(lines, delimiter=",", comments=None)``, whose parser
+    gives the bits of Python's ``float`` and rejects what ``float`` rejects,
+    except that it also rejects ``1_0`` and non-ASCII digits and reads the
+    unit separator U+001F as a blank. Where the scan raises, returns another
+    number of cells, or the text holds a U+001F, all cells go through one
+    ``numpy.array(cells, dtype=float)`` call, whose string parser gives
+    ``float``'s bits (``nan``, ``inf``, ``-0.0`` and subnormals included) and
+    raises ``float``'s ``ValueError`` text on a cell that is not a number.
     """
     lines = [ln for ln in text.splitlines() if ln]
     header = lines[0].split(",")
@@ -90,9 +128,16 @@ def parse_trajectory_csv(text: str):
         raise ValueError(
             f"line {number} has {line.count(',') + 1} cells, the header {width}: {line!r}"
         )
-    # the check above leaves exactly len(body) * width cells
-    cells = ",".join(body).split(",") if body else []
-    rows = np.array(cells, dtype=float)
+    rows = None
+    if body and "\x1f" not in text:
+        try:
+            rows = np.loadtxt(body, delimiter=",", comments=None)
+        except ValueError:
+            pass
+    if rows is None or rows.size != len(body) * width:
+        # the check above leaves exactly len(body) * width cells
+        cells = ",".join(body).split(",") if body else []
+        rows = np.array(cells, dtype=float)
     return header, rows.reshape(len(body), width)
 
 
@@ -285,7 +330,14 @@ def _cmd_certify(args, config: dict) -> int:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
     if not args.quiet:
-        state = "PASS" if report.passed else "FAIL"
+        failed = [
+            part for part, bad in (
+                ("violations", report.violations),
+                ("W rise", not report.w_monotone),
+                ("inadmissible", not report.admissibility.admissible),
+            ) if bad
+        ]
+        state = f"FAIL on {', '.join(failed)}" if failed else "PASS"
         print(
             f"dissipation certificate: {state} "
             f"({len(report.violations)} violations over {report.checked_samples} samples)"

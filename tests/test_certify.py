@@ -15,6 +15,7 @@ from timebarrier import (
     find_nonautonomy_witness,
     simulate,
     w_transform,
+    w_transform_array,
 )
 from timebarrier.systems import make_time_barrier_scalar
 
@@ -212,3 +213,37 @@ def test_rising_w_past_the_float_range_is_flagged(default_policy):
         report = check_dissipation(traj, p, default_policy)
     assert not report.w_monotone
     assert report.worst_w_increase == math.inf
+
+
+@pytest.mark.parametrize("params, x0, w_overflows", [
+    # near the deadline V ~ 1e-7, where abs_tol = 1e-12 is a 1e-5 relative
+    # error in V: the recorded W rises by 4.7e-7 relative while the exact W
+    # falls, so a band of residual_tol alone gave a false FAIL
+    ((0.04031724876301517, 1.9578877508340107, 0.07073930739948414, 0.270928266097243),
+     80529864.0265144, False),
+    # the same on log W, where W is past the float range at both ends of the
+    # rising steps (m = 26)
+    ((0.0010741701891225878, 467.6139816905089, 0.016817918149401794, 0.9444698269092634),
+     0.002237238814606175, True),
+])
+def test_w_rise_within_the_steppers_error_is_not_flagged(default_policy, params, x0, w_overflows):
+    p = BarrierParams(*params)
+    traj = simulate(make_time_barrier_scalar(p, default_policy), x0, p, default_policy)
+    assert np.isinf(traj.w_values).any() == w_overflows
+    report = check_dissipation(traj, p, default_policy)
+    assert report.violations == []
+    assert report.w_monotone
+    assert report.passed
+
+
+def test_w_rise_from_the_origin_is_flagged(default_traj, default_params, default_policy):
+    # V0 = 0 leaves no relative band (0 * inf would be NaN and pass any rise)
+    v = np.zeros(default_traj.times.size)
+    v[1] = 1e-3
+    w = w_transform_array(v, default_traj.times, default_params)
+    traj = dataclasses.replace(default_traj, v_values=v, w_values=w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_dissipation(traj, default_params, default_policy)
+    assert not report.w_monotone
+    assert report.worst_w_increase == w[1]

@@ -1,10 +1,13 @@
 """Command-line surface: flags, exit codes, CSV round-trips, report blocks."""
 
+import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ from timebarrier.cli import (
     build_parser,
     main,
     parse_trajectory_csv,
+    render_trajectory_csv,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -109,6 +113,144 @@ def test_trajectory_csv_special_cells_round_trip_bit_for_bit():
     assert rows.shape == (0, 4)
 
 
+def reference_render(traj):
+    """The per-row renderer the column-pass one replaced, kept as the oracle."""
+    dim = traj.spec.dim
+    header = ["t"] + [f"x_{i + 1}" for i in range(dim)] + ["V", "W"]
+    table = np.column_stack([traj.times, traj.states, traj.v_values, traj.w_values])
+    lines = [",".join(header)]
+    lines.extend(",".join(map(repr, row)) for row in table.tolist())
+    return "\n".join(lines) + "\n"
+
+
+def reference_parse(text):
+    """The parser the one-scan one replaced, kept as the oracle."""
+    lines = [ln for ln in text.splitlines() if ln]
+    header = lines[0].split(",")
+    width = len(header)
+    body = lines[1:]
+    if set(map(str.count, body, repeat(","))) - {width - 1}:
+        number, line = next(
+            (n, ln) for n, ln in enumerate(text.splitlines(), 1)
+            if ln and ln.count(",") + 1 != width
+        )
+        raise ValueError(
+            f"line {number} has {line.count(',') + 1} cells, the header {width}: {line!r}"
+        )
+    # the check above leaves exactly len(body) * width cells
+    cells = ",".join(body).split(",") if body else []
+    rows = np.array(cells, dtype=float)
+    return header, rows.reshape(len(body), width)
+
+
+def _user_v(x, t):
+    # -0.0 at the origin; elsewhere |x| and 2|x| alternate in time, so V's
+    # reused and freshly formatted cells interleave
+    a = abs(float(x[0]))
+    return -0.0 if a == 0.0 else (a if int(t * 1000.0) % 2 else 2.0 * a)
+
+
+def _csv_case(name):
+    from timebarrier import BarrierParams, DynamicsSpec, NumericPolicy, simulate
+    from timebarrier.systems import make_time_barrier_componentwise
+
+    policy = NumericPolicy()
+    p = BarrierParams(1.0, 2.0, 1.0, 0.5)
+    law = make_time_barrier_componentwise(p, 1, policy)
+    if name.startswith("dim"):
+        # the largest |x_i| negative, then tied between signs
+        x0 = {"dim1": [-1.0], "dim2": [-1.0, 0.9], "dim3": [-1.0, 1.0, 0.5]}[name]
+        return simulate(make_time_barrier_componentwise(p, len(x0), policy), x0, p, policy)
+    if name == "rotating":
+        # the largest coordinate and its sign change along the run
+        spec = DynamicsSpec(
+            dim=2, rhs=lambda x, t: 10.0 * np.array([-x[1], x[0]]),
+            v=lambda x, t: float(np.max(np.abs(x))), tc=p.tc,
+        )
+        return simulate(spec, [1.0, 0.0], p, policy)
+    if name == "user V":
+        return simulate(DynamicsSpec(dim=1, rhs=law.rhs, v=_user_v, tc=p.tc), -1.0, p, policy)
+    if name == "no V":
+        return simulate(DynamicsSpec(dim=1, rhs=law.rhs, tc=p.tc), 1.0, p, policy)
+    # W = x0 / tc**8 overflows to inf at every sample
+    p = BarrierParams(0.01, 8.0, 1.0, 0.5)
+    return simulate(make_time_barrier_componentwise(p, 1, policy), -1e300, p, policy)
+
+
+@pytest.mark.parametrize("name", ["dim1", "dim2", "dim3", "rotating", "user V", "no V", "inf W"])
+def test_trajectory_csv_matches_the_reference_render(name):
+    traj = _csv_case(name)
+    text = render_trajectory_csv(traj)
+    assert text == reference_render(traj)
+    header, rows = parse_trajectory_csv(text)
+    want_header, want = reference_parse(text)
+    assert header == want_header
+    assert rows.tobytes() == want.tobytes()
+    if name == "user V":
+        cells = [ln.split(",")[2] for ln in text.splitlines()[1:]]
+        assert "-0.0" in cells and len(set(cells)) > 2
+    if name == "inf W":
+        assert np.all(np.isinf(traj.w_values))
+
+
+@pytest.mark.parametrize("x0, digest", [
+    ("-1000", "e0dbd2df07459034c4992dff86ea25d6a8ed5c88b87a98746a3d2e54104e7cb6"),
+    ("1000,-0.001,1e-6", "89273f84941585a3971dc8a0c98554bdbe5dc2c09f25a54a7714d89711ce1ea0"),
+])
+def test_cli_trajectory_csv_bytes_are_pinned(tmp_path, capsys, x0, digest):
+    out_file = tmp_path / "t.csv"
+    code, _, _ = run_cli(capsys, "--quiet", "--out", str(out_file), "simulate", "--x0", x0)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
+# cells where a numeric scan (numpy's loadtxt, its default comment "#", or
+# fromstring) and float() disagree, each tried alone in each column of an
+# otherwise valid body, then random cells of number syntax: each joins up to four pieces,
+# one character or one word
+_DISAGREEING_CELLS = [
+    "nan(1)", "-nan", "-NaN", " ", "\t", "\x1f1", "1\x1f", "1#", "1_0", "\xa01", "\u0661\u0662",
+    " -1 ",
+]
+_CELL_PIECES = list("0123456789.+-eEinfatyINFATY_() \xa0\u0661\x1f") + ["nan", "NaN", "inf", "infinity"]
+
+
+def _outcome(parse, text):
+    try:
+        header, rows = parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    return header, rows.shape, rows.tobytes()
+
+
+def test_parse_matches_the_reference_on_random_cells():
+    for cell, column in product(_DISAGREEING_CELLS, range(4)):
+        row = ["0.5", "0.25", "0.25", "1.0"]
+        row[column] = cell
+        text = "t,x_1,V,W\n0.0,1.0,1.0,1.0\n" + ",".join(row) + "\n"
+        assert _outcome(parse_trajectory_csv, text) == _outcome(reference_parse, text), text
+    rng = random.Random(20)
+    for _ in range(3000):
+        rows = []
+        for _ in range(rng.randrange(4)):
+            cells = [
+                "".join(rng.choice(_CELL_PIECES) for _ in range(rng.randrange(5)))
+                if rng.random() < 0.4 else repr(rng.uniform(-5.0, 5.0))
+                for _ in range(4)
+            ]
+            rows.append(",".join(cells))
+        text = "t,x_1,V,W\n" + "".join(row + "\n" for row in rows)
+        assert _outcome(parse_trajectory_csv, text) == _outcome(reference_parse, text), text
+
+
+def test_parse_falls_back_when_the_scan_returns_another_count(monkeypatch):
+    # a scan that skips a line it cannot read must not shift the rows
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: np.zeros(4))
+    text = "t,x_1,V,W\n0.0,1.0,1.0,1.0\n0.5,1_0,0.25,1.0\n"
+    header, rows = parse_trajectory_csv(text)
+    assert rows.tolist() == [[0.0, 1.0, 1.0, 1.0], [0.5, 10.0, 0.25, 1.0]]
+
+
 @pytest.mark.parametrize("cell", ["abc", "", "1.0x", "0x10", "nan(1)"])
 def test_non_numeric_csv_cell_raises_the_float_text(cell):
     try:
@@ -149,6 +291,18 @@ def test_certify_bias_fails(tmp_path, capsys):
     assert float(block["max_residual"]) == pytest.approx(0.1, rel=1e-6)
     lines = report_file.read_text().splitlines()
     assert any(line.startswith("violation=") for line in lines)
+    assert "dissipation certificate: FAIL on violations, W rise (" in out
+
+
+def test_certify_w_rise_within_the_steppers_error_passes(capsys):
+    # the recorded W rises within the error the policy allows V near the deadline
+    code, out, _ = run_cli(
+        capsys, "certify", "--tc", "0.04031724876301517", "--beta", "1.9578877508340107",
+        "--q", "0.07073930739948414", "--alpha", "0.270928266097243", "--x0", "80529864.0265144",
+    )
+    assert code == EXIT_OK
+    assert block_of(out)["w_monotone"] == "true"
+    assert "dissipation certificate: PASS (0 violations over 1043 samples)" in out
 
 
 def test_certify_vector_initial_condition(capsys):

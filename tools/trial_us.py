@@ -20,10 +20,12 @@ on either path, differ from the pinned ones in ``CASES``.
 Given ``--src`` twice, the script times two source trees, A and B, in one
 process: B's package is imported under another name, the two trees take
 turns repeat by repeat (the first to go alternating), and each case prints
-both trees' µs/trial and their ratio B/A. The pinned counts are checked on
-both trees. A shared host's speed drifts between runs minutes apart, so
-two separate runs of the script cannot show a 20% per-trial change; the
-interleaved ratio can.
+both trees' best-repeat µs/trial and their ratio B/A. It also prints the
+median and quartiles of the per-repeat ratios (B's time over A's time in
+the same repeat), so the spread of the ratio shows in a single run. The
+pinned counts are checked on both trees. A shared host's speed drifts
+between runs minutes apart, so two separate runs of the script cannot show
+a 20% per-trial change; the interleaved ratio can.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import dataclasses
 import functools
 import importlib
 import importlib.util
+import statistics
 import sys
 import timeit
 from pathlib import Path
@@ -96,7 +99,7 @@ def main(argv=None) -> int:
     if len(trees) == 1:
         header += f" {'us/trial':>9}"
     else:
-        header += f" {'us/trial A':>10} {'us/trial B':>10} {'B/A':>6}"
+        header += f" {'us/trial A':>10} {'us/trial B':>10} {'B/A':>6} {'median B/A [q1, q3]':>21}"
     print(header)
     changed = []
     for x0, pinned in CASES:
@@ -115,17 +118,26 @@ def main(argv=None) -> int:
                         f"pinned {pinned[0]}/{pinned[1]}"
                     )
             # the trees take turns, and the one to go first alternates
-            best = [float("inf")] * len(steppers)
+            times = [[] for _ in steppers]
             for r in range(args.repeat):
                 order = range(len(steppers)) if r % 2 == 0 else reversed(range(len(steppers)))
                 for i in order:
-                    best[i] = min(best[i], timeit.timeit(steppers[i], number=1))
-            us = [1e6 * b / sum(c) for b, c in zip(best, counts)]
+                    times[i].append(timeit.timeit(steppers[i], number=1))
+            us = [1e6 * min(ts) / sum(c) for ts, c in zip(times, counts)]
             line = f"{str(x0):<22} {path:<8} {counts[0][0]:>8} {counts[0][1]:>8}"
             if len(trees) == 1:
                 line += f" {us[0]:>9.2f}"
             else:
-                line += f" {us[0]:>10.2f} {us[1]:>10.2f} {us[1] / us[0]:>6.3f}"
+                ratios = [
+                    (b / sum(counts[1])) / (a / sum(counts[0])) for a, b in zip(*times)
+                ]
+                q1, median, q3 = (
+                    statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+                )
+                line += (
+                    f" {us[0]:>10.2f} {us[1]:>10.2f} {us[1] / us[0]:>6.3f}"
+                    f" {median:>7.3f} [{q1:.3f}, {q3:.3f}]"
+                )
             print(line)
     for line in changed:
         print(f"accepted/rejected changed: {line}", file=sys.stderr)
