@@ -11,7 +11,6 @@ that the deadline is met independently of the initial condition.
 
 from .analytic import (
     SettlingBound,
-    autonomous_settling_integral,
     barrier_integral,
     exact_solution_scalar,
     exact_solution_scalar_array,
@@ -89,7 +88,6 @@ __all__ = [
     "Trajectory",
     "TrajectorySample",
     "Violation",
-    "autonomous_settling_integral",
     "barrier_integral",
     "check_dissipation",
     "exact_solution_scalar",

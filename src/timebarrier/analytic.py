@@ -9,8 +9,6 @@ where J(t) = integral of lam(s)**(-m) over [0, t] and m = beta*(1-alpha).
 Everything here is derived from that identity, with log-space fallbacks so the
 formulas survive extreme exponents. These functions are the oracles the
 adaptive integrator is verified against, so they must not share code with it.
-The comparator's settling integral, dV/phi(V) over [0, v0], is a Gauss-Legendre
-quadrature on plain floats, closed by a geometric tail toward V = 0.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .core import BarrierParams, DivergentIntegralError, DomainError, _map_floats
 
@@ -30,11 +27,7 @@ __all__ = [
     "remaining_settling_time",
     "exact_solution_scalar",
     "exact_solution_scalar_array",
-    "autonomous_settling_integral",
 ]
-
-# 20-node Gauss-Legendre rule on [-1, 1] as (node, weight) pairs
-_GAUSS_RULE = list(zip(*(a.tolist() for a in leggauss(20))))
 
 
 @dataclass(frozen=True)
@@ -228,55 +221,3 @@ def exact_solution_scalar_array(p: BarrierParams, x0: float, times) -> np.ndarra
     values[live] = np.copysign(_map_floats(math.exp, log_x), x0)
     out[~start] = values
     return out
-
-
-def _gauss(f, c: float, h: float) -> float:
-    """20-node Gauss-Legendre value of the integral of f over [c - h, c + h]."""
-    return h * sum(w * f(c + h * x) for x, w in _GAUSS_RULE)
-
-
-def _gauss_piece(f, c: float, h: float) -> float:
-    """Integral of f over [c - h, c + h], bisected until halves agree to 1e-13."""
-    whole = _gauss(f, c, h)
-    tol, total, stack = 1e-13 * abs(whole), 0.0, [(c, h, whole)]
-    for _ in range(1000):
-        c, h, whole = stack.pop()
-        h *= 0.5
-        left, right = _gauss(f, c - h, h), _gauss(f, c + h, h)
-        if not math.isfinite(left + right):
-            raise DivergentIntegralError("settling integrand is not finite")
-        if abs(left + right - whole) <= tol:
-            total += left + right
-        else:
-            stack += [(c - h, h, left), (c + h, h, right)]
-        if not stack:
-            return total
-    raise DivergentIntegralError("settling quadrature did not converge")
-
-
-def autonomous_settling_integral(law, v0: float) -> float:
-    """Settling integral of an autonomous decay law, integral dV/phi(V).
-
-    With V = u**2, the pieces [u/2, u] of [0, sqrt(v0)] down to u ~ 1e-150
-    are summed by bisected Gauss-Legendre rules, plus the geometric tail
-    c*r/(1-r) of the last piece c at ratio r. :class:`DivergentIntegralError`
-    if r >= 1, r has not settled as far as the tail needs, or c is not finite.
-    """
-    if not (math.isfinite(v0) and v0 >= 0.0):
-        raise ValueError(f"v0 must be finite and >= 0, got {v0!r}")
-    if v0 == 0.0:
-        return 0.0
-
-    def integrand(u: float) -> float:
-        return 2.0 * u / value if (value := law.phi(u * u)) else math.inf
-
-    u = math.sqrt(v0)
-    pieces = []
-    while u > 1e-150 or len(pieces) < 3:
-        pieces.append(_gauss_piece(integrand, 0.75 * u, 0.25 * u))
-        u *= 0.5
-    a, b, c = pieces[-3:]
-    r_prev, r, total = (b / a if a else 0.0), (c / b if b else 0.0), math.fsum(pieces)
-    if not (r < 1.0 and c * abs(r - r_prev) <= 1e-10 * (1.0 - r) * ((1.0 - r) * total + c)):
-        raise DivergentIntegralError("integral may diverge")
-    return total + c * r / (1.0 - r)

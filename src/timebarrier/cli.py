@@ -16,7 +16,7 @@ import io
 import json
 import sys
 from itertools import chain, repeat
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -117,6 +117,8 @@ def parse_trajectory_csv(text: str):
     raises ``float``'s ``ValueError`` text on a cell that is not a number.
     """
     lines = [ln for ln in text.splitlines() if ln]
+    if not lines:
+        raise ValueError("trajectory text has no header line")
     header = lines[0].split(",")
     width = len(header)
     body = lines[1:]
@@ -164,20 +166,48 @@ def _print_block(pairs) -> None:
 _NUMBER = ((int, float), "a number")
 _PATH = ((str,), "a path string")
 
+
+class _Setting(NamedTuple):
+    """A setting with the flag ``--<name>`` and the key ``<section>.<name>``."""
+
+    section: Optional[str]  # None: a flag only
+    types: tuple  # the value's JSON types and their name; with str, the flag's text as is
+    default: object
+    help: str
+    commands: tuple
+
+
+_LAW = ("simulate", "certify", "bound", "witness")
+
+# name -> setting; the parser, the params and simulate sections of the
+# schema and _resolve all read this table
+_SETTINGS = {
+    "tc": _Setting("params", _NUMBER, 1.0, "convergence deadline, > 0", _LAW),
+    "beta": _Setting("params", _NUMBER, 2.0, "barrier exponent, >= 0", _LAW),
+    "q": _Setting("params", _NUMBER, 1.0, "decay gain, >= 0", _LAW),
+    "alpha": _Setting("params", _NUMBER, 0.5, "decay exponent in (0,1)", _LAW),
+    "x0": _Setting(
+        "simulate", ((int, float, str), "a number or a string of comma-separated numbers"),
+        "1.0", "initial state, scalar or comma-separated vector", ("simulate", "certify", "bound"),
+    ),
+    "bias": _Setting(
+        "simulate", _NUMBER, 0.0, "additive bias injected into the dynamics",
+        ("simulate", "certify"),
+    ),
+    "vlevel": _Setting(None, _NUMBER, 0.25, "Lyapunov level to probe, > 0", ("witness",)),
+    "t1": _Setting(None, _NUMBER, 0.0, "first probe time", ("witness",)),
+    "t2": _Setting(None, _NUMBER, 0.5, "second probe time", ("witness",)),
+}
+
 # section -> key -> (accepted JSON types, their name); None leaves the
 # value's check to the section's own reader
 _SCHEMA = {
-    "params": dict.fromkeys(
-        (f.name for f in dataclasses.fields(BarrierParams) if f.init), _NUMBER
-    ),
+    "params": {name: s.types for name, s in _SETTINGS.items() if s.section == "params"},
     "policy": {
         **dict.fromkeys((f.name for f in dataclasses.fields(NumericPolicy)), _NUMBER),
         "delta_end": ((int, float, type(None)), "a number or null"),
     },
-    "simulate": {
-        "x0": ((int, float, str), "a number or a string of comma-separated numbers"),
-        "bias": _NUMBER,
-    },
+    "simulate": {name: s.types for name, s in _SETTINGS.items() if s.section == "simulate"},
     "sweep": dict.fromkeys(("tc", "beta", "q", "alpha", "x0_decades", "seed")),
     "output": dict.fromkeys(("trajectory", "report", "sweep"), _PATH),
 }
@@ -220,9 +250,19 @@ def load_config(path: Optional[str]) -> dict:
     return data
 
 
-def _resolve(args, flag: str, config: dict, section: str, key: str, default):
-    value = getattr(args, flag, None)
-    return value if value is not None else config.get(section, {}).get(key, default)
+def _resolve(args, config: dict, name: str, convert=float):
+    """A setting's value through ``convert``: the flag wins over the config
+    key, which wins over the default. A value ``convert`` rejects is named
+    by where it came from, ``--x0`` or ``simulate.x0``."""
+    setting = _SETTINGS[name]
+    value, source = getattr(args, name), f"--{name}"
+    if value is None:
+        value = config.get(setting.section, {}).get(name, setting.default)
+        source = f"{setting.section}.{name}"
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ValueError(f"invalid {source} value {value!r}") from exc
 
 
 def _policy_from_config(config: dict, tc: Optional[float] = None) -> NumericPolicy:
@@ -240,23 +280,16 @@ def _policy_from_config(config: dict, tc: Optional[float] = None) -> NumericPoli
 
 def _params_from(args, config: dict) -> BarrierParams:
     """The law's parameters from the flags and the config, checked as the law checks them."""
-    p = BarrierParams(
-        tc=float(_resolve(args, "tc", config, "params", "tc", 1.0)),
-        beta=float(_resolve(args, "beta", config, "params", "beta", 2.0)),
-        q=float(_resolve(args, "q", config, "params", "q", 1.0)),
-        alpha=float(_resolve(args, "alpha", config, "params", "alpha", 0.5)),
-    )
+    p = BarrierParams(**{
+        name: _resolve(args, config, name)
+        for name, setting in _SETTINGS.items() if setting.section == "params"
+    })
     _check_law_params(p)
     return p
 
 
-def _x0_from(args, config: dict) -> np.ndarray:
-    text = _resolve(args, "x0", config, "simulate", "x0", "1.0")
-    try:
-        return np.array([float(part) for part in str(text).split(",")])
-    except ValueError as exc:
-        name = "--x0" if args.x0 is not None else "simulate.x0"
-        raise ValueError(f"invalid {name} value {text!r}") from exc
+def _vector(text) -> np.ndarray:
+    return np.array([float(part) for part in str(text).split(",")])
 
 
 def _law_for(x0: np.ndarray, p: BarrierParams, policy: NumericPolicy, bias: float = 0.0):
@@ -274,12 +307,17 @@ def _law_for(x0: np.ndarray, p: BarrierParams, policy: NumericPolicy, bias: floa
 
 # ------------------------------------------------------------------ commands
 
+def _trajectory(args, config: dict, p: BarrierParams):
+    """The run of the built-in law that ``simulate`` and ``certify`` report on."""
+    policy = _policy_from_config(config, p.tc)
+    bias = _resolve(args, config, "bias")
+    x0 = _resolve(args, config, "x0", _vector)
+    return simulate(_law_for(x0, p, policy, bias), x0, p, policy), policy
+
+
 def _cmd_simulate(args, config: dict) -> int:
     p = _params_from(args, config)
-    policy = _policy_from_config(config, p.tc)
-    bias = float(_resolve(args, "bias", config, "simulate", "bias", 0.0))
-    x0 = _x0_from(args, config)
-    traj = simulate(_law_for(x0, p, policy, bias), x0, p, policy)
+    traj, _ = _trajectory(args, config, p)
     report = settling_report(traj, p)
 
     out_path = args.out or config.get("output", {}).get("trajectory")
@@ -289,13 +327,8 @@ def _cmd_simulate(args, config: dict) -> int:
         if not args.quiet:
             print(f"trajectory written to {out_path} ({traj.times.size} samples)")
 
-    _print_block(
-        [
-            ("converged_at", report.converged_at),
-            ("tau_bound", report.tau_bound),
-            ("deadline_pass", report.deadline_pass),
-        ]
-    )
+    keys = ("converged_at", "tau_bound", "deadline_pass")
+    _print_block((key, getattr(report, key)) for key in keys)
     if not args.quiet:
         verdict = "PASS" if report.deadline_pass else "FAIL"
         print(f"deadline check: {verdict} (deadline tc={_fmt(p.tc)})")
@@ -307,10 +340,7 @@ def _cmd_certify(args, config: dict) -> int:
     verdict = validate_params(p)
     if not verdict.admissible:
         raise ValueError(f"inadmissible parameters: {verdict.reason}")
-    policy = _policy_from_config(config, p.tc)
-    bias = float(_resolve(args, "bias", config, "simulate", "bias", 0.0))
-    x0 = _x0_from(args, config)
-    traj = simulate(_law_for(x0, p, policy, bias), x0, p, policy)
+    traj, policy = _trajectory(args, config, p)
     report = check_dissipation(traj, p, policy)
 
     pairs = [
@@ -387,7 +417,7 @@ def _cmd_sweep(args, config: dict) -> int:
 
 def _cmd_bound(args, config: dict) -> int:
     p = _params_from(args, config)
-    x0 = _x0_from(args, config)
+    x0 = _resolve(args, config, "x0", _vector)
     v0 = float(np.max(np.abs(x0)))
     sb = settling_bound(p, v0)
     _print_block(
@@ -400,16 +430,11 @@ def _cmd_bound(args, config: dict) -> int:
 
 def _cmd_witness(args, config: dict) -> int:
     p = _params_from(args, config)
-    witness = find_nonautonomy_witness(p, args.vlevel, args.t1, args.t2)
+    witness = find_nonautonomy_witness(
+        p, *(_resolve(args, config, name) for name in ("vlevel", "t1", "t2"))
+    )
     _print_block(
-        [
-            ("v_level", witness.v_level),
-            ("t1", witness.t1),
-            ("t2", witness.t2),
-            ("vdot1", witness.vdot1),
-            ("vdot2", witness.vdot2),
-            ("gap", witness.gap),
-        ]
+        (key, getattr(witness, key)) for key in ("v_level", "t1", "t2", "vdot1", "vdot2", "gap")
     )
     if not args.quiet:
         note = witness.note or "decay rate depends on time at a fixed level"
@@ -428,70 +453,43 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
+# the options every command takes, before or after the command's name
+_GLOBALS = {
+    "--config": dict(metavar="PATH", default=None,
+                     help="JSON config file with strict keys (default: none)"),
+    "--out": dict(metavar="PATH", default=None,
+                  help="output file path (default: command-specific)"),
+    "--quiet": dict(action="store_true", default=False,
+                    help="suppress human-readable text, keep key=value lines (default: off)"),
+}
+
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "integrate the decay law and report settling"),
+    "certify": (_cmd_certify, "check the dissipation inequality along a trajectory"),
+    "sweep": (_cmd_sweep, "run a parameter/initial-condition grid with checks"),
+    "bound": (_cmd_bound, "print the analytic settling bound"),
+    "witness": (_cmd_witness, "show the decay rate at one level and two times"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="timebarrier",
         description="Simulate, certify, and stress-test decay laws with a hard convergence deadline.",
     )
-    parser.add_argument("--config", metavar="PATH", default=None,
-                        help="JSON config file with strict keys (default: none)")
-    parser.add_argument("--out", metavar="PATH", default=None,
-                        help="output file path (default: command-specific)")
-    parser.add_argument("--quiet", action="store_true", default=False,
-                        help="suppress human-readable text, keep key=value lines (default: off)")
-    # same globals accepted after the subcommand; SUPPRESS keeps the
-    # subparser from clobbering values parsed before it
+    # SUPPRESS keeps a subparser from clobbering a global parsed before it
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", metavar="PATH", default=argparse.SUPPRESS,
-                        help="JSON config file with strict keys (default: none)")
-    shared.add_argument("--out", metavar="PATH", default=argparse.SUPPRESS,
-                        help="output file path (default: command-specific)")
-    shared.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
-                        help="suppress human-readable text, keep key=value lines (default: off)")
+    for flag, kwargs in _GLOBALS.items():
+        parser.add_argument(flag, **kwargs)
+        shared.add_argument(flag, **{**kwargs, "default": argparse.SUPPRESS})
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def add_params(sp):
-        sp.add_argument("--tc", type=float, default=None,
-                        help="convergence deadline, > 0 (default: 1.0)")
-        sp.add_argument("--beta", type=float, default=None,
-                        help="barrier exponent, >= 0 (default: 2.0)")
-        sp.add_argument("--q", type=float, default=None,
-                        help="decay gain, >= 0 (default: 1.0)")
-        sp.add_argument("--alpha", type=float, default=None,
-                        help="decay exponent in (0,1) (default: 0.5)")
-
-    sp = sub.add_parser("simulate", parents=[shared], help="integrate the decay law and report settling")
-    add_params(sp)
-    sp.add_argument("--x0", default=None,
-                    help="initial state, scalar or comma-separated vector (default: 1.0)")
-    sp.set_defaults(func=_cmd_simulate)
-
-    sp = sub.add_parser("certify", parents=[shared], help="check the dissipation inequality along a trajectory")
-    add_params(sp)
-    sp.add_argument("--x0", default=None,
-                    help="initial state, scalar or comma-separated vector (default: 1.0)")
-    sp.add_argument("--bias", type=float, default=None,
-                    help="additive bias injected into the dynamics (default: 0.0)")
-    sp.set_defaults(func=_cmd_certify)
-
-    sp = sub.add_parser("sweep", parents=[shared], help="run a parameter/initial-condition grid with checks")
-    sp.set_defaults(func=_cmd_sweep)
-
-    sp = sub.add_parser("bound", parents=[shared], help="print the analytic settling bound")
-    add_params(sp)
-    sp.add_argument("--x0", default=None,
-                    help="initial state, scalar or comma-separated vector (default: 1.0)")
-    sp.set_defaults(func=_cmd_bound)
-
-    sp = sub.add_parser("witness", parents=[shared], help="show the decay rate at one level and two times")
-    add_params(sp)
-    sp.add_argument("--vlevel", type=float, default=0.25,
-                    help="Lyapunov level to probe, > 0 (default: 0.25)")
-    sp.add_argument("--t1", type=float, default=0.0,
-                    help="first probe time (default: 0.0)")
-    sp.add_argument("--t2", type=float, default=0.5,
-                    help="second probe time (default: 0.5)")
-    sp.set_defaults(func=_cmd_witness)
+    for command, (func, text) in _COMMANDS.items():
+        sp = sub.add_parser(command, parents=[shared], help=text)
+        for name, s in _SETTINGS.items():
+            if command in s.commands:
+                sp.add_argument(f"--{name}", type=str if str in s.types[0] else float,
+                                default=None, help=f"{s.help} (default: {s.default})")
+        sp.set_defaults(func=func)
     return parser
 
 

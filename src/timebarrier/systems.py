@@ -36,17 +36,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AutonomousLaw:
-    """A state-only decay law phi(V).
+    """A state-only decay law dV/dt = -phi(V), known by its settling time.
 
-    ``settling_time(v0)``, when present, is the closed form of the settling
-    integral of dV/phi(V) over [0, v0]. Any other phi goes through
-    :func:`timebarrier.analytic.autonomous_settling_integral`, a Gauss-Legendre
-    quadrature on pieces that halve toward V = 0 with a geometric tail.
+    ``settling_time(v0)`` is the closed form of the settling integral of
+    dV/phi(V) over [0, v0], the time the law takes from V = v0 to zero.
     """
 
-    phi: Callable[[float], float]
     label: str
-    settling_time: Optional[Callable[[float], float]] = None
+    settling_time: Callable[[float], float]
 
 
 def _check_law_params(p: BarrierParams) -> None:
@@ -176,11 +173,11 @@ def make_time_barrier_componentwise(
 
 
 def make_autonomous_power_law(q: float, alpha: float):
-    """Comparator phi(V) = q * V**alpha and its scalar dynamics.
+    """Comparator dV/dt = -q * V**alpha and its scalar dynamics.
 
-    The power law is the classical finite-time decay; its settling integral
-    has the closed form v0**(1-alpha) / (q*(1-alpha)), which grows without
-    bound in v0 -- the numeric heart of the separation from deadline-enforced
+    The power law is the classical finite-time decay; its settling time has
+    the closed form v0**(1-alpha) / (q*(1-alpha)), which grows without bound
+    in v0 -- the numeric heart of the separation from deadline-enforced
     convergence. Returns the (law, dynamics) pair.
     """
     if not (math.isfinite(q) and q > 0.0):
@@ -188,16 +185,11 @@ def make_autonomous_power_law(q: float, alpha: float):
     if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
         raise ValueError("alpha in (0,1) violated")
 
-    def phi(value: float) -> float:
-        return q * value**alpha
-
     def settling_time(v0: float) -> float:
         return v0 ** (1.0 - alpha) / (q * (1.0 - alpha))
 
     law = AutonomousLaw(
-        phi=phi,
-        label=f"power-law decay (q={q:g}, alpha={alpha:g})",
-        settling_time=settling_time,
+        label=f"power-law decay (q={q:g}, alpha={alpha:g})", settling_time=settling_time
     )
 
     def kernel(x: float, t: float) -> float:

@@ -64,12 +64,6 @@ def oracle_settling(p, v0):
     return brentq(f, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
 
 
-def quad_settling_integral(phi, v0):
-    """Integral of dV/phi(V) over [0, v0] by plain adaptive quadrature in V."""
-    value, _ = quad(lambda v: 1.0 / phi(v), 0.0, v0, epsabs=0.0, epsrel=1e-10, limit=200)
-    return value
-
-
 def dop853_solution(p, x0, times):
     """High-accuracy reference trajectory on the smooth (fixed-sign) branch."""
     s = 1.0 if x0 > 0 else -1.0

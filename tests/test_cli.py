@@ -1,5 +1,6 @@
 """Command-line surface: flags, exit codes, CSV round-trips, report blocks."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from timebarrier import cli
 from timebarrier.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -715,3 +717,74 @@ def test_sweep_delta_end_not_below_the_smallest_tc_is_named(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     assert "invalid policy.delta_end" in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"])
+def test_trajectory_text_without_a_header_line_is_named(text):
+    with pytest.raises(ValueError, match="trajectory text has no header line"):
+        parse_trajectory_csv(text)
+
+
+_KEYED = [name for name, setting in cli._SETTINGS.items() if setting.section]
+
+
+@pytest.mark.parametrize("name", _KEYED)
+def test_flag_and_config_key_resolve_alike(tmp_path, name):
+    setting = cli._SETTINGS[name]
+    convert = cli._vector if str in setting.types[0] else float
+    parser = build_parser()
+    command = setting.commands[0]
+    flagged, bare = parser.parse_args([command, f"--{name}", "0.75"]), parser.parse_args([command])
+
+    def resolve(args, config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        value = cli._resolve(args, cli.load_config(str(cfg_path)), name, convert)
+        return np.asarray(value).tolist()
+
+    by_flag = resolve(flagged, {})
+    assert np.ravel(by_flag).tolist() == [0.75]
+    assert resolve(bare, {setting.section: {name: 0.75}}) == by_flag
+    # the flag wins over the config key, which wins over the default
+    assert resolve(flagged, {setting.section: {name: 0.25}}) == by_flag
+    assert np.ravel(resolve(bare, {setting.section: {name: 0.25}})).tolist() == [0.25]
+    assert resolve(bare, {}) == np.asarray(convert(setting.default)).tolist()
+
+
+# the flags each command took before the settings table, plus simulate --bias
+_COMMAND_FLAGS = {
+    "simulate": {"--tc", "--beta", "--q", "--alpha", "--x0", "--bias"},
+    "certify": {"--tc", "--beta", "--q", "--alpha", "--x0", "--bias"},
+    "sweep": set(),
+    "bound": {"--tc", "--beta", "--q", "--alpha", "--x0"},
+    "witness": {"--tc", "--beta", "--q", "--alpha", "--vlevel", "--t1", "--t2"},
+}
+
+
+def test_each_command_takes_exactly_its_settings_flags():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(_COMMAND_FLAGS)
+    for command, sp in sub.choices.items():
+        flags = {flag for action in sp._actions for flag in action.option_strings}
+        rows = {f"--{name}" for name, s in cli._SETTINGS.items() if command in s.commands}
+        assert flags - {"-h", "--help", "--config", "--out", "--quiet"} == rows
+        assert rows == _COMMAND_FLAGS[command]
+    # and no config key beyond those that were there
+    assert set(cli._SCHEMA["params"]) == {"tc", "beta", "q", "alpha"}
+    assert set(cli._SCHEMA["simulate"]) == {"x0", "bias"}
+
+
+def test_simulate_bias_flag_matches_the_config_key(tmp_path, capsys):
+    cfg_path = tmp_path / "bias.json"
+    cfg_path.write_text(json.dumps({"simulate": {"bias": 0.1}}))
+    by_flag, by_key = tmp_path / "a.csv", tmp_path / "b.csv"
+    code_a, out_a, err_a = run_cli(capsys, "--out", str(by_flag), "simulate", "--bias", "0.1")
+    code_b, out_b, err_b = run_cli(
+        capsys, "--config", str(cfg_path), "--out", str(by_key), "simulate"
+    )
+    assert (code_a, block_of(out_a), err_a) == (code_b, block_of(out_b), err_b)
+    assert by_flag.read_bytes() == by_key.read_bytes()
+    unbiased = tmp_path / "c.csv"
+    run_cli(capsys, "--out", str(unbiased), "simulate")
+    assert by_flag.read_bytes() != unbiased.read_bytes()
