@@ -268,12 +268,12 @@ class DynamicsSpec:
 
     ``v`` and ``vdot`` are the optional Lyapunov value and its derivative along
     trajectories, each called as ``v(x, t)`` on one state; ``vdot`` may be
-    absent even when ``v`` is present (the certificate checker then falls
-    back to finite differences). The built-in laws write them as block forms
-    (see :class:`_Blockwise`), which the trajectory recorder and the
-    certificate evaluate on all samples in one call; any other callable is
-    called once per sample, so ``dataclasses.replace(spec, v=other)``
-    evaluates ``other``.
+    absent even when ``v`` is present (the certificate checker then takes
+    the Lie derivative of ``v`` along ``rhs``). The built-in laws write
+    them as block forms (see :class:`_Blockwise`), which the trajectory
+    recorder and the certificate evaluate on all samples in one call; any
+    other callable is called once per sample, so
+    ``dataclasses.replace(spec, v=other)`` evaluates ``other``.
     """
 
     dim: int

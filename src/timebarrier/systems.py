@@ -118,6 +118,8 @@ def make_time_barrier_componentwise(
     and a ``functools.wraps`` wrapper of it keeps the declaration.
     """
     _check_law_params(p)
+    if not math.isfinite(_bias):
+        raise ValueError(f"bias must be finite, got {_bias!r}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim!r}")
     policy = policy if policy is not None else NumericPolicy()

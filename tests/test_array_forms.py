@@ -151,7 +151,7 @@ def test_user_spec_reusing_law_v_gets_the_block_form(monkeypatch):
     traj = simulate(spec, np.array([1.0, -0.1]), P, policy)
     assert calls == [traj.times.size]  # one block call for the record
     check_dissipation(traj, P, policy)
-    assert len(calls) == 2  # and one for the finite-difference stencil
+    assert len(calls) == 2  # and one for the shifted states of the Lie derivative
     assert same_bits(traj.v_values, simulate(law, np.array([1.0, -0.1]), P, policy).v_values)
 
 

@@ -788,3 +788,23 @@ def test_simulate_bias_flag_matches_the_config_key(tmp_path, capsys):
     unbiased = tmp_path / "c.csv"
     run_cli(capsys, "--out", str(unbiased), "simulate")
     assert by_flag.read_bytes() != unbiased.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify"])
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_non_finite_bias_flag_is_a_validation_error(capsys, command, text):
+    code, _, err = run_cli(capsys, command, f"--bias={text}")
+    assert code == EXIT_VALIDATION
+    assert "bias" in err
+    assert "blow-up" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify"])
+def test_non_finite_bias_config_key_is_a_validation_error(tmp_path, capsys, command):
+    # json.load accepts the bare NaN token
+    cfg_path = tmp_path / "bias.json"
+    cfg_path.write_text('{"simulate": {"bias": NaN}}')
+    code, _, err = run_cli(capsys, "--config", str(cfg_path), command)
+    assert code == EXIT_VALIDATION
+    assert "bias" in err
+    assert "blow-up" not in err

@@ -152,6 +152,12 @@ def test_bias_shifts_rhs_and_vdot(default_params, default_policy):
     assert spec.vdot(xn, t) == pytest.approx(base.vdot(xn, t) - 0.1, rel=1e-14)
 
 
+@pytest.mark.parametrize("bias", [math.nan, math.inf, -math.inf])
+def test_non_finite_bias_is_rejected_by_name(default_params, default_policy, bias):
+    with pytest.raises(ValueError, match="bias"):
+        make_time_barrier_scalar(default_params, default_policy, bias=bias)
+
+
 def test_constructor_allows_q_zero_and_sub_exponent(default_policy):
     make_time_barrier_scalar(BarrierParams(1, 2, 0, 0.5), default_policy)
     make_time_barrier_scalar(BarrierParams(1, 0.5, 1, 0.5), default_policy)
