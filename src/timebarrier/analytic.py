@@ -9,6 +9,7 @@ where J(t) = integral of lam(s)**(-m) over [0, t] and m = beta*(1-alpha).
 Everything here is derived from that identity, with log-space fallbacks so the
 formulas survive extreme exponents. These functions are the oracles the
 adaptive integrator is verified against, so they must not share code with it.
+Each first raises the ``ValueError`` of a tuple outside the law's domain.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BarrierParams, DivergentIntegralError, DomainError, _map_floats
+from .core import BarrierParams, DivergentIntegralError, DomainError, _check_law, _map_floats
 
 __all__ = [
     "SettlingBound",
@@ -70,6 +71,7 @@ def barrier_integral(p: BarrierParams, t: float) -> float:
     :class:`DivergentIntegralError`; for m < 1 the finite limit at t = tc is
     returned.
     """
+    _check_law(p)
     tc, m = p.tc, p.m
     if not math.isfinite(t) or t < 0.0:
         raise DomainError(f"t={t!r} outside [0, tc={tc!r}]")
@@ -107,16 +109,15 @@ def remaining_settling_time(
     q > 0; for m < 1 it exists only below the finite-integral threshold, and
     for q = 0 never (the pure-barrier flow converges only in the limit).
     """
+    _check_law(p)
     if not (math.isfinite(v_start) and v_start >= 0.0):
         raise ValueError(f"initial Lyapunov value must be finite and >= 0, got {v_start!r}")
     tc, q, alpha, m = p.tc, p.q, p.alpha, p.m
     if not 0.0 <= t_start < tc:
         raise DomainError(f"t_start={t_start!r} outside [0, tc={tc!r})")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha in (0,1) violated, got {alpha!r}")
     if v_start == 0.0:
         return SettlingBound(t_start, True, v_start)
-    if q <= 0.0:
+    if q == 0.0:
         return SettlingBound(tc, False, v_start)
     one_minus_a = 1.0 - alpha
     log_lam0 = _log_lambda(tc, t_start)
@@ -154,15 +155,12 @@ def exact_solution_scalar(p: BarrierParams, x0: float, t: float) -> float:
     For q = 0 this reduces to x0 * ((tc - t)/tc)**beta. The value is exactly
     x0 at t = 0 and exactly 0 for all t at or past the crossing time.
     """
+    _check_law(p)
     tc, q, alpha, m = p.tc, p.q, p.alpha, p.m
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0!r}")
     if not 0.0 <= t < tc:
         raise DomainError(f"t={t!r} outside [0, tc={tc!r})")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha in (0,1) violated, got {alpha!r}")
-    if p.beta < 0.0 or q < 0.0:
-        raise ValueError("beta and q must be nonnegative")
     if x0 == 0.0:
         return 0.0
     if t == 0.0:
@@ -184,15 +182,13 @@ def exact_solution_scalar_array(p: BarrierParams, x0: float, times) -> np.ndarra
     """:func:`exact_solution_scalar` at every time of ``times``, bit for bit.
 
     The same formula on arrays, with every ``math`` call on Python floats.
-    Arguments the scalar function would reject send the call through it, so
-    its errors are raised unchanged.
+    An ``x0`` or a time the scalar function would reject sends the call
+    through it, so its errors are raised unchanged.
     """
+    _check_law(p)
     t = np.asarray(times, dtype=float)
     tc, q, alpha, m = p.tc, p.q, p.alpha, p.m
-    if not (
-        math.isfinite(x0) and np.all((0.0 <= t) & (t < tc))
-        and 0.0 < alpha < 1.0 and p.beta >= 0.0 and q >= 0.0
-    ):
+    if not (math.isfinite(x0) and np.all((0.0 <= t) & (t < tc))):
         return np.array([exact_solution_scalar(p, x0, s) for s in t.tolist()], dtype=float)
     out = np.zeros(t.shape)
     if x0 == 0.0:

@@ -23,6 +23,7 @@ from .core import (
     DynamicsSpec,
     NumericPolicy,
     ParamVerdict,
+    _check_law,
     _evaluate,
     _log_w,
     _map_floats,
@@ -208,7 +209,9 @@ def find_nonautonomy_witness(
     The barrier term makes the rates differ whenever beta > 0 and t1 != t2,
     so no state-only decay law can reproduce the field. beta = 0 is the
     degenerate autonomous limit and is reported as carrying no witness.
+    A tuple outside the law's domain raises its ``ValueError`` first.
     """
+    _check_law(p)
     if not (math.isfinite(v_level) and v_level > 0.0):
         raise ValueError(f"v_level must be > 0, got {v_level!r}")
     if t1 == t2:

@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import sys
 from itertools import chain, repeat
 from typing import NamedTuple, Optional
@@ -28,11 +29,12 @@ from .core import (
     NumericPolicy,
     StallError,
     TimeBarrierError,
+    _check_law,
     validate_params,
 )
 from .integrate import Trajectory, settling_report, simulate
 from .sweep import SweepConfig, SweepResult, SweepRow, _check_x0_decades, run_sweep
-from .systems import _check_law_params, make_time_barrier_componentwise, make_time_barrier_scalar
+from .systems import make_time_barrier_componentwise, make_time_barrier_scalar
 
 __all__ = ["main", "entry", "render_trajectory_csv", "parse_trajectory_csv", "render_sweep_csv"]
 
@@ -284,7 +286,7 @@ def _params_from(args, config: dict) -> BarrierParams:
         name: _resolve(args, config, name)
         for name, setting in _SETTINGS.items() if setting.section == "params"
     })
-    _check_law_params(p)
+    _check_law(p)
     return p
 
 
@@ -447,6 +449,11 @@ def _cmd_witness(args, config: dict) -> int:
 class _Parser(argparse.ArgumentParser):
     """argparse exits usage errors with code 2; here that code means a
     numerical failure, so flag mistakes are validation errors instead."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes -1e3, -1,2 and -inf for flags; no flag here starts as they do
+        self._negative_number_matcher = re.compile(r"-(\d|\.|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -64,12 +64,13 @@ class BlowUpError(TimeBarrierError):
 class BarrierParams:
     """Parameter tuple (tc, beta, q, alpha) of the deadline decay law.
 
-    ``tc`` is the hard deadline (seconds, > 0), ``beta`` the barrier exponent,
-    ``q`` the state-decay gain (1/time for the alpha-homogeneous term) and
-    ``alpha`` the decay exponent in (0, 1).
-
-    ``m = beta * (1 - alpha)`` is computed once here and read everywhere else,
-    so every module makes bit-identical admissibility decisions.
+    ``tc`` is the hard deadline (seconds, > 0), ``beta`` the barrier exponent
+    (>= 0), ``q`` the state-decay gain (>= 0, 1/time for the alpha-homogeneous
+    term) and ``alpha`` the decay exponent in (0, 1), all finite: the law's
+    domain. Any numbers construct a tuple, but every function that computes
+    from one outside the domain raises ``ValueError`` naming the first broken
+    rule, the reason :func:`validate_params` gives. ``m = beta * (1 - alpha)``
+    and that rule's verdict are computed once here and read everywhere else.
     """
 
     tc: float
@@ -77,13 +78,35 @@ class BarrierParams:
     q: float
     alpha: float
     m: float = field(init=False)
+    _fault: Optional[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "tc", float(self.tc))
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "q", float(self.q))
-        object.__setattr__(self, "alpha", float(self.alpha))
+        for name in ("tc", "beta", "q", "alpha"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "m", self.beta * (1.0 - self.alpha))
+        object.__setattr__(self, "_fault", _domain_fault(self))
+
+
+def _domain_fault(p: BarrierParams) -> Optional[str]:
+    """The first broken rule of the law's domain, or None inside it."""
+    for name in ("tc", "beta", "q", "alpha"):
+        if not math.isfinite(getattr(p, name)):
+            return f"non-finite parameter: {name}"
+    if p.tc <= 0.0:
+        return "tc must be > 0"
+    if p.beta < 0.0:
+        return "beta must be >= 0"
+    if p.q < 0.0:
+        return "q must be >= 0"
+    if not 0.0 < p.alpha < 1.0:
+        return "alpha in (0,1) violated"
+    return None
+
+
+def _check_law(p: BarrierParams) -> None:
+    """Raise ``ValueError`` naming the first broken rule of the law's domain."""
+    if p._fault is not None:
+        raise ValueError(p._fault)
 
 
 @dataclass(frozen=True)
@@ -95,30 +118,17 @@ class ParamVerdict:
     reason: Optional[str] = None
 
 
-_POSITIVITY_CHECKS = (
-    ("tc", "tc must be > 0"),
-    ("beta", "beta must be > 0"),
-    ("q", "q must be > 0"),
-)
-
-
 def validate_params(p: BarrierParams) -> ParamVerdict:
-    """Check positivity and the barrier exponent condition m >= 1.
-
-    Accepts any numeric tuple; inadmissible verdicts carry the first violated
-    constraint by name, non-finite inputs get a distinct verdict.
+    """The verdict on any tuple: the law's domain, then beta > 0, q > 0 and
+    the barrier exponent condition m >= 1; the first broken rule is the reason.
     """
-    for name in ("tc", "beta", "q", "alpha"):
-        if not math.isfinite(getattr(p, name)):
-            return ParamVerdict(False, p.m, f"non-finite parameter: {name}")
-    for name, reason in _POSITIVITY_CHECKS:
-        if getattr(p, name) <= 0.0:
-            return ParamVerdict(False, p.m, reason)
-    if not 0.0 < p.alpha < 1.0:
-        return ParamVerdict(False, p.m, "alpha in (0,1) violated")
-    if p.m < 1.0:
-        return ParamVerdict(False, p.m, f"beta*(1-alpha)={p.m:g} < 1")
-    return ParamVerdict(True, p.m, None)
+    reason = p._fault or (
+        "beta must be > 0" if p.beta == 0.0
+        else "q must be > 0" if p.q == 0.0
+        else f"beta*(1-alpha)={p.m:g} < 1" if p.m < 1.0
+        else None
+    )
+    return ParamVerdict(reason is None, p.m, reason)
 
 
 def w_transform(v: float, t: float, p: BarrierParams) -> float:
@@ -162,9 +172,11 @@ def w_transform_array(v, t, p: BarrierParams) -> np.ndarray:
     certificate checker; :func:`w_transform` is its one-pair view. An element
     takes the log form (:func:`_log_w`) for beta > 30 and wherever
     (tc - t)**beta leaves the float range; a W past the float range is inf,
-    with no warning. The first pair with a time outside [0, tc) raises
-    ``DomainError``, or with a negative V ``ValueError``.
+    with no warning. A tuple outside the law's domain raises ``ValueError``;
+    then the first pair with a time outside [0, tc) raises ``DomainError``, or
+    with a negative V ``ValueError``.
     """
+    _check_law(p)
     v = np.asarray(v, dtype=float)
     t = np.asarray(t, dtype=float)
     tc, beta = p.tc, p.beta

@@ -79,6 +79,7 @@ from .core import (
     DynamicsSpec,
     NumericPolicy,
     StallError,
+    _check_law,
     _evaluate,
     _Pointwise,
     w_transform_array,
@@ -392,6 +393,7 @@ class _Steps:
 
 def _prepare(spec, x0, p, policy):
     """simulate()'s argument checks: (policy, x0 array, tc, t_end)."""
+    _check_law(p)
     policy = policy if policy is not None else NumericPolicy()
     x0 = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if x0.shape != (spec.dim,):
@@ -399,8 +401,6 @@ def _prepare(spec, x0, p, policy):
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be finite, got {x0!r}")
     tc = p.tc
-    if not (math.isfinite(tc) and tc > 0.0):
-        raise ValueError(f"tc must be finite and > 0, got {tc!r}")
     if spec.tc is not None and spec.tc < tc:
         raise ValueError(
             f"spec domain ends at {spec.tc!r}, before the deadline {tc!r}"
@@ -416,7 +416,9 @@ def simulate(
 ) -> Trajectory:
     """Integrate ``spec`` from ``x0`` on [0, tc - delta_end].
 
-    Raises :class:`StallError` on step-size underflow before the deadline or
+    A ``p`` outside the law's domain (see :class:`BarrierParams`) raises
+    ``ValueError`` before the first step, whatever the spec. Raises
+    :class:`StallError` on step-size underflow before the deadline or
     when the tolerances are too small to scale the initial state, and
     :class:`BlowUpError` when the dynamics return a non-finite derivative.
     """

@@ -21,9 +21,9 @@ import numpy as np
 
 from .analytic import exact_solution_scalar_array
 from .certify import check_dissipation
-from .core import BarrierParams, NumericPolicy, TimeBarrierError, validate_params
+from .core import BarrierParams, NumericPolicy, TimeBarrierError, _check_law, validate_params
 from .integrate import settling_report, simulate
-from .systems import _check_law_params, make_autonomous_power_law, make_time_barrier_scalar
+from .systems import make_autonomous_power_law, make_time_barrier_scalar
 
 __all__ = [
     "SweepConfig",
@@ -71,7 +71,7 @@ class SweepConfig:
                 raise ValueError(f"{name} must be non-empty")
         _check_x0_decades(*self.x0_decades)
         for p in self.grid():
-            _check_law_params(p)
+            _check_law(p)
 
     def grid(self) -> list[BarrierParams]:
         return [

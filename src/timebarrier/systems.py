@@ -22,6 +22,7 @@ from .core import (
     DynamicsSpec,
     NumericPolicy,
     _Blockwise,
+    _check_law,
     _map_floats,
     _Pointwise,
 )
@@ -44,26 +45,6 @@ class AutonomousLaw:
 
     label: str
     settling_time: Callable[[float], float]
-
-
-def _check_law_params(p: BarrierParams) -> None:
-    """Constructor preconditions, also checked by the CLI before any command
-    and by ``SweepConfig`` on every grid tuple.
-
-    Inadmissible exponents (m < 1) pass; callers that need the admissibility
-    verdict ask :func:`timebarrier.core.validate_params`.
-    """
-    for name in ("tc", "beta", "q", "alpha"):
-        if not math.isfinite(getattr(p, name)):
-            raise ValueError(f"non-finite parameter: {name}")
-    if p.tc <= 0.0:
-        raise ValueError("tc must be > 0")
-    if p.beta < 0.0:
-        raise ValueError("beta must be >= 0")
-    if p.q < 0.0:
-        raise ValueError("q must be >= 0")
-    if not 0.0 < p.alpha < 1.0:
-        raise ValueError("alpha in (0,1) violated")
 
 
 def _max_abs(states: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -117,11 +98,9 @@ def make_time_barrier_componentwise(
     run of it steps the kernel on Python floats, one coordinate at a time,
     and a ``functools.wraps`` wrapper of it keeps the declaration.
     """
-    _check_law_params(p)
+    _check_law(p)
     if not math.isfinite(_bias):
         raise ValueError(f"bias must be finite, got {_bias!r}")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim!r}")
     policy = policy if policy is not None else NumericPolicy()
     tc, beta, q, alpha = p.tc, p.beta, p.q, p.alpha
     sign_eps = policy.sign_eps

@@ -808,3 +808,28 @@ def test_non_finite_bias_config_key_is_a_validation_error(tmp_path, capsys, comm
     assert code == EXIT_VALIDATION
     assert "bias" in err
     assert "blow-up" not in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, code",
+    [
+        ("simulate", "x0", "-1e3", EXIT_OK),
+        ("simulate", "x0", "-1,2", EXIT_OK),
+        ("simulate", "x0", "-.5", EXIT_OK),
+        ("bound", "x0", "-1e3", EXIT_OK),
+        ("simulate", "bias", "-inf", EXIT_VALIDATION),
+    ],
+)
+def test_negative_flag_value_reads_as_its_equals_spelling(capsys, command, flag, value, code):
+    # argparse alone reads only -1000 and -.5 here as values, the rest as flags
+    spaced = run_cli(capsys, command, f"--{flag}", value)
+    assert spaced == run_cli(capsys, command, f"--{flag}={value}")
+    assert spaced[0] == code
+    if code == EXIT_VALIDATION:
+        assert flag in spaced[2]
+
+
+def test_unknown_single_dash_flag_still_fails(capsys):
+    code, _, err = run_cli(capsys, "simulate", "-x")
+    assert code == EXIT_VALIDATION
+    assert "unrecognized arguments: -x" in err

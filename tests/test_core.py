@@ -12,9 +12,18 @@ from timebarrier import (
     DomainError,
     DynamicsSpec,
     NumericPolicy,
+    SweepConfig,
+    barrier_integral,
+    exact_solution_scalar,
+    exact_solution_scalar_array,
+    find_nonautonomy_witness,
+    remaining_settling_time,
+    settling_bound,
+    simulate,
     validate_params,
     validate_spec,
     w_transform,
+    w_transform_array,
 )
 from timebarrier.core import _Blockwise
 from timebarrier.systems import make_time_barrier_componentwise, make_time_barrier_scalar
@@ -100,6 +109,60 @@ def test_validate_agrees_with_exponent():
         positivity = p.tc > 0 and p.beta > 0 and p.q > 0 and 0 < p.alpha < 1
         expected = positivity and p.m >= 1.0
         assert validate_params(p).admissible == expected
+
+
+# one tuple per broken rule of the law's domain, with the text every entry point raises
+OUTSIDE_THE_DOMAIN = {
+    "nan_tc": ((math.nan, 2, 1, 0.5), "non-finite parameter: tc"),
+    "nan_beta": ((1, math.nan, 1, 0.5), "non-finite parameter: beta"),
+    "nan_q": ((1, 2, math.nan, 0.5), "non-finite parameter: q"),
+    "nan_alpha": ((1, 2, 1, math.nan), "non-finite parameter: alpha"),
+    "tc_0": ((0, 2, 1, 0.5), "tc must be > 0"),
+    "tc_negative": ((-1, 2, 1, 0.5), "tc must be > 0"),
+    "beta_negative": ((1, -2, 1, 0.5), "beta must be >= 0"),
+    "q_negative": ((1, 2, -1, 0.5), "q must be >= 0"),
+    "alpha_0": ((1, 2, 1, 0.0), "alpha in (0,1) violated"),
+    "alpha_1": ((1, 2, 1, 1.0), "alpha in (0,1) violated"),
+    "alpha_1.5": ((1, 2, 1, 1.5), "alpha in (0,1) violated"),
+}
+
+ENTRY_POINTS = {
+    "make_time_barrier_scalar": lambda p: make_time_barrier_scalar(p),
+    "make_time_barrier_componentwise": lambda p: make_time_barrier_componentwise(p, 2),
+    "SweepConfig": lambda p: SweepConfig(
+        tc_values=(p.tc,), beta_values=(p.beta,), q_values=(p.q,), alpha_values=(p.alpha,)
+    ),
+    "simulate_user_spec": lambda p: simulate(DynamicsSpec(1, rhs=lambda x, t: -x), 1.0, p),
+    "exact_solution_scalar": lambda p: exact_solution_scalar(p, 1.0, 0.5),
+    "exact_solution_scalar_array": lambda p: exact_solution_scalar_array(p, 1.0, [0.0, 0.5]),
+    "settling_bound": lambda p: settling_bound(p, 1.0),
+    "remaining_settling_time": lambda p: remaining_settling_time(p, 1.0, 0.25),
+    "barrier_integral": lambda p: barrier_integral(p, 0.5),
+    "find_nonautonomy_witness": lambda p: find_nonautonomy_witness(p, 0.25, 0.0, 0.5),
+    "w_transform_array": lambda p: w_transform_array([1.0], [0.5], p),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTSIDE_THE_DOMAIN))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_one_domain_rule_at_every_entry_point(case, entry):
+    args, text = OUTSIDE_THE_DOMAIN[case]
+    p = BarrierParams(*args)  # any numbers construct a tuple
+    with pytest.raises(ValueError) as info:
+        ENTRY_POINTS[entry](p)
+    assert type(info.value) is ValueError
+    assert str(info.value) == text
+
+
+@pytest.mark.parametrize("case", sorted(OUTSIDE_THE_DOMAIN))
+def test_verdict_reason_is_the_domain_rule(case):
+    args, text = OUTSIDE_THE_DOMAIN[case]
+    p = BarrierParams(*args)
+    verdict = validate_params(p)
+    assert (verdict.admissible, verdict.reason) == (False, text)
+    # the stored verdict is neither shown nor compared
+    assert "_fault" not in repr(p)
+    assert BarrierParams(1, 2, 1, 0.5) == BarrierParams(1.0, 2.0, 1.0, 0.5)
 
 
 def test_policy_rejects_bad_fields():
