@@ -9,102 +9,18 @@ trajectories, evaluates the analytic settling-time bounds, and demonstrates
 that the deadline is met independently of the initial condition.
 """
 
-from .analytic import (
-    SettlingBound,
-    barrier_integral,
-    exact_solution_scalar,
-    exact_solution_scalar_array,
-    remaining_settling_time,
-    settling_bound,
-)
-from .certify import (
-    CertificateReport,
-    NonAutonomyWitness,
-    Violation,
-    check_dissipation,
-    find_nonautonomy_witness,
-)
-from .core import (
-    BarrierParams,
-    BlowUpError,
-    DivergentIntegralError,
-    DomainError,
-    DynamicsSpec,
-    NumericPolicy,
-    ParamVerdict,
-    StallError,
-    TimeBarrierError,
-    validate_params,
-    validate_spec,
-    w_transform,
-    w_transform_array,
-)
-from .integrate import (
-    SettlingReport,
-    Trajectory,
-    TrajectorySample,
-    resample,
-    settling_report,
-    simulate,
-)
-from .sweep import (
-    DEFAULT_GRID,
-    SeparationRow,
-    SweepConfig,
-    SweepResult,
-    SweepRow,
-    run_sweep,
-    separation_table,
-)
-from .systems import (
-    AutonomousLaw,
-    make_autonomous_power_law,
-    make_time_barrier_componentwise,
-    make_time_barrier_scalar,
-)
+from . import analytic, certify, core, integrate, sweep, systems
+from .analytic import *
+from .certify import *
+from .core import *
+from .integrate import *
+from .sweep import *
+from .systems import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AutonomousLaw",
-    "BarrierParams",
-    "BlowUpError",
-    "CertificateReport",
-    "DEFAULT_GRID",
-    "DivergentIntegralError",
-    "DomainError",
-    "DynamicsSpec",
-    "NonAutonomyWitness",
-    "NumericPolicy",
-    "ParamVerdict",
-    "SeparationRow",
-    "SettlingBound",
-    "SettlingReport",
-    "StallError",
-    "SweepConfig",
-    "SweepResult",
-    "SweepRow",
-    "TimeBarrierError",
-    "Trajectory",
-    "TrajectorySample",
-    "Violation",
-    "barrier_integral",
-    "check_dissipation",
-    "exact_solution_scalar",
-    "exact_solution_scalar_array",
-    "find_nonautonomy_witness",
-    "make_autonomous_power_law",
-    "make_time_barrier_componentwise",
-    "make_time_barrier_scalar",
-    "remaining_settling_time",
-    "resample",
-    "run_sweep",
-    "separation_table",
-    "settling_bound",
-    "settling_report",
-    "simulate",
-    "validate_params",
-    "validate_spec",
-    "w_transform",
-    "w_transform_array",
-]
+# each public name is declared once, in its module's __all__
+__all__ = sorted(
+    name for module in (analytic, certify, core, integrate, sweep, systems)
+    for name in module.__all__
+)

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BarrierParams, DivergentIntegralError, DomainError, _check_law, _map_floats
+from .core import (
+    BarrierParams, DivergentIntegralError, _check_law, _check_times, _map_floats, _time_error,
+)
 
 __all__ = [
     "SettlingBound",
@@ -67,21 +69,16 @@ def barrier_integral(p: BarrierParams, t: float) -> float:
     """I(t) = integral of (tc - s)**(-m) over [0, t], in closed form.
 
     Uses log-space arithmetic for m > 30 to avoid intermediate overflow.
-    Divergence at the deadline (t >= tc with m >= 1) raises
-    :class:`DivergentIntegralError`; for m < 1 the finite limit at t = tc is
-    returned.
+    Defined on [0, tc]: at t = tc the finite limit for m < 1, and
+    :class:`DivergentIntegralError` for m >= 1; any other time outside
+    [0, tc) raises the time domain's :class:`DomainError`.
     """
     _check_law(p)
     tc, m = p.tc, p.m
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"t={t!r} outside [0, tc={tc!r}]")
-    if t >= tc:
-        if m >= 1.0:
-            raise DivergentIntegralError(
-                f"barrier integral diverges for t >= tc (m={m:g} >= 1)"
-            )
-        if t > tc:
-            raise DomainError(f"t={t!r} outside [0, tc={tc!r}]")
+    if not 0.0 <= t <= tc:
+        _time_error(t, tc)
+    if t == tc and m >= 1.0:
+        raise DivergentIntegralError(f"barrier integral diverges at t = tc (m={m:g} >= 1)")
     if t == 0.0:
         return 0.0
     if m == 1.0:
@@ -114,7 +111,7 @@ def remaining_settling_time(
         raise ValueError(f"initial Lyapunov value must be finite and >= 0, got {v_start!r}")
     tc, q, alpha, m = p.tc, p.q, p.alpha, p.m
     if not 0.0 <= t_start < tc:
-        raise DomainError(f"t_start={t_start!r} outside [0, tc={tc!r})")
+        _time_error(t_start, tc)
     if v_start == 0.0:
         return SettlingBound(t_start, True, v_start)
     if q == 0.0:
@@ -159,8 +156,8 @@ def exact_solution_scalar(p: BarrierParams, x0: float, t: float) -> float:
     tc, q, alpha, m = p.tc, p.q, p.alpha, p.m
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0!r}")
-    if not 0.0 <= t < tc:
-        raise DomainError(f"t={t!r} outside [0, tc={tc!r})")
+    if not 0.0 <= t < tc:  # compared inline: the oracle is called once per sample
+        _time_error(t, tc)
     if x0 == 0.0:
         return 0.0
     if t == 0.0:
@@ -182,14 +179,15 @@ def exact_solution_scalar_array(p: BarrierParams, x0: float, times) -> np.ndarra
     """:func:`exact_solution_scalar` at every time of ``times``, bit for bit.
 
     The same formula on arrays, with every ``math`` call on Python floats.
-    An ``x0`` or a time the scalar function would reject sends the call
-    through it, so its errors are raised unchanged.
+    It checks the tuple, then ``x0``, then the times, as the scalar form
+    does: the first time outside [0, tc) raises its :class:`DomainError`.
     """
     _check_law(p)
     t = np.asarray(times, dtype=float)
     tc, q, alpha, m = p.tc, p.q, p.alpha, p.m
-    if not (math.isfinite(x0) and np.all((0.0 <= t) & (t < tc))):
-        return np.array([exact_solution_scalar(p, x0, s) for s in t.tolist()], dtype=float)
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0!r}")
+    _check_times(t, tc)
     out = np.zeros(t.shape)
     if x0 == 0.0:
         return out

@@ -24,13 +24,14 @@ from .core import (
     NumericPolicy,
     ParamVerdict,
     _check_law,
+    _check_times,
     _evaluate,
     _log_w,
     _map_floats,
     _Pointwise,
     validate_params,
 )
-from .integrate import Trajectory, _checked_rhs
+from .integrate import Trajectory, _checked_rhs, _own_params
 
 __all__ = [
     "Violation",
@@ -139,8 +140,10 @@ def check_dissipation(
     e = abs_tol + rel_tol * V is the error the policy allows the stepper in
     V (the second term is 0 where V0 = 0). A step with W past the float
     range at both ends is decided on log W, from the same helper as W's own
-    log form, against log1p(residual_tol) + e0/V0 + e1/V1.
+    log form, against log1p(residual_tol) + e0/V0 + e1/V1. The bound is the
+    run's own tuple, ``traj.params``; another ``p`` raises ``ValueError``.
     """
+    p = _own_params(traj, p)
     policy = policy if policy is not None else traj.policy
     if traj.spec.v is None:
         raise ValueError("trajectory carries no Lyapunov samples")
@@ -209,17 +212,17 @@ def find_nonautonomy_witness(
     The barrier term makes the rates differ whenever beta > 0 and t1 != t2,
     so no state-only decay law can reproduce the field. beta = 0 is the
     degenerate autonomous limit and is reported as carrying no witness.
-    A tuple outside the law's domain raises its ``ValueError`` first.
+    A tuple outside the law's domain raises its ``ValueError`` first, then
+    t1 or t2 outside [0, tc) its :class:`DomainError`, then t1 >= t2.
     """
     _check_law(p)
     if not (math.isfinite(v_level) and v_level > 0.0):
         raise ValueError(f"v_level must be > 0, got {v_level!r}")
+    _check_times((t1, t2), p.tc)
     if t1 == t2:
         raise ValueError("t1 must differ from t2")
-    if not (0.0 <= t1 < t2 < p.tc):
-        raise ValueError(
-            f"times must satisfy 0 <= t1 < t2 < tc, got t1={t1!r}, t2={t2!r}"
-        )
+    if t1 > t2:
+        raise ValueError(f"t1 must be < t2, got t1={t1!r}, t2={t2!r}")
 
     def rate(t: float) -> float:
         return -p.beta * v_level / (p.tc - t) - p.q * v_level**p.alpha

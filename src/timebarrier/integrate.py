@@ -641,8 +641,8 @@ def _eval_trajectory(traj: Trajectory, times: np.ndarray, x_start: np.ndarray) -
         out[times == 0.0] = x_start
         return out
 
+    # in [0, n_seg - 1] for every time in [0, t_end]: the first segment starts at 0
     k = np.searchsorted(traj._seg_t0, times, side="right") - 1
-    k = np.clip(k, 0, n_seg - 1)
     h = traj._seg_h[k]
     theta = (times - traj._seg_t0[k]) / h
     out = _dense_poly(
@@ -680,9 +680,17 @@ def resample(traj: Trajectory, times) -> np.ndarray:
     return _eval_trajectory(traj, times, traj.states[0])
 
 
+def _own_params(traj: Trajectory, p: Optional[BarrierParams]) -> BarrierParams:
+    """The tuple ``traj`` was run with; a ``p`` other than it raises ``ValueError``."""
+    if p is not None and p != traj.params:
+        raise ValueError(f"{p!r} is not the trajectory's own {traj.params!r}")
+    return traj.params
+
+
 def settling_report(traj: Trajectory, p: Optional[BarrierParams] = None) -> SettlingReport:
-    """Compare the measured settling instant against the analytic bound."""
-    p = p if p is not None else traj.params
+    """Compare the measured settling instant against the analytic bound of
+    the run's own tuple, ``traj.params``; another ``p`` raises ``ValueError``."""
+    p = _own_params(traj, p)
     if traj.spec.v is not None:
         v0 = traj.v_values[0].item()
     else:

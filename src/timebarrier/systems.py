@@ -18,13 +18,14 @@ import numpy as np
 
 from .core import (
     BarrierParams,
-    DomainError,
     DynamicsSpec,
     NumericPolicy,
     _Blockwise,
     _check_law,
+    _check_times,
     _map_floats,
     _Pointwise,
+    _time_error,
 )
 
 __all__ = [
@@ -108,8 +109,8 @@ def make_time_barrier_componentwise(
 
     # a plain-float kernel: the integrator calls it thousands of times
     def kernel(x: float, t: float) -> float:
-        if not 0.0 <= t < tc:
-            raise DomainError(f"domain exceeded: t={t!r} not in [0, tc={tc!r})")
+        if not 0.0 <= t < tc:  # compared inline once per stage; raised on failure only
+            _time_error(t, tc)
         if sign_eps > 0.0:
             ax = abs(x)
             scale = sign_eps if sign_eps > ax else ax  # max(ax, sign_eps), compared out
@@ -126,10 +127,7 @@ def make_time_barrier_componentwise(
     rhs = _Pointwise(kernel, decoupled=not bias)
 
     def vdot(states: np.ndarray, times: np.ndarray) -> np.ndarray:
-        outside = ~((0.0 <= times) & (times < tc))
-        if outside.any():
-            t = times[outside][0].item()
-            raise DomainError(f"domain exceeded: t={t!r} not in [0, tc={tc!r})")
+        _check_times(times, tc)
         av = _max_abs(states, times)
         decay = q * _map_floats(pow, av, alpha)
         if sign_eps > 0.0:

@@ -60,7 +60,7 @@ def reference_pair(p, dim=1, sign_eps=0.0, bias=0.0):
 
     def vdot(x, t):
         if not 0.0 <= t < tc:
-            raise DomainError(f"domain exceeded: t={t!r} not in [0, tc={tc!r})")
+            raise DomainError(f"t={t!r} outside [0, tc={tc!r})")
         av = v(x, t)
         if av == 0.0:
             return 0.0

@@ -14,6 +14,7 @@ from timebarrier import (
     NumericPolicy,
     check_dissipation,
     find_nonautonomy_witness,
+    settling_report,
     simulate,
     w_transform,
     w_transform_array,
@@ -245,6 +246,20 @@ def test_witness_gap_monotone_in_second_time(default_params):
 def test_witness_diverges_near_deadline(default_params):
     w = find_nonautonomy_witness(default_params, 0.25, 0.0, 1.0 - 1e-9)
     assert w.gap > 1e6
+
+
+@pytest.mark.parametrize("judge", [settling_report, check_dissipation])
+def test_a_trajectory_is_judged_by_its_own_tuple(judge):
+    p = BarrierParams(1, 2, 1, 0.5)
+    traj = simulate(make_time_barrier_scalar(p), 1.0, p)
+    other = BarrierParams(0.5, 2, 1, 0.5)  # its tc lies before the run's convergence
+    with pytest.raises(ValueError) as info:
+        judge(traj, other)
+    assert repr(p) in str(info.value) and repr(other) in str(info.value)
+    # an equal tuple, or none for the report, judges the run
+    assert judge(traj, BarrierParams(1.0, 2.0, 1.0, 0.5)) == judge(traj, p)
+    if judge is settling_report:
+        assert judge(traj) == judge(traj, p)
 
 
 def test_witness_autonomous_limit():

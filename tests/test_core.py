@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+import timebarrier
 from timebarrier import (
     BarrierParams,
+    DivergentIntegralError,
     DomainError,
     DynamicsSpec,
     NumericPolicy,
@@ -163,6 +165,94 @@ def test_verdict_reason_is_the_domain_rule(case):
     # the stored verdict is neither shown nor compared
     assert "_fault" not in repr(p)
     assert BarrierParams(1, 2, 1, 0.5) == BarrierParams(1.0, 2.0, 1.0, 0.5)
+
+
+# the law's time domain [0, tc) at tc = 1: each time with the text every entry
+# point raises, or None for a time inside it
+TIMES = {
+    "negative": (-1.0, "t=-1.0 outside [0, tc=1.0)"),
+    "negative_zero": (-0.0, None),
+    "tc": (1.0, "t=1.0 outside [0, tc=1.0)"),
+    "past_tc": (1.5, "t=1.5 outside [0, tc=1.0)"),
+    "nan": (math.nan, "t=nan outside [0, tc=1.0)"),
+}
+
+P_TIME = BarrierParams(1, 2, 1, 0.5)
+LAW = make_time_barrier_scalar(P_TIME)
+
+TIME_ENTRY_POINTS = {
+    "kernel": lambda t: LAW.rhs.kernel(0.5, t),
+    "rhs": lambda t: LAW.rhs(np.array([0.5]), t),
+    "vdot_block": lambda t: LAW.vdot.block(np.array([[0.5], [0.5]]), np.array([0.0, t])),
+    "w_transform": lambda t: w_transform(1.0, t, P_TIME),
+    "w_transform_array": lambda t: w_transform_array([1.0, 1.0], [0.0, t], P_TIME),
+    "exact_solution_scalar": lambda t: exact_solution_scalar(P_TIME, 1.0, t),
+    "exact_solution_scalar_array": lambda t: exact_solution_scalar_array(P_TIME, 1.0, [0.0, t]),
+    "remaining_settling_time": lambda t: remaining_settling_time(P_TIME, 1.0, t),
+    "find_nonautonomy_witness": lambda t: find_nonautonomy_witness(P_TIME, 0.25, t, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIMES))
+@pytest.mark.parametrize("entry", sorted(TIME_ENTRY_POINTS))
+def test_one_time_rule_at_every_entry_point(case, entry):
+    t, text = TIMES[case]
+    if text is None:
+        TIME_ENTRY_POINTS[entry](t)
+        return
+    with pytest.raises(DomainError) as info:
+        TIME_ENTRY_POINTS[entry](t)
+    assert type(info.value) is DomainError
+    assert isinstance(info.value, ValueError)
+    assert str(info.value) == text
+
+
+def test_witness_names_the_first_time_outside_the_domain():
+    with pytest.raises(DomainError, match=r"^t=1\.5 outside \[0, tc=1\.0\)$"):
+        find_nonautonomy_witness(P_TIME, 0.25, 0.0, 1.5)
+    with pytest.raises(DomainError, match=r"^t=-1\.0 "):
+        find_nonautonomy_witness(P_TIME, 0.25, -1.0, 1.5)
+    # times inside the domain in the wrong order are a plain ValueError
+    with pytest.raises(ValueError) as info:
+        find_nonautonomy_witness(P_TIME, 0.25, 0.5, 0.2)
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("params", [P_TIME, BarrierParams(1, 1, 1, 0.5)], ids=["m_1", "m_0.5"])
+def test_barrier_integral_past_the_deadline_is_a_domain_error(params):
+    for t, text in [(1.5, "t=1.5 outside [0, tc=1.0)"), (-1.0, "t=-1.0 outside [0, tc=1.0)"),
+                    (math.nan, "t=nan outside [0, tc=1.0)")]:
+        with pytest.raises(DomainError) as info:
+            barrier_integral(params, t)
+        assert str(info.value) == text
+    # the integral's own domain is closed: finite at tc for m < 1, divergent for m >= 1
+    if params.m >= 1.0:
+        with pytest.raises(DivergentIntegralError):
+            barrier_integral(params, 1.0)
+    else:
+        assert barrier_integral(params, 1.0) == 2.0
+
+
+@pytest.mark.parametrize("horizon", [2.0, math.inf, math.nan, -1.0, 0.0])
+def test_validate_spec_rejects_a_horizon_outside_the_law_domain(horizon):
+    with pytest.raises(ValueError, match="horizon") as info:
+        validate_spec(LAW, horizon)
+    assert type(info.value) is ValueError
+
+
+def test_validate_spec_horizon_of_a_spec_without_deadline():
+    spec = DynamicsSpec(1, rhs=lambda x, t: -x)
+    assert validate_spec(spec, 1e6) == []
+    with pytest.raises(ValueError, match="horizon"):
+        validate_spec(spec, math.inf)
+
+
+def test_package_exports_each_module_public_names_once():
+    modules = ("analytic", "certify", "core", "integrate", "sweep", "systems")
+    union = set().union(*(getattr(timebarrier, name).__all__ for name in modules))
+    assert timebarrier.__all__ == sorted(union)
+    for name in timebarrier.__all__:
+        assert hasattr(timebarrier, name)
 
 
 def test_policy_rejects_bad_fields():
