@@ -182,7 +182,8 @@ def _or_on_overflow(fn, value):
 
 
 def w_transform_array(v, t, p: BarrierParams) -> np.ndarray:
-    """Barrier-rescaled Lyapunov value v / (tc - t)**beta at every (v, t) pair.
+    """Barrier-rescaled Lyapunov value v / (tc - t)**beta at every (v, t)
+    pair; ``v`` and ``t`` broadcast against each other.
 
     The one implementation of W, shared by the trajectory recorder and the
     certificate checker; :func:`w_transform` is its one-pair view. An element
@@ -193,8 +194,7 @@ def w_transform_array(v, t, p: BarrierParams) -> np.ndarray:
     with a negative V ``ValueError``.
     """
     _check_law(p)
-    v = np.asarray(v, dtype=float)
-    t = np.asarray(t, dtype=float)
+    v, t = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(t, dtype=float))
     tc, beta = p.tc, p.beta
     bad = ~((0.0 <= t) & (t < tc)) | (v < 0.0)
     if bad.any():  # the first bad pair: its time first, then its V

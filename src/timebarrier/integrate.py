@@ -53,13 +53,14 @@ from one contraction after the loop. Sampling gathers each time's segment
 and evaluates the quartic elementwise, so the value at a time does not
 depend on which other times share the call.
 
-The record of a run is a set of arrays computed once, after the loop: the
-output times, the states, and V, W and vdot at each time (in one block call
-where the spec's V or vdot is a built-in block form). The certificate, the closed-form oracle and
-the CSV writer all read these arrays.
+The record of a run is built once, after the loop (``_record``): the dense
+output (``_Dense``, which ``resample`` also reads), the output times and
+states, V, W and vdot at each time (in one block call where the spec's V or
+vdot is a built-in block form), then the frozen :class:`Trajectory`. The
+certificate, the closed-form oracle and the CSV writer all read its arrays.
 
-Each simulate() call owns its mutable state; the arrays of a returned
-trajectory are read-only, so it is safe to share.
+Each simulate() call owns its mutable state; a returned trajectory is
+frozen and its arrays are read-only, so it is safe to share.
 """
 
 from __future__ import annotations
@@ -143,13 +144,13 @@ class SettlingReport:
     tc: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """Integration record with dense-output support.
+    """Integration record with dense-output support, built once by
+    :func:`simulate`: a frozen record whose arrays are read-only.
 
-    ``times``, ``states`` (one row per time), ``v_values``, ``w_values`` and
-    ``vdot_values`` are computed once by :func:`simulate` and are read-only;
-    V, W and vdot are NaN where the spec has no evaluator for them.
+    ``states`` has one row per time of ``times``; ``v_values``, ``w_values``
+    and ``vdot_values`` are NaN where the spec has no evaluator for them.
     ``event_time`` is the refined instant where max|x_i| crossed eps_conv;
     ``converged_at`` adds the closed-form remaining settling time of the
     reference law from that point, capped at ``t_end = tc - delta_end``. All
@@ -170,11 +171,7 @@ class Trajectory:
     step_count: int
     rejected_steps: int
     t_end: float
-    _seg_t0: np.ndarray
-    _seg_h: np.ndarray
-    _seg_x0: np.ndarray
-    _seg_coef: np.ndarray
-    _x_final: np.ndarray
+    _dense: _Dense
 
     @cached_property
     def samples(self) -> list[TrajectorySample]:
@@ -372,6 +369,43 @@ def _refine_event(x0, h, coef, eps_conv):
     return hi, norm(hi)
 
 
+class _Dense(NamedTuple):
+    """The dense output of one run, and the one way to read it.
+
+    Per accepted step: its start time ``t0``, length ``h``, start state
+    ``x0`` (one row) and (dim, 4) quartic coefficients ``coef``. ``x_init``
+    is the initial state, which holds alone at t = 0 when no step was taken;
+    ``x_end`` is the stepper's end state, used at the end of the last step;
+    every state past ``zero_from`` (the event time, or inf) is zero.
+    """
+
+    t0: np.ndarray
+    h: np.ndarray
+    x0: np.ndarray
+    coef: np.ndarray
+    x_init: np.ndarray
+    x_end: np.ndarray
+    zero_from: float
+
+    def __call__(self, times: np.ndarray) -> np.ndarray:
+        """The states at times within [0, t_end], in any order."""
+        if self.t0.size == 0:
+            # immediate convergence: the initial state holds only at t = 0
+            out = np.zeros((times.size, self.x_init.size))
+            out[times == 0.0] = self.x_init
+            return out
+        # in [0, n_seg - 1] for every time in [0, t_end]: the first step starts at 0
+        k = np.searchsorted(self.t0, times, side="right") - 1
+        h = self.h[k]
+        theta = (times - self.t0[k]) / h
+        out = _dense_poly(self.x0[k], h[:, None], np.moveaxis(self.coef[k], -1, 0), theta[:, None])
+        t_last = self.t0[-1] + self.h[-1]
+        if self.zero_from >= t_last:
+            out[times == t_last] = self.x_end
+        out[times > self.zero_from] = 0.0
+        return out
+
+
 @dataclass
 class _Steps:
     """What the stepping loop hands the record builder.
@@ -549,113 +583,69 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
 
 
 def _record(spec, x0, p, policy, t_end, steps: _Steps) -> Trajectory:
-    """The one post-loop record builder: segments, event, samples, V/W/vdot."""
+    """The one post-loop record builder: the dense output, the event, the
+    samples and V/W/vdot, then the :class:`Trajectory`, constructed once."""
     dim = spec.dim
     n_seg = len(steps.t0)
-    seg_t0_arr = np.array(steps.t0, dtype=float)
-    seg_h_arr = np.array(steps.h, dtype=float)
-    seg_x0_arr = np.array(steps.x0, dtype=float).reshape(n_seg, dim)
+    seg_t0 = np.array(steps.t0, dtype=float)
+    seg_h = np.array(steps.h, dtype=float)
+    seg_x0 = np.array(steps.x0, dtype=float).reshape(n_seg, dim)
     # one contraction for the quartic coefficients of every step: (n, dim, 4)
     flat = chain.from_iterable(steps.stages)
     if dim > 1:
         flat = chain.from_iterable(flat)
     stages = np.fromiter(flat, float, n_seg * 7 * dim).reshape(n_seg, 7, dim)
-    seg_coef_arr = np.swapaxes(stages, 1, 2) @ _P
+    coef = np.swapaxes(stages, 1, 2) @ _P
 
-    event = None
+    event_time = converged_at = None
     if steps.converged:
-        x_final = np.zeros_like(x0)
+        x_end = np.zeros_like(x0)
         if n_seg:
-            theta, v_event = _refine_event(
-                seg_x0_arr[-1], seg_h_arr[-1].item(), seg_coef_arr[-1], policy.eps_conv
-            )
-            event = (seg_t0_arr[-1].item() + theta * seg_h_arr[-1].item(), v_event)
+            theta, v_event = _refine_event(seg_x0[-1], seg_h[-1].item(), coef[-1], policy.eps_conv)
+            event_time = seg_t0[-1].item() + theta * seg_h[-1].item()
         else:
-            event = (0.0, _maxnorm(x0))
-    else:
-        x_final = np.atleast_1d(np.asarray(steps.x_last, dtype=float))
-
-    event_time = converged_at = event[0] if event is not None else None
-    if event is not None:
-        rem = remaining_settling_time(p, event[1], event[0])
+            event_time, v_event = 0.0, _maxnorm(x0)
+        converged_at = event_time
+        rem = remaining_settling_time(p, v_event, event_time)
         if rem.reaches_zero:
-            converged_at = min(max(rem.tau_bound, event[0]), t_end)
-
-    extra = [0.0, t_end]
-    if event_time is not None:
-        extra.append(event_time)
-    sample_times = np.unique(
-        np.concatenate(
-            [np.linspace(0.0, t_end, _OUTPUT_POINTS), seg_t0_arr, np.array(extra)]
-        )
+            converged_at = min(max(rem.tau_bound, event_time), t_end)
+    else:
+        x_end = np.atleast_1d(np.asarray(steps.x_last, dtype=float))
+    dense = _Dense(
+        seg_t0, seg_h, seg_x0, coef, x0, x_end, np.inf if event_time is None else event_time
     )
 
-    absent = np.full(sample_times.size, np.nan)  # V, W or vdot without an evaluator
-    traj = Trajectory(
+    # linspace holds both ends exactly, and seg_t0 starts at 0
+    grid = [np.linspace(0.0, t_end, _OUTPUT_POINTS), seg_t0]
+    if event_time is not None:
+        grid.append(np.array([event_time]))
+    times = np.unique(np.concatenate(grid))
+    states = dense(times)
+    v = w = vdot = np.full(times.size, np.nan)  # V, W or vdot without an evaluator
+    if spec.v is not None:
+        v = _evaluate(spec.v, states, times)
+        w = w_transform_array(v, times, p)
+        if spec.vdot is not None:
+            vdot = _evaluate(spec.vdot, states, times)
+    for values in (times, states, v, w, vdot, seg_t0, seg_h, seg_x0, coef, x0, x_end):
+        values.flags.writeable = False
+    return Trajectory(
         spec=spec,
         params=p,
         policy=policy,
-        times=sample_times,
-        states=absent,
-        v_values=absent,
-        w_values=absent,
-        vdot_values=absent,
+        times=times,
+        states=states,
+        v_values=v,
+        w_values=w,
+        vdot_values=vdot,
         converged_at=converged_at,
         event_time=event_time,
-        terminal_norm=0.0,
+        terminal_norm=_maxnorm(states[-1]),
         step_count=n_seg,
         rejected_steps=steps.rejected,
         t_end=t_end,
-        _seg_t0=seg_t0_arr,
-        _seg_h=seg_h_arr,
-        _seg_x0=seg_x0_arr,
-        _seg_coef=seg_coef_arr,
-        _x_final=x_final,
+        _dense=dense,
     )
-    # the dense output reads the segment record, so the states come second
-    states = _eval_trajectory(traj, sample_times, x0)
-    traj.states = states
-    traj.terminal_norm = _maxnorm(states[-1])
-    if spec.v is not None:
-        traj.v_values = _evaluate(spec.v, states, sample_times)
-        traj.w_values = w_transform_array(traj.v_values, sample_times, p)
-        if spec.vdot is not None:
-            traj.vdot_values = _evaluate(spec.vdot, states, sample_times)
-    for values in (traj.times, traj.states, traj.v_values, traj.w_values, traj.vdot_values):
-        values.flags.writeable = False
-    return traj
-
-
-def _eval_trajectory(traj: Trajectory, times: np.ndarray, x_start: np.ndarray) -> np.ndarray:
-    """Dense-output evaluation at times within [0, t_end], in any order.
-
-    ``x_start`` is the initial state, which holds at t = 0 when no step was
-    taken.
-    """
-    n_seg = traj._seg_t0.size
-    zero_from = traj.event_time if traj.event_time is not None else np.inf
-
-    if n_seg == 0:
-        # immediate convergence: the initial state holds only at t = 0
-        out = np.zeros((times.size, traj.spec.dim))
-        out[times == 0.0] = x_start
-        return out
-
-    # in [0, n_seg - 1] for every time in [0, t_end]: the first segment starts at 0
-    k = np.searchsorted(traj._seg_t0, times, side="right") - 1
-    h = traj._seg_h[k]
-    theta = (times - traj._seg_t0[k]) / h
-    out = _dense_poly(
-        traj._seg_x0[k],
-        h[:, None],
-        np.moveaxis(traj._seg_coef[k], -1, 0),
-        theta[:, None],
-    )
-    t_last = traj._seg_t0[-1] + traj._seg_h[-1]
-    if zero_from >= t_last:
-        out[times == t_last] = traj._x_final
-    out[times > zero_from] = 0.0
-    return out
 
 
 def resample(traj: Trajectory, times) -> np.ndarray:
@@ -677,7 +667,7 @@ def resample(traj: Trajectory, times) -> np.ndarray:
         raise ValueError(
             f"times outside [0, {traj.t_end!r}] (last sample time)"
         )
-    return _eval_trajectory(traj, times, traj.states[0])
+    return traj._dense(times)
 
 
 def _own_params(traj: Trajectory, p: Optional[BarrierParams]) -> BarrierParams:

@@ -175,11 +175,13 @@ def run_sweep(cfg: SweepConfig, policy: Optional[NumericPolicy] = None) -> Sweep
 
     Every row is the one a plain ``simulate`` of its cell gives.
     Deterministic for a fixed config; simulation failures land in the row's
-    ``error`` field instead of raising. The summary counts the rows' failures
-    and their accepted and rejected steps, so a change in speed can be told
-    from a change in work.
+    ``error`` field instead of raising. A policy whose ``delta_end`` does
+    not lie below the grid's smallest tc raises ``ValueError`` before any
+    cell runs. The summary counts the rows' failures and their accepted and
+    rejected steps, so a change in speed can be told from a change in work.
     """
     policy = policy if policy is not None else NumericPolicy()
+    policy.resolve_delta_end(min(cfg.tc_values))
     cells = [(p, x0) for p in cfg.grid() for x0 in cfg.x0_values()]
     # (row, rejected steps) per cell
     results = [

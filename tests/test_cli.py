@@ -427,6 +427,17 @@ def test_config_unknown_key_named(tmp_path, capsys):
     assert "sweep.betaa" in err
 
 
+def test_unreadable_or_non_json_config_is_a_validation_error(tmp_path, capsys):
+    not_json = tmp_path / "cfg.json"
+    not_json.write_text("{not json")
+    for path, text in ((tmp_path / "missing.json", "cannot read config"),
+                       (not_json, "is not valid JSON")):
+        code, out, err = run_cli(capsys, "--config", str(path), "bound")
+        assert code == EXIT_VALIDATION
+        assert text in err
+        assert "Traceback" not in err
+
+
 _REMOVED_SWEEP_KEYS = {"workers": 4, "law": "time_barrier", "checks": ["deadline"], "dim": 2}
 
 

@@ -262,6 +262,16 @@ def test_policy_rejects_bad_fields():
         NumericPolicy(eps_conv=0.0)
     with pytest.raises(ValueError):
         NumericPolicy(sign_eps=-1.0)
+    for delta_end in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="delta_end must be strictly positive"):
+            NumericPolicy(delta_end=delta_end)
+
+
+def test_spec_rejects_a_dim_below_one_and_vdot_without_v():
+    with pytest.raises(ValueError, match="dim must be >= 1, got 0"):
+        DynamicsSpec(dim=0, rhs=lambda x, t: -x)
+    with pytest.raises(ValueError, match="vdot without v"):
+        DynamicsSpec(dim=1, rhs=lambda x, t: -x, vdot=lambda x, t: 0.0)
 
 
 def test_policy_delta_end_resolution():
@@ -282,6 +292,15 @@ def test_w_transform_values(default_params):
         w_transform(1.0, 1.0, default_params)
     with pytest.raises(DomainError):
         w_transform(1.0, -0.1, default_params)
+
+
+def test_w_transform_array_broadcasts_v_against_t(default_params):
+    assert w_transform_array([1.0, 2.0], 0.5, default_params).tolist() == [4.0, 8.0]
+    assert w_transform_array(1.0, [0.0, 0.5], default_params).tolist() == [1.0, 4.0]
+    with pytest.raises(ValueError, match="negative Lyapunov value -1.0"):
+        w_transform_array([1.0, -1.0], 0.5, default_params)
+    with pytest.raises(DomainError, match=r"t=1.0 outside \[0, tc=1.0\)"):
+        w_transform_array([1.0, 2.0], 1.0, default_params)
 
 
 def test_w_transform_log_space_branch():

@@ -24,7 +24,7 @@ from timebarrier import (
     simulate,
 )
 from timebarrier.core import _Pointwise
-from timebarrier.integrate import _dense_poly, _larger, _refine_event
+from timebarrier.integrate import _checked_rhs, _dense_poly, _larger, _refine_event
 from timebarrier.systems import (
     make_autonomous_power_law,
     make_time_barrier_componentwise,
@@ -79,6 +79,24 @@ def test_record_arrays_read_only(default_traj):
         default_traj.states[0, 0] = 2.0
     with pytest.raises(ValueError):
         default_traj.times[0] = 1.0
+
+
+def test_trajectory_is_one_frozen_record(default_traj, default_params, default_policy):
+    fields = [f.name for f in dataclasses.fields(default_traj)]
+    assert len(fields) == 15
+    assert [name for name in fields if name.startswith("_")] == ["_dense"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        default_traj.states = default_traj.states.copy()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        default_traj.terminal_norm = 1.0
+    dense = default_traj._dense
+    for values in (dense.t0, dense.h, dense.x0, dense.coef, dense.x_init, dense.x_end):
+        assert not values.flags.writeable
+    assert dense.zero_from == default_traj.event_time
+    # a run that never converges has no time past which its states are zero
+    power_law = make_autonomous_power_law(1.0, 0.5)[1]
+    slow = simulate(power_law, 1e6, default_params, default_policy)
+    assert (slow.event_time, slow._dense.zero_from) == (None, math.inf)
 
 
 def test_samples_are_named_tuples_over_the_state_rows(default_params, default_policy):
@@ -215,10 +233,10 @@ def test_float_step_matches_array_step(p, default_policy):
             b = simulate(vector, [x0] * dim, p, default_policy)
             assert (a.step_count, a.rejected_steps) == (b.step_count, b.rejected_steps)
             assert a.converged_at == b.converged_at
-            assert a._seg_t0.tobytes() == b._seg_t0.tobytes()
-            assert a._seg_h.tobytes() == b._seg_h.tobytes()
-            for column in b._seg_x0.T:
-                assert column.tobytes() == a._seg_x0[:, 0].tobytes()
+            assert a._dense.t0.tobytes() == b._dense.t0.tobytes()
+            assert a._dense.h.tobytes() == b._dense.h.tobytes()
+            for column in b._dense.x0.T:
+                assert column.tobytes() == a._dense.x0[:, 0].tobytes()
 
 
 def _through_the_array_contract(spec):
@@ -270,7 +288,7 @@ def _assert_same_run(a, b):
     assert a.converged_at == b.converged_at
     assert a.times.tobytes() == b.times.tobytes()
     assert a.states.tobytes() == b.states.tobytes()
-    assert a._seg_coef.tobytes() == b._seg_coef.tobytes()
+    assert a._dense.coef.tobytes() == b._dense.coef.tobytes()
 
 
 def test_wraps_wrapper_of_the_kernel_is_called_on_every_stage(default_params, default_policy):
@@ -539,7 +557,7 @@ def test_refine_event_matches_the_max_norm(default_params, default_policy):
     for spec, x0 in [(law, [1.0, 0.9]), (law, [0.9, -1.0]), (law, [1e3, 1e-3]),
                      (wrapped, [1.0, 0.9]), (wrapped, [0.9, -1.0])]:
         traj = simulate(spec, x0, default_params, default_policy)
-        blocks.append((traj._seg_x0[-1], traj._seg_h[-1].item(), traj._seg_coef[-1]))
+        blocks.append((traj._dense.x0[-1], traj._dense.h[-1].item(), traj._dense.coef[-1]))
     # either coordinate not a number, first or second
     coef = np.array([[-1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
     blocks += [(np.array([1.0, math.nan]), 1.0, coef), (np.array([math.nan, 1.0]), 1.0, coef)]
@@ -685,12 +703,48 @@ def test_resample_rejects_bad_times(default_traj):
             resample(default_traj, times)
 
 
+def test_resample_of_no_times_is_an_empty_block(default_params, default_policy):
+    for x0 in (1.0, [1.0, -0.5]):
+        law = make_time_barrier_componentwise(default_params, np.size(x0), default_policy)
+        traj = simulate(law, x0, default_params, default_policy)
+        assert resample(traj, []).shape == (0, law.dim)
+
+
 def test_settling_report(default_traj, default_params):
     report = settling_report(default_traj, default_params)
     assert report.deadline_pass
     assert report.reaches_zero
     assert report.tau_bound == pytest.approx(TAU_DEFAULT, abs=1e-15)
     assert abs(report.converged_at - report.tau_bound) <= 1e-4
+
+
+def test_settling_report_without_v_reads_the_initial_max_norm(default_params, default_policy):
+    law = make_time_barrier_scalar(default_params, default_policy)
+    traj = simulate(dataclasses.replace(law, v=None, vdot=None), -3.0, default_params, default_policy)
+    assert np.isnan(traj.v_values).all()
+    report = settling_report(traj)
+    assert report.v0 == 3.0
+    assert report.tau_bound == settling_bound(default_params, 3.0).tau_bound
+
+
+def test_spec_domain_ending_before_the_deadline_is_rejected(default_params, default_policy):
+    law = make_time_barrier_scalar(default_params, default_policy)
+    with pytest.raises(ValueError, match="spec domain ends at 0.5, before the deadline 1.0"):
+        simulate(dataclasses.replace(law, tc=0.5), 1.0, default_params, default_policy)
+
+
+@pytest.mark.parametrize("value", [[-1.0, 2.0], np.array([-1, 2])], ids=["list", "int-array"])
+def test_checked_rhs_coerces_the_rhs_value_to_float64(value):
+    spec = DynamicsSpec(dim=2, rhs=lambda x, t: value, label="coerced")
+    f = _checked_rhs(spec, np.array([1.0, -2.0]), 0.0)
+    assert f.dtype == np.float64
+    assert f.tolist() == [-1.0, 2.0]
+
+
+def test_rhs_value_of_the_wrong_shape_is_rejected(default_params, default_policy):
+    spec = DynamicsSpec(dim=2, rhs=lambda x, t: np.zeros(3), label="wide")
+    with pytest.raises(ValueError, match=r"rhs returned shape \(3,\), expected \(2,\) \(wide\)"):
+        simulate(spec, [1.0, 0.9], default_params, default_policy)
 
 
 def test_blow_up_error(default_params, default_policy):

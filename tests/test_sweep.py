@@ -175,6 +175,23 @@ def test_underflowing_barrier_power_keeps_the_row(default_policy):
     assert row.terminal_norm == pytest.approx(1e30, rel=1e-5)
 
 
+def test_delta_end_is_checked_against_the_smallest_tc_before_any_cell(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return simulate(*args)
+
+    monkeypatch.setattr("timebarrier.sweep.simulate", counting)
+    cfg = SweepConfig(
+        tc_values=(10.0, 1.0), beta_values=(2.0,), q_values=(1.0,), alpha_values=(0.5,),
+        x0_decades=(0, 0),
+    )
+    with pytest.raises(ValueError, match=r"delta_end=5.0 must lie in \(0, tc=1.0\)"):
+        run_sweep(cfg, NumericPolicy(delta_end=5.0))
+    assert calls == []
+
+
 def test_impossible_tolerances_become_error_rows():
     # x0 / (rel_tol * x0) overflows in the RMS norm: no first step size exists
     policy = NumericPolicy(rel_tol=1e-300, abs_tol=1e-300)
