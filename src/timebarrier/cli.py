@@ -294,17 +294,17 @@ def _vector(text) -> np.ndarray:
     return np.array([float(part) for part in str(text).split(",")])
 
 
-def _law_for(x0: np.ndarray, p: BarrierParams, policy: NumericPolicy, bias: float = 0.0):
+def _law_for(x0: np.ndarray, p: BarrierParams, bias: float = 0.0):
     """The built-in law of ``x0``'s dimension: the scalar law for one value,
     the componentwise law for a vector. Only the scalar law takes a bias."""
     if x0.size == 1:
-        return make_time_barrier_scalar(p, policy, bias=bias)
+        return make_time_barrier_scalar(p, bias=bias)
     if bias:
         raise ValueError(
             f"bias {bias!r} (--bias or simulate.bias) applies to a scalar --x0 only, "
             f"got {x0.size} values"
         )
-    return make_time_barrier_componentwise(p, x0.size, policy)
+    return make_time_barrier_componentwise(p, x0.size)
 
 
 # ------------------------------------------------------------------ commands
@@ -314,7 +314,7 @@ def _trajectory(args, config: dict, p: BarrierParams):
     policy = _policy_from_config(config, p.tc)
     bias = _resolve(args, config, "bias")
     x0 = _resolve(args, config, "x0", _vector)
-    return simulate(_law_for(x0, p, policy, bias), x0, p, policy), policy
+    return simulate(_law_for(x0, p, bias), x0, p, policy), policy
 
 
 def _cmd_simulate(args, config: dict) -> int:

@@ -225,17 +225,23 @@ def w_transform_array(v, t, p: BarrierParams) -> np.ndarray:
 class NumericPolicy:
     """Numeric knobs shared by the integrator and the checkers.
 
-    ``delta_end=None`` means the automatic terminal guard
-    ``max(1e-9 * tc, 1e-12)``; integration never goes past ``tc - delta_end``.
-    ``sign_eps=0`` selects exact sign() with event-detection handling of the
-    origin; positive values select the regularization x / max(|x|, sign_eps).
+    - ``eps_conv``: a run's event is the first time max_i |x_i| <= eps_conv,
+      after which its states are zero; the certificate skips samples with
+      V <= eps_conv.
+    - ``delta_end``: the terminal guard; integration never goes past
+      ``tc - delta_end``. ``None`` means the automatic
+      ``max(1e-9 * tc, 1e-12)``.
+    - ``rel_tol`` and ``abs_tol``: the stepper accepts a step whose error
+      estimate, over ``abs_tol + rel_tol * |x|`` per coordinate, has an RMS
+      of at most 1; the certificate allows W a rise of that error in V.
+    - ``residual_tol``: the slack of the certificate's decay and
+      monotonicity checks; only the certificate reads it.
     """
 
     eps_conv: float = 1e-8
     delta_end: Optional[float] = None
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    sign_eps: float = 0.0
     residual_tol: float = 1e-7
 
     def __post_init__(self):
@@ -243,8 +249,6 @@ class NumericPolicy:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
-        if not (math.isfinite(self.sign_eps) and self.sign_eps >= 0.0):
-            raise ValueError(f"sign_eps must be nonnegative, got {self.sign_eps!r}")
         if self.delta_end is not None and not (
             math.isfinite(self.delta_end) and self.delta_end > 0.0
         ):

@@ -144,10 +144,11 @@ class SettlingReport:
     tc: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Integration record with dense-output support, built once by
-    :func:`simulate`: a frozen record whose arrays are read-only.
+    :func:`simulate`: a frozen record whose arrays are read-only. Runs
+    compare and hash by identity: two runs are never equal, however alike.
 
     ``states`` has one row per time of ``times``; ``v_values``, ``w_values``
     and ``vdot_values`` are NaN where the spec has no evaluator for them.

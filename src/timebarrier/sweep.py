@@ -185,7 +185,7 @@ def run_sweep(cfg: SweepConfig, policy: Optional[NumericPolicy] = None) -> Sweep
     cells = [(p, x0) for p in cfg.grid() for x0 in cfg.x0_values()]
     # (row, rejected steps) per cell
     results = [
-        _compute_row(index, p, x0, policy, make_time_barrier_scalar(p, policy))
+        _compute_row(index, p, x0, policy, make_time_barrier_scalar(p))
         for index, (p, x0) in enumerate(cells)
     ]
     rows = [row for row, _ in results]
@@ -265,7 +265,7 @@ def separation_table(
     beta = 1.0 / (1.0 - alpha)
     p = BarrierParams(tc, beta, q, alpha)
     law, _ = make_autonomous_power_law(q, alpha)
-    spec = make_time_barrier_scalar(p, policy)
+    spec = make_time_barrier_scalar(p)
     rows = []
     for x0 in x0_list:
         traj = simulate(spec, float(x0), p, policy)

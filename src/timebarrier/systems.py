@@ -64,14 +64,10 @@ def make_time_barrier_scalar(
     right-hand side; it exists to construct dissipation counterexamples and
     breaks the equilibrium at the origin on purpose.
 
-    The Lyapunov pair is V = |x| with its derivative along trajectories;
-    sgn() follows the policy (sign_eps > 0 regularizes, 0 keeps the exact
-    sign for event-detection handling). Note that the regularized law only
-    satisfies the strict dissipation bound outside the regularization width:
-    inside |x| < sign_eps the decay term is scaled down and a certificate
-    check will truthfully flag that layer.
+    The Lyapunov pair is V = |x| with its derivative along trajectories.
+    ``policy`` is not read; it is kept so that callers passing it stay valid.
     """
-    spec = make_time_barrier_componentwise(p, 1, policy, _bias=float(bias))
+    spec = make_time_barrier_componentwise(p, 1, _bias=float(bias))
     label = f"time-barrier scalar (tc={p.tc:g}, beta={p.beta:g}, q={p.q:g}, alpha={p.alpha:g})"
     if bias:
         label += f" + bias {bias:g}"
@@ -98,23 +94,19 @@ def make_time_barrier_componentwise(
     carries over when ``rhs`` is reused in a user's own ``DynamicsSpec``: a
     run of it steps the kernel on Python floats, one coordinate at a time,
     and a ``functools.wraps`` wrapper of it keeps the declaration.
+
+    ``policy`` is not read; it is kept so that callers passing it stay valid.
     """
     _check_law(p)
     if not math.isfinite(_bias):
         raise ValueError(f"bias must be finite, got {_bias!r}")
-    policy = policy if policy is not None else NumericPolicy()
     tc, beta, q, alpha = p.tc, p.beta, p.q, p.alpha
-    sign_eps = policy.sign_eps
     bias = _bias
 
     # a plain-float kernel: the integrator calls it thousands of times
     def kernel(x: float, t: float) -> float:
         if not 0.0 <= t < tc:  # compared inline once per stage; raised on failure only
             _time_error(t, tc)
-        if sign_eps > 0.0:
-            ax = abs(x)
-            scale = sign_eps if sign_eps > ax else ax  # max(ax, sign_eps), compared out
-            return -beta * x / (tc - t) - q * ax**alpha * (x / scale) + bias
         # the exact sign by branch: the bits of q*|x|**alpha*sgn(x) with
         # sgn(x) a float, signed zeros and NaN included
         if x > 0.0:
@@ -130,9 +122,6 @@ def make_time_barrier_componentwise(
         _check_times(times, tc)
         av = _max_abs(states, times)
         decay = q * _map_floats(pow, av, alpha)
-        if sign_eps > 0.0:
-            inside = av < sign_eps
-            decay[inside] *= av[inside] / sign_eps
         value = -beta * av / (tc - times) - decay
         if bias:
             # derivative of the max coordinate; for the biased scalar demo

@@ -46,11 +46,11 @@ def sample_states(dim, n=400, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.choice([-1.0, 1.0], (n, dim)) * 10.0 ** rng.uniform(-12, 6, (n, dim))
     x[::7] = 0.0
-    x[3::11, 0] = 1e-5  # inside a sign_eps = 1e-3 layer
+    x[3::11, 0] = 1e-5
     return x
 
 
-def reference_pair(p, dim=1, sign_eps=0.0, bias=0.0):
+def reference_pair(p, dim=1, bias=0.0):
     """Plain-Python V and dV/dt of the componentwise law, one state at a
     time: an independent reference for its block forms."""
     tc, beta, q, alpha = p.tc, p.beta, p.q, p.alpha
@@ -65,8 +65,6 @@ def reference_pair(p, dim=1, sign_eps=0.0, bias=0.0):
         if av == 0.0:
             return 0.0
         decay = q * av**alpha
-        if sign_eps > 0.0 and av < sign_eps:
-            decay *= av / sign_eps
         value = -beta * av / (tc - t) - decay
         if bias:
             i = int(np.argmax(np.abs(x)))
@@ -87,14 +85,9 @@ def reference_power_law(q, alpha):
     return v, vdot
 
 
-P_EPS = BarrierParams(0.5, 3.0, 2.0, 0.4)
 P_2 = BarrierParams(2.0, 4.0, 0.5, 0.2)
 SPECS = {  # name: (spec, reference (v, vdot))
     "scalar": (make_time_barrier_scalar(P), reference_pair(P)),
-    "scalar_sign_eps": (
-        make_time_barrier_scalar(P_EPS, NumericPolicy(sign_eps=1e-3)),
-        reference_pair(P_EPS, sign_eps=1e-3),
-    ),
     "scalar_bias": (make_time_barrier_scalar(P, bias=0.5), reference_pair(P, bias=0.5)),
     "componentwise_2": (make_time_barrier_componentwise(P_2, 2), reference_pair(P_2, 2)),
     "componentwise_3_bias": (

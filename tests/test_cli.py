@@ -585,12 +585,21 @@ def test_bad_config_x0_is_named_by_its_key(tmp_path, capsys, command):
 )
 def test_bad_policy_value_is_named_by_its_key(tmp_path, capsys, policy):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"policy": {"sign_eps": 0.0, **policy}}))
+    cfg_path.write_text(json.dumps({"policy": policy}))
     code, out, err = run_cli(capsys, "--config", str(cfg_path), "simulate")
     assert code == EXIT_VALIDATION
     (key,) = policy
     assert f"policy.{key}" in err
     assert out == ""
+
+
+def test_config_sign_eps_is_an_unknown_policy_key(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"policy": {"sign_eps": 0.001}}))
+    code, out, err = run_cli(capsys, "--config", str(cfg_path), "simulate")
+    assert code == EXIT_VALIDATION
+    assert "unknown config key: policy.sign_eps" in err
+    assert "Traceback" not in err and out == ""
 
 
 def test_import_leaves_scipy_unloaded():

@@ -260,8 +260,6 @@ def test_policy_rejects_bad_fields():
         NumericPolicy(rel_tol=-1e-9)
     with pytest.raises(ValueError):
         NumericPolicy(eps_conv=0.0)
-    with pytest.raises(ValueError):
-        NumericPolicy(sign_eps=-1.0)
     for delta_end in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="delta_end must be strictly positive"):
             NumericPolicy(delta_end=delta_end)

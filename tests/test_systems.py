@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from timebarrier import BarrierParams, DomainError, NumericPolicy
+from timebarrier import BarrierParams, DomainError
 from timebarrier.systems import (
     make_autonomous_power_law,
     make_time_barrier_componentwise,
@@ -107,31 +107,20 @@ def test_power_law_rejects_bad_params():
         make_autonomous_power_law(1.0, 1.0)
 
 
-def test_sign_regularization(default_params):
-    policy = NumericPolicy(sign_eps=1e-3)
-    spec = make_time_barrier_scalar(default_params, policy)
-    # below the regularization width the decay term scales linearly in x
-    x = np.array([5e-4])
-    expected = -2 * 5e-4 / 1.0 - 1.0 * (5e-4) ** 0.5 * (5e-4 / 1e-3)
-    assert spec.rhs(x, 0.0)[0] == pytest.approx(expected, rel=1e-12)
-    assert spec.vdot(x, 0.0) == pytest.approx(expected, rel=1e-12)
-
-
-@pytest.mark.parametrize("sign_eps", [0.0, 1e-3])
 @pytest.mark.parametrize("bias", [0.0, 0.5])
 @pytest.mark.parametrize(
     "p", [BarrierParams(1.0, 2.0, 1.0, 0.5), BarrierParams(2.5, 0.0, 3.0, 0.25)]
 )
-def test_kernel_bits_match_the_one_line_law(p, sign_eps, bias):
+def test_kernel_bits_match_the_one_line_law(p, bias):
     def one_line(x, t):
         ax = abs(x)
-        sgn = x / max(ax, sign_eps) if sign_eps > 0.0 else float((x > 0.0) - (x < 0.0))
+        sgn = float((x > 0.0) - (x < 0.0))
         return -p.beta * x / (p.tc - t) - p.q * ax**p.alpha * sgn + bias
 
     def bits(value):
         return struct.pack("<d", value)
 
-    kernel = make_time_barrier_scalar(p, NumericPolicy(sign_eps=sign_eps), bias=bias).rhs.kernel
+    kernel = make_time_barrier_scalar(p, bias=bias).rhs.kernel
     magnitudes = (0.0, 5e-324, 1e-300, 1e-8, 1.0, 1e300)
     xs = [s * m for m in magnitudes for s in (1.0, -1.0)] + [math.nan]
     for t in (0.0, 0.3 * p.tc, math.nextafter(p.tc, 0.0)):

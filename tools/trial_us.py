@@ -70,7 +70,7 @@ def case_runs(tb, integrate, x0):
     """(path, stepping-loop callable) of one case on one tree, kernel first."""
     p = tb.BarrierParams(1.0, 2.0, 1.0, 0.5)
     policy = tb.NumericPolicy()
-    law = tb.make_time_barrier_componentwise(p, len(x0), policy)
+    law = tb.make_time_barrier_componentwise(p, len(x0))
     wrapped = functools.wraps(law.rhs)(lambda x, t, rhs=law.rhs: rhs(x, t))
     for path, spec in (("kernel", law), ("array", dataclasses.replace(law, rhs=wrapped))):
         policy_, x, tc, t_end = integrate._prepare(spec, x0, p, policy)
