@@ -674,7 +674,11 @@ def test_impossible_tolerances_fail_by_name(default_params):
 
 
 @pytest.mark.parametrize("one_per_call", [False, True], ids=["batch", "one-per-call"])
-@pytest.mark.parametrize("x0", [[1.0], [1.0, -0.1]], ids=["dim1", "dim2"])
+@pytest.mark.parametrize(
+    "x0",
+    [[1.0], [1.0, 0.0], [1.0, -0.1]],
+    ids=["dim1", "dim2", "dim2-exact-sign"],
+)
 def test_resample_reproduces_nodes(x0, one_per_call, default_params):
     policy = NumericPolicy()
     spec = make_time_barrier_componentwise(default_params, len(x0), policy)
