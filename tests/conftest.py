@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
 
 from timebarrier import BarrierParams, NumericPolicy
 
@@ -36,6 +34,8 @@ def random_admissible(rng, beta_margin=(1.0, 2.0), alpha_range=(0.1, 0.9)):
 
 def quad_barrier_integral(p, t):
     """Plain adaptive quadrature of (tc - s)**(-m); reliable away from tc."""
+    from scipy.integrate import quad
+
     with np.errstate(all="ignore"):
         import warnings
 
@@ -51,6 +51,8 @@ def oracle_settling(p, v0):
     Returns None when the crossing lies too close to the deadline for the
     quadrature to bracket (within ~1e-10 of tc relative).
     """
+    from scipy.optimize import brentq
+
     target = v0 ** (1 - p.alpha) * p.tc ** (-p.m) / (p.q * (1 - p.alpha))
     f = lambda t: quad_barrier_integral(p, t) - target
     hi = None
@@ -66,6 +68,8 @@ def oracle_settling(p, v0):
 
 def dop853_solution(p, x0, times):
     """High-accuracy reference trajectory on the smooth (fixed-sign) branch."""
+    from scipy.integrate import solve_ivp
+
     s = 1.0 if x0 > 0 else -1.0
 
     def rhs(t, y):

@@ -53,6 +53,13 @@ def test_barrier_integral_log_space_branch():
     assert barrier_integral(p, 0.3) == pytest.approx(want, rel=1e-7)
 
 
+def test_barrier_integral_log_space_branch_past_exp_40():
+    # m = 50 at t = 0.9: arg = 49*ln(10) > 40, where expm1(arg) is taken as
+    # arg + log1p(-exp(-arg)) in log space
+    p = BarrierParams(1.0, 100.0, 1.0, 0.5)
+    assert barrier_integral(p, 0.9) == pytest.approx((10.0**49 - 1.0) / 49.0, rel=1e-12)
+
+
 def test_barrier_integral_strictly_increasing():
     p = BarrierParams(1, 3, 1, 0.5)
     ts = np.linspace(0.0, 0.999, 200)

@@ -148,6 +148,23 @@ def test_lie_derivative_passes_the_reference_law_near_its_settling_time():
     assert report.passed
 
 
+def test_lie_derivative_reads_the_right_derivative_at_a_tie(default_params):
+    # V = max(|x_1|, |x_2|) from the tie x0 = (1, 1), where x_1 moves at 1/3
+    # and x_2 at 3 times the law's rate: V's right derivative at t = 0 is -1,
+    # above the bound -3, while a central difference averages -1 and -9 to -5.
+    # The full horizon (~50 s) flags all of its 470,912 samples; its first
+    # microsecond holds the tie and the samples just after it
+    policy = NumericPolicy(delta_end=0.999999)
+    law = make_time_barrier_componentwise(default_params, 2, policy)
+    rates = np.array([1.0 / 3.0, 3.0])
+    spec = DynamicsSpec(dim=2, rhs=lambda x, t: law.rhs(x, t) * rates, v=law.v, tc=law.tc)
+    report = check_dissipation(simulate(spec, [1.0, 1.0], default_params, policy), default_params)
+    assert report.checked_samples == len(report.violations) == 512
+    first = report.violations[0]
+    assert (first.t, first.rhs_bound) == (0.0, -3.0)
+    assert first.lhs == pytest.approx(-1.0, rel=1e-8)
+
+
 @pytest.mark.parametrize("bias", [0.0, 0.1])
 def test_lie_derivative_kernel_map_matches_the_checked_route(default_params, default_policy, bias):
     # at dim 1 a wrapper of the law's rhs takes the law's steps, so the

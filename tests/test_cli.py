@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from itertools import product, repeat
 from pathlib import Path
 
@@ -57,6 +58,24 @@ def test_simulate_pass(tmp_path, capsys):
     assert block["deadline_pass"] == "true"
     assert "PASS" in out
     assert out_file.exists()
+
+
+def test_simulate_vector_meets_its_deadline(capsys):
+    code, out, _ = run_cli(capsys, "--quiet", "simulate", "--x0", "1000,0.001")
+    assert code == EXIT_OK
+    assert block_of(out)["deadline_pass"] == "true"
+
+
+def test_w_past_the_float_range_raises_no_warning(capsys):
+    # W = x0/(tc-t)**8 is past the float range at every sample: inf, with no
+    # RuntimeWarning. The verdict is not pinned: the closed form reaches zero
+    # before tc, yet the run exits 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, _ = run_cli(
+            capsys, "simulate", "--tc", "0.01", "--beta", "8", "--q", "1", "--x0", "1e300"
+        )
+    assert code in (EXIT_OK, EXIT_PROPERTY)
 
 
 def test_simulate_zero_start(capsys):
@@ -353,6 +372,23 @@ def test_witness_out_of_range(capsys):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["bound", "--alpha", "1.5"], "alpha in (0,1) violated"),
+        (["witness", "--beta", "nan"], "non-finite parameter: beta"),
+        (["witness", "--t1", "0.5", "--t2", "0.2"], "t1 must be < t2, got t1=0.5, t2=0.2"),
+        (["witness", "--t2", "1.5"], "t=1.5 outside [0, tc=1.0)"),
+    ],
+    ids=["bound_alpha", "witness_nan_beta", "witness_order", "witness_past_tc"],
+)
+def test_input_outside_the_domain_is_named(capsys, argv, text):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_VALIDATION
+    assert err == f"error: {text}\n"
+    assert out == ""
+
+
 def test_bound_command(capsys):
     code, out, _ = run_cli(capsys, "bound", "--x0", "1")
     assert code == EXIT_OK
@@ -436,6 +472,31 @@ def test_unreadable_or_non_json_config_is_a_validation_error(tmp_path, capsys):
         assert code == EXIT_VALIDATION
         assert text in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[1]", "config root must be an object of sections"),
+     ('{"params": 3}', "config section 'params' must be an object")],
+    ids=["list_root", "number_section"],
+)
+def test_config_root_and_sections_must_be_objects(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    code, out, err = run_cli(capsys, "--config", str(cfg_path), "simulate")
+    assert code == EXIT_VALIDATION
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
+def test_sweep_empty_grid_axis_is_named(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"sweep": {"tc": []}}))
+    out_path = tmp_path / "sweep.csv"
+    code, out, err = run_cli(capsys, "--config", str(cfg_path), "--out", str(out_path), "sweep")
+    assert code == EXIT_VALIDATION
+    assert err == "error: invalid sweep config: tc_values must be non-empty\n"
+    assert not out_path.exists()
 
 
 _REMOVED_SWEEP_KEYS = {"workers": 4, "law": "time_barrier", "checks": ["deadline"], "dim": 2}

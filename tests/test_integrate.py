@@ -23,6 +23,7 @@ from timebarrier import (
     settling_report,
     simulate,
 )
+from timebarrier import integrate
 from timebarrier.core import _Pointwise
 from timebarrier.integrate import _checked_rhs, _dense_poly, _larger, _refine_event
 from timebarrier.systems import (
@@ -671,6 +672,23 @@ def test_impossible_tolerances_fail_by_name(default_params):
     spec = make_time_barrier_scalar(default_params, policy)
     with pytest.raises(StallError, match="rel_tol=1e-300"):
         simulate(spec, 1.0, default_params, policy)
+
+
+def test_step_budget_exhausted_fails_by_name(default_params, default_policy, monkeypatch):
+    monkeypatch.setattr(integrate, "_MAX_STEPS", 50)
+    spec = make_time_barrier_scalar(default_params, default_policy)
+    with pytest.raises(StallError, match=r"^step budget exhausted at t=0\.5559819823686104 "):
+        simulate(spec, 1.0, default_params, default_policy)
+
+
+def test_zero_field_takes_the_flat_derivative_initial_step(default_policy):
+    # beta = q = 0: f is 0 everywhere, so the initial step comes from the
+    # branch for a flat derivative and the state never moves
+    p = BarrierParams(1.0, 0.0, 0.0, 0.5)
+    traj = simulate(make_time_barrier_scalar(p, default_policy), 1.0, p, default_policy)
+    assert (traj.step_count, traj.rejected_steps) == (36, 0)
+    assert traj.event_time is None and traj.converged_at is None
+    assert np.all(traj.states == 1.0)
 
 
 @pytest.mark.parametrize("one_per_call", [False, True], ids=["batch", "one-per-call"])
