@@ -129,12 +129,9 @@ def remaining_settling_time(
         log_lam_tau = log_lam0 - a
     else:
         g = (m - 1.0) * a
-        if m > 1.0:
-            log_lam_tau = log_lam0 - math.log1p(g) / (m - 1.0)
-        else:
-            if g <= -1.0:
-                return SettlingBound(tc, False, v_start)
-            log_lam_tau = log_lam0 + math.log1p(g) / (1.0 - m)
+        if g <= -1.0:  # m < 1 past the finite-integral threshold
+            return SettlingBound(tc, False, v_start)
+        log_lam_tau = log_lam0 - math.log1p(g) / (m - 1.0)
     lam_tau = math.exp(log_lam_tau)
     tau = tc - tc * lam_tau
     tau = min(max(tau, t_start), tc)

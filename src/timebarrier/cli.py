@@ -314,12 +314,12 @@ def _trajectory(args, config: dict, p: BarrierParams):
     policy = _policy_from_config(config, p.tc)
     bias = _resolve(args, config, "bias")
     x0 = _resolve(args, config, "x0", _vector)
-    return simulate(_law_for(x0, p, bias), x0, p, policy), policy
+    return simulate(_law_for(x0, p, bias), x0, p, policy)
 
 
 def _cmd_simulate(args, config: dict) -> int:
     p = _params_from(args, config)
-    traj, _ = _trajectory(args, config, p)
+    traj = _trajectory(args, config, p)
     report = settling_report(traj, p)
 
     out_path = args.out or config.get("output", {}).get("trajectory")
@@ -342,8 +342,8 @@ def _cmd_certify(args, config: dict) -> int:
     verdict = validate_params(p)
     if not verdict.admissible:
         raise ValueError(f"inadmissible parameters: {verdict.reason}")
-    traj, policy = _trajectory(args, config, p)
-    report = check_dissipation(traj, p, policy)
+    traj = _trajectory(args, config, p)
+    report = check_dissipation(traj, p)
 
     pairs = [
         ("violations", len(report.violations)),

@@ -44,22 +44,21 @@ class DivergentIntegralError(TimeBarrierError):
     """A barrier or settling integral diverges at the requested point."""
 
 
-class StallError(TimeBarrierError):
+class _RunError(TimeBarrierError):
+    """A run that stopped before its deadline, at time ``t`` in state ``x``."""
+
+    def __init__(self, message: str, t: float, x: np.ndarray):
+        super().__init__(message)
+        self.t = t
+        self.x = np.asarray(x, dtype=float)
+
+
+class StallError(_RunError):
     """Integrator step size underflowed before reaching the deadline."""
 
-    def __init__(self, message: str, t: float, x: np.ndarray):
-        super().__init__(message)
-        self.t = t
-        self.x = np.asarray(x, dtype=float)
 
-
-class BlowUpError(TimeBarrierError):
+class BlowUpError(_RunError):
     """The dynamics returned a non-finite derivative."""
-
-    def __init__(self, message: str, t: float, x: np.ndarray):
-        super().__init__(message)
-        self.t = t
-        self.x = np.asarray(x, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -245,14 +244,12 @@ class NumericPolicy:
     residual_tol: float = 1e-7
 
     def __post_init__(self):
-        for name in ("eps_conv", "rel_tol", "abs_tol", "residual_tol"):
+        for name in ("eps_conv", "rel_tol", "abs_tol", "residual_tol", "delta_end"):
             value = getattr(self, name)
+            if name == "delta_end" and value is None:
+                continue  # the automatic guard; None elsewhere is a TypeError
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
-        if self.delta_end is not None and not (
-            math.isfinite(self.delta_end) and self.delta_end > 0.0
-        ):
-            raise ValueError(f"delta_end must be strictly positive, got {self.delta_end!r}")
 
     def resolve_delta_end(self, tc: float) -> float:
         """Terminal guard for a given deadline; must stay below tc."""

@@ -261,7 +261,6 @@ def separation_table(
     comparator settling time |x0|**(1-alpha) / (q*(1-alpha)) grows without
     bound in |x0| while the simulated settling stays below tc.
     """
-    policy = policy if policy is not None else NumericPolicy()
     beta = 1.0 / (1.0 - alpha)
     p = BarrierParams(tc, beta, q, alpha)
     law, _ = make_autonomous_power_law(q, alpha)
