@@ -248,7 +248,11 @@ class NumericPolicy:
             value = getattr(self, name)
             if name == "delta_end" and value is None:
                 continue  # the automatic guard; None elsewhere is a TypeError
-            if not (math.isfinite(value) and value > 0.0):
+            try:
+                finite = math.isfinite(value)
+            except TypeError:
+                raise TypeError(f"{name} must be a real number, got {value!r}") from None
+            if not (finite and value > 0.0):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
 
     def resolve_delta_end(self, tc: float) -> float:
@@ -286,12 +290,13 @@ class DynamicsSpec:
     over the coordinates: called as above it takes and returns arrays, and
     the integrator's stepper calls the kernel itself, bare, on floats,
     stepping each coordinate with the common step size. It checks a trial's
-    seven stages once; a trial with a non-finite stage, or whose kernel
-    raises, is re-run through the array contract with every stage checked,
-    which names the stage, so the kernel must be a pure function of
-    (x_i, t). A wrapper of it (a ``lambda`` or a ``functools.wraps``
-    function) is an ordinary rhs, stepped through the array contract alone
-    and checked on every stage; it takes the same steps, only slower.
+    seven stages once, by its error norm, which is finite only when every
+    stage is; a trial with a non-finite stage, or whose kernel raises, is
+    re-run through the array contract with every stage checked, which
+    names the stage, so the kernel must be a pure function of (x_i, t). A
+    wrapper of it (a ``lambda`` or a ``functools.wraps`` function) is an
+    ordinary rhs, stepped through the array contract alone and checked on
+    every stage; it takes the same steps, only slower.
 
     ``v`` and ``vdot`` are the optional Lyapunov value and its derivative along
     trajectories, each called as ``v(x, t)`` on one state; ``vdot`` may be
@@ -343,13 +348,13 @@ class _Pointwise:
     contract serves only the run's start); a wrapper of it (say, one made
     with ``functools.wraps``) is called as an rhs on every stage.
 
-    The stepper checks a trial's seven stages once, after the trial. A
-    trial with a non-finite stage, or whose kernel raises, is re-run once,
-    through this rhs called as an rhs with every stage checked (the run's
-    one checked trial, as for any other rhs), which names the stage in its
-    ``BlowUpError`` or raises the kernel's own error again. So the kernel
-    must be a pure function of (x_i, t): the re-run must see the values the
-    first run saw.
+    The stepper checks a trial's seven stages once, by its error norm,
+    which is finite only when every stage is. A trial with a non-finite
+    stage, or whose kernel raises, is re-run once, through this rhs called
+    as an rhs with every stage checked (the run's one checked trial, as for
+    any other rhs), which names the stage in its ``BlowUpError`` or raises
+    the kernel's own error again. So the kernel must be a pure function of
+    (x_i, t): the re-run must see the values the first run saw.
 
     ``decoupled`` is the declaration of :class:`DynamicsSpec`: true unless
     the kernel is nonzero at x_i = 0. It lives in the instance ``__dict__``

@@ -35,16 +35,18 @@ trial, which calls the kernel itself, bare, on floats, and so makes no
 numpy array and no check per stage: at dim 1 directly, at dim >= 2 for
 each coordinate with the common step size, where a coordinate held at
 zero skips its trial. The fast trial checks its seven stages once, by
-their sum. A fast trial that raises, or whose stages do not sum to a
-finite float, is re-run through the checked trial, which raises the
-blow-up of the first non-finite stage (or the kernel's own error again);
-when every stage was finite after all (their sum overflowed), its result
-has the bits of the fast one. The kernel must therefore be a pure
-function of (x, t). A checked trial is never run twice. Both kinds take
-the RMS of the live coordinates' scaled errors as their error norm
-(``_rms``, one function), so they take the same steps to the bit. All
-share the controller, the clamp, the step budget, the stall checks, event
-refinement and the segment record. Per trial and per bisection step, these
+its error norm, which is finite only when every stage is (``_trial``
+adds 0.0 times k2, the one stage with zero weight in the error). A fast
+trial that raises, or whose error norm is not finite, is re-run through
+the checked trial, which raises the blow-up of the first non-finite
+stage (or the kernel's own error again); when every stage was finite
+after all (the error overflowed), its result has the bits of the fast
+one. The kernel must therefore be a pure function of (x, t). A checked
+trial is never run twice. Both kinds take the RMS of the live
+coordinates' scaled errors as their error norm (``_rms``, one function),
+so they take the same steps to the bit. All share the controller, the
+clamp, the step budget, the stall checks, event refinement and the
+segment record. Per trial and per bisection step, these
 compare floats where the builtins min() and max() would be called, in the
 builtins' operand order, so every value keeps its bits: on CPython 3.11 a
 builtin call costs 200-300 ns, ~30 ns compared out, and a float trial ~6 us. Each accepted step keeps its seven
@@ -297,7 +299,10 @@ def _trial(rhs, larger, atol, rtol, t, x, f, h, t_new):
     k7 = rhs(x_new, t_new)
     err = h * (71 / 57600 * k1 + -71 / 16695 * k3 + 71 / 1920 * k4 + -17253 / 339200 * k5
                + 22 / 525 * k6 + -1 / 40 * k7)
-    scaled = abs(err) / (atol + rtol * larger(abs(x), abs(x_new)))
+    # k2 has zero weight in x_new and err: 0.0 * k2 is +-0.0 when k2 is
+    # finite (no bit moves) and NaN when it is not, so the error norm is
+    # finite only when all seven stages are
+    scaled = abs(err) / (atol + rtol * larger(abs(x), abs(x_new))) + 0.0 * k2
     return x_new, k7, (k1, k2, k3, k4, k5, k6, k7), scaled
 
 
@@ -310,7 +315,7 @@ def _coordinate_trial(trial, live, t, x, f, h, t_new):
     coordinate of ``x, f`` (lists of floats), all with the common step, with
     the kernel called bare. A held coordinate skips its trial:
     its state and stages stay exactly zero. Returns (x_new, f_new, stage
-    derivatives as seven rows over the coordinates, error norm).
+    derivatives, each coordinate's seven one after another, error norm).
     """
     xs, fs, ks, errs = [], [], [], []
     for xi, fi, on in zip(x, f, live):
@@ -322,7 +327,7 @@ def _coordinate_trial(trial, live, t, x, f, h, t_new):
         xs.append(xi)
         fs.append(fi)
         ks.append(ki)
-    return xs, fs, tuple(zip(*ks)), _rms(errs)
+    return xs, fs, sum(ks, ()), _rms(errs)
 
 
 def _array_trial(rhs, atol, rtol, live, t, x, f, h, t_new):
@@ -336,7 +341,7 @@ def _array_trial(rhs, atol, rtol, live, t, x, f, h, t_new):
         rhs, np.maximum, atol, rtol, t, np.array(x), np.array(f), h, t_new
     )
     errs = [e for e, on in zip(err.tolist(), live) if on]
-    return x_new.tolist(), f_new.tolist(), tuple(ki.tolist() for ki in k), _rms(errs)
+    return x_new.tolist(), f_new.tolist(), np.ravel(k, order="F").tolist(), _rms(errs)
 
 
 def _dense_poly(x0, h, coef, theta):
@@ -408,25 +413,6 @@ class _Dense(NamedTuple):
         return out
 
 
-@dataclass
-class _Steps:
-    """What the stepping loop hands the record builder.
-
-    Per accepted step, one list entry each: start time, length, start state
-    and the seven stage derivatives. ``x_last`` is the state the run ended
-    in when it did not converge. A run whose initial state is already within
-    eps_conv has converged with no step.
-    """
-
-    t0: list
-    h: list
-    x0: list
-    stages: list
-    rejected: int
-    converged: bool
-    x_last: object
-
-
 def _prepare(spec, x0, p, policy):
     """simulate()'s argument checks: (policy, x0 array, tc, t_end)."""
     _check_law(p)
@@ -459,11 +445,17 @@ def simulate(
     :class:`BlowUpError` when the dynamics return a non-finite derivative.
     """
     policy, x0, tc, t_end = _prepare(spec, x0, p, policy)
-    return _record(spec, x0, p, policy, t_end, _step(spec, x0, tc, t_end, policy))
+    return _record(spec, x0, p, policy, t_end, *_step(spec, x0, tc, t_end, policy))
 
 
-def _step(spec, x0, tc, t_end, policy) -> _Steps:
-    """The stepping loop of one run.
+def _step(spec, x0, tc, t_end, policy):
+    """The stepping loop of one run: (steps, rejected, converged, x_last).
+
+    ``steps`` has one ``(t0, h, x0, stages)`` entry per accepted step: its
+    start time, length, start state and the seven stage derivatives of each
+    coordinate, one coordinate after another. ``x_last`` is the state the
+    run ended in when it did not converge. A run whose initial state is
+    already within eps_conv has converged with no step.
 
     Each trial is the run's fast trial where it has one, else its checked
     trial (see the module docstring): :func:`_trial` on floats at dim 1,
@@ -476,15 +468,10 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
     """
     eps_conv = policy.eps_conv
     rtol, atol = policy.rel_tol, policy.abs_tol
-    # accepted steps: start time, length, start state, stage derivatives
-    seg_t0: list[float] = []
-    seg_h: list[float] = []
-    seg_x0: list = []
-    seg_k: list = []
-    step_count = 0
+    steps = []
     rejected = 0
     if _maxabs(x0.tolist()) <= eps_conv:
-        return _Steps(seg_t0, seg_h, seg_x0, seg_k, 0, True, x0)
+        return steps, 0, True, x0
     converged = False
     # overflow inside a trial step is handled by rejection or the blow-up
     # check, not by floating-point warnings
@@ -493,19 +480,18 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
         f0 = _checked_rhs(spec, x0, 0.0)
         h_prop = _initial_step(spec, x0, f0, policy, min(_KAPPA * tc, t_end))
         # ``checked`` checks every stage. ``fast``, for a _Pointwise rhs,
-        # calls its kernel bare; a fast trial that raises, or whose stages
-        # do not sum to a finite float, is re-run through ``checked``
+        # calls its kernel bare; a fast trial that raises, or whose error
+        # norm is not finite, is re-run through ``checked``
         kernel = spec.rhs.kernel if isinstance(spec.rhs, _Pointwise) else None
         fast = None
         if spec.dim == 1:
-            norm, stage_sum = abs, sum
+            norm = abs
             x, f = x0.item(), f0.item()
             checked = partial(_trial, partial(_checked_rhs_float, spec), _larger, atol, rtol)
             if kernel is not None:
                 fast = partial(_trial, kernel, _larger, atol, rtol)
         else:
-            # the seven stage rows joined into one tuple, the cheapest sum here
-            norm, stage_sum = _maxabs, lambda rows: sum(sum(rows, ()))
+            norm = _maxabs
             x, f = x0.tolist(), f0.tolist()
             live = [True] * spec.dim  # updated in place by the hold
             checked = partial(_array_trial, partial(_checked_rhs, spec), atol, rtol, live)
@@ -519,7 +505,7 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
             remaining = t_end - t
             if remaining <= end_guard:
                 break
-            if step_count + rejected >= _MAX_STEPS:
+            if len(steps) + rejected >= _MAX_STEPS:
                 raise StallError(
                     f"step budget exhausted at t={t!r} without convergence",
                     t, np.atleast_1d(x),
@@ -539,7 +525,7 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
             else:
                 try:
                     x_new, f_new, k, err_norm = fast(t, x, f, h_eff, t_new)
-                    finite = math.isfinite(stage_sum(k))
+                    finite = math.isfinite(err_norm)
                 except Exception:
                     # the kernel may have raised on a non-finite stage fed on to it
                     finite = False
@@ -549,11 +535,7 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
                     x_new, f_new, k, err_norm = checked(t, x, f, h_eff, t_new)
 
             if err_norm <= 1.0:
-                seg_t0.append(t)
-                seg_h.append(h_eff)
-                seg_x0.append(x)
-                seg_k.append(k)
-                step_count += 1
+                steps.append((t, h_eff, x, k))
                 factor = _MAX_FACTOR
                 if err_norm != 0.0:  # clamped as min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
                     factor = _SAFETY * err_norm**-0.14 * err_prev**0.08
@@ -581,26 +563,25 @@ def _step(spec, x0, tc, t_end, policy) -> _Steps:
                     raise StallError(
                         f"step size underflow (stall) at t={t!r}", t, np.atleast_1d(x)
                     )
-    return _Steps(seg_t0, seg_h, seg_x0, seg_k, rejected, converged, x)
+    return steps, rejected, converged, x
 
 
-def _record(spec, x0, p, policy, t_end, steps: _Steps) -> Trajectory:
+def _record(spec, x0, p, policy, t_end, steps, rejected, converged, x_last) -> Trajectory:
     """The one post-loop record builder: the dense output, the event, the
-    samples and V/W/vdot, then the :class:`Trajectory`, constructed once."""
+    samples and V/W/vdot, then the :class:`Trajectory`, constructed once.
+    Its arguments past ``t_end`` are what :func:`_step` returns."""
     dim = spec.dim
-    n_seg = len(steps.t0)
-    seg_t0 = np.array(steps.t0, dtype=float)
-    seg_h = np.array(steps.h, dtype=float)
-    seg_x0 = np.array(steps.x0, dtype=float).reshape(n_seg, dim)
+    n_seg = len(steps)
+    seg_t0, seg_h, seg_x0, stages = zip(*steps) if steps else ((),) * 4
+    seg_t0 = np.array(seg_t0, dtype=float)
+    seg_h = np.array(seg_h, dtype=float)
+    seg_x0 = np.array(seg_x0, dtype=float).reshape(n_seg, dim)
     # one contraction for the quartic coefficients of every step: (n, dim, 4)
-    flat = chain.from_iterable(steps.stages)
-    if dim > 1:
-        flat = chain.from_iterable(flat)
-    stages = np.fromiter(flat, float, n_seg * 7 * dim).reshape(n_seg, 7, dim)
-    coef = np.swapaxes(stages, 1, 2) @ _P
+    flat = np.fromiter(chain.from_iterable(stages), float, n_seg * dim * 7)
+    coef = flat.reshape(n_seg, dim, 7) @ _P
 
     event_time = converged_at = None
-    if steps.converged:
+    if converged:
         x_end = np.zeros_like(x0)
         if n_seg:
             theta, v_event = _refine_event(seg_x0[-1], seg_h[-1].item(), coef[-1], policy.eps_conv)
@@ -612,7 +593,7 @@ def _record(spec, x0, p, policy, t_end, steps: _Steps) -> Trajectory:
         if rem.reaches_zero:
             converged_at = min(rem.tau_bound, t_end)
     else:
-        x_end = np.atleast_1d(np.asarray(steps.x_last, dtype=float))
+        x_end = np.atleast_1d(np.asarray(x_last, dtype=float))
     dense = _Dense(
         seg_t0, seg_h, seg_x0, coef, x0, x_end, np.inf if event_time is None else event_time
     )
@@ -644,7 +625,7 @@ def _record(spec, x0, p, policy, t_end, steps: _Steps) -> Trajectory:
         event_time=event_time,
         terminal_norm=_maxabs(states[-1].tolist()),
         step_count=n_seg,
-        rejected_steps=steps.rejected,
+        rejected_steps=rejected,
         t_end=t_end,
         _dense=dense,
     )

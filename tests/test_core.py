@@ -263,6 +263,11 @@ def test_policy_rejects_bad_fields():
     for delta_end in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="delta_end must be strictly positive"):
             NumericPolicy(delta_end=delta_end)
+    for name in ("eps_conv", "rel_tol", "abs_tol", "residual_tol", "delta_end"):
+        # None is the automatic delta_end, so it is not a bad value there
+        for value in (None, "1e-8", [1]) if name != "delta_end" else ("1e-8", [1]):
+            with pytest.raises(TypeError, match=f"^{name} must be a real number, got "):
+                NumericPolicy(**{name: value})
 
 
 def test_spec_rejects_a_dim_below_one_and_vdot_without_v():

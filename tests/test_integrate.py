@@ -394,6 +394,40 @@ def test_non_finite_zero_weight_stage_matches_the_array_path(
     assert a.x.tobytes() == b.x.tobytes() and a.x.shape == (len(x0),)
 
 
+@pytest.mark.parametrize("x0", [[1.0, 0.5, 0.25], [0.25, 1.0, 0.5]])
+def test_non_finite_k2_of_one_coordinate_matches_the_array_path(
+    x0, default_params, default_policy
+):
+    # as above, but k2 is non-finite for the small coordinate alone, first
+    # or last: every coordinate's k2 must reach the fast trial's check
+    calls = []
+
+    def logged(x, t):
+        calls.append((t, x.copy()))
+        return np.array([-math.tanh(xi) for xi in x.tolist()])
+
+    simulate(DynamicsSpec(dim=3, rhs=logged), x0, default_params, default_policy)
+    # two calls to start, then six per trial: the stage-2 time of the 11th trial
+    tau, x_tau = calls[2 + 6 * 10]
+    assert np.count_nonzero(np.abs(x_tau) < 0.3) == 1
+
+    def kernel(x, t):
+        return math.inf if t == tau and abs(x) < 0.3 else -math.tanh(x)
+
+    def array(x, t):
+        return np.array([kernel(xi, t) for xi in x.tolist()])
+
+    errors = []
+    for rhs in (_Pointwise(kernel), array):
+        with pytest.raises(BlowUpError) as info:
+            simulate(DynamicsSpec(dim=3, rhs=rhs), x0, default_params, default_policy)
+        errors.append(info.value)
+    a, b = errors
+    assert str(a) == str(b) and "non-finite derivative" in str(a)
+    assert a.t == b.t == tau
+    assert a.x.tobytes() == b.x.tobytes() and a.x.shape == (3,)
+
+
 def _stage_time(x0, params, policy):
     """The time of stage 3 of the 11th trial of a run of x' = -x."""
     times = []

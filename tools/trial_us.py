@@ -9,13 +9,15 @@ Each case is one run of the componentwise law at the default parameters
 (tc=1, beta=2, q=1, alpha=0.5) with the default numeric policy. The stepping
 loop alone (``integrate._step``, no record, sampling or certificate) is
 timed with ``timeit``, one run per repeat, and the best repeat is divided by
-the run's trials (accepted plus rejected steps). Every case runs twice: with
-the law's own rhs, whose plain-float kernel the stepper calls itself, and
-through the array contract, behind a ``functools.wraps`` wrapper that keeps
-the per-coordinate hold and so does the same work. The trial counts are
-printed next to the times, so a change in speed can be told apart from a
-change in work: the script exits 1 when a case's accepted/rejected counts,
-on either path, differ from the pinned ones in ``CASES``.
+the run's trials (accepted plus rejected steps), which one ``simulate`` of
+the case reads from ``Trajectory.step_count`` and ``rejected_steps``. Every
+case runs twice: with the law's own rhs, whose plain-float kernel the
+stepper calls itself, and through the array contract, behind a
+``functools.wraps`` wrapper that keeps the per-coordinate hold and so does
+the same work. The trial counts are printed next to the times, so a change
+in speed can be told apart from a change in work: the script exits 1 when
+a case's accepted/rejected counts, on either path, differ from the pinned
+ones in ``CASES``.
 
 Given ``--src`` twice, the script times two source trees, A and B, in one
 process: B's package is imported under another name, the two trees take
@@ -67,14 +69,20 @@ def import_tree(src: Path, name: str):
 
 
 def case_runs(tb, integrate, x0):
-    """(path, stepping-loop callable) of one case on one tree, kernel first."""
+    """(path, (accepted, rejected), stepping-loop callable) of one case on
+    one tree, kernel first."""
     p = tb.BarrierParams(1.0, 2.0, 1.0, 0.5)
     policy = tb.NumericPolicy()
     law = tb.make_time_barrier_componentwise(p, len(x0))
     wrapped = functools.wraps(law.rhs)(lambda x, t, rhs=law.rhs: rhs(x, t))
     for path, spec in (("kernel", law), ("array", dataclasses.replace(law, rhs=wrapped))):
+        traj = tb.simulate(spec, x0, p, policy)
         policy_, x, tc, t_end = integrate._prepare(spec, x0, p, policy)
-        yield path, functools.partial(integrate._step, spec, x, tc, t_end, policy_)
+        yield (
+            path,
+            (traj.step_count, traj.rejected_steps),
+            functools.partial(integrate._step, spec, x, tc, t_end, policy_),
+        )
 
 
 def main(argv=None) -> int:
@@ -106,15 +114,13 @@ def main(argv=None) -> int:
         runs = [case_runs(tb, integrate, x0) for tb, integrate in trees]
         for paths in zip(*runs):
             path = paths[0][0]
-            steppers = [run for _, run in paths]
-            counts = []
-            for label, run in zip(labels, steppers):
-                steps = run()
-                counts.append((len(steps.t0), steps.rejected))
-                if counts[-1] != pinned:
+            counts = [c for _, c, _ in paths]
+            steppers = [run for _, _, run in paths]
+            for label, count in zip(labels, counts):
+                if count != pinned:
                     tree = f" tree {label}" if len(trees) == 2 else ""
                     changed.append(
-                        f"{x0} {path}{tree}: {counts[-1][0]}/{counts[-1][1]}, "
+                        f"{x0} {path}{tree}: {count[0]}/{count[1]}, "
                         f"pinned {pinned[0]}/{pinned[1]}"
                     )
             # the trees take turns, and the one to go first alternates
