@@ -123,6 +123,17 @@ def _lie_vdot(spec: DynamicsSpec, states: np.ndarray, t: np.ndarray) -> np.ndarr
     return (-3.0 * v[:n] + 4.0 * v[n:2 * n] - v[2 * n:]) / (2.0 * h) * f_max
 
 
+def _bound(v: np.ndarray, t: np.ndarray, p: BarrierParams) -> np.ndarray:
+    """The dissipation bound -beta*V/(tc-t) - q*V**alpha at each (V, t) pair.
+
+    V**alpha is taken on Python floats: numpy's vectorized power can differ
+    in the last bit, and the certificate must not depend on the platform's
+    loops. A bound past the float range is -inf, as float arithmetic gives it.
+    """
+    with np.errstate(over="ignore"):
+        return -p.beta * v / (p.tc - t) - p.q * _map_floats(pow, v, p.alpha)
+
+
 def _v_error(v0: np.ndarray, v1: np.ndarray, policy: NumericPolicy) -> np.ndarray:
     """e0/V0 + e1/V1 with e = abs_tol + rel_tol*V: the relative error the
     policy allows V at both ends of a step (inf where a V is 0)."""
@@ -152,7 +163,6 @@ def check_dissipation(
     policy = policy if policy is not None else traj.policy
     if traj.spec.v is None:
         raise ValueError("trajectory carries no Lyapunov samples")
-    tc, beta, q, alpha = p.tc, p.beta, p.q, p.alpha
     tol = policy.residual_tol
 
     # a NaN V counts as checked; its residual is NaN and never flagged
@@ -163,10 +173,7 @@ def check_dissipation(
         lhs = traj.vdot_values[checked]
     else:
         lhs = _lie_vdot(traj.spec, traj.states[checked], t)
-    # V**alpha on Python floats: numpy's vectorized power can differ in the
-    # last bit, and the certificate must not depend on the platform's loops
-    decay = q * _map_floats(pow, v, alpha)
-    rhs_bound = -beta * v / (tc - t) - decay
+    rhs_bound = _bound(v, t, p)
     residual = lhs - rhs_bound
     flagged = residual > tol * (1.0 + np.abs(rhs_bound))
     rows = zip(*(a[flagged].tolist() for a in (t, v, lhs, rhs_bound, residual)))
@@ -229,11 +236,7 @@ def find_nonautonomy_witness(
     if t1 > t2:
         raise ValueError(f"t1 must be < t2, got t1={t1!r}, t2={t2!r}")
 
-    def rate(t: float) -> float:
-        return -p.beta * v_level / (p.tc - t) - p.q * v_level**p.alpha
-
-    vdot1 = rate(t1)
-    vdot2 = rate(t2)
+    vdot1, vdot2 = _bound(np.array([v_level, v_level]), np.array([t1, t2]), p).tolist()
     gap = abs(vdot1 - vdot2)
     note = "no witness (autonomous limit)" if p.beta == 0.0 else ""
     return NonAutonomyWitness(v_level, t1, t2, vdot1, vdot2, gap, note)

@@ -44,10 +44,6 @@ EXIT_NUMERIC = 2
 EXIT_PROPERTY = 3
 
 
-class ConfigError(ValueError):
-    """Invalid or unknown configuration content."""
-
-
 # ----------------------------------------------------------------- formatting
 
 def _fmt(value) -> str:
@@ -224,23 +220,23 @@ def load_config(path: Optional[str]) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+        raise ValueError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError("config root must be an object of sections")
+        raise ValueError("config root must be an object of sections")
     for section, content in data.items():
         if section not in _SCHEMA:
-            raise ConfigError(f"unknown config key: {section}")
+            raise ValueError(f"unknown config key: {section}")
         if not isinstance(content, dict):
-            raise ConfigError(f"config section {section!r} must be an object")
+            raise ValueError(f"config section {section!r} must be an object")
         for key, value in content.items():
             if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown config key: {section}.{key}")
+                raise ValueError(f"unknown config key: {section}.{key}")
             expected = _SCHEMA[section][key]
             # JSON true and false are ints to isinstance
             if expected and (isinstance(value, bool) or not isinstance(value, expected[0])):
-                raise ConfigError(
+                raise ValueError(
                     f"invalid {section}.{key}: expected {expected[1]}, got {json.dumps(value)}"
                 )
             # a JSON integer past the float range fails float() by OverflowError
@@ -248,7 +244,7 @@ def load_config(path: Optional[str]) -> dict:
                 try:
                     float(value)
                 except OverflowError as exc:
-                    raise ConfigError(f"invalid {section}.{key}: {exc}") from exc
+                    raise ValueError(f"invalid {section}.{key}: {exc}") from exc
     return data
 
 
@@ -276,7 +272,7 @@ def _policy_from_config(config: dict, tc: Optional[float] = None) -> NumericPoli
             if key == "delta_end" and tc is not None:
                 alone.resolve_delta_end(tc)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid policy.{key}: {exc}") from exc
+            raise ValueError(f"invalid policy.{key}: {exc}") from exc
     return NumericPolicy(**section)
 
 
@@ -391,11 +387,11 @@ def _sweep_config_from(config: dict) -> SweepConfig:
             else:
                 kwargs[f"{key}_values"] = tuple(float(v) for v in value)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"invalid sweep.{key}: {exc}") from exc
+            raise ValueError(f"invalid sweep.{key}: {exc}") from exc
     try:
         return SweepConfig(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"invalid sweep config: {exc}") from exc
+        raise ValueError(f"invalid sweep config: {exc}") from exc
 
 
 def _cmd_sweep(args, config: dict) -> int:

@@ -24,7 +24,6 @@ __all__ = [
     "NumericPolicy",
     "DynamicsSpec",
     "validate_params",
-    "w_transform",
     "w_transform_array",
     "validate_spec",
 ]
@@ -58,7 +57,8 @@ class StallError(_RunError):
 
 
 class BlowUpError(_RunError):
-    """The dynamics returned a non-finite derivative."""
+    """The dynamics returned a non-finite derivative, or a step of finite
+    derivatives reached a non-finite state."""
 
 
 @dataclass(frozen=True)
@@ -146,11 +146,6 @@ def validate_params(p: BarrierParams) -> ParamVerdict:
     return ParamVerdict(reason is None, p.m, reason)
 
 
-def w_transform(v: float, t: float, p: BarrierParams) -> float:
-    """W = v / (tc - t)**beta at one pair: the one-pair view of :func:`w_transform_array`."""
-    return w_transform_array([v], [t], p).item()
-
-
 def _map_floats(fn, *args) -> np.ndarray:
     """``fn`` applied elementwise on Python floats; scalar arguments repeat.
 
@@ -182,15 +177,15 @@ def _or_on_overflow(fn, value):
 
 def w_transform_array(v, t, p: BarrierParams) -> np.ndarray:
     """Barrier-rescaled Lyapunov value v / (tc - t)**beta at every (v, t)
-    pair; ``v`` and ``t`` broadcast against each other.
+    pair; ``v`` and ``t`` broadcast against each other, so one scalar pair
+    gives a 0-d result.
 
     The one implementation of W, shared by the trajectory recorder and the
-    certificate checker; :func:`w_transform` is its one-pair view. An element
-    takes the log form (:func:`_log_w`) for beta > 30 and wherever
-    (tc - t)**beta leaves the float range; a W past the float range is inf,
-    with no warning. A tuple outside the law's domain raises ``ValueError``;
-    then the first pair with a time outside [0, tc) raises ``DomainError``, or
-    with a negative V ``ValueError``.
+    certificate checker. An element takes the log form (:func:`_log_w`) for
+    beta > 30 and wherever (tc - t)**beta leaves the float range; a W past
+    the float range is inf, with no warning. A tuple outside the law's
+    domain raises ``ValueError``; then the first pair with a time outside
+    [0, tc) raises ``DomainError``, or with a negative V ``ValueError``.
     """
     _check_law(p)
     v, t = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(t, dtype=float))
@@ -286,26 +281,14 @@ class DynamicsSpec:
     ``decoupled = False`` on itself, or the hold zeroes coordinates whose
     derivative is not zero.
 
-    A :class:`_Pointwise` rhs of any dim is one plain-float kernel mapped
-    over the coordinates: called as above it takes and returns arrays, and
-    the integrator's stepper calls the kernel itself, bare, on floats,
-    stepping each coordinate with the common step size. It checks a trial's
-    seven stages once, by its error norm, which is finite only when every
-    stage is; a trial with a non-finite stage, or whose kernel raises, is
-    re-run through the array contract with every stage checked, which
-    names the stage, so the kernel must be a pure function of (x_i, t). A
-    wrapper of it (a ``lambda`` or a ``functools.wraps`` function) is an
-    ordinary rhs, stepped through the array contract alone and checked on
-    every stage; it takes the same steps, only slower.
+    How the integrator steps and checks an rhs, a :class:`_Pointwise` one
+    on floats, is the trial contract of :mod:`timebarrier.integrate`.
 
     ``v`` and ``vdot`` are the optional Lyapunov value and its derivative along
     trajectories, each called as ``v(x, t)`` on one state; ``vdot`` may be
     absent even when ``v`` is present (the certificate checker then takes
-    the Lie derivative of ``v`` along ``rhs``). The built-in laws write
-    them as block forms (see :class:`_Blockwise`), which the trajectory
-    recorder and the certificate evaluate on all samples in one call; any
-    other callable is called once per sample, so
-    ``dataclasses.replace(spec, v=other)`` evaluates ``other``.
+    the Lie derivative of ``v`` along ``rhs``). How many states are
+    evaluated in one call is :class:`_Blockwise`'s rule.
     """
 
     dim: int
@@ -325,8 +308,15 @@ class DynamicsSpec:
 class _Blockwise:
     """A V or dV/dt written once, as a block form: ``block(states, times)``
     maps an (n, dim) block of states and n times to the n values. Called on
-    one state, it evaluates a block of one row and returns a float. A wrapper
-    of it (say, one made with ``functools.wraps``) is called once per state.
+    one state, it evaluates a block of one row and returns a float.
+
+    Every built-in law writes its ``v`` and ``vdot`` this way, and the
+    trajectory recorder, the certificate and :func:`validate_spec` evaluate
+    one on all their states in one call, also in a user spec that reuses it
+    (``DynamicsSpec(v=law.v)``). Any other callable, a wrapper of a block
+    form (say, one made with ``functools.wraps``) included, is called once
+    per state, so ``dataclasses.replace(spec, v=other)`` evaluates
+    ``other``.
     """
 
     __slots__ = ("block",)
@@ -343,27 +333,13 @@ class _Pointwise:
     """An rhs written once, as a plain-float kernel: ``kernel(x_i, t)`` maps
     one coordinate and the time to its derivative. Called as an rhs, on an
     array of any length, it maps the kernel over the coordinates and returns
-    the array of derivatives. The stepper of a run of any dim calls the
-    kernel itself, bare, on floats, one coordinate at a time (the array
-    contract serves only the run's start); a wrapper of it (say, one made
-    with ``functools.wraps``) is called as an rhs on every stage.
-
-    The stepper checks a trial's seven stages once, by its error norm,
-    which is finite only when every stage is. A trial with a non-finite
-    stage, or whose kernel raises, is re-run once, through this rhs called
-    as an rhs with every stage checked (the run's one checked trial, as for
-    any other rhs), which names the stage in its ``BlowUpError`` or raises
-    the kernel's own error again. So the kernel must be a pure function of
-    (x_i, t): the re-run must see the values the first run saw.
-
-    ``decoupled`` is the declaration of :class:`DynamicsSpec`: true unless
-    the kernel is nonzero at x_i = 0. It lives in the instance ``__dict__``
-    (no ``__slots__``), so ``functools.wraps`` copies it to a wrapper, and a
-    wrapper that only observes the rhs keeps the per-coordinate hold. One
-    built with ``decoupled=False`` is still stepped per coordinate, with no
-    hold.
+    the array of derivatives. The integrator calls the kernel itself, bare,
+    on floats, under the trial contract of :mod:`timebarrier.integrate`.
+    ``decoupled`` is the declaration of :class:`DynamicsSpec`, true unless
+    the kernel is nonzero at x_i = 0.
     """
 
+    # no __slots__: functools.wraps copies ``decoupled`` from the instance __dict__
     def __init__(self, kernel: Callable[[float, float], float], decoupled: bool = True):
         self.kernel = kernel
         self.decoupled = decoupled

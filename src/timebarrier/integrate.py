@@ -26,30 +26,37 @@ stepping loop (``_step``). The DOPRI5(4) trial step has one body
 (``_trial``), and every operation in it is elementwise, so it runs on
 Python floats and on arrays over the coordinates alike.
 
-Every run has a checked trial, which calls the rhs through its array
-contract and checks every stage (``_checked_rhs``, the one place an rhs
-value is coerced and checked): on floats through a one-element array at
-dim 1, on arrays at dim >= 2. A run whose rhs is a plain-float kernel
-(``core._Pointwise``, the rhs of every built-in law) also has a fast
-trial, which calls the kernel itself, bare, on floats, and so makes no
-numpy array and no check per stage: at dim 1 directly, at dim >= 2 for
-each coordinate with the common step size, where a coordinate held at
-zero skips its trial. The fast trial checks its seven stages once, by
-its error norm, which is finite only when every stage is (``_trial``
-adds 0.0 times k2, the one stage with zero weight in the error). A fast
-trial that raises, or whose error norm is not finite, is re-run through
-the checked trial, which raises the blow-up of the first non-finite
-stage (or the kernel's own error again); when every stage was finite
-after all (the error overflowed), its result has the bits of the fast
-one. The kernel must therefore be a pure function of (x, t). A checked
-trial is never run twice. Both kinds take the RMS of the live
-coordinates' scaled errors as their error norm (``_rms``, one function),
-so they take the same steps to the bit. All share the controller, the
-clamp, the step budget, the stall checks, event refinement and the
-segment record. Per trial and per bisection step, these
-compare floats where the builtins min() and max() would be called, in the
-builtins' operand order, so every value keeps its bits: on CPython 3.11 a
-builtin call costs 200-300 ns, ~30 ns compared out, and a float trial ~6 us. Each accepted step keeps its seven
+The trial contract. Every run has a checked trial, which calls the rhs
+through its array contract and checks every stage (``_checked_rhs``, the
+one place an rhs value is coerced and checked): on floats through a
+one-element array at dim 1, on arrays at dim >= 2. A run whose rhs is a
+plain-float kernel (``core._Pointwise``, the rhs of every built-in law,
+also where a user spec reuses it) also has a fast trial, which calls the
+kernel itself, bare, on floats, and so makes no numpy array and no check
+per stage: at dim 1 directly, at dim >= 2 for each coordinate with the
+common step size, where a coordinate held at zero skips its trial. The
+fast trial checks its seven stages and the new state once, by its error
+norm, which is finite only when all of them are (``_trial`` adds 0.0
+times k2, the one stage with zero weight in the error, times the new
+state). A fast trial that raises, or whose error norm is not finite,
+is re-run through the checked trial, which raises the blow-up of the
+first non-finite stage (or the kernel's own error again); a checked
+trial whose stages are all finite and whose new state is not raises the
+blow-up of that state, at the step's start. When everything was finite
+after all (the error overflowed), the re-run has the bits of the fast
+trial. The kernel must therefore be a pure function of (x, t). A checked
+trial is never run twice, so any rhs that is not a ``_Pointwise``, a
+``lambda`` or ``functools.wraps`` wrapper of one included, is stepped
+through the checked trial alone, called once per stage. Both kinds take
+the RMS of the live coordinates' scaled errors as their error norm
+(``_rms``, one function), so they take the same steps to the bit.
+
+Both kinds share the controller, the clamp, the step budget, the stall
+checks, event refinement and the segment record. Per trial and per
+bisection step, these compare floats where the builtins min() and max()
+would be called, in the builtins' operand order, so every value keeps its
+bits: on CPython 3.11 a builtin call costs 200-300 ns, ~30 ns compared
+out, and a float trial ~6 us. Each accepted step keeps its seven
 stage derivatives, and the dense-output coefficients of all steps come
 from one contraction after the loop. Sampling gathers each time's segment
 and evaluates the quartic elementwise, so the value at a time does not
@@ -299,10 +306,11 @@ def _trial(rhs, larger, atol, rtol, t, x, f, h, t_new):
     k7 = rhs(x_new, t_new)
     err = h * (71 / 57600 * k1 + -71 / 16695 * k3 + 71 / 1920 * k4 + -17253 / 339200 * k5
                + 22 / 525 * k6 + -1 / 40 * k7)
-    # k2 has zero weight in x_new and err: 0.0 * k2 is +-0.0 when k2 is
-    # finite (no bit moves) and NaN when it is not, so the error norm is
-    # finite only when all seven stages are
-    scaled = abs(err) / (atol + rtol * larger(abs(x), abs(x_new))) + 0.0 * k2
+    # k2 has zero weight in x_new and err, and a finite err over the inf
+    # scale of an inf x_new reads 0: 0.0 * k2 * x_new is +-0.0 when both
+    # are finite (no bit moves) and NaN otherwise, so the error norm is
+    # finite only when all seven stages and the new state are
+    scaled = abs(err) / (atol + rtol * larger(abs(x), abs(x_new))) + 0.0 * k2 * x_new
     return x_new, k7, (k1, k2, k3, k4, k5, k6, k7), scaled
 
 
@@ -457,14 +465,12 @@ def _step(spec, x0, tc, t_end, policy):
     run ended in when it did not converge. A run whose initial state is
     already within eps_conv has converged with no step.
 
-    Each trial is the run's fast trial where it has one, else its checked
-    trial (see the module docstring): :func:`_trial` on floats at dim 1,
-    and at dim >= 2 :func:`_coordinate_trial` (fast) or
-    :func:`_array_trial` (checked). Both carry the state as a list of
-    floats and take the RMS of the scaled errors of the ``live``
-    coordinates as their error norm. A decoupled spec of dim >= 2 holds
-    each coordinate at zero from its own eps_conv crossing (see the module
-    docstring) and drops it from ``live``.
+    Each trial follows the trial contract of the module docstring:
+    :func:`_trial` on floats at dim 1, and at dim >= 2
+    :func:`_coordinate_trial` (fast) or :func:`_array_trial` (checked),
+    both on the state as a list of floats. ``live`` drops each coordinate
+    that the hold of a decoupled rhs (see :class:`~timebarrier.core.DynamicsSpec`)
+    holds at zero.
     """
     eps_conv = policy.eps_conv
     rtol, atol = policy.rel_tol, policy.abs_tol
@@ -479,9 +485,7 @@ def _step(spec, x0, tc, t_end, policy):
         t = 0.0
         f0 = _checked_rhs(spec, x0, 0.0)
         h_prop = _initial_step(spec, x0, f0, policy, min(_KAPPA * tc, t_end))
-        # ``checked`` checks every stage. ``fast``, for a _Pointwise rhs,
-        # calls its kernel bare; a fast trial that raises, or whose error
-        # norm is not finite, is re-run through ``checked``
+        # the two kinds of trial of the module docstring's trial contract
         kernel = spec.rhs.kernel if isinstance(spec.rhs, _Pointwise) else None
         fast = None
         if spec.dim == 1:
@@ -555,6 +559,12 @@ def _step(spec, x0, tc, t_end, policy):
                         f_new = [fi if on else 0.0 for fi, on in zip(f_new, live)]
                 x = x_new
                 f = f_new
+            elif err_norm != err_norm:
+                # NaN after the checked trial, whose stages are all finite
+                raise BlowUpError(
+                    f"dynamics blow-up: non-finite state {np.atleast_1d(x_new)!r} at t={t_new!r}, "
+                    f"stepping from t={t!r}, x={np.atleast_1d(x)!r}", t, np.atleast_1d(x)
+                )
             else:
                 rejected += 1
                 shrink = _SAFETY * err_norm**-0.2

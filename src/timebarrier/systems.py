@@ -87,13 +87,8 @@ def make_time_barrier_componentwise(
     coordinate.
 
     The ``rhs`` is one plain-float kernel wrapped in
-    :class:`timebarrier.core._Pointwise` for every dim; it declares
-    ``rhs.decoupled = True`` (see :class:`timebarrier.core.DynamicsSpec`),
-    so the integrator holds each coordinate at zero from its own eps_conv
-    crossing and a coordinate that settles early costs no extra steps. This
-    carries over when ``rhs`` is reused in a user's own ``DynamicsSpec``: a
-    run of it steps the kernel on Python floats, one coordinate at a time,
-    and a ``functools.wraps`` wrapper of it keeps the declaration.
+    :class:`timebarrier.core._Pointwise` for every dim, declared decoupled
+    (see :class:`timebarrier.core.DynamicsSpec`) unless it has a bias.
 
     ``policy`` is not read; it is kept so that callers passing it stay valid.
     """

@@ -17,7 +17,6 @@ from timebarrier import (
     exact_solution_scalar,
     exact_solution_scalar_array,
     simulate,
-    w_transform,
     w_transform_array,
 )
 from timebarrier.systems import (
@@ -201,8 +200,9 @@ def test_w_transform_array_matches(beta):
         t[-1] = p.tc - 1e-9 * p.tc
     want = [reference_w(vi, ti, p) for vi, ti in zip(v.tolist(), t.tolist())]
     assert same_bits(w_transform_array(v, t, p), want)
-    # the one-pair view
-    assert same_bits([w_transform(vi, ti, p) for vi, ti in zip(v.tolist(), t.tolist())], want)
+    # one pair at a time
+    pairs = [w_transform_array(vi, ti, p).item() for vi, ti in zip(v.tolist(), t.tolist())]
+    assert same_bits(pairs, want)
 
 
 @pytest.mark.parametrize(
@@ -224,11 +224,11 @@ def test_w_transform_array_off_the_fast_path(p, v, t):
         return [fn(vi, ti, p) for vi, ti in zip(v, t)]
 
     want = raised(one_by_one, reference_w)
-    assert raised(one_by_one, w_transform) == want  # the one-pair view
+    assert raised(one_by_one, w_transform_array) == want  # one pair at a time
     if want is None:
         # no RuntimeWarning either: the suite turns one into an error
         assert same_bits(w_transform_array(v, t, p), one_by_one(reference_w))
-        assert same_bits(one_by_one(w_transform), one_by_one(reference_w))
+        assert same_bits(one_by_one(w_transform_array), one_by_one(reference_w))
     else:
         assert raised(w_transform_array, v, t, p) == want
 

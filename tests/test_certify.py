@@ -16,7 +16,6 @@ from timebarrier import (
     find_nonautonomy_witness,
     settling_report,
     simulate,
-    w_transform,
     w_transform_array,
 )
 from timebarrier.core import _Pointwise
@@ -241,7 +240,7 @@ def test_inadmissible_params_fail_certificate(default_policy):
 
 def test_recorded_w_matches_transform(default_traj, default_params):
     for sample in default_traj.samples[:: len(default_traj.samples) // 50]:
-        assert sample.w == w_transform(sample.v, sample.t, default_params)
+        assert sample.w == w_transform_array(sample.v, sample.t, default_params).item()
 
 
 def test_witness_frozen_values(default_params):

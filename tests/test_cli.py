@@ -422,6 +422,24 @@ def test_sweep_small_config(tmp_path, capsys):
     assert len(lines) == 1 + 5
 
 
+def test_sweep_bound_failure_exits_with_the_property_code(tmp_path, capsys):
+    config = {
+        "sweep": {
+            "tc": [1.0], "beta": [2.0], "q": [1.0], "alpha": [0.5],
+            "x0_decades": [-2, 2],
+        },
+        "policy": {"abs_tol": 1e-6},
+        "output": {"sweep": str(tmp_path / "sweep.csv")},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    code, out, _ = run_cli(capsys, "--config", str(cfg_path), "sweep")
+    assert code == EXIT_PROPERTY
+    block = block_of(out)
+    assert (block["bound_failures"], block["check_failures"]) == ("4", "10")
+    assert block["worst_bound_gap_row"] == "0"
+
+
 def test_sweep_inadmissible_separated(tmp_path, capsys):
     config = {
         "sweep": {

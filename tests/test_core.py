@@ -24,7 +24,6 @@ from timebarrier import (
     simulate,
     validate_params,
     validate_spec,
-    w_transform,
     w_transform_array,
 )
 from timebarrier.core import _Blockwise
@@ -184,7 +183,6 @@ TIME_ENTRY_POINTS = {
     "kernel": lambda t: LAW.rhs.kernel(0.5, t),
     "rhs": lambda t: LAW.rhs(np.array([0.5]), t),
     "vdot_block": lambda t: LAW.vdot.block(np.array([[0.5], [0.5]]), np.array([0.0, t])),
-    "w_transform": lambda t: w_transform(1.0, t, P_TIME),
     "w_transform_array": lambda t: w_transform_array([1.0, 1.0], [0.0, t], P_TIME),
     "exact_solution_scalar": lambda t: exact_solution_scalar(P_TIME, 1.0, t),
     "exact_solution_scalar_array": lambda t: exact_solution_scalar_array(P_TIME, 1.0, [0.0, t]),
@@ -288,13 +286,13 @@ def test_policy_delta_end_resolution():
 
 
 def test_w_transform_values(default_params):
-    assert w_transform(1.0, 0.0, default_params) == 1.0
-    assert w_transform(0.25, 0.5, default_params) == 1.0
-    assert w_transform(0.0, 0.7, default_params) == 0.0
+    assert w_transform_array(1.0, 0.0, default_params).item() == 1.0
+    assert w_transform_array(0.25, 0.5, default_params).item() == 1.0
+    assert w_transform_array(0.0, 0.7, default_params).item() == 0.0
     with pytest.raises(DomainError):
-        w_transform(1.0, 1.0, default_params)
+        w_transform_array(1.0, 1.0, default_params).item()
     with pytest.raises(DomainError):
-        w_transform(1.0, -0.1, default_params)
+        w_transform_array(1.0, -0.1, default_params).item()
 
 
 def test_w_transform_array_broadcasts_v_against_t(default_params):
@@ -308,7 +306,7 @@ def test_w_transform_array_broadcasts_v_against_t(default_params):
 
 def test_w_transform_log_space_branch():
     p = BarrierParams(1.0, 64.0, 1.0, 0.5)
-    got = w_transform(1e-3, 0.5, p)
+    got = w_transform_array(1e-3, 0.5, p).item()
     want = 1e-3 / 0.5**64.0
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -317,14 +315,14 @@ def test_w_transform_out_of_range_power():
     # (1e-11)**30 underflows to 0.0: the log form gives v / 1e-330
     p = BarrierParams(0.01, 30.0, 1.0, 0.5)
     t = 0.01 - 1e-11
-    assert w_transform(1e-300, t, p) == pytest.approx(1e30, rel=1e-4)
+    assert w_transform_array(1e-300, t, p).item() == pytest.approx(1e30, rel=1e-4)
     # (1e11)**30 overflows: the log form gives v / 1e330
-    assert w_transform(1e300, 0.0, BarrierParams(1e11, 30.0, 1.0, 0.5)) == pytest.approx(
+    assert w_transform_array(1e300, 0.0, BarrierParams(1e11, 30.0, 1.0, 0.5)).item() == pytest.approx(
         1e-30, rel=1e-9
     )
     # a W above the float range is inf in both forms
-    assert w_transform(1e300, 1.0 - 1e-9, BarrierParams(1.0, 2.0, 1.0, 0.5)) == math.inf
-    assert w_transform(1e300, 1.0 - 1e-9, BarrierParams(1.0, 80.0, 1.0, 0.5)) == math.inf
+    assert w_transform_array(1e300, 1.0 - 1e-9, BarrierParams(1.0, 2.0, 1.0, 0.5)).item() == math.inf
+    assert w_transform_array(1e300, 1.0 - 1e-9, BarrierParams(1.0, 80.0, 1.0, 0.5)).item() == math.inf
 
 
 def test_validate_spec_passes_builtin(default_params, default_policy):

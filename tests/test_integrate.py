@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -426,6 +427,26 @@ def test_non_finite_k2_of_one_coordinate_matches_the_array_path(
     assert str(a) == str(b) and "non-finite derivative" in str(a)
     assert a.t == b.t == tau
     assert a.x.tobytes() == b.x.tobytes() and a.x.shape == (3,)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_non_finite_state_after_finite_stages_is_a_blow_up(dim, default_params):
+    # every stage is 1.7e308, but the first step's new state overflows to
+    # inf; its scaled error, a finite error over an inf scale, would read 0
+    def array(x, t):
+        return np.full(x.shape, 1.7e308)
+
+    errors = []
+    for rhs in (_Pointwise(lambda x, t: 1.7e308), array):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError) as info:
+                simulate(DynamicsSpec(dim=dim, rhs=rhs), [1.0] * dim, default_params)
+        errors.append(info.value)
+    a, b = errors
+    assert str(a) == str(b) and "non-finite state" in str(a)
+    assert a.t == b.t == 0.0
+    assert a.x.tobytes() == b.x.tobytes() == np.ones(dim).tobytes()
 
 
 def _stage_time(x0, params, policy):

@@ -207,6 +207,20 @@ def test_impossible_tolerances_become_error_rows():
     assert result.summary["numeric_errors"] == 8
 
 
+def test_loose_abs_tol_fails_the_bound_check():
+    # abs_tol 1e-6 is 100 eps_conv: the event is not resolved, and the rows
+    # of small x0 settle far past their closed-form bound
+    cfg = SweepConfig(
+        tc_values=(1.0,), beta_values=(2.0,), q_values=(1.0,), alpha_values=(0.5,),
+        x0_decades=(-2, 2),
+    )
+    summary = run_sweep(cfg, NumericPolicy(abs_tol=1e-6)).summary
+    assert summary["bound_failures"] == 4
+    assert summary["check_failures"] == 10
+    assert summary["worst_bound_gap_row"] == 0
+    assert summary["worst_bound_gap"] == pytest.approx(0.81865, abs=1e-5)
+
+
 def test_stall_rows_become_failures(default_policy):
     # absurd tolerances cannot be met; the row reports the error instead of raising
     policy = NumericPolicy(rel_tol=1e-9, abs_tol=1e-12, delta_end=0.999999)
