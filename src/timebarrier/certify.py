@@ -14,6 +14,7 @@ magnitude near the deadline.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -131,7 +132,7 @@ def _bound(v: np.ndarray, t: np.ndarray, p: BarrierParams) -> np.ndarray:
     loops. A bound past the float range is -inf, as float arithmetic gives it.
     """
     with np.errstate(over="ignore"):
-        return -p.beta * v / (p.tc - t) - p.q * _map_floats(pow, v, p.alpha)
+        return -p.beta * v / (p.tc - t) - p.q * _map_floats(operator.pow, v, p.alpha)
 
 
 def _v_error(v0: np.ndarray, v1: np.ndarray, policy: NumericPolicy) -> np.ndarray:

@@ -7,6 +7,7 @@ construction, so one instance can be shared by any number of runs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, NoReturn, Optional
@@ -199,9 +200,9 @@ def w_transform_array(v, t, p: BarrierParams) -> np.ndarray:
     vn, tn = v[nonzero], t[nonzero]
     if beta <= 30.0:
         try:
-            power = _map_floats(pow, tc - tn, beta)
+            power = _map_floats(operator.pow, tc - tn, beta)
         except OverflowError:  # an overflow takes the log form, as an underflow does
-            power = _map_floats(_or_on_overflow(pow, 0.0), tc - tn, beta)
+            power = _map_floats(_or_on_overflow(operator.pow, 0.0), tc - tn, beta)
     else:
         power = np.zeros(vn.shape)
     # a zero power's quotient is replaced by the log form below

@@ -146,8 +146,8 @@ class SettlingReport:
     """Measured settling estimate versus the analytic bound.
 
     ``deadline_pass`` is ``converged_at is not None``: :func:`simulate`
-    caps ``converged_at`` at ``t_end``, so every run with an event passes
-    (ROADMAP item 1 B replaces this rule).
+    caps ``converged_at`` at ``t_end``, and leaves it ``None`` for a run
+    with no crossing or with one whose closed form never reaches zero.
     """
 
     converged_at: Optional[float]
@@ -168,8 +168,10 @@ class Trajectory:
     and ``vdot_values`` are NaN where the spec has no evaluator for them.
     ``event_time`` is the refined instant where max|x_i| crossed eps_conv;
     ``converged_at`` adds the closed-form remaining settling time of the
-    reference law from that point, capped at ``t_end = tc - delta_end``. All
-    recorded states past ``event_time`` are exactly zero (clamped).
+    reference law from that point, capped at ``t_end = tc - delta_end``,
+    and is ``None`` when that closed form never reaches zero (q = 0, or
+    m < 1 past its finite-integral threshold). All recorded states past
+    ``event_time`` are exactly zero (clamped).
     """
 
     spec: DynamicsSpec
@@ -413,7 +415,7 @@ class _Dense(NamedTuple):
         k = np.searchsorted(self.t0, times, side="right") - 1
         h = self.h[k]
         theta = (times - self.t0[k]) / h
-        out = _dense_poly(self.x0[k], h[:, None], np.moveaxis(self.coef[k], -1, 0), theta[:, None])
+        out = _dense_poly(self.x0[k], h[:, None], self.coef[k].transpose(2, 0, 1), theta[:, None])
         t_last = self.t0[-1] + self.h[-1]
         if self.zero_from >= t_last:
             out[times == t_last] = self.x_end
@@ -598,7 +600,7 @@ def _record(spec, x0, p, policy, t_end, steps, rejected, converged, x_last) -> T
             event_time = seg_t0[-1].item() + theta * seg_h[-1].item()
         else:
             event_time, v_event = 0.0, _maxabs(x0.tolist())
-        converged_at = event_time
+        # a crossing whose closed form never reaches zero is not convergence
         rem = remaining_settling_time(p, v_event, event_time)
         if rem.reaches_zero:
             converged_at = min(rem.tau_bound, t_end)
@@ -612,7 +614,10 @@ def _record(spec, x0, p, policy, t_end, steps, rejected, converged, x_last) -> T
     grid = [np.linspace(0.0, t_end, _OUTPUT_POINTS), seg_t0]
     if event_time is not None:
         grid.append(np.array([event_time]))
-    times = np.unique(np.concatenate(grid))
+    # np.unique's result, without the numpy.ma import it makes in numpy 2.x:
+    # the times are finite and every zero among them is +0.0
+    times = np.sort(np.concatenate(grid))
+    times = times[np.concatenate(([True], times[1:] != times[:-1]))]
     states = dense(times)
     v = w = vdot = np.full(times.size, np.nan)  # V, W or vdot without an evaluator
     if spec.v is not None:

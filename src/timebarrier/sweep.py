@@ -97,7 +97,8 @@ class SweepRow:
     Rows whose simulation raised carry the exception in ``error``, ``False``
     in the three pass flags and ``None`` in every other result field.
     Otherwise ``converged_at`` and ``bound_gap`` are ``None`` only when the
-    run did not converge, and every other field holds a value.
+    run did not converge (no crossing, or one whose closed form never
+    reaches zero), and every other field holds a value.
     """
 
     index: int
@@ -182,11 +183,13 @@ def run_sweep(cfg: SweepConfig, policy: Optional[NumericPolicy] = None) -> Sweep
     """
     policy = policy if policy is not None else NumericPolicy()
     policy.resolve_delta_end(min(cfg.tc_values))
-    cells = [(p, x0) for p in cfg.grid() for x0 in cfg.x0_values()]
+    # one spec per tuple, shared by its cells: a spec keeps no state between runs
+    tuples = [(p, make_time_barrier_scalar(p)) for p in cfg.grid()]
+    cells = [(p, spec, x0) for p, spec in tuples for x0 in cfg.x0_values()]
     # (row, rejected steps) per cell
     results = [
-        _compute_row(index, p, x0, policy, make_time_barrier_scalar(p))
-        for index, (p, x0) in enumerate(cells)
+        _compute_row(index, p, x0, policy, spec)
+        for index, (p, spec, x0) in enumerate(cells)
     ]
     rows = [row for row, _ in results]
 

@@ -11,6 +11,7 @@ Python floats.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -116,7 +117,7 @@ def make_time_barrier_componentwise(
     def vdot(states: np.ndarray, times: np.ndarray) -> np.ndarray:
         _check_times(times, tc)
         av = _max_abs(states, times)
-        decay = q * _map_floats(pow, av, alpha)
+        decay = q * _map_floats(operator.pow, av, alpha)
         value = -beta * av / (tc - times) - decay
         if bias:
             # derivative of the max coordinate; for the biased scalar demo
@@ -160,7 +161,7 @@ def make_autonomous_power_law(q: float, alpha: float):
 
     def vdot(states: np.ndarray, times: np.ndarray) -> np.ndarray:
         av = _max_abs(states, times)
-        value = -q * _map_floats(pow, av, alpha)
+        value = -q * _map_floats(operator.pow, av, alpha)
         value[av == 0.0] = 0.0
         return value
 

@@ -78,6 +78,20 @@ def test_w_past_the_float_range_raises_no_warning(capsys):
     assert code in (EXIT_OK, EXIT_PROPERTY)
 
 
+def test_crossing_whose_closed_form_never_reaches_zero_fails(capsys):
+    # m = 0.4 < 1 and x0 past the finite-integral threshold: the run crosses
+    # eps_conv, but the closed form from there never reaches zero
+    argv = ("--tc", "1", "--beta", "2", "--q", "1", "--alpha", "0.8", "--x0", "304")
+    code, out, _ = run_cli(capsys, "simulate", *argv)
+    assert code == EXIT_PROPERTY
+    block = block_of(out)
+    assert block["converged_at"] == ""
+    assert block["deadline_pass"] == "false"
+    assert "PASS" not in out
+    code, out, _ = run_cli(capsys, "bound", *argv)
+    assert code == EXIT_OK and block_of(out)["reaches_zero"] == "false"
+
+
 def test_simulate_zero_start(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--x0", "0")
     assert code == EXIT_OK
@@ -686,6 +700,44 @@ def test_import_leaves_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, timebarrier, timebarrier.cli; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+_RUN_PATH = """
+import dataclasses, sys
+import numpy
+if "numpy.ma" in sys.modules:
+    sys.exit(77)
+import timebarrier as tb
+from timebarrier.cli import parse_trajectory_csv, render_sweep_csv, render_trajectory_csv
+p = tb.BarrierParams(1.0, 2.0, 1.0, 0.5)
+scalar = tb.simulate(tb.make_time_barrier_scalar(p), 1.0, p)
+spec = tb.make_time_barrier_componentwise(p, 3)
+tb.simulate(spec, [1.0, -0.5, 0.25], p)
+tb.settling_report(scalar)
+tb.check_dissipation(scalar, p)
+fd = tb.simulate(dataclasses.replace(spec, vdot=None), [1.0, -0.5, 0.25], p)
+tb.check_dissipation(fd, p)
+tb.exact_solution_scalar_array(p, 1.0, scalar.times)
+cfg = tb.SweepConfig(
+    tc_values=(1.0,), beta_values=(2.0,), q_values=(1.0,), alpha_values=(0.5,),
+    x0_decades=(-2, 2),
+)
+render_sweep_csv(tb.run_sweep(cfg))
+parse_trajectory_csv(render_trajectory_csv(scalar))
+assert "numpy.ma" not in sys.modules, "the run path imported numpy.ma"
+"""
+
+
+def test_run_path_leaves_numpy_ma_unloaded():
+    # numpy 2.x's np.unique imports numpy.ma (~1 MB resident), which the library never uses
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_PATH], env=env, capture_output=True, text=True, timeout=60
+    )
+    if proc.returncode == 77:
+        pytest.skip("this numpy release loads numpy.ma on import")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_config_unknown_section_named(tmp_path, capsys):
