@@ -263,13 +263,13 @@ def _resolve(args, config: dict, name: str, convert=float):
         raise ValueError(f"invalid {source} value {value!r}") from exc
 
 
-def _policy_from_config(config: dict, tc: Optional[float] = None) -> NumericPolicy:
-    """The config's policy; with ``tc``, a configured delta_end must lie below it."""
+def _policy_from_config(config: dict, tc: float) -> NumericPolicy:
+    """The config's policy; a configured delta_end must lie below ``tc``."""
     section = config.get("policy", {})
     for key, value in section.items():  # each field is checked alone
         try:
             alone = NumericPolicy(**{key: value})
-            if key == "delta_end" and tc is not None:
+            if key == "delta_end":
                 alone.resolve_delta_end(tc)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"invalid policy.{key}: {exc}") from exc
@@ -290,7 +290,7 @@ def _vector(text) -> np.ndarray:
     return np.array([float(part) for part in str(text).split(",")])
 
 
-def _law_for(x0: np.ndarray, p: BarrierParams, bias: float = 0.0):
+def _law_for(x0: np.ndarray, p: BarrierParams, bias: float):
     """The built-in law of ``x0``'s dimension: the scalar law for one value,
     the componentwise law for a vector. Only the scalar law takes a bias."""
     if x0.size == 1:
@@ -377,7 +377,7 @@ def _sweep_config_from(config: dict) -> SweepConfig:
     for key, value in config.get("sweep", {}).items():
         try:
             if key == "seed":
-                kwargs["seed"] = int(value)
+                int(value)  # checked, then dropped: the sweep's grid is fixed
             elif not isinstance(value, list):
                 raise TypeError(f"expected a list, got {type(value).__name__}")
             elif key == "x0_decades":

@@ -359,6 +359,12 @@ def _evaluate(fn, states: np.ndarray, times: np.ndarray) -> np.ndarray:
     return np.array([fn(x, t) for x, t in zip(states, times.tolist())], dtype=float)
 
 
+def _rhs_shape_fault(spec: DynamicsSpec, f: np.ndarray, x: np.ndarray) -> str:
+    """The one text of an rhs value ``f`` whose shape is not that of the state
+    ``x``; callers compare the shapes inline and build this on failure."""
+    return f"rhs returned shape {f.shape}, expected {x.shape} ({spec.label})"
+
+
 # the sampling of validate_spec
 _VALIDATE_SEED = 0
 _POINTS_PER_DECADE = 64
@@ -369,12 +375,13 @@ _TIME_POINTS = 16
 def validate_spec(spec: DynamicsSpec, horizon: float) -> list[str]:
     """Sampling-based check of the DynamicsSpec contract.
 
-    Verifies rhs(0, t) = 0 and, when a Lyapunov evaluator is present,
-    V(0, t) = 0 and V(x, t) > 0 for x != 0, over 64 seeded random radii in
-    each decade from 1e-6 to 1e3 and 16 times in [0, horizon). Returns a list of
-    human-readable problems (empty when the dynamics pass). The check is
-    explicit rather than run at construction because sweeps build thousands
-    of cheap spec instances. A ``horizon`` that is not finite, not > 0 or
+    Verifies that rhs(0, t) has the state's shape and is zero and, when a
+    Lyapunov evaluator is present, V(0, t) = 0 and V(x, t) > 0 for x != 0,
+    over 64 seeded random radii in each decade from 1e-6 to 1e3 and 16 times
+    in [0, horizon). Returns a list of human-readable problems (empty when
+    the dynamics pass), at most one of each kind. The check is explicit
+    rather than run at construction because sweeps build thousands of cheap
+    spec instances. A ``horizon`` that is not finite, not > 0 or
     past ``spec.tc`` raises ``ValueError`` naming it, before any call.
     """
     if not (0.0 < horizon < math.inf and (spec.tc is None or horizon <= spec.tc)):
@@ -385,6 +392,9 @@ def validate_spec(spec: DynamicsSpec, horizon: float) -> list[str]:
     origin = np.zeros(spec.dim)
     for t in times:
         f0 = np.asarray(spec.rhs(origin, float(t)), dtype=float)
+        if f0.shape != origin.shape:
+            problems.append(_rhs_shape_fault(spec, f0, origin))
+            break
         if not np.all(f0 == 0.0):
             problems.append(f"rhs(0, {t:g}) = {f0!r} is not the zero vector")
             break

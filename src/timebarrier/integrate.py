@@ -92,6 +92,7 @@ from .core import (
     _check_law,
     _evaluate,
     _Pointwise,
+    _rhs_shape_fault,
     w_transform_array,
 )
 
@@ -234,9 +235,7 @@ def _checked_rhs(spec: DynamicsSpec, x: np.ndarray, t: float) -> np.ndarray:
     if not isinstance(f, np.ndarray) or f.dtype != np.float64:
         f = np.asarray(f, dtype=float)
     if f.shape != x.shape:
-        raise ValueError(
-            f"rhs returned shape {f.shape}, expected {x.shape} ({spec.label})"
-        )
+        raise ValueError(_rhs_shape_fault(spec, f, x))
     if not np.isfinite(f).all():
         raise BlowUpError(
             f"dynamics blow-up: non-finite derivative at t={t!r}, x={x!r}", t, x
@@ -526,19 +525,18 @@ def _step(spec, x0, tc, t_end, policy):
                     f"step size underflow (stall) at t={t!r}", t, np.atleast_1d(x)
                 )
 
-            if fast is None:
-                x_new, f_new, k, err_norm = checked(t, x, f, h_eff, t_new)
-            else:
+            finite = False
+            if fast is not None:
                 try:
                     x_new, f_new, k, err_norm = fast(t, x, f, h_eff, t_new)
                     finite = math.isfinite(err_norm)
                 except Exception:
-                    # the kernel may have raised on a non-finite stage fed on to it
-                    finite = False
-                if not finite:
-                    # raises the first non-finite stage's blow-up, or the
-                    # kernel's own error again
-                    x_new, f_new, k, err_norm = checked(t, x, f, h_eff, t_new)
+                    pass  # the kernel may have raised on a non-finite stage fed on to it
+            if not finite:
+                # the run's only trial without a fast one; after a failed fast
+                # trial it raises the first non-finite stage's blow-up, or the
+                # kernel's own error again
+                x_new, f_new, k, err_norm = checked(t, x, f, h_eff, t_new)
 
             if err_norm <= 1.0:
                 steps.append((t, h_eff, x, k))

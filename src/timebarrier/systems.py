@@ -5,7 +5,8 @@ Constructors are pure and the returned evaluators are stateless, so one spec
 can drive any number of runs. Every built-in law writes V and dV/dt once, as
 a block form over many states (a one-state call evaluates a block of one
 row), and its rhs once, as a plain-float kernel that the integrator steps on
-Python floats.
+Python floats. The comparator builds no dynamics: it is known by its closed-form
+settling time alone.
 """
 
 from __future__ import annotations
@@ -136,13 +137,13 @@ def make_time_barrier_componentwise(
     )
 
 
-def make_autonomous_power_law(q: float, alpha: float):
-    """Comparator dV/dt = -q * V**alpha and its scalar dynamics.
+def make_autonomous_power_law(q: float, alpha: float) -> AutonomousLaw:
+    """Comparator dV/dt = -q * V**alpha, known by its settling time.
 
     The power law is the classical finite-time decay; its settling time has
     the closed form v0**(1-alpha) / (q*(1-alpha)), which grows without bound
     in v0 -- the numeric heart of the separation from deadline-enforced
-    convergence. Returns the (law, dynamics) pair.
+    convergence.
     """
     if not (math.isfinite(q) and q > 0.0):
         raise ValueError("q must be > 0")
@@ -152,21 +153,6 @@ def make_autonomous_power_law(q: float, alpha: float):
     def settling_time(v0: float) -> float:
         return v0 ** (1.0 - alpha) / (q * (1.0 - alpha))
 
-    law = AutonomousLaw(
+    return AutonomousLaw(
         label=f"power-law decay (q={q:g}, alpha={alpha:g})", settling_time=settling_time
     )
-
-    def kernel(x: float, t: float) -> float:
-        return -q * abs(x) ** alpha * float((x > 0.0) - (x < 0.0))
-
-    def vdot(states: np.ndarray, times: np.ndarray) -> np.ndarray:
-        av = _max_abs(states, times)
-        value = -q * _map_floats(operator.pow, av, alpha)
-        value[av == 0.0] = 0.0
-        return value
-
-    spec = DynamicsSpec(
-        dim=1, rhs=_Pointwise(kernel), label=law.label, v=_Blockwise(_max_abs),
-        vdot=_Blockwise(vdot), tc=None,
-    )
-    return law, spec

@@ -20,7 +20,6 @@ from timebarrier import (
     w_transform_array,
 )
 from timebarrier.systems import (
-    make_autonomous_power_law,
     make_time_barrier_componentwise,
     make_time_barrier_scalar,
 )
@@ -73,17 +72,6 @@ def reference_pair(p, dim=1, bias=0.0):
     return v, vdot
 
 
-def reference_power_law(q, alpha):
-    def v(x, t):
-        return float(np.max(np.abs(x)))
-
-    def vdot(x, t):
-        av = float(np.max(np.abs(x)))
-        return 0.0 if av == 0.0 else -q * av**alpha
-
-    return v, vdot
-
-
 P_2 = BarrierParams(2.0, 4.0, 0.5, 0.2)
 SPECS = {  # name: (spec, reference (v, vdot))
     "scalar": (make_time_barrier_scalar(P), reference_pair(P)),
@@ -93,7 +81,6 @@ SPECS = {  # name: (spec, reference (v, vdot))
         make_time_barrier_componentwise(P, 3, _bias=-0.25),
         reference_pair(P, 3, bias=-0.25),
     ),
-    "power_law": (make_autonomous_power_law(1.5, 0.3)[1], reference_power_law(1.5, 0.3)),
 }
 
 
@@ -101,8 +88,7 @@ SPECS = {  # name: (spec, reference (v, vdot))
 def test_v_and_vdot_arrays_match_one_state_functions(name):
     spec, reference = SPECS[name]
     states = sample_states(spec.dim)
-    horizon = spec.tc if spec.tc is not None else 5.0
-    times = np.linspace(0.0, horizon, states.shape[0], endpoint=False)
+    times = np.linspace(0.0, spec.tc, states.shape[0], endpoint=False)
     times[1] = 0.0
     for which, one in zip(("v", "vdot"), reference):
         want = [one(x, t) for x, t in zip(states, times.tolist())]

@@ -798,11 +798,15 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "stall" in err
 
 
-def test_quiet_suppresses_human_text(capsys):
-    code, out, _ = run_cli(capsys, "--quiet", "simulate")
-    assert code == EXIT_OK
-    for line in out.splitlines():
-        assert "=" in line
+@pytest.mark.parametrize("command", ["simulate", "certify", "bound", "witness"])
+def test_quiet_suppresses_human_text(capsys, command):
+    code, loud, _ = run_cli(capsys, command)
+    quiet_code, out, _ = run_cli(capsys, "--quiet", command)
+    assert code == quiet_code == EXIT_OK
+    pairs = block_of(out)
+    assert pairs and len(pairs) == len(out.splitlines())  # key=value lines only
+    # the same block, without the human text around it
+    assert block_of(loud) == pairs and len(loud.splitlines()) > len(pairs)
 
 
 def test_help_golden(capsys):

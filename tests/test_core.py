@@ -336,6 +336,17 @@ def test_validate_spec_flags_broken_equilibrium(default_params, default_policy):
     assert problems and "zero vector" in problems[0]
 
 
+def test_validate_spec_flags_an_rhs_of_the_wrong_shape(default_params, default_policy):
+    for spec in (
+        DynamicsSpec(3, rhs=lambda x, t: 0.0),
+        DynamicsSpec(2, rhs=lambda x, t: np.zeros(3), label="three values"),
+    ):
+        # the problem is the text that simulate raises for the same spec
+        with pytest.raises(ValueError) as raised:
+            simulate(spec, np.ones(spec.dim), default_params, default_policy)
+        assert validate_spec(spec, 1.0) == [str(raised.value)]
+
+
 def _zero_in_a_band(origin_value):
     """A user V, one state per call: max|x_i|, but ``origin_value`` at the
     origin and zero where max|x_i| lies in [0.5, 0.6)."""
