@@ -197,8 +197,7 @@ _SETTINGS = {
     "t2": _Setting(None, _NUMBER, 0.5, "second probe time", ("witness",)),
 }
 
-# section -> key -> (accepted JSON types, their name); None leaves the
-# value's check to the section's own reader
+# section -> key -> (JSON types, name); a list adds its items' JSON types and length (None: any)
 _SCHEMA = {
     "params": {name: s.types for name, s in _SETTINGS.items() if s.section == "params"},
     "policy": {
@@ -206,19 +205,33 @@ _SCHEMA = {
         "delta_end": ((int, float, type(None)), "a number or null"),
     },
     "simulate": {name: s.types for name, s in _SETTINGS.items() if s.section == "simulate"},
-    "sweep": dict.fromkeys(("tc", "beta", "q", "alpha", "x0_decades", "seed")),
+    "sweep": {
+        **dict.fromkeys(
+            ("tc", "beta", "q", "alpha"), ((list,), "a list of numbers", _NUMBER[0], None)
+        ),
+        "x0_decades": ((list,), "a list of two integers", (int,), 2),
+        "seed": ((int,), "an integer"),
+    },
     "output": dict.fromkeys(("trajectory", "report", "sweep"), _PATH),
 }
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object; ``json`` alone would keep a repeated key's last value."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"repeated config key: {max(keys, key=keys.count)}")
+    return dict(pairs)
+
+
 def load_config(path: Optional[str]) -> dict:
-    """Strict JSON config: unknown sections or keys, and values of the wrong
-    JSON type, are rejected by name."""
+    """Strict JSON config: unknown or repeated sections or keys, and values
+    of the wrong JSON type, are rejected by name."""
     if path is None:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ValueError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -233,18 +246,24 @@ def load_config(path: Optional[str]) -> dict:
         for key, value in content.items():
             if key not in _SCHEMA[section]:
                 raise ValueError(f"unknown config key: {section}.{key}")
-            expected = _SCHEMA[section][key]
+            types, name, *listed = _SCHEMA[section][key]
+            # a list's items are checked as a single value is
+            items, length = [value], None
+            if listed and isinstance(value, list):
+                items, (types, length) = value, listed
             # JSON true and false are ints to isinstance
-            if expected and (isinstance(value, bool) or not isinstance(value, expected[0])):
-                raise ValueError(
-                    f"invalid {section}.{key}: expected {expected[1]}, got {json.dumps(value)}"
-                )
+            if length not in (None, len(items)) or any(
+                isinstance(item, bool) or not isinstance(item, types) for item in items
+            ):
+                got = json.dumps(value)
+                raise ValueError(f"invalid {section}.{key}: expected {name}, got {got}")
             # a JSON integer past the float range fails float() by OverflowError
-            if expected and float in expected[0] and isinstance(value, int):
-                try:
-                    float(value)
-                except OverflowError as exc:
-                    raise ValueError(f"invalid {section}.{key}: {exc}") from exc
+            try:
+                for item in items:
+                    if float in types and isinstance(item, int):
+                        float(item)
+            except OverflowError as exc:
+                raise ValueError(f"invalid {section}.{key}: {exc}") from exc
     return data
 
 
@@ -373,23 +392,17 @@ def _cmd_certify(args, config: dict) -> int:
 
 
 def _sweep_config_from(config: dict) -> SweepConfig:
-    kwargs = {}
-    for key, value in config.get("sweep", {}).items():
-        try:
-            if key == "seed":
-                int(value)  # checked, then dropped: the sweep's grid is fixed
-            elif not isinstance(value, list):
-                raise TypeError(f"expected a list, got {type(value).__name__}")
-            elif key == "x0_decades":
-                lo, hi = value
-                kwargs[key] = (int(lo), int(hi))
-                _check_x0_decades(*kwargs[key])
-            else:
-                kwargs[f"{key}_values"] = tuple(float(v) for v in value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"invalid sweep.{key}: {exc}") from exc
+    """The type-checked sweep section as a ``SweepConfig``, its seed dropped."""
+    section = config.get("sweep", {})
+    decades = tuple(section.get("x0_decades", SweepConfig.x0_decades))
     try:
-        return SweepConfig(**kwargs)
+        _check_x0_decades(*decades)
+    except ValueError as exc:
+        raise ValueError(f"invalid sweep.x0_decades: {exc}") from exc
+    grid = {f"{key}_values": tuple(map(float, section[key])) for key in ("tc", "beta", "q", "alpha")
+            if key in section}
+    try:
+        return SweepConfig(**grid, x0_decades=decades)
     except ValueError as exc:
         raise ValueError(f"invalid sweep config: {exc}") from exc
 

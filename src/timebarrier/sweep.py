@@ -14,7 +14,8 @@ bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -72,13 +73,9 @@ class SweepConfig:
             _check_law(p)
 
     def grid(self) -> list[BarrierParams]:
-        return [
-            BarrierParams(tc, beta, q, alpha)
-            for tc in self.tc_values
-            for beta in self.beta_values
-            for q in self.q_values
-            for alpha in self.alpha_values
-        ]
+        """Every (tc, beta, q, alpha) tuple, the last value varying fastest."""
+        axes = (self.tc_values, self.beta_values, self.q_values, self.alpha_values)
+        return [BarrierParams(*values) for values in product(*axes)]
 
     def x0_values(self) -> list[float]:
         lo, hi = self.x0_decades
@@ -126,7 +123,7 @@ class SweepResult:
 
     config: SweepConfig
     rows: list[SweepRow]
-    summary: dict = field(default_factory=dict)
+    summary: dict
 
 
 def _oracle_tolerance(x0: float, policy: NumericPolicy) -> float:
@@ -169,6 +166,13 @@ def _compute_row(index, p, x0, policy, spec) -> tuple[SweepRow, int]:
     ), traj.rejected_steps
 
 
+def _worst(pairs) -> tuple[float, Optional[int]]:
+    """The largest positive value of (value or None, row index) pairs and
+    the first row that has it; (0.0, None) when no value is positive."""
+    positive = ((v, i) for v, i in pairs if v is not None and v > 0.0)
+    return max(positive, key=lambda pair: pair[0], default=(0.0, None))
+
+
 def run_sweep(cfg: SweepConfig, policy: Optional[NumericPolicy] = None) -> SweepResult:
     """Run every (params, x0) cell; rows come in lexicographic grid order.
 
@@ -176,8 +180,10 @@ def run_sweep(cfg: SweepConfig, policy: Optional[NumericPolicy] = None) -> Sweep
     Deterministic for a fixed config; simulation failures land in the row's
     ``error`` field instead of raising. A policy whose ``delta_end`` does
     not lie below the grid's smallest tc raises ``ValueError`` before any
-    cell runs. The summary counts the rows' failures and their accepted and
-    rejected steps, so a change in speed can be told from a change in work.
+    cell runs. The summary counts each failure once: a row that raised is a
+    numeric error, and each check counts its failures among the rows that
+    ran. It also gives the rows' accepted and rejected steps, so a change in
+    speed can be told from a change in work.
     """
     policy = policy if policy is not None else NumericPolicy()
     policy.resolve_delta_end(min(cfg.tc_values))
@@ -185,55 +191,34 @@ def run_sweep(cfg: SweepConfig, policy: Optional[NumericPolicy] = None) -> Sweep
     tuples = [(p, make_time_barrier_scalar(p)) for p in cfg.grid()]
     cells = [(p, spec, x0) for p, spec in tuples for x0 in cfg.x0_values()]
     # (row, rejected steps) per cell
-    results = [
-        _compute_row(index, p, x0, policy, spec)
-        for index, (p, spec, x0) in enumerate(cells)
-    ]
+    results = [_compute_row(i, p, x0, policy, spec) for i, (p, spec, x0) in enumerate(cells)]
     rows = [row for row, _ in results]
-
-    admissible_rows = [r for r in rows if r.admissible]
-    numeric_errors = sum(1 for r in rows if r.error)
-
-    def failures(rows_, attr):
-        return sum(1 for r in rows_ if getattr(r, attr) is False)
-
-    bound_failures = 0
-    worst_gap = 0.0
-    worst_gap_row = None
-    for r in admissible_rows:
-        if r.bound_gap is None:
-            if not r.error:
-                bound_failures += 1
-            continue
-        if r.bound_gap > 1e-4 * r.tc:
-            bound_failures += 1
-        if r.bound_gap > worst_gap:
-            worst_gap, worst_gap_row = r.bound_gap, r.index
-    worst_err = 0.0
-    worst_err_row = None
-    for r in rows:
-        if r.oracle_error is not None and r.oracle_error > worst_err:
-            worst_err, worst_err_row = r.oracle_error, r.index
+    ran = [r for r in rows if not r.error]
+    admissible = [r for r in ran if r.admissible]
+    worst_gap, worst_gap_row = _worst((r.bound_gap, r.index) for r in admissible)
+    worst_err, worst_err_row = _worst((r.oracle_error, r.index) for r in ran)
 
     summary = {
         "rows": len(rows),
-        "admissible_rows": len(admissible_rows),
-        "inadmissible_rows": len(rows) - len(admissible_rows),
-        "numeric_errors": numeric_errors,
-        "deadline_failures": failures(admissible_rows, "deadline_pass"),
-        "certificate_failures": failures(admissible_rows, "certificate_pass"),
-        "oracle_failures": failures(rows, "oracle_pass"),
-        "bound_failures": bound_failures,
+        "admissible_rows": sum(r.admissible for r in rows),
+        "inadmissible_rows": sum(not r.admissible for r in rows),
+        "numeric_errors": len(rows) - len(ran),
+        "deadline_failures": sum(not r.deadline_pass for r in admissible),
+        "certificate_failures": sum(not r.certificate_pass for r in admissible),
+        "oracle_failures": sum(not r.oracle_pass for r in ran),
+        "bound_failures": sum(
+            r.bound_gap is None or r.bound_gap > 1e-4 * r.tc for r in admissible
+        ),
         "worst_bound_gap": worst_gap,
         "worst_bound_gap_row": worst_gap_row,
         "worst_oracle_error": worst_err,
         "worst_oracle_error_row": worst_err_row,
-        "steps_accepted": sum(r.step_count or 0 for r in rows),
+        "steps_accepted": sum(r.step_count for r in ran),
         "steps_rejected": sum(rejected for _, rejected in results),
     }
-    summary["check_failures"] = numeric_errors + sum(
-        summary[key] for key in
-        ("deadline_failures", "certificate_failures", "bound_failures", "oracle_failures")
+    summary["check_failures"] = sum(
+        summary[key] for key in ("numeric_errors", "deadline_failures",
+                                 "certificate_failures", "bound_failures", "oracle_failures")
     )
     return SweepResult(config=cfg, rows=rows, summary=summary)
 

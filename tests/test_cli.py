@@ -509,8 +509,10 @@ def test_unreadable_or_non_json_config_is_a_validation_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text, message",
     [("[1]", "config root must be an object of sections"),
-     ('{"params": 3}', "config section 'params' must be an object")],
-    ids=["list_root", "number_section"],
+     ('{"params": 3}', "config section 'params' must be an object"),
+     ('{"params": {"tc": 1, "tc": 2}}', "repeated config key: tc"),
+     ('{"params": {}, "params": {"tc": 2}}', "repeated config key: params")],
+    ids=["list_root", "number_section", "repeated_key", "repeated_section"],
 )
 def test_config_root_and_sections_must_be_objects(tmp_path, capsys, text, message):
     cfg_path = tmp_path / "cfg.json"
@@ -578,6 +580,12 @@ def test_config_sweep_decade_underflow_named(tmp_path, capsys):
         {"tc": ["a"]},
         {"seed": float("inf")},
         {"x0_decades": [float("inf"), 1]},
+        {"beta": [True, 2]},
+        {"tc": ["1"]},
+        {"x0_decades": [-1.5, 0]},
+        {"x0_decades": [False, 0]},
+        {"seed": 1.5},
+        {"seed": "3"},
     ],
     ids=[
         "scalar_grid",
@@ -586,6 +594,12 @@ def test_config_sweep_decade_underflow_named(tmp_path, capsys):
         "non_numeric",
         "infinite_seed",
         "infinite_decade",
+        "bool_grid_value",
+        "string_grid_value",
+        "fractional_decade",
+        "bool_decade",
+        "fractional_seed",
+        "string_seed",
     ],
 )
 def test_config_sweep_type_error_named(tmp_path, capsys, section):

@@ -204,7 +204,13 @@ def test_impossible_tolerances_become_error_rows():
     for row in result.rows:
         assert row.error.startswith("StallError: tolerances rel_tol=1e-300, abs_tol=1e-300")
         assert row.step_count is None
-    assert result.summary["numeric_errors"] == 8
+    # each row's failure counts once, as a numeric error, and no row has a worst value
+    summary = result.summary
+    assert summary["numeric_errors"] == 8
+    assert summary["bound_failures"] == 0
+    assert summary["check_failures"] == 8
+    assert summary["worst_bound_gap"] == summary["worst_oracle_error"] == 0.0
+    assert summary["worst_bound_gap_row"] is None and summary["worst_oracle_error_row"] is None
 
 
 def test_loose_abs_tol_fails_the_bound_check():

@@ -14,12 +14,14 @@ each side's median and quartiles and the number of pairs the change won (by
 the metric's ``better`` direction in BENCHMARK.json), and it records whether
 every run was correct and whether attempted/failed agree seed for seed. Per
 metric it also gives two verdicts, printed for every workload:
-``claim_rule_met`` (the change won at least nine tenths of the pairs, ties
-counting for neither side, and its median beats the parent's by more than the
-parent's q3 - q1) and ``within_bound`` (the change's median is not worse than
-the parent's by more than the metric's relative ``bound``). It is
-written to ``BENCH_<label>.json`` at the root of the repository holding this
-script; the raw results of every run are kept in it too.
+``claim_rule_met`` (at least ten pairs were run, the change won at least
+nine tenths of them, ties counting for neither side, and its median beats the
+parent's by more than the parent's q3 - q1) and ``within_bound`` (the
+change's median is not worse than the parent's by more than the metric's
+relative ``bound``). With fewer than ten pairs no metric meets the claim
+rule, whatever the runs read. It is written to ``BENCH_<label>.json`` at the
+root of the repository holding this script; the raw results of every run are
+kept in it too.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# fewer pairs cannot show a gain: one pair won is 1/1, and one run has no spread
+MIN_CLAIM_PAIRS = 10
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -88,7 +92,8 @@ def summarize(runs: list[dict], declared: dict) -> dict:
             "pairs": len(runs),
             "median_ratio": change / parent,
             "claim_rule_met": (
-                10 * wins >= 9 * len(runs)
+                len(runs) >= MIN_CLAIM_PAIRS
+                and 10 * wins >= 9 * len(runs)
                 and gain > stats["parent"]["q3"] - stats["parent"]["q1"]
             ),
             "within_bound": gain >= -spec["bound"] * abs(parent),
