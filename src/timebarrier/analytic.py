@@ -54,9 +54,8 @@ def _log_lambda(tc: float, t: float) -> float:
 
 def _scaled_integral(m: float, tc: float, log_lam: float) -> float:
     """J(t) = integral of ((tc-s)/tc)**(-m) ds over [0, t] for 0 < t <= tc,
-    from ``log_lam`` = log((tc - t)/tc), -inf at t = tc; inf if divergent."""
-    if log_lam == -math.inf:
-        return math.inf if m >= 1.0 else tc / (1.0 - m)
+    from ``log_lam`` = log((tc - t)/tc), -inf at t = tc; inf if divergent.
+    At t = tc, expm1(-inf) is -1.0, so m < 1 gives tc / (1 - m) exactly."""
     if m == 1.0:
         return -tc * log_lam
     arg = (1.0 - m) * log_lam
@@ -155,8 +154,6 @@ def exact_solution_scalar(p: BarrierParams, x0: float, t: float) -> float:
         raise ValueError(f"x0 must be finite, got {x0!r}")
     if not 0.0 <= t < tc:  # compared inline: the oracle is called once per sample
         _time_error(t, tc)
-    if x0 == 0.0:
-        return 0.0
     if t == 0.0:
         return float(x0)
     one_minus_a = 1.0 - alpha
@@ -186,8 +183,6 @@ def exact_solution_scalar_array(p: BarrierParams, x0: float, times) -> np.ndarra
         raise ValueError(f"x0 must be finite, got {x0!r}")
     _check_times(t, tc)
     out = np.zeros(t.shape)
-    if x0 == 0.0:
-        return out
     start = t == 0.0
     out[start] = x0
     t = t[~start]

@@ -150,7 +150,8 @@ def check_dissipation(
 
     Samples with V <= eps_conv are excluded (the inequality is quantified over
     nonzero states only). A violation is recorded when
-    lhs > rhs_bound + residual_tol * (1 + |rhs_bound|). Monotonicity reads the
+    lhs > rhs_bound + residual_tol * (1 + |rhs_bound|), and when V or dV/dt
+    is NaN, which makes ``max_residual`` NaN. Monotonicity reads the
     trajectory's W (from :func:`~timebarrier.core.w_transform_array`): a step
     counts as a rise when W grows by more than
     residual_tol * (1 + |W0|) + |W0| * (e0/V0 + e1/V1), where
@@ -166,7 +167,7 @@ def check_dissipation(
         raise ValueError("trajectory carries no Lyapunov samples")
     tol = policy.residual_tol
 
-    # a NaN V counts as checked; its residual is NaN and never flagged
+    # a NaN V or dV/dt is a violation; a NaN residual of two -inf sides is not
     checked = ~(traj.v_values <= policy.eps_conv)
     t = traj.times[checked]
     v = traj.v_values[checked]
@@ -176,7 +177,7 @@ def check_dissipation(
         lhs = _lie_vdot(traj.spec, traj.states[checked], t)
     rhs_bound = _bound(v, t, p)
     residual = lhs - rhs_bound
-    flagged = residual > tol * (1.0 + np.abs(rhs_bound))
+    flagged = (residual > tol * (1.0 + np.abs(rhs_bound))) | np.isnan(v) | np.isnan(lhs)
     rows = zip(*(a[flagged].tolist() for a in (t, v, lhs, rhs_bound, residual)))
     violations = [Violation(*row) for row in rows]
 
@@ -207,7 +208,7 @@ def check_dissipation(
     return CertificateReport(
         checked_samples=int(np.count_nonzero(checked)),
         violations=violations,
-        max_residual=max([0.0] + [x.residual for x in violations]),
+        max_residual=residual[flagged].max().item() if violations else 0.0,
         w_monotone=w_monotone,
         worst_w_increase=rises.max().item() if rises.size else 0.0,
         admissibility=validate_params(p),

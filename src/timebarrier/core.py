@@ -50,7 +50,7 @@ class _RunError(TimeBarrierError):
     def __init__(self, message: str, t: float, x: np.ndarray):
         super().__init__(message)
         self.t = t
-        self.x = np.asarray(x, dtype=float)
+        self.x = np.atleast_1d(np.asarray(x, dtype=float))
 
 
 class StallError(_RunError):

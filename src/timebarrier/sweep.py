@@ -65,9 +65,15 @@ class SweepConfig:
     x0_decades: tuple[int, int] = (-6, 6)
 
     def __post_init__(self):
+        # stored as tuples, so a config built from lists stays hashable
         for name in ("tc_values", "beta_values", "q_values", "alpha_values"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be non-empty")
+        decades = self.x0_decades
+        if not isinstance(decades, (tuple, list)) or list(map(type, decades)) != [int, int]:
+            raise ValueError(f"x0_decades must be two integers, got {decades!r}")
+        object.__setattr__(self, "x0_decades", tuple(decades))
         _check_x0_decades(*self.x0_decades)
         for p in self.grid():
             _check_law(p)

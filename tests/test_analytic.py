@@ -15,6 +15,7 @@ from timebarrier import (
     DomainError,
     barrier_integral,
     exact_solution_scalar,
+    exact_solution_scalar_array,
     remaining_settling_time,
     settling_bound,
 )
@@ -36,6 +37,8 @@ def test_barrier_integral_frozen_values():
     assert barrier_integral(p2, 0.5) == pytest.approx(1.0, abs=1e-15)
     assert barrier_integral(p, 0.0) == 0.0
     assert barrier_integral(p2, 0.0) == 0.0
+    # m = 40: the log-space form would take log(expm1(0)) at t = 0
+    assert barrier_integral(BarrierParams(1, 80, 1, 0.5), 0.0) == 0.0
 
 
 def test_barrier_integral_matches_quadrature():
@@ -156,6 +159,11 @@ def test_exact_solution_frozen_values():
     assert exact_solution_scalar(BarrierParams(1, 2, 1, 0.5), 0.0, 0.7) == 0.0
     # t = 0.9 is past the crossing at ~0.8647, so the clamped form is zero
     assert exact_solution_scalar(BarrierParams(1, 2, 1, 0.5), 1.0, 0.9) == 0.0
+    # q = 0 with J(t) = inf: q * J would be 0 * inf, NaN, and clamp the state to 0
+    p = BarrierParams(1.0, 105.0, 0.0, 0.05)
+    t = 1 - math.exp(-7.5)
+    assert exact_solution_scalar(p, 1e300, t) == 9.842275132076989e-43
+    assert exact_solution_scalar_array(p, 1e300, [t]).tolist() == [9.842275132076989e-43]
 
 
 def test_exact_solution_identity_at_zero():
@@ -164,6 +172,8 @@ def test_exact_solution_identity_at_zero():
         p = random_admissible(rng)
         x0 = rng.uniform(-1e3, 1e3)
         assert exact_solution_scalar(p, x0, 0.0) == x0
+    # x0 itself, its sign included
+    assert math.copysign(1.0, exact_solution_scalar(BarrierParams(1, 2, 1, 0.5), -0.0, 0.0)) == -1.0
 
 
 def test_exact_solution_domain_error():

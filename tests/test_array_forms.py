@@ -236,7 +236,7 @@ ORACLE_PARAMS = {
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_PARAMS))
-@pytest.mark.parametrize("x0", [1e-6, -1.0, 3.5, -1e6, 0.0])
+@pytest.mark.parametrize("x0", [1e-6, -1.0, 3.5, -1e6, 0.0, -0.0])
 def test_exact_solution_array_matches(name, x0):
     p = ORACLE_PARAMS[name]
     t = np.concatenate([

@@ -75,6 +75,21 @@ def test_bias_detected_by_finite_difference(default_params, default_policy):
     assert report.max_residual == pytest.approx(0.1, rel=1e-2)
 
 
+@pytest.mark.parametrize("nan_v", [True, False])
+def test_a_nan_v_or_vdot_is_a_violation(default_params, default_policy, nan_v):
+    law = make_time_barrier_scalar(default_params, default_policy)
+    nan = lambda x, t: math.nan  # noqa: E731
+    spec = DynamicsSpec(
+        dim=1, rhs=law.rhs, v=nan if nan_v else law.v, vdot=None if nan_v else nan, tc=1.0
+    )
+    traj = simulate(spec, 1.0, default_params, default_policy)
+    report = check_dissipation(traj, default_params, default_policy)
+    assert report.checked_samples > 0
+    assert len(report.violations) == report.checked_samples
+    assert math.isnan(report.max_residual)
+    assert not report.passed
+
+
 def test_finite_difference_fallback_tracks_analytic(default_params, default_policy):
     spec = make_time_barrier_scalar(default_params, default_policy)
     stripped = DynamicsSpec(

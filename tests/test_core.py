@@ -332,8 +332,10 @@ def test_validate_spec_passes_builtin(default_params, default_policy):
 
 def test_validate_spec_flags_broken_equilibrium(default_params, default_policy):
     biased = make_time_barrier_scalar(default_params, default_policy, bias=0.1)
-    problems = validate_spec(biased, default_params.tc)
-    assert problems and "zero vector" in problems[0]
+    # one problem per kind
+    assert validate_spec(biased, default_params.tc) == [
+        "rhs(0, 0) = array([0.1]) is not the zero vector"
+    ]
 
 
 def test_validate_spec_flags_an_rhs_of_the_wrong_shape(default_params, default_policy):

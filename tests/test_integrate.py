@@ -730,6 +730,23 @@ def test_step_budget_exhausted_fails_by_name(default_params, default_policy, mon
         simulate(spec, 1.0, default_params, default_policy)
 
 
+def test_initial_step_probe_stays_within_the_clamp(default_policy):
+    # x0 / f0 = 1e6 / -1e-3 proposes h0 = 0.01 * 1e9 = 1e7; unclamped, the
+    # probe step would evaluate the rhs at t = 1e7, past the deadline
+    p = BarrierParams(1.0, 0.0, 1e-6, 0.5)
+    traj = simulate(make_time_barrier_scalar(p, default_policy), 1e6, p, default_policy)
+    assert (traj.step_count, traj.rejected_steps) == (31, 0)
+
+
+def test_run_without_a_crossing_ends_on_the_steppers_end_state(default_params):
+    # the state at t_end is the stepper's own; the last step's quartic at
+    # theta = 1 reads 0.47988677997681584
+    policy = NumericPolicy(delta_end=0.5)
+    traj = simulate(make_time_barrier_scalar(default_params, policy), 3.0, default_params, policy)
+    assert traj.event_time is None
+    assert traj.states[-1, 0] == 0.4798867799768159
+
+
 def test_zero_field_takes_the_flat_derivative_initial_step(default_policy):
     # beta = q = 0: f is 0 everywhere, so the initial step comes from the
     # branch for a flat derivative and the state never moves
@@ -770,9 +787,13 @@ def test_resample_rejects_bad_times(default_traj):
         resample(default_traj, [-0.1])
     with pytest.raises(ValueError):
         resample(default_traj, [default_traj.t_end + 1e-6])
+    # the range check reads every time, not only the ends
     with pytest.raises(ValueError):
-        resample(default_traj, [0.5, 0.4])
-    # NaN passes both the range and the order check
+        resample(default_traj, [0.5, -0.1, 0.4])
+    # times in any order: reversed times give the reversed states
+    times = [0.1, 0.4, 0.5]
+    assert np.array_equal(resample(default_traj, times[::-1]), resample(default_traj, times)[::-1])
+    # NaN passes the range check
     for times in ([math.nan], [0.1, math.nan], [0.1, math.nan, 0.2]):
         with pytest.raises(ValueError, match="finite"):
             resample(default_traj, times)
@@ -800,6 +821,13 @@ def test_settling_report_without_v_reads_the_initial_max_norm(default_params, de
     report = settling_report(traj)
     assert report.v0 == 3.0
     assert report.tau_bound == settling_bound(default_params, 3.0).tau_bound
+
+
+def test_settling_report_reads_v_at_the_initial_state(default_params, default_policy):
+    law = make_time_barrier_componentwise(default_params, 2, default_policy)
+    euclidean = dataclasses.replace(law, v=lambda x, t: math.hypot(*x), vdot=None)
+    traj = simulate(euclidean, [3.0, 4.0], default_params, default_policy)
+    assert settling_report(traj).v0 == 5.0
 
 
 def test_spec_domain_ending_before_the_deadline_is_rejected(default_params, default_policy):
@@ -854,6 +882,9 @@ def test_simulate_validates_inputs(default_params, default_policy):
         simulate(spec, np.array([1.0, 2.0]), default_params, default_policy)
     with pytest.raises(ValueError):
         simulate(spec, np.nan, default_params, default_policy)
+    law = make_time_barrier_componentwise(default_params, 2, default_policy)
+    with pytest.raises(ValueError, match=r"^x0 shape \(3,\) does not match dim=2$"):
+        simulate(law, [1.0, 2.0, 3.0], default_params, default_policy)
 
 
 def test_tiny_initial_condition_immediate_event(default_params, default_policy):

@@ -91,6 +91,14 @@ def test_config_validation():
     with pytest.raises(ValueError, match="x0_decades"):
         SweepConfig(x0_decades=(309, 309))
     SweepConfig(x0_decades=(308, 308))
+    # two integers, bools excluded
+    for decades in ((-1.5, 0), (True, 2), (0,), (0, 1, 2), 5, "01"):
+        with pytest.raises(ValueError, match="x0_decades must be two integers"):
+            SweepConfig(x0_decades=decades)
+    # lists are stored as tuples, so the frozen config hashes
+    cfg = SweepConfig(tc_values=[1.0], beta_values=[2.0], x0_decades=[0, 1])
+    assert (cfg.tc_values, cfg.beta_values, cfg.x0_decades) == ((1.0,), (2.0,), (0, 1))
+    assert hash(cfg) == hash(SweepConfig(tc_values=(1.0,), beta_values=(2.0,), x0_decades=(0, 1)))
     # the law's own preconditions reject the grid before any row runs
     with pytest.raises(ValueError, match="alpha"):
         SweepConfig(alpha_values=(0.5, 1.0))
