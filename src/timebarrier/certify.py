@@ -33,7 +33,7 @@ from .core import (
     _Pointwise,
     validate_params,
 )
-from .integrate import Trajectory, _checked_rhs, _own_params
+from .integrate import Trajectory, _checked_rhs, _coerced_rhs, _own_params
 
 __all__ = [
     "Violation",
@@ -99,19 +99,20 @@ def _lie_vdot(spec: DynamicsSpec, states: np.ndarray, t: np.ndarray) -> np.ndarr
     difference would average the two sides' rates. It is exact for V linear along
     f and O(eps**2) for smooth V. V takes the 3n states in one call.
 
-    f of a ``_Pointwise`` rhs is one map of its kernel over every (x_i, t). A map
-    that raises or is not finite is re-run, as any other rhs is run, row by row
-    through ``_checked_rhs``, which raises the first non-finite row's
-    ``BlowUpError`` (or the kernel's own error again): no unchecked route.
+    f is one map of a ``_Pointwise`` rhs's kernel over every (x_i, t), or one
+    ``_coerced_rhs`` call per row of any other rhs, checked once. One that raises
+    or is not finite is re-run row by row through ``_checked_rhs``, which raises
+    the first non-finite row's ``BlowUpError`` (or the rhs's own error again).
     """
     n, dim = states.shape
-    f = None
-    if isinstance(spec.rhs, _Pointwise):
-        try:
+    try:
+        if isinstance(spec.rhs, _Pointwise):
             times = np.repeat(t, dim).tolist()
             f = np.fromiter(map(spec.rhs.kernel, states.ravel().tolist(), times), float, n * dim)
-        except Exception:
-            pass
+        else:
+            f = np.array([_coerced_rhs(spec, x, ti) for x, ti in zip(states, t.tolist())])
+    except Exception:
+        f = None
     if f is None or not np.isfinite(f).all():
         f = np.array([_checked_rhs(spec, x, ti) for x, ti in zip(states, t.tolist())])
     f = f.reshape(n, dim)
@@ -150,8 +151,9 @@ def check_dissipation(
 
     Samples with V <= eps_conv are excluded (the inequality is quantified over
     nonzero states only). A violation is recorded when
-    lhs > rhs_bound + residual_tol * (1 + |rhs_bound|), and when V or dV/dt
-    is NaN, which makes ``max_residual`` NaN. Monotonicity reads the
+    lhs > rhs_bound + residual_tol * (1 + |rhs_bound|) or lhs - rhs_bound = inf
+    (a finite dV/dt against a -inf bound), and when V or dV/dt is NaN, which
+    makes ``max_residual`` NaN. Monotonicity reads the
     trajectory's W (from :func:`~timebarrier.core.w_transform_array`): a step
     counts as a rise when W grows by more than
     residual_tol * (1 + |W0|) + |W0| * (e0/V0 + e1/V1), where
@@ -177,7 +179,8 @@ def check_dissipation(
         lhs = _lie_vdot(traj.spec, traj.states[checked], t)
     rhs_bound = _bound(v, t, p)
     residual = lhs - rhs_bound
-    flagged = (residual > tol * (1.0 + np.abs(rhs_bound))) | np.isnan(v) | np.isnan(lhs)
+    flagged = (residual > tol * (1.0 + np.abs(rhs_bound))) | (residual == np.inf)
+    flagged |= np.isnan(v) | np.isnan(lhs)
     rows = zip(*(a[flagged].tolist() for a in (t, v, lhs, rhs_bound, residual)))
     violations = [Violation(*row) for row in rows]
 

@@ -282,8 +282,8 @@ class DynamicsSpec:
     ``decoupled = False`` on itself, or the hold zeroes coordinates whose
     derivative is not zero.
 
-    How the integrator steps and checks an rhs, a :class:`_Pointwise` one
-    on floats, is the trial contract of :mod:`timebarrier.integrate`.
+    Every ``rhs``, not only a kernel, must be a pure function of (x, t): a
+    failing trial calls it again (:mod:`timebarrier.integrate`'s trial contract).
 
     ``v`` and ``vdot`` are the optional Lyapunov value and its derivative along
     trajectories, each called as ``v(x, t)`` on one state; ``vdot`` may be

@@ -26,41 +26,36 @@ stepping loop (``_step``). The DOPRI5(4) trial step has one body
 (``_trial``), and every operation in it is elementwise, so it runs on
 Python floats and on arrays over the coordinates alike.
 
-The trial contract. Every run has a checked trial, which calls the rhs
-through its array contract and checks every stage (``_checked_rhs``, the
-one place an rhs value is coerced and checked): on floats through a
-one-element array at dim 1, on arrays at dim >= 2. A run whose rhs is a
+The trial contract is one rule for every rhs. A run has one trial, which
+checks no stage on its own; only its callable depends on the rhs. A
 plain-float kernel (``core._Pointwise``, the rhs of every built-in law,
-also where a user spec reuses it) also has a fast trial, which calls the
-kernel itself, bare, on floats, and so makes no numpy array and no check
-per stage: at dim 1 directly, at dim >= 2 for each coordinate with the
-common step size, where a coordinate held at zero skips its trial. The
-fast trial checks its seven stages and the new state once, by its error
-norm, which is finite only when all of them are (``_trial`` adds 0.0
-times k2, the one stage with zero weight in the error, times the new
-state). A fast trial that raises, or whose error norm is not finite,
-is re-run through the checked trial, which raises the blow-up of the
-first non-finite stage (or the kernel's own error again); a checked
-trial whose stages are all finite and whose new state is not raises the
-blow-up of that state, at the step's start. When everything was finite
-after all (the error overflowed), the re-run has the bits of the fast
-trial. The kernel must therefore be a pure function of (x, t). A checked
-trial is never run twice, so any rhs that is not a ``_Pointwise``, a
-``lambda`` or ``functools.wraps`` wrapper of one included, is stepped
-through the checked trial alone, called once per stage. Both kinds take
-the RMS of the live coordinates' scaled errors as their error norm
-(``_rms``, one function), so they take the same steps to the bit.
-
-Both kinds share the controller, the clamp, the step budget, the stall
-checks, event refinement and the segment record. Per trial and per
-bisection step, these compare floats where the builtins min() and max()
-would be called, in the builtins' operand order, so every value keeps its
-bits: on CPython 3.11 a builtin call costs 200-300 ns, ~30 ns compared
-out, and a float trial ~6 us. Each accepted step keeps its seven
-stage derivatives, and the dense-output coefficients of all steps come
-from one contraction after the loop. Sampling gathers each time's segment
-and evaluates the quartic elementwise, so the value at a time does not
-depend on which other times share the call.
+also where a user spec reuses it) is called bare, on floats: at dim 1
+directly, at dim >= 2 for each coordinate with the common step size, where
+a coordinate held at zero skips its trial. Any other rhs is called through
+``_coerced_rhs``, the one place an rhs value is coerced to float64 and
+shape-checked, on a one-element array at dim 1 and on arrays at dim >= 2.
+The error norm is finite only when the seven stages and the new state all
+are (``_trial`` adds 0.0 times k2, the one stage with zero weight in the
+error, times the new state). A trial that raises, or whose error norm is
+not finite, is re-run on arrays through ``_checked_rhs`` (``_coerced_rhs``
+plus a finiteness check) by ``_raise_fault``, at every dim. It raises the
+first non-finite stage's blow-up, or the rhs's own error again, or, when
+every stage is finite, the blow-up of the new state at the step's start.
+When it finds no fault (the error overflowed), the step is rejected, and a
+trial that raised raises its own error. So a passing trial calls the rhs
+once per stage and a failing one at most twice, and every rhs must be a
+pure function of (x, t). At dim >= 2 the error norm is the RMS of the live
+coordinates' scaled errors (``_rms``, one function), so every callable
+takes the same steps to the bit. All share the controller, the clamp, the
+step budget, the stall checks, event refinement and the segment record.
+Per trial and per bisection step, these compare floats where the builtins
+min() and max() would be called, in the builtins' operand order, so every
+value keeps its bits: on CPython 3.11 a builtin call costs 200-300 ns, ~30
+ns compared out, and a float trial ~6 us. Each accepted step keeps its
+seven stage derivatives, and the dense-output coefficients of all steps
+come from one contraction after the loop. Sampling gathers each time's
+segment and evaluates the quartic elementwise, so the value at a time does
+not depend on which other times share the call.
 
 The record of a run is built once, after the loop (``_record``): the dense
 output (``_Dense``, which ``resample`` also reads), the output times and
@@ -227,23 +222,23 @@ def _rms(values: list) -> float:
     return math.sqrt(mean)
 
 
-def _checked_rhs(spec: DynamicsSpec, x: np.ndarray, t: float) -> np.ndarray:
-    """``spec.rhs(x, t)`` as a float64 array of the shape of ``x``; a
-    non-finite derivative raises :class:`BlowUpError` at ``t`` and ``x``.
-    The one place an rhs value is coerced and checked."""
+def _coerced_rhs(spec: DynamicsSpec, x: np.ndarray, t: float) -> np.ndarray:
+    """``spec.rhs(x, t)`` as a float64 array of the shape of ``x``: the one
+    place an rhs value is coerced and shape-checked."""
     f = np.asarray(spec.rhs(x, t), dtype=float)
     if f.shape != x.shape:
         raise ValueError(_rhs_shape_fault(spec, f, x))
+    return f
+
+
+def _checked_rhs(spec: DynamicsSpec, x: np.ndarray, t: float) -> np.ndarray:
+    """:func:`_coerced_rhs`; a non-finite value raises :class:`BlowUpError` at ``t``, ``x``."""
+    f = _coerced_rhs(spec, x, t)
     if not np.isfinite(f).all():
         raise BlowUpError(
             f"dynamics blow-up: non-finite derivative at t={t!r}, x={x!r}", t, x
         )
     return f
-
-
-def _checked_rhs_float(spec: DynamicsSpec, x: float, t: float) -> float:
-    """:func:`_checked_rhs` of a one-dimensional spec at the float ``x``."""
-    return _checked_rhs(spec, np.array([x]), t).item()
 
 
 def _initial_step(spec, x0, f0, policy, limit):
@@ -318,7 +313,7 @@ _HELD = (0.0,) * 7
 
 
 def _coordinate_trial(trial, live, t, x, f, h, t_new):
-    """The fast trial of a run of dim >= 2: the float ``trial`` of each live
+    """The kernel's trial of a run of dim >= 2: the float ``trial`` of each live
     coordinate of ``x, f`` (lists of floats), all with the common step, with
     the kernel called bare. A held coordinate skips its trial:
     its state and stages stay exactly zero. Returns (x_new, f_new, stage
@@ -338,17 +333,30 @@ def _coordinate_trial(trial, live, t, x, f, h, t_new):
 
 
 def _array_trial(rhs, atol, rtol, live, t, x, f, h, t_new):
-    """The checked trial of a run of dim >= 2: :func:`_trial` on arrays over
-    all coordinates of ``x, f`` (lists of floats), through the array
-    contract with every stage checked. Returns what
-    :func:`_coordinate_trial` returns; the error norm is of the ``live``
-    coordinates.
+    """:func:`_trial` on arrays over all coordinates of ``x, f`` (lists of
+    floats or arrays), through ``rhs``: :func:`_coerced_rhs` in the trial of
+    a run of dim >= 2 whose rhs is not a kernel, :func:`_checked_rhs` in
+    the re-run of a failing trial. Returns what :func:`_coordinate_trial`
+    returns; the error norm is of the ``live`` coordinates.
     """
     x_new, f_new, k, err = _trial(
         rhs, np.maximum, atol, rtol, t, np.array(x), np.array(f), h, t_new
     )
     errs = [e for e, on in zip(err.tolist(), live) if on]
     return x_new.tolist(), f_new.tolist(), np.ravel(k, order="F").tolist(), _rms(errs)
+
+
+def _raise_fault(checked, t, x, f, h, t_new):
+    """Raise the failure of a failing trial, named by its re-run ``checked``
+    (:func:`_array_trial` over :func:`_checked_rhs`) as the trial contract
+    of the module docstring says; return when the re-run finds none."""
+    x = np.atleast_1d(x)
+    x_new, _, _, err_norm = checked(t, x, np.atleast_1d(f), h, t_new)
+    if err_norm != err_norm:
+        raise BlowUpError(
+            f"dynamics blow-up: non-finite state {np.atleast_1d(x_new)!r} at t={t_new!r}, "
+            f"stepping from t={t!r}, x={x!r}", t, x
+        )
 
 
 def _dense_poly(x0, h, coef, theta):
@@ -464,12 +472,11 @@ def _step(spec, x0, tc, t_end, policy):
     run ended in when it did not converge. A run whose initial state is
     already within eps_conv has converged with no step.
 
-    Each trial follows the trial contract of the module docstring:
-    :func:`_trial` on floats at dim 1, and at dim >= 2
-    :func:`_coordinate_trial` (fast) or :func:`_array_trial` (checked),
-    both on the state as a list of floats. ``live`` drops each coordinate
-    that the hold of a decoupled rhs (see :class:`~timebarrier.core.DynamicsSpec`)
-    holds at zero.
+    The run's one trial follows the trial contract of the module docstring:
+    :func:`_trial` on floats at dim 1, and at dim >= 2 :func:`_coordinate_trial`
+    over a kernel or :func:`_array_trial`, both on the state as a list of
+    floats. ``live`` drops each coordinate that the hold of a decoupled rhs
+    (see :class:`~timebarrier.core.DynamicsSpec`) holds at zero.
     """
     eps_conv = policy.eps_conv
     rtol, atol = policy.rel_tol, policy.abs_tol
@@ -484,22 +491,22 @@ def _step(spec, x0, tc, t_end, policy):
         t = 0.0
         f0 = _checked_rhs(spec, x0, 0.0)
         h_prop = _initial_step(spec, x0, f0, policy, min(_KAPPA * tc, t_end))
-        # the two kinds of trial of the module docstring's trial contract
+        # the one trial of the module docstring's trial contract
         kernel = spec.rhs.kernel if isinstance(spec.rhs, _Pointwise) else None
-        fast = None
+        live = [True] * spec.dim  # updated in place by the hold
         if spec.dim == 1:
             norm = abs
             x, f = x0.item(), f0.item()
-            checked = partial(_trial, partial(_checked_rhs_float, spec), _larger, atol, rtol)
-            if kernel is not None:
-                fast = partial(_trial, kernel, _larger, atol, rtol)
+            if kernel is None:  # the array contract on floats
+                kernel = lambda xi, ti: _coerced_rhs(spec, np.array([xi]), ti).item()
+            trial = partial(_trial, kernel, _larger, atol, rtol)
         else:
             norm = _maxabs
             x, f = x0.tolist(), f0.tolist()
-            live = [True] * spec.dim  # updated in place by the hold
-            checked = partial(_array_trial, partial(_checked_rhs, spec), atol, rtol, live)
+            trial = partial(_array_trial, partial(_coerced_rhs, spec), atol, rtol, live)
             if kernel is not None:
-                fast = partial(_coordinate_trial, partial(_trial, kernel, _larger, atol, rtol), live)
+                trial = partial(_coordinate_trial, partial(_trial, kernel, _larger, atol, rtol), live)
+        checked = partial(_array_trial, partial(_checked_rhs, spec), atol, rtol, live)
         hold = spec.dim > 1 and getattr(spec.rhs, "decoupled", False) is True
         err_prev = 1e-4
 
@@ -522,18 +529,14 @@ def _step(spec, x0, tc, t_end, policy):
                     f"step size underflow (stall) at t={t!r}", t, x
                 )
 
-            finite = False
-            if fast is not None:
-                try:
-                    x_new, f_new, k, err_norm = fast(t, x, f, h_eff, t_new)
-                    finite = math.isfinite(err_norm)
-                except Exception:
-                    pass  # the kernel may have raised on a non-finite stage fed on to it
-            if not finite:
-                # the run's only trial without a fast one; after a failed fast
-                # trial it raises the first non-finite stage's blow-up, or the
-                # kernel's own error again
-                x_new, f_new, k, err_norm = checked(t, x, f, h_eff, t_new)
+            try:
+                x_new, f_new, k, err_norm = trial(t, x, f, h_eff, t_new)
+            except Exception:
+                # the rhs may have raised on a non-finite stage fed on to it
+                _raise_fault(checked, t, x, f, h_eff, t_new)
+                raise
+            if not math.isfinite(err_norm):
+                _raise_fault(checked, t, x, f, h_eff, t_new)  # returns on an overflowed error
 
             if err_norm <= 1.0:
                 steps.append((t, h_eff, x, k))
@@ -556,12 +559,6 @@ def _step(spec, x0, tc, t_end, policy):
                         f_new = [fi if on else 0.0 for fi, on in zip(f_new, live)]
                 x = x_new
                 f = f_new
-            elif err_norm != err_norm:
-                # NaN after the checked trial, whose stages are all finite
-                raise BlowUpError(
-                    f"dynamics blow-up: non-finite state {np.atleast_1d(x_new)!r} at t={t_new!r}, "
-                    f"stepping from t={t!r}, x={np.atleast_1d(x)!r}", t, x
-                )
             else:
                 rejected += 1
                 shrink = _SAFETY * err_norm**-0.2

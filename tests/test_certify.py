@@ -90,6 +90,21 @@ def test_a_nan_v_or_vdot_is_a_violation(default_params, default_policy, nan_v):
     assert not report.passed
 
 
+def test_a_finite_vdot_against_an_overflowed_bound_is_a_violation():
+    # at tc = 0.01 and beta = 80, beta * V / (tc - t) overflows for V near
+    # 1e305, so the bound is -inf and the residual of dV/dt = 0 is +inf
+    spec = DynamicsSpec(
+        dim=1, rhs=lambda x, t: -x, v=lambda x, t: abs(float(x[0])),
+        vdot=lambda x, t: 0.0, tc=0.01,
+    )
+    p = BarrierParams(0.01, 80.0, 1.0, 0.5)
+    report = check_dissipation(simulate(spec, 1e305, p), p)
+    assert report.checked_samples == 541
+    assert len(report.violations) == 541
+    assert report.max_residual == math.inf
+    assert not report.passed
+
+
 def test_finite_difference_fallback_tracks_analytic(default_params, default_policy):
     spec = make_time_barrier_scalar(default_params, default_policy)
     stripped = DynamicsSpec(

@@ -482,9 +482,11 @@ def test_kernel_error_on_finite_input_matches_the_array_path(
 
 @pytest.mark.parametrize("x0", [[1.0], [1.0, 0.5]])
 @pytest.mark.parametrize("failure", ["raise", "inf"])
-def test_failing_wrapper_is_called_once_per_stage(x0, failure, default_params, default_policy):
-    # a wrapper rhs is stepped through the checked trial alone, which is
-    # never run twice: the call at tau is its last
+def test_failing_wrapper_is_called_at_most_twice_per_stage(
+    x0, failure, default_params, default_policy
+):
+    # a failing trial calls each stage at most twice: once in the unchecked
+    # trial and once in its checked re-run, whose call at tau is the last
     times, tau = _stage_time(x0, default_params, default_policy)
     rhs = _Pointwise(lambda x, t: -x)
     calls = []
@@ -501,7 +503,41 @@ def test_failing_wrapper_is_called_once_per_stage(x0, failure, default_params, d
     error = ValueError if failure == "raise" else BlowUpError
     with pytest.raises(error):
         simulate(DynamicsSpec(dim=len(x0), rhs=wrapper), x0, default_params, default_policy)
-    assert calls == times[: times.index(tau) + 1]
+    # tau is stage 3, the second call of its trial
+    start = times.index(tau) - 1
+    stages = times[start:start + 6]
+    assert calls[:start] == times[:start]
+    failing = calls[start:]
+    assert failing[-1] == tau
+    assert set(failing) <= set(stages)
+    assert all(failing.count(s) <= 2 for s in stages)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize(
+    "convert", [np.ndarray.tolist, lambda f: f.astype(np.float32)], ids=["list", "float32"]
+)
+def test_unchecked_trial_coerces_the_rhs_value(convert, dim, default_params, default_policy):
+    # a passing trial checks no stage on its own, yet each value is still
+    # coerced to float64 of the state's shape, as a hand-made coercion does;
+    # functools.wraps keeps the law's hold, so the runs do not chatter
+    law = make_time_barrier_componentwise(default_params, dim, default_policy)
+
+    @functools.wraps(law.rhs)
+    def raw(x, t):
+        return convert(law.rhs(x, t))
+
+    @functools.wraps(law.rhs)
+    def by_hand(x, t):
+        return np.asarray(raw(x, t), dtype=float)
+
+    x0 = [1.0, -0.5][:dim]
+    runs = [
+        simulate(dataclasses.replace(law, rhs=rhs), x0, default_params, default_policy)
+        for rhs in (raw, by_hand)
+    ]
+    _assert_same_run(*runs)
+    assert runs[0].converged_at is not None
 
 
 def test_vector_kernel_stall_matches_the_array_path(default_params, default_policy):

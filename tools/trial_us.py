@@ -14,7 +14,10 @@ the case reads from ``Trajectory.step_count`` and ``rejected_steps``. Every
 case runs twice: with the law's own rhs, whose plain-float kernel the
 stepper calls itself, and through the array contract, behind a
 ``functools.wraps`` wrapper that keeps the per-coordinate hold and so does
-the same work. The trial counts are printed next to the times, so a change
+the same work. Both paths take the same unchecked trial: the "array" one
+calls the wrapper through ``integrate._coerced_rhs``, which coerces and
+shape-checks each stage's value and, as on the kernel path, leaves its
+finiteness to the error norm. The trial counts are printed next to the times, so a change
 in speed can be told apart from a change in work: the script exits 1 when
 a case's accepted/rejected counts, on either path, differ from the pinned
 ones in ``CASES``.
