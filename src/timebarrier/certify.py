@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -30,10 +31,10 @@ from .core import (
     _evaluate,
     _log_w,
     _map_floats,
-    _Pointwise,
+    _or_on_overflow,
     validate_params,
 )
-from .integrate import Trajectory, _checked_rhs, _coerced_rhs, _own_params
+from .integrate import Trajectory, _checked_rhs, _own_params
 
 __all__ = [
     "Violation",
@@ -99,23 +100,18 @@ def _lie_vdot(spec: DynamicsSpec, states: np.ndarray, t: np.ndarray) -> np.ndarr
     difference would average the two sides' rates. It is exact for V linear along
     f and O(eps**2) for smooth V. V takes the 3n states in one call.
 
-    f is one map of a ``_Pointwise`` rhs's kernel over every (x_i, t), or one
-    ``_coerced_rhs`` call per row of any other rhs, checked once. One that raises
-    or is not finite is re-run row by row through ``_checked_rhs``, which raises
-    the first non-finite row's ``BlowUpError`` (or the rhs's own error again).
+    f is :func:`~timebarrier.core._evaluate` of the rhs on all rows. One that raises,
+    has another shape than ``states`` or is not finite is re-run row by row through
+    ``_checked_rhs``, which raises the first bad row's error (the rhs's own, its
+    shape's, or the ``BlowUpError`` of a non-finite value).
     """
     n, dim = states.shape
     try:
-        if isinstance(spec.rhs, _Pointwise):
-            times = np.repeat(t, dim).tolist()
-            f = np.fromiter(map(spec.rhs.kernel, states.ravel().tolist(), times), float, n * dim)
-        else:
-            f = np.array([_coerced_rhs(spec, x, ti) for x, ti in zip(states, t.tolist())])
+        f = _evaluate(spec.rhs, states, t)
     except Exception:
         f = None
-    if f is None or not np.isfinite(f).all():
-        f = np.array([_checked_rhs(spec, x, ti) for x, ti in zip(states, t.tolist())])
-    f = f.reshape(n, dim)
+    if f is None or f.shape != states.shape or not np.isfinite(f).all():
+        f = np.reshape([_checked_rhs(spec, x, ti) for x, ti in zip(states, t.tolist())], (n, dim))
     f_max = np.abs(f).max(axis=1)
     x_max = np.abs(states).max(axis=1)
     h = 1e-6 * np.where(x_max > 0.0, x_max, 1.0)
@@ -228,7 +224,9 @@ def find_nonautonomy_witness(
 
     The barrier term makes the rates differ whenever beta > 0 and t1 != t2,
     so no state-only decay law can reproduce the field. beta = 0 is the
-    degenerate autonomous limit and is reported as carrying no witness.
+    degenerate autonomous limit and is reported as carrying no witness. The q*V**alpha
+    terms cancel, so ``gap`` is beta*V*(t2 - t1)/((tc - t1)*(tc - t2)), taken exactly
+    and rounded once: it does not cancel, and is inf only past the float range.
     A tuple outside the law's domain raises its ``ValueError`` first, then
     t1 or t2 outside [0, tc) its :class:`DomainError`, then t1 >= t2.
     """
@@ -242,6 +240,7 @@ def find_nonautonomy_witness(
         raise ValueError(f"t1 must be < t2, got t1={t1!r}, t2={t2!r}")
 
     vdot1, vdot2 = _bound(np.array([v_level, v_level]), np.array([t1, t2]), p).tolist()
-    gap = abs(vdot1 - vdot2)
+    beta, v, tc, a, b = (Fraction(float(x)) for x in (p.beta, v_level, p.tc, t1, t2))
+    gap = _or_on_overflow(float, math.inf)(beta * v * (b - a) / ((tc - a) * (tc - b)))
     note = "no witness (autonomous limit)" if p.beta == 0.0 else ""
     return NonAutonomyWitness(v_level, t1, t2, vdot1, vdot2, gap, note)

@@ -104,15 +104,9 @@ def parse_trajectory_csv(text: str):
     """Inverse of :func:`render_trajectory_csv`; returns (header, rows array).
 
     A row whose cell count differs from the header's raises ``ValueError``
-    naming its line. The body is then converted in one numeric scan,
-    ``numpy.loadtxt(lines, delimiter=",", comments=None)``, whose parser
-    gives the bits of Python's ``float`` and rejects what ``float`` rejects,
-    except that it also rejects ``1_0`` and non-ASCII digits and reads the
-    unit separator U+001F as a blank. Where the scan raises, returns another
-    number of cells, or the text holds a U+001F, all cells go through one
-    ``numpy.array(cells, dtype=float)`` call, whose string parser gives
-    ``float``'s bits (``nan``, ``inf``, ``-0.0`` and subnormals included) and
-    raises ``float``'s ``ValueError`` text on a cell that is not a number.
+    naming its line; then one ``numpy.array(cells, dtype=float)`` call reads
+    every cell with ``float``'s bits (``nan``, ``inf``, ``-0.0`` and subnormals
+    included) and raises ``float``'s ``ValueError`` text on one that is not a number.
     """
     lines = [ln for ln in text.splitlines() if ln]
     if not lines:
@@ -128,17 +122,8 @@ def parse_trajectory_csv(text: str):
         raise ValueError(
             f"line {number} has {line.count(',') + 1} cells, the header {width}: {line!r}"
         )
-    rows = None
-    if body and "\x1f" not in text:
-        try:
-            rows = np.loadtxt(body, delimiter=",", comments=None)
-        except ValueError:
-            pass
-    if rows is None or rows.size != len(body) * width:
-        # the check above leaves exactly len(body) * width cells
-        cells = ",".join(body).split(",") if body else []
-        rows = np.array(cells, dtype=float)
-    return header, rows.reshape(len(body), width)
+    cells = ",".join(body).split(",") if body else []
+    return header, np.array(cells, dtype=float).reshape(len(body), width)
 
 
 def render_sweep_csv(result: SweepResult) -> str:
@@ -290,7 +275,7 @@ def _policy_from_config(config: dict, tc: float) -> NumericPolicy:
             alone = NumericPolicy(**{key: value})
             if key == "delta_end":
                 alone.resolve_delta_end(tc)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"invalid policy.{key}: {exc}") from exc
     return NumericPolicy(**section)
 
@@ -516,6 +501,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help (0) or a usage error (1)
         return int(exc.code or 0)
     try:
+        if args.out is not None and args.command in ("bound", "witness"):
+            raise ValueError(f"--out: {args.command} writes no file")
         config = load_config(args.config)
         return args.func(args, config)
     except (StallError, BlowUpError) as exc:

@@ -351,11 +351,15 @@ class _Pointwise:
 
 
 def _evaluate(fn, states: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """``fn`` (a spec's ``v`` or ``vdot``) at each row of ``states`` and each
-    time: one call of its block form, or one call per row for any other
-    callable."""
+    """``fn`` (a spec's ``v``, ``vdot`` or ``rhs``) at each row of ``states`` and each
+    time, unchecked: one call of its block form, one map of its kernel over every
+    (x_i, t) shaped as ``states``, or one call per row for any other callable."""
     if isinstance(fn, _Blockwise):
         return fn.block(states, times)
+    if isinstance(fn, _Pointwise):
+        at = np.repeat(times, states.shape[1]).tolist()
+        f = np.fromiter(map(fn.kernel, states.ravel().tolist(), at), float, states.size)
+        return f.reshape(states.shape)
     return np.array([fn(x, t) for x, t in zip(states, times.tolist())], dtype=float)
 
 

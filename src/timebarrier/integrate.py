@@ -151,7 +151,6 @@ class SettlingReport:
     reaches_zero: bool
     deadline_pass: bool
     v0: float
-    tc: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -682,5 +681,4 @@ def settling_report(traj: Trajectory, p: Optional[BarrierParams] = None) -> Sett
         reaches_zero=sb.reaches_zero,
         deadline_pass=deadline_pass,
         v0=v0,
-        tc=p.tc,
     )

@@ -127,7 +127,6 @@ class SweepRow:
 class SweepResult:
     """Ordered rows plus failure counts and worst-case row identifiers."""
 
-    config: SweepConfig
     rows: list[SweepRow]
     summary: dict
 
@@ -226,7 +225,7 @@ def run_sweep(cfg: SweepConfig, policy: Optional[NumericPolicy] = None) -> Sweep
         summary[key] for key in ("numeric_errors", "deadline_failures",
                                  "certificate_failures", "bound_failures", "oracle_failures")
     )
-    return SweepResult(config=cfg, rows=rows, summary=summary)
+    return SweepResult(rows=rows, summary=summary)
 
 
 @dataclass(frozen=True)

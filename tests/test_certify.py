@@ -211,6 +211,16 @@ def test_lie_derivative_kernel_map_matches_the_checked_route(default_params, def
     assert repr(by_map.max_residual) == repr(by_row.max_residual)
 
 
+@pytest.mark.parametrize("size", [1, 3])
+def test_lie_derivative_rhs_of_another_shape_is_named(default_params, default_policy, size):
+    # a block of rows of another width is no derivative: the per-row route names the first row
+    law = make_time_barrier_componentwise(default_params, 2, default_policy)
+    traj = simulate(law, [1.0, -0.5], default_params, default_policy)
+    spec = dataclasses.replace(law, rhs=lambda x, t: np.resize(law.rhs(x, t), size), vdot=None)
+    with pytest.raises(ValueError, match=rf"rhs returned shape \({size},\), expected \(2,\)"):
+        check_dissipation(dataclasses.replace(traj, spec=spec), default_params, default_policy)
+
+
 @pytest.mark.parametrize("failure", ["nan", "raise", "nan, then raise"])
 def test_lie_derivative_rhs_failure_is_raised_on_both_routes(
     default_params, default_policy, failure
@@ -306,6 +316,19 @@ def test_a_trajectory_is_judged_by_its_own_tuple(judge):
     assert judge(traj, BarrierParams(1.0, 2.0, 1.0, 0.5)) == judge(traj, p)
     if judge is settling_report:
         assert judge(traj) == judge(traj, p)
+
+
+def test_witness_gap_of_two_overflowed_rates_is_not_nan(default_params):
+    w = find_nonautonomy_witness(default_params, 1e308, 0.0, 0.999999999)
+    assert w.vdot1 == w.vdot2 == -math.inf
+    assert w.gap == math.inf
+
+
+def test_witness_gap_does_not_cancel():
+    # both rates are about -1.2e11; their rounded difference keeps 4 digits
+    w = find_nonautonomy_witness(BarrierParams(1.0, 2.0, 1e6, 0.5), 1e10, 0.0, 1e-12)
+    exact = 0.02000000000002
+    assert abs(w.gap - exact) <= 1e-15 * exact
 
 
 def test_witness_autonomous_limit():

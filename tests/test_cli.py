@@ -239,10 +239,10 @@ def test_cli_trajectory_csv_bytes_are_pinned(tmp_path, capsys, x0, digest):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
-# cells where a numeric scan (numpy's loadtxt, its default comment "#", or
-# fromstring) and float() disagree, each tried alone in each column of an
-# otherwise valid body, then random cells of number syntax: each joins up to four pieces,
-# one character or one word
+# cells that numpy's other text readers (loadtxt, with its default comment
+# "#" or without it, and fromstring) read otherwise than float() does, each
+# tried alone in each column of an otherwise valid body, then random cells of
+# number syntax: each joins up to four pieces, one character or one word
 _DISAGREEING_CELLS = [
     "nan(1)", "-nan", "-NaN", " ", "\t", "\x1f1", "1\x1f", "1#", "1_0", "\xa01", "\u0661\u0662",
     " -1 ",
@@ -276,14 +276,6 @@ def test_parse_matches_the_reference_on_random_cells():
             rows.append(",".join(cells))
         text = "t,x_1,V,W\n" + "".join(row + "\n" for row in rows)
         assert _outcome(parse_trajectory_csv, text) == _outcome(reference_parse, text), text
-
-
-def test_parse_falls_back_when_the_scan_returns_another_count(monkeypatch):
-    # a scan that skips a line it cannot read must not shift the rows
-    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: np.zeros(4))
-    text = "t,x_1,V,W\n0.0,1.0,1.0,1.0\n0.5,1_0,0.25,1.0\n"
-    header, rows = parse_trajectory_csv(text)
-    assert rows.tolist() == [[0.0, 1.0, 1.0, 1.0], [0.5, 10.0, 0.25, 1.0]]
 
 
 @pytest.mark.parametrize("cell", ["abc", "", "1.0x", "0x10", "nan(1)"])
@@ -657,6 +649,18 @@ def test_unwritable_out_path_is_a_validation_error(tmp_path, capsys, command):
     assert code == EXIT_VALIDATION
     assert err.startswith("error: ")
     assert str(out_path) in err
+
+
+@pytest.mark.parametrize("command", ["bound", "witness"])
+@pytest.mark.parametrize("before", [True, False], ids=["global", "after_command"])
+def test_out_is_rejected_by_a_command_that_writes_no_file(tmp_path, capsys, command, before):
+    out_path = tmp_path / "out.txt"
+    flag = ["--out", str(out_path)]
+    argv = flag + [command] if before else [command] + flag
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_VALIDATION
+    assert err == f"error: --out: {command} writes no file\n"
+    assert out == "" and not out_path.exists()
 
 
 def test_empty_sweep_output_path_is_a_validation_error(tmp_path, capsys):

@@ -18,6 +18,7 @@ from timebarrier import (
     NumericPolicy,
     StallError,
     TrajectorySample,
+    check_dissipation,
     exact_solution_scalar,
     resample,
     settling_bound,
@@ -519,7 +520,8 @@ def test_failing_wrapper_is_called_at_most_twice_per_stage(
 )
 def test_unchecked_trial_coerces_the_rhs_value(convert, dim, default_params, default_policy):
     # a passing trial checks no stage on its own, yet each value is still
-    # coerced to float64 of the state's shape, as a hand-made coercion does;
+    # coerced to float64 of the state's shape, as a hand-made coercion does,
+    # and so is the certificate's per-row rhs route when vdot is withheld;
     # functools.wraps keeps the law's hold, so the runs do not chatter
     law = make_time_barrier_componentwise(default_params, dim, default_policy)
 
@@ -533,11 +535,17 @@ def test_unchecked_trial_coerces_the_rhs_value(convert, dim, default_params, def
 
     x0 = [1.0, -0.5][:dim]
     runs = [
-        simulate(dataclasses.replace(law, rhs=rhs), x0, default_params, default_policy)
+        simulate(dataclasses.replace(law, rhs=rhs, vdot=None), x0, default_params, default_policy)
         for rhs in (raw, by_hand)
     ]
     _assert_same_run(*runs)
     assert runs[0].converged_at is not None
+    # a slack below the difference's own error, so that both reports carry violations
+    tight = dataclasses.replace(default_policy, residual_tol=1e-12)
+    reports = [check_dissipation(run, default_params, tight) for run in runs]
+    assert reports[0].violations
+    assert repr(reports[0].violations) == repr(reports[1].violations)
+    assert repr(reports[0].max_residual) == repr(reports[1].max_residual)
 
 
 def test_vector_kernel_stall_matches_the_array_path(default_params, default_policy):
