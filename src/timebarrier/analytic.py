@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BarrierParams, DivergentIntegralError, _check_law, _check_times, _map_floats, _time_error,
+    BarrierParams, DivergentIntegralError, _check_law, _check_times, _finite, _map_floats,
+    _time_error,
 )
 
 __all__ = [
@@ -106,7 +107,7 @@ def remaining_settling_time(
     for q = 0 never (the pure-barrier flow converges only in the limit).
     """
     _check_law(p)
-    if not (math.isfinite(v_start) and v_start >= 0.0):
+    if not (_finite(v_start) and v_start >= 0.0):
         raise ValueError(f"initial Lyapunov value must be finite and >= 0, got {v_start!r}")
     tc, q, alpha, m = p.tc, p.q, p.alpha, p.m
     if not 0.0 <= t_start < tc:
@@ -131,9 +132,8 @@ def remaining_settling_time(
         if g <= -1.0:  # m < 1 past the finite-integral threshold
             return SettlingBound(tc, False, v_start)
         log_lam_tau = log_lam0 - math.log1p(g) / (m - 1.0)
-    lam_tau = math.exp(log_lam_tau)
-    tau = tc - tc * lam_tau
-    tau = min(max(tau, t_start), tc)
+    # tc - tc*lam_tau, without its cancellation where tau << tc
+    tau = min(max(-tc * math.expm1(log_lam_tau), t_start), tc)
     return SettlingBound(tau, True, v_start)
 
 

@@ -14,7 +14,6 @@ magnitude near the deadline.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -28,9 +27,10 @@ from .core import (
     ParamVerdict,
     _check_law,
     _check_times,
+    _dissipation_bound,
     _evaluate,
+    _finite,
     _log_w,
-    _map_floats,
     _or_on_overflow,
     validate_params,
 )
@@ -58,13 +58,13 @@ class Violation:
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Outcome of the trajectory dissipation check."""
+    """Outcome of the trajectory dissipation check: the samples checked, the decay
+    bound's violations and their largest residual, whether W never rose."""
 
     checked_samples: int
     violations: list[Violation]
     max_residual: float
     w_monotone: bool
-    worst_w_increase: float
     admissibility: ParamVerdict
 
     @property
@@ -121,17 +121,6 @@ def _lie_vdot(spec: DynamicsSpec, states: np.ndarray, t: np.ndarray) -> np.ndarr
     return (-3.0 * v[:n] + 4.0 * v[n:2 * n] - v[2 * n:]) / (2.0 * h) * f_max
 
 
-def _bound(v: np.ndarray, t: np.ndarray, p: BarrierParams) -> np.ndarray:
-    """The dissipation bound -beta*V/(tc-t) - q*V**alpha at each (V, t) pair.
-
-    V**alpha is taken on Python floats: numpy's vectorized power can differ
-    in the last bit, and the certificate must not depend on the platform's
-    loops. A bound past the float range is -inf, as float arithmetic gives it.
-    """
-    with np.errstate(over="ignore"):
-        return -p.beta * v / (p.tc - t) - p.q * _map_floats(operator.pow, v, p.alpha)
-
-
 def _v_error(v0: np.ndarray, v1: np.ndarray, policy: NumericPolicy) -> np.ndarray:
     """e0/V0 + e1/V1 with e = abs_tol + rel_tol*V: the relative error the
     policy allows V at both ends of a step (inf where a V is 0)."""
@@ -146,18 +135,20 @@ def check_dissipation(
     """Check the decay inequality and barrier-scaled monotonicity along ``traj``.
 
     Samples with V <= eps_conv are excluded (the inequality is quantified over
-    nonzero states only). A violation is recorded when
+    nonzero states only). The bound at each checked (V, t) is the built-in
+    law's own dV/dt, :func:`~timebarrier.core._dissipation_bound`, of the
+    run's own tuple ``traj.params``; another ``p`` raises ``ValueError``.
+    A violation is recorded when
     lhs > rhs_bound + residual_tol * (1 + |rhs_bound|) or lhs - rhs_bound = inf
     (a finite dV/dt against a -inf bound), and when V or dV/dt is NaN, which
-    makes ``max_residual`` NaN. Monotonicity reads the
-    trajectory's W (from :func:`~timebarrier.core.w_transform_array`): a step
-    counts as a rise when W grows by more than
+    makes ``max_residual`` NaN. Monotonicity reads the trajectory's W (from
+    :func:`~timebarrier.core.w_transform_array`): a step counts as a rise
+    when W grows by more than
     residual_tol * (1 + |W0|) + |W0| * (e0/V0 + e1/V1), where
     e = abs_tol + rel_tol * V is the error the policy allows the stepper in
     V (the second term is 0 where V0 = 0). A step with W past the float
     range at both ends is decided on log W, from the same helper as W's own
-    log form, against log1p(residual_tol) + e0/V0 + e1/V1. The bound is the
-    run's own tuple, ``traj.params``; another ``p`` raises ``ValueError``.
+    log form, against log1p(residual_tol) + e0/V0 + e1/V1.
     """
     p = _own_params(traj, p)
     policy = policy if policy is not None else traj.policy
@@ -173,7 +164,7 @@ def check_dissipation(
         lhs = traj.vdot_values[checked]
     else:
         lhs = _lie_vdot(traj.spec, traj.states[checked], t)
-    rhs_bound = _bound(v, t, p)
+    rhs_bound = _dissipation_bound(v, t, p)
     residual = lhs - rhs_bound
     flagged = (residual > tol * (1.0 + np.abs(rhs_bound))) | (residual == np.inf)
     flagged |= np.isnan(v) | np.isnan(lhs)
@@ -193,23 +184,18 @@ def check_dissipation(
         with np.errstate(invalid="ignore"):  # 0 * inf where V0 = 0
             slack = np.abs(w[up]) * _v_error(v_all[up], v_all[up + 1], policy)
         rising[up] = increase[up] > band[up] + np.where(v_all[up] == 0.0, 0.0, slack)
-    # a rise on log W, where W is past the float range at both ends, counts as inf
+    # where W is past the float range at both ends, the rise is decided on log W
     over = np.flatnonzero(np.isinf(w[:-1]) & np.isinf(w[1:]))
     if over.size:
         v0, v1, t = v_all[over], v_all[over + 1], traj.times
         log_w0, log_w1 = _log_w(v0, t[over], p), _log_w(v1, t[over + 1], p)
         rising[over] = log_w1 - log_w0 > math.log1p(tol) + _v_error(v0, v1, policy)
-        increase[over] = np.where(log_w1 > log_w0, np.inf, 0.0)
-    w_monotone = not rising.any()
-    # only rises count, so a NaN increase is skipped as Python's max() skips it
-    rises = increase[increase > 0.0]
 
     return CertificateReport(
         checked_samples=int(np.count_nonzero(checked)),
         violations=violations,
         max_residual=residual[flagged].max().item() if violations else 0.0,
-        w_monotone=w_monotone,
-        worst_w_increase=rises.max().item() if rises.size else 0.0,
+        w_monotone=not rising.any(),
         admissibility=validate_params(p),
     )
 
@@ -231,7 +217,7 @@ def find_nonautonomy_witness(
     t1 or t2 outside [0, tc) its :class:`DomainError`, then t1 >= t2.
     """
     _check_law(p)
-    if not (math.isfinite(v_level) and v_level > 0.0):
+    if not (_finite(v_level) and v_level > 0.0):
         raise ValueError(f"v_level must be > 0, got {v_level!r}")
     _check_times((t1, t2), p.tc)
     if t1 == t2:
@@ -239,7 +225,7 @@ def find_nonautonomy_witness(
     if t1 > t2:
         raise ValueError(f"t1 must be < t2, got t1={t1!r}, t2={t2!r}")
 
-    vdot1, vdot2 = _bound(np.array([v_level, v_level]), np.array([t1, t2]), p).tolist()
+    vdot1, vdot2 = _dissipation_bound(np.array([v_level, v_level]), np.array([t1, t2]), p).tolist()
     beta, v, tc, a, b = (Fraction(float(x)) for x in (p.beta, v_level, p.tc, t1, t2))
     gap = _or_on_overflow(float, math.inf)(beta * v * (b - a) / ((tc - a) * (tc - b)))
     note = "no witness (autonomous limit)" if p.beta == 0.0 else ""

@@ -130,7 +130,6 @@ class ParamVerdict:
     """Outcome of :func:`validate_params`."""
 
     admissible: bool
-    m: float
     reason: Optional[str] = None
 
 
@@ -144,7 +143,7 @@ def validate_params(p: BarrierParams) -> ParamVerdict:
         else f"beta*(1-alpha)={p.m:g} < 1" if p.m < 1.0
         else None
     )
-    return ParamVerdict(reason is None, p.m, reason)
+    return ParamVerdict(reason is None, reason)
 
 
 def _map_floats(fn, *args) -> np.ndarray:
@@ -157,6 +156,19 @@ def _map_floats(fn, *args) -> np.ndarray:
     """
     lists = [a.tolist() if isinstance(a, np.ndarray) else repeat(a) for a in args]
     return np.fromiter(map(fn, *lists), dtype=float)
+
+
+def _dissipation_bound(v: np.ndarray, t: np.ndarray, p: BarrierParams) -> np.ndarray:
+    """The dissipation bound -beta*V/(tc-t) - q*V**alpha at each (V, t) pair: the
+    built-in law's dV/dt and the certificate's bound, stated once.
+
+    V**alpha is taken on Python floats: numpy's vectorized power can differ
+    in the last bit, and the certificate must not depend on the platform's
+    loops. A bound past the float range is -inf, as float arithmetic gives it,
+    with no warning.
+    """
+    with np.errstate(over="ignore"):
+        return -p.beta * v / (p.tc - t) - p.q * _map_floats(operator.pow, v, p.alpha)
 
 
 def _log_w(v, t, p: BarrierParams) -> np.ndarray:
@@ -174,6 +186,9 @@ def _or_on_overflow(fn, value):
         except OverflowError:
             return value
     return call
+
+
+_finite = _or_on_overflow(math.isfinite, False)  # false for an int past the float range
 
 
 def w_transform_array(v, t, p: BarrierParams) -> np.ndarray:
@@ -388,7 +403,7 @@ def validate_spec(spec: DynamicsSpec, horizon: float) -> list[str]:
     spec instances. A ``horizon`` that is not finite, not > 0 or
     past ``spec.tc`` raises ``ValueError`` naming it, before any call.
     """
-    if not (0.0 < horizon < math.inf and (spec.tc is None or horizon <= spec.tc)):
+    if not (_finite(horizon) and horizon > 0.0 and (spec.tc is None or horizon <= spec.tc)):
         raise ValueError(f"horizon={horizon!r} must be finite, > 0 and at most tc={spec.tc!r}")
     rng = np.random.default_rng(_VALIDATE_SEED)
     problems: list[str] = []

@@ -139,7 +139,8 @@ class TrajectorySample(NamedTuple):
 
 @dataclass(frozen=True)
 class SettlingReport:
-    """Measured settling estimate versus the analytic bound.
+    """Measured settling estimate versus :func:`settling_bound` from the run's
+    V at t = 0, or from max_i |x_i| where the spec has no V.
 
     ``deadline_pass`` is ``converged_at is not None``: :func:`simulate`
     caps ``converged_at`` at ``t_end``, and leaves it ``None`` for a run
@@ -150,7 +151,6 @@ class SettlingReport:
     tau_bound: float
     reaches_zero: bool
     deadline_pass: bool
-    v0: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -642,18 +642,13 @@ def resample(traj: Trajectory, times) -> np.ndarray:
 
     Uses the same interpolation path as the recorded samples, so evaluating at
     a recorded sample time reproduces the stored value bit for bit; past the
-    convergence event the result is exactly zero.
+    convergence event the result is exactly zero. No times give a (0, dim)
+    block. Every time must lie in [0, t_end], the last sample time; one that
+    does not, NaN and +-inf included, raises ``ValueError``.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if times.size == 0:
-        return np.zeros((0, traj.spec.dim))
-    # NaN passes the range check below
-    if not np.isfinite(times).all():
-        raise ValueError(f"times must be finite, got {times!r}")
-    if times.min() < 0.0 or times.max() > traj.t_end:
-        raise ValueError(
-            f"times outside [0, {traj.t_end!r}] (last sample time)"
-        )
+    if not ((0.0 <= times) & (times <= traj.t_end)).all():
+        raise ValueError(f"times must be finite and within [0, {traj.t_end!r}], got {times!r}")
     return traj._dense(times)
 
 
@@ -673,12 +668,9 @@ def settling_report(traj: Trajectory, p: Optional[BarrierParams] = None) -> Sett
     else:
         v0 = _maxabs(traj.states[0].tolist())
     sb = settling_bound(p, v0)
-    # simulate caps converged_at at t_end, so a settled run meets the deadline
-    deadline_pass = traj.converged_at is not None
     return SettlingReport(
         converged_at=traj.converged_at,
         tau_bound=sb.tau_bound,
         reaches_zero=sb.reaches_zero,
-        deadline_pass=deadline_pass,
-        v0=v0,
+        deadline_pass=traj.converged_at is not None,
     )

@@ -12,7 +12,6 @@ settling time alone.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -25,7 +24,7 @@ from .core import (
     _Blockwise,
     _check_law,
     _check_times,
-    _map_floats,
+    _dissipation_bound,
     _Pointwise,
     _time_error,
 )
@@ -46,7 +45,6 @@ class AutonomousLaw:
     dV/phi(V) over [0, v0], the time the law takes from V = v0 to zero.
     """
 
-    label: str
     settling_time: Callable[[float], float]
 
 
@@ -118,8 +116,7 @@ def make_time_barrier_componentwise(
     def vdot(states: np.ndarray, times: np.ndarray) -> np.ndarray:
         _check_times(times, tc)
         av = _max_abs(states, times)
-        decay = q * _map_floats(operator.pow, av, alpha)
-        value = -beta * av / (tc - times) - decay
+        value = _dissipation_bound(av, times, p)
         if bias:
             # derivative of the max coordinate; for the biased scalar demo
             # this is sgn(x)*rhs(x, t)
@@ -153,6 +150,4 @@ def make_autonomous_power_law(q: float, alpha: float) -> AutonomousLaw:
     def settling_time(v0: float) -> float:
         return v0 ** (1.0 - alpha) / (q * (1.0 - alpha))
 
-    return AutonomousLaw(
-        label=f"power-law decay (q={q:g}, alpha={alpha:g})", settling_time=settling_time
-    )
+    return AutonomousLaw(settling_time=settling_time)

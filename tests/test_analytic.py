@@ -126,6 +126,20 @@ def test_settling_bound_rejects_bad_v0():
         settling_bound(BarrierParams(1, 2, 1, 0.5), -1.0)
 
 
+@pytest.mark.parametrize("v0", [1e-40, 1e-20, 1e-6])
+def test_settling_bound_keeps_its_digits_where_tau_is_small(v0):
+    # m = 1: tau = -tc*expm1(-2*sqrt(v0)); tc - tc*exp(...) cancelled to 0.0 at 1e-40
+    tau = settling_bound(BarrierParams(1, 2, 1, 0.5), v0).tau_bound
+    assert tau == pytest.approx(-math.expm1(-2 * math.sqrt(v0)), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("bound", [settling_bound, remaining_settling_time])
+def test_settling_bound_names_an_initial_value_past_the_float_range(bound):
+    # an int past the float range is not finite: the check's ValueError, not OverflowError
+    with pytest.raises(ValueError, match="initial Lyapunov value must be finite"):
+        bound(BarrierParams(1, 2, 1, 0.5), 10**400)
+
+
 def test_settling_bound_matches_root_oracle():
     rng = np.random.default_rng(22)
     checked = 0

@@ -349,13 +349,18 @@ def test_witness_input_validation(default_params):
         find_nonautonomy_witness(default_params, -1.0, 0.0, 0.5)
 
 
+def test_witness_names_a_level_past_the_float_range():
+    # an int past the float range is not finite: the check's ValueError, not OverflowError
+    with pytest.raises(ValueError, match="v_level must be > 0"):
+        find_nonautonomy_witness(BarrierParams(1, 2, 1, 0.5), 10**400, 0.0, 0.5)
+
+
 def test_w_monotonicity_flag_detects_increase(default_params, default_policy):
     # the biased law's barrier-scaled value rises where the bias dominates
     spec = make_time_barrier_scalar(default_params, default_policy, bias=1.0)
     traj = simulate(spec, 1e-3, default_params, default_policy)
     report = check_dissipation(traj, default_params, default_policy)
     assert not report.w_monotone
-    assert report.worst_w_increase > 0.0
 
 
 def test_w_past_the_float_range_is_compared_in_log_space(default_policy):
@@ -381,7 +386,6 @@ def test_rising_w_past_the_float_range_is_flagged(default_policy):
         warnings.simplefilter("error")
         report = check_dissipation(traj, p, default_policy)
     assert not report.w_monotone
-    assert report.worst_w_increase == math.inf
 
 
 @pytest.mark.parametrize("params, x0, w_overflows", [
@@ -415,4 +419,3 @@ def test_w_rise_from_the_origin_is_flagged(default_traj, default_params, default
         warnings.simplefilter("error")
         report = check_dissipation(traj, default_params, default_policy)
     assert not report.w_monotone
-    assert report.worst_w_increase == w[1]

@@ -31,9 +31,10 @@ from timebarrier.systems import make_time_barrier_componentwise, make_time_barri
 
 
 def test_validate_params_boundary_admissible():
-    verdict = validate_params(BarrierParams(1, 2, 1, 0.5))
+    p = BarrierParams(1, 2, 1, 0.5)
+    verdict = validate_params(p)
     assert verdict.admissible
-    assert verdict.m == 1.0
+    assert p.m == 1.0
     assert verdict.reason is None
 
 
@@ -44,9 +45,9 @@ def test_validate_params_inadmissible_exponent():
 
 
 def test_validate_params_small_q_admissible():
-    verdict = validate_params(BarrierParams(1, 4, 0.3, 0.75))
-    assert verdict.admissible
-    assert verdict.m == 1.0
+    p = BarrierParams(1, 4, 0.3, 0.75)
+    assert validate_params(p).admissible
+    assert p.m == 1.0
 
 
 @pytest.mark.parametrize(
@@ -84,7 +85,9 @@ def test_barrier_exponent_values(beta, alpha, expected):
 def test_exponent_precomputed_once():
     p = BarrierParams(1, 2.3, 1, 0.37)
     assert p.m == 2.3 * (1.0 - 0.37)
-    assert validate_params(p).m == p.m
+    # the verdict reads the tuple's own m: its reason names it
+    low = BarrierParams(1, 1.3, 1, 0.37)
+    assert validate_params(low).reason == f"beta*(1-alpha)={low.m:g} < 1"
 
 
 def test_validate_monotone_in_beta():
@@ -243,6 +246,13 @@ def test_validate_spec_horizon_of_a_spec_without_deadline():
     assert validate_spec(spec, 1e6) == []
     with pytest.raises(ValueError, match="horizon"):
         validate_spec(spec, math.inf)
+
+
+def test_validate_spec_names_a_horizon_past_the_float_range():
+    # an int past the float range: the horizon's ValueError, not numpy's UFuncTypeError
+    with pytest.raises(ValueError, match="horizon") as info:
+        validate_spec(DynamicsSpec(1, rhs=lambda x, t: -x), 10**400)
+    assert type(info.value) is ValueError
 
 
 def test_package_exports_each_module_public_names_once():

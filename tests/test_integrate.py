@@ -862,16 +862,14 @@ def test_settling_report_without_v_reads_the_initial_max_norm(default_params, de
     law = make_time_barrier_scalar(default_params, default_policy)
     traj = simulate(dataclasses.replace(law, v=None, vdot=None), -3.0, default_params, default_policy)
     assert np.isnan(traj.v_values).all()
-    report = settling_report(traj)
-    assert report.v0 == 3.0
-    assert report.tau_bound == settling_bound(default_params, 3.0).tau_bound
+    assert settling_report(traj).tau_bound == settling_bound(default_params, 3.0).tau_bound
 
 
 def test_settling_report_reads_v_at_the_initial_state(default_params, default_policy):
     law = make_time_barrier_componentwise(default_params, 2, default_policy)
     euclidean = dataclasses.replace(law, v=lambda x, t: math.hypot(*x), vdot=None)
     traj = simulate(euclidean, [3.0, 4.0], default_params, default_policy)
-    assert settling_report(traj).v0 == 5.0
+    assert settling_report(traj).tau_bound == settling_bound(default_params, 5.0).tau_bound
 
 
 def test_spec_domain_ending_before_the_deadline_is_rejected(default_params, default_policy):

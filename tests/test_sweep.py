@@ -139,7 +139,7 @@ def test_default_grid_sweep_is_pinned():
     # the fixed DEFAULT_GRID gate: the CSV bytes and the work behind them
     result = run_sweep(DEFAULT_GRID)
     digest = hashlib.sha256(render_sweep_csv(result).encode()).hexdigest()
-    assert digest == "7950ceac9d1a20e55247ffaab36f05fa87c0d2a0a0ebe98a933fe6c9f9ef74d7"
+    assert digest == "7ab8585da6504646abe60594517a31057ec4f1b818fc2f7e41f274349a04d168"
     assert result.summary["steps_accepted"] == 202636
     assert result.summary["steps_rejected"] == 9519
 

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,46 @@ def test_kernel_bits_match_the_one_line_law(p, bias):
             assert bits(kernel(x, t)) == bits(one_line(x, t)), (x, t)
     with pytest.raises(DomainError):
         kernel(1.0, p.tc)
+
+
+@pytest.mark.parametrize("dim, bias", [(1, 0.0), (2, 0.0), (3, 0.0), (1, 0.5)])
+@pytest.mark.parametrize(
+    "p", [BarrierParams(1.0, 2.0, 1.0, 0.5), BarrierParams(2.5, 3.0, 0.7, 0.25)]
+)
+def test_vdot_block_bits_match_the_plain_float_bound(p, dim, bias):
+    # dV/dt written out on floats: the bound at V = max|x_i|, plus the bias
+    # times the sign of the largest coordinate, and +0.0 where V = 0
+    def plain(x, t):
+        top = max(x, key=abs)
+        v = abs(top)
+        if v == 0.0:
+            return 0.0
+        value = -p.beta * v / (p.tc - t) - p.q * v**p.alpha
+        if bias:
+            value += bias * (1.0 if top > 0.0 else -1.0)
+        return value
+
+    def bits(value):
+        return struct.pack("<d", value)
+
+    if dim == 1:
+        law = make_time_barrier_scalar(p, bias=bias)
+    else:
+        law = make_time_barrier_componentwise(p, dim)
+    rng = np.random.default_rng(dim)
+    rows = [np.zeros(dim), np.full(dim, 1e300), np.full(dim, -1e-300)]
+    rows += [rng.standard_normal(dim) * 10.0 ** rng.uniform(-8, 8) for _ in range(20)]
+    if dim > 1:
+        rows.append(np.array([0.0, -2.0] + [1.0] * (dim - 2)))
+    at = (0.0, 0.3 * p.tc, math.nextafter(p.tc, 0.0))
+    states = np.array([x for x in rows for _ in at])
+    times = np.array([t for _ in rows for t in at])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the bound overflows to -inf near tc, silently
+        got = law.vdot.block(states, times).tolist()
+    want = [plain(x.tolist(), t) for x, t in zip(states, times.tolist())]
+    assert -math.inf in want
+    assert list(map(bits, got)) == list(map(bits, want))
 
 
 def test_bias_shifts_rhs_and_vdot(default_params, default_policy):
