@@ -6,8 +6,9 @@ The scalar law linearizes under the substitution z = |x|**(1-alpha), giving
     z(t) * lam(t)**(-m) = z0 - q*(1-alpha) * J(t),      lam(t) = (tc-t)/tc,
 
 where J(t) = integral of lam(s)**(-m) over [0, t] and m = beta*(1-alpha).
-Everything here is derived from that identity, with log-space fallbacks so the
-formulas survive extreme exponents. These functions are the oracles the
+Everything here is derived from that identity, with log(lam) taken as
+log1p(-t/tc), stable for t << tc, and log-space forms where a direct factor
+would leave the float range. These functions are the oracles the
 adaptive integrator is verified against, so they must not share code with it.
 Each first raises the ``ValueError`` of a tuple outside the law's domain.
 """
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BarrierParams, DivergentIntegralError, _check_law, _check_times, _finite, _map_floats,
-    _time_error,
+    _MIN_NORMAL, BarrierParams, DivergentIntegralError, _check_law, _check_times, _exp_or_inf,
+    _finite, _map_floats, _time_error, _x0_error,
 )
 
 __all__ = [
@@ -40,17 +41,11 @@ class SettlingBound:
 
     ``tau_bound`` is where the envelope reaches zero (tc when no finite
     crossing exists); ``reaches_zero`` distinguishes exact-zero reaching from
-    mere limit convergence; ``v0`` is the initial Lyapunov value used.
+    mere limit convergence.
     """
 
     tau_bound: float
     reaches_zero: bool
-    v0: float
-
-
-def _log_lambda(tc: float, t: float) -> float:
-    """log((tc - t)/tc), stable for t << tc."""
-    return math.log1p(-t / tc)
 
 
 def _scaled_integral(m: float, tc: float, log_lam: float) -> float:
@@ -68,7 +63,8 @@ def _scaled_integral(m: float, tc: float, log_lam: float) -> float:
 def barrier_integral(p: BarrierParams, t: float) -> float:
     """I(t) = integral of (tc - s)**(-m) over [0, t], in closed form.
 
-    Uses log-space arithmetic for m > 30 to avoid intermediate overflow.
+    For m != 1, I = exp((1-m)*log(tc) + log|expm1(arg)| - log|m-1|) with
+    arg = (1-m)*log(lam): no factor leaves the float range; past it, I is inf.
     Defined on [0, tc]: at t = tc the finite limit for m < 1, and
     :class:`DivergentIntegralError` for m >= 1; any other time outside
     [0, tc) raises the time domain's :class:`DomainError`.
@@ -82,18 +78,15 @@ def barrier_integral(p: BarrierParams, t: float) -> float:
     if t == 0.0:
         return 0.0
     if m == 1.0:
-        return -_log_lambda(tc, t)
-    if m <= 30.0:
-        log_lam = _log_lambda(tc, t) if t < tc else -math.inf
-        return _scaled_integral(m, tc, log_lam) * tc ** (-m)
-    # log space: I = tc**(1-m) * expm1((1-m)*log(lam)) / (m-1)
-    arg = (1.0 - m) * _log_lambda(tc, t)
-    if arg > 40.0:
+        return -math.log1p(-t / tc)
+    arg = (1.0 - m) * (math.log1p(-t / tc) if t < tc else -math.inf)
+    if abs(arg) < _MIN_NORMAL:  # t/tc below the normal range: I = t * tc**(-m) to first order
+        return _exp_or_inf(math.log(t) - m * math.log(tc))
+    if arg > 40.0:  # log expm1(arg), also where expm1 overflows
         log_expm1 = arg + math.log1p(-math.exp(-arg))
     else:
-        log_expm1 = math.log(math.expm1(arg))
-    log_i = (1.0 - m) * math.log(tc) + log_expm1 - math.log(m - 1.0)
-    return math.exp(log_i)
+        log_expm1 = math.log(abs(math.expm1(arg)))
+    return _exp_or_inf((1.0 - m) * math.log(tc) + log_expm1 - math.log(abs(m - 1.0)))
 
 
 def remaining_settling_time(
@@ -113,28 +106,24 @@ def remaining_settling_time(
     if not 0.0 <= t_start < tc:
         _time_error(t_start, tc)
     if v_start == 0.0:
-        return SettlingBound(t_start, True, v_start)
+        return SettlingBound(t_start, True)
     if q == 0.0:
-        return SettlingBound(tc, False, v_start)
+        return SettlingBound(tc, False)
     one_minus_a = 1.0 - alpha
-    log_lam0 = _log_lambda(tc, t_start)
+    log_lam0 = math.log1p(-t_start / tc)
     # A = z0 / (lam0 * q * (1-alpha) * tc), kept in log space
-    log_a = (
-        one_minus_a * math.log(v_start)
-        - log_lam0
-        - math.log(q * one_minus_a * tc)
-    )
-    a = math.exp(log_a) if log_a < 710.0 else math.inf
+    log_a = one_minus_a * math.log(v_start) - log_lam0 - math.log(q * one_minus_a * tc)
+    a = _exp_or_inf(log_a)
     if m == 1.0:
         log_lam_tau = log_lam0 - a
     else:
         g = (m - 1.0) * a
         if g <= -1.0:  # m < 1 past the finite-integral threshold
-            return SettlingBound(tc, False, v_start)
+            return SettlingBound(tc, False)
         log_lam_tau = log_lam0 - math.log1p(g) / (m - 1.0)
     # tc - tc*lam_tau, without its cancellation where tau << tc
     tau = min(max(-tc * math.expm1(log_lam_tau), t_start), tc)
-    return SettlingBound(tau, True, v_start)
+    return SettlingBound(tau, True)
 
 
 def settling_bound(p: BarrierParams, v0: float) -> SettlingBound:
@@ -150,15 +139,19 @@ def exact_solution_scalar(p: BarrierParams, x0: float, t: float) -> float:
     """
     _check_law(p)
     tc, q, alpha, m = p.tc, p.q, p.alpha, p.m
-    if not math.isfinite(x0):
-        raise ValueError(f"x0 must be finite, got {x0!r}")
+    try:  # not _finite: a try costs nothing unless raised
+        finite = math.isfinite(x0)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
+        _x0_error(x0)
     if not 0.0 <= t < tc:  # compared inline: the oracle is called once per sample
         _time_error(t, tc)
     if t == 0.0:
         return float(x0)
     one_minus_a = 1.0 - alpha
     z0 = abs(x0) ** one_minus_a
-    log_lam = math.log1p(-t / tc)  # _log_lambda, once per call
+    log_lam = math.log1p(-t / tc)
     if q == 0.0:
         bracket = z0
     else:
@@ -179,8 +172,8 @@ def exact_solution_scalar_array(p: BarrierParams, x0: float, times) -> np.ndarra
     _check_law(p)
     t = np.asarray(times, dtype=float)
     tc, q, alpha, m = p.tc, p.q, p.alpha, p.m
-    if not math.isfinite(x0):
-        raise ValueError(f"x0 must be finite, got {x0!r}")
+    if not _finite(x0):
+        _x0_error(x0)
     _check_times(t, tc)
     out = np.zeros(t.shape)
     start = t == 0.0

@@ -195,7 +195,6 @@ _SCHEMA = {
             ("tc", "beta", "q", "alpha"), ((list,), "a list of numbers", _NUMBER[0], None)
         ),
         "x0_decades": ((list,), "a list of two integers", (int,), 2),
-        "seed": ((int,), "an integer"),
     },
     "output": dict.fromkeys(("trajectory", "report", "sweep"), _PATH),
 }
@@ -377,7 +376,7 @@ def _cmd_certify(args, config: dict) -> int:
 
 
 def _sweep_config_from(config: dict) -> SweepConfig:
-    """The type-checked sweep section as a ``SweepConfig``, its seed dropped."""
+    """The type-checked sweep section as a ``SweepConfig``."""
     section = config.get("sweep", {})
     decades = tuple(section.get("x0_decades", SweepConfig.x0_decades))
     try:
@@ -415,9 +414,7 @@ def _cmd_bound(args, config: dict) -> int:
     x0 = _resolve(args, config, "x0", _vector)
     v0 = float(np.max(np.abs(x0)))
     sb = settling_bound(p, v0)
-    _print_block(
-        [("tau_bound", sb.tau_bound), ("reaches_zero", sb.reaches_zero), ("v0", sb.v0)]
-    )
+    _print_block([("tau_bound", sb.tau_bound), ("reaches_zero", sb.reaches_zero), ("v0", v0)])
     if not args.quiet:
         print(f"settling bound for v0={_fmt(v0)}: {_fmt(sb.tau_bound)} (deadline {_fmt(p.tc)})")
     return EXIT_OK

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, NoReturn, Optional
@@ -117,6 +118,11 @@ def _time_error(t: float, tc: float) -> NoReturn:
     raise DomainError(f"t={float(t)!r} outside [0, tc={tc!r})")
 
 
+def _x0_error(x0) -> NoReturn:
+    """Raise the one ``ValueError`` of an initial state that is not finite."""
+    raise ValueError(f"x0 must be finite, got {x0!r}")
+
+
 def _check_times(times, tc: float) -> None:
     """Raise the :class:`DomainError` of the first element of ``times`` outside [0, tc)."""
     t = np.asarray(times, dtype=float)
@@ -189,6 +195,8 @@ def _or_on_overflow(fn, value):
 
 
 _finite = _or_on_overflow(math.isfinite, False)  # false for an int past the float range
+_exp_or_inf = _or_on_overflow(math.exp, math.inf)
+_MIN_NORMAL = sys.float_info.min  # below it a float is subnormal and has lost digits
 
 
 def w_transform_array(v, t, p: BarrierParams) -> np.ndarray:
@@ -197,9 +205,10 @@ def w_transform_array(v, t, p: BarrierParams) -> np.ndarray:
     gives a 0-d result.
 
     The one implementation of W, shared by the trajectory recorder and the
-    certificate checker. An element takes the log form (:func:`_log_w`) for
-    beta > 30 and wherever (tc - t)**beta leaves the float range; a W past
-    the float range is inf, with no warning. A tuple outside the law's
+    certificate checker. An element takes the direct quotient where
+    (tc - t)**beta is a normal float, and the log form (:func:`_log_w`)
+    exactly where it is not (zero, subnormal or past the float range); a W
+    past the float range is inf, with no warning. A tuple outside the law's
     domain raises ``ValueError``; then the first pair with a time outside
     [0, tc) raises ``DomainError``, or with a negative V ``ValueError``.
     """
@@ -213,19 +222,16 @@ def w_transform_array(v, t, p: BarrierParams) -> np.ndarray:
         raise ValueError(f"negative Lyapunov value {v.flat[i].item()!r}")
     nonzero = v != 0.0
     vn, tn = v[nonzero], t[nonzero]
-    if beta <= 30.0:
-        try:
-            power = _map_floats(operator.pow, tc - tn, beta)
-        except OverflowError:  # an overflow takes the log form, as an underflow does
-            power = _map_floats(_or_on_overflow(operator.pow, 0.0), tc - tn, beta)
-    else:
-        power = np.zeros(vn.shape)
-    # a zero power's quotient is replaced by the log form below
+    try:
+        power = _map_floats(operator.pow, tc - tn, beta)
+    except OverflowError:  # an overflow takes the log form, as an underflow does
+        power = _map_floats(_or_on_overflow(operator.pow, 0.0), tc - tn, beta)
+    # a quotient by a power that is not a normal float is replaced by the log form below
     with np.errstate(over="ignore", divide="ignore"):
         wn = vn / power
-    logs = power == 0.0
+    logs = power < _MIN_NORMAL
     if logs.any():
-        wn[logs] = _map_floats(_or_on_overflow(math.exp, math.inf), _log_w(vn[logs], tn[logs], p))
+        wn[logs] = _map_floats(_exp_or_inf, _log_w(vn[logs], tn[logs], p))
     w = np.zeros(v.shape)
     w[nonzero] = wn
     return w

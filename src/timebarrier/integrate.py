@@ -88,6 +88,7 @@ from .core import (
     _evaluate,
     _Pointwise,
     _rhs_shape_fault,
+    _x0_error,
     w_transform_array,
 )
 
@@ -431,11 +432,14 @@ def _prepare(spec, x0, p, policy):
     """simulate()'s argument checks: (policy, x0 array, tc, t_end)."""
     _check_law(p)
     policy = policy if policy is not None else NumericPolicy()
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    try:
+        x0 = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    except OverflowError:  # an int past the float range
+        _x0_error(x0)
     if x0.shape != (spec.dim,):
         raise ValueError(f"x0 shape {x0.shape} does not match dim={spec.dim}")
     if not np.all(np.isfinite(x0)):
-        raise ValueError(f"x0 must be finite, got {x0!r}")
+        _x0_error(x0)
     tc = p.tc
     if spec.tc is not None and spec.tc < tc:
         raise ValueError(

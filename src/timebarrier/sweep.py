@@ -258,7 +258,7 @@ def separation_table(
     spec = make_time_barrier_scalar(p)
     rows = []
     for x0 in x0_list:
-        traj = simulate(spec, float(x0), p, policy)
+        traj = simulate(spec, x0, p, policy)  # names an x0 that is not finite
         auto = law.settling_time(abs(float(x0)))
         rows.append(
             SeparationRow(

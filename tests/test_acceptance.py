@@ -206,7 +206,7 @@ def test_criterion_9_sweep_determinism(tmp_path, capsys):
     config = {
         "sweep": {
             "tc": [0.5, 1.0], "beta": [2.0, 3.0], "q": [0.5, 1.0],
-            "alpha": [0.4, 0.5], "x0_decades": [-6, 6], "seed": 1,
+            "alpha": [0.4, 0.5], "x0_decades": [-6, 6],
         },
     }
     cfg_path = tmp_path / "cfg.json"

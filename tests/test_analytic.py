@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,45 @@ def test_barrier_integral_log_space_branch_past_exp_40():
     # arg + log1p(-exp(-arg)) in log space
     p = BarrierParams(1.0, 100.0, 1.0, 0.5)
     assert barrier_integral(p, 0.9) == pytest.approx((10.0**49 - 1.0) / 49.0, rel=1e-12)
+
+
+def decimal_barrier_integral(p, t):
+    """I(t) = tc**(1-m) * (lam**(1-m) - 1) / (m-1) to 100 digits, from the
+    float lam = 1 - fl(t/tc) that the closed form reads."""
+    with localcontext() as ctx:
+        ctx.prec = 100
+        lam = 1 - Decimal(t / p.tc)
+        e = 1 - Decimal(p.m)
+        return Decimal(p.tc) ** e * (lam**e - 1) / -e
+
+
+@pytest.mark.parametrize(
+    "tc, beta, alpha, t",
+    [
+        (1e-11, 60.0, 0.5, 1e-12),  # past the float range: was OverflowError
+        (1e20, 60.0, 0.5, 1e20 * (1 - 1e-11)),  # was nan
+        # a subnormal tc**(-m) factor cost the product form its digits
+        (1.727261674504697e19, 57.84347913769606, 0.7098471884737656, 1.483002029292995e19),
+        (1e300, 1.0, 0.5, 1e-24),  # t/tc underflows to 0: was 0.0
+        (1e300, 80.0, 0.5, 1e-24),  # the same at m = 40: was ValueError
+    ],
+    ids=["overflow", "near_tc", "subnormal_factor", "tiny_t", "tiny_t_m_40"],
+)
+def test_barrier_integral_keeps_its_digits_to_the_float_range(tc, beta, alpha, t):
+    p = BarrierParams(tc, beta, 1.0, alpha)
+    got = barrier_integral(p, t)
+    if t / tc == 0.0:  # lam = 1 in floats; I = t * tc**(-m) to within m*t/tc, far below a rounding
+        with localcontext() as ctx:
+            ctx.prec = 100
+            want = Decimal(t) * Decimal(tc) ** -Decimal(p.m)
+    else:
+        want = decimal_barrier_integral(p, t)
+    if want > Decimal(sys.float_info.max):
+        assert got == math.inf
+    elif want < Decimal(sys.float_info.min) / 2**52:  # below the smallest subnormal
+        assert got == 0.0
+    else:
+        assert abs(Decimal(got) - want) <= Decimal("1e-12") * want
 
 
 def test_barrier_integral_strictly_increasing():
@@ -138,6 +178,23 @@ def test_settling_bound_names_an_initial_value_past_the_float_range(bound):
     # an int past the float range is not finite: the check's ValueError, not OverflowError
     with pytest.raises(ValueError, match="initial Lyapunov value must be finite"):
         bound(BarrierParams(1, 2, 1, 0.5), 10**400)
+
+
+def test_settling_bound_past_the_exp_range_reaches_zero():
+    # log A = 709.78...: exp overflows there, so A is inf and the crossing is at tc
+    sb = settling_bound(BarrierParams(1, 4, 1e-300, 0.5), 1.0215165681210286e16)
+    assert sb.reaches_zero
+    assert sb.tau_bound == 1.0
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [exact_solution_scalar, lambda p, x0, t: exact_solution_scalar_array(p, x0, [t])],
+    ids=["scalar", "array"],
+)
+def test_exact_solution_names_an_x0_past_the_float_range(oracle):
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        oracle(BarrierParams(1, 2, 1, 0.5), 10**400, 0.5)
 
 
 def test_settling_bound_matches_root_oracle():

@@ -4,6 +4,8 @@ one-point function, bit for bit."""
 
 import functools
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -152,8 +154,8 @@ def test_wraps_wrapper_of_law_v_is_called_per_state(monkeypatch):
 
 def reference_w(v, t, p):
     """Plain-Python W at one pair: an independent reference for its array
-    form, in log space for beta > 30 and where the power leaves the float
-    range."""
+    form, direct where gap**beta is a normal float and in log space where
+    it is not (zero, subnormal or past the float range)."""
     if not 0.0 <= t < p.tc:
         raise DomainError(f"t={t!r} outside [0, tc={p.tc!r})")
     if v == 0.0:
@@ -161,13 +163,12 @@ def reference_w(v, t, p):
     if v < 0.0:
         raise ValueError(f"negative Lyapunov value {v!r}")
     gap = p.tc - t
-    if p.beta <= 30.0:
-        try:
-            power = gap**p.beta
-        except OverflowError:
-            power = 0.0
-        if power != 0.0:
-            return v / power
+    try:
+        power = gap**p.beta
+    except OverflowError:
+        power = 0.0
+    if power >= sys.float_info.min:
+        return v / power
     try:
         return math.exp(math.log(v) - p.beta * math.log(gap))
     except OverflowError:
@@ -217,6 +218,16 @@ def test_w_transform_array_off_the_fast_path(p, v, t):
         assert same_bits(one_by_one(w_transform_array), one_by_one(reference_w))
     else:
         assert raised(w_transform_array, v, t, p) == want
+
+
+def test_w_of_a_subnormal_power_keeps_its_digits():
+    # (2.15e-11)**30 is subnormal: the direct quotient by it lost ~4 digits
+    p = BarrierParams(2.0, 30.0, 1.0, 0.5)
+    v, t = 1e-300, 2.0 - 2.15e-11
+    assert 0.0 < (p.tc - t) ** 30 < sys.float_info.min
+    want = Fraction(v) / Fraction(p.tc - t) ** 30
+    got = w_transform_array(v, t, p).item()
+    assert abs(Fraction(got) - want) <= Fraction(1, 10**12) * want
 
 
 def test_w_past_the_float_range_is_inf_along_a_run():

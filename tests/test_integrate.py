@@ -837,7 +837,7 @@ def test_resample_rejects_bad_times(default_traj):
     # times in any order: reversed times give the reversed states
     times = [0.1, 0.4, 0.5]
     assert np.array_equal(resample(default_traj, times[::-1]), resample(default_traj, times)[::-1])
-    # NaN passes the range check
+    # the range check rejects NaN too, with the same message
     for times in ([math.nan], [0.1, math.nan], [0.1, math.nan, 0.2]):
         with pytest.raises(ValueError, match="finite"):
             resample(default_traj, times)
@@ -927,6 +927,15 @@ def test_simulate_validates_inputs(default_params, default_policy):
     law = make_time_barrier_componentwise(default_params, 2, default_policy)
     with pytest.raises(ValueError, match=r"^x0 shape \(3,\) does not match dim=2$"):
         simulate(law, [1.0, 2.0, 3.0], default_params, default_policy)
+
+
+def test_simulate_names_an_x0_past_the_float_range(default_params):
+    # an int past the float range is not finite: the check's ValueError, not OverflowError
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        simulate(make_time_barrier_scalar(default_params), 10**400, default_params)
+    law = make_time_barrier_componentwise(default_params, 2)
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        simulate(law, [1.0, -(10**400)], default_params)
 
 
 def test_tiny_initial_condition_immediate_event(default_params, default_policy):

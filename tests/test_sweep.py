@@ -262,6 +262,11 @@ def test_separation_table_frozen(default_policy):
         assert row.barrier_settling is not None and row.barrier_settling < 1.0
 
 
+def test_separation_table_names_an_x0_past_the_float_range():
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        separation_table(1.0, 1.0, 0.5, [10**400])
+
+
 def test_separation_monotone(default_policy):
     x0s = [10.0**k for k in range(-3, 7)]
     rows = separation_table(1.0, 1.0, 0.5, x0s, default_policy)
