@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import (
     _MIN_NORMAL, BarrierParams, DivergentIntegralError, _check_law, _check_times, _exp_or_inf,
-    _finite, _map_floats, _time_error, _x0_error,
+    _finite, _float_array, _map_floats, _time_error, _x0_error,
 )
 
 __all__ = [
@@ -170,7 +170,7 @@ def exact_solution_scalar_array(p: BarrierParams, x0: float, times) -> np.ndarra
     does: the first time outside [0, tc) raises its :class:`DomainError`.
     """
     _check_law(p)
-    t = np.asarray(times, dtype=float)
+    t = _float_array(times)
     tc, q, alpha, m = p.tc, p.q, p.alpha, p.m
     if not _finite(x0):
         _x0_error(x0)

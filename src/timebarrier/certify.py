@@ -1,10 +1,10 @@
 """Numerical verification of the dissipation inequality along trajectories,
 plus numeric witnesses that the decay field is not a function of V alone.
 
-The dissipation check compares dV/dt at every recorded sample with V above
-the convergence threshold against the bound -beta*V/(tc-t) - q*V**alpha,
-using the analytic derivative when the dynamics supply one and otherwise
-the Lie derivative of V along the field, grad V . f, the quantity the bound
+The dissipation check compares dV/dt with the bound -beta*V/(tc-t) - q*V**alpha
+at every recorded sample with V above the convergence threshold, evaluating it
+there only: the dynamics' own ``vdot`` when they supply one, and otherwise the
+Lie derivative of V along the field, grad V . f, the quantity the bound
 constrains: one second-order one-sided difference of V forward along
 f = rhs(x, t) from the recorded state, which reads V's right derivative.
 Slacks are relative plus absolute because the bound spans many orders of
@@ -135,7 +135,8 @@ def check_dissipation(
     """Check the decay inequality and barrier-scaled monotonicity along ``traj``.
 
     Samples with V <= eps_conv are excluded (the inequality is quantified over
-    nonzero states only). The bound at each checked (V, t) is the built-in
+    nonzero states only); dV/dt is evaluated at the checked samples only. The
+    bound at each checked (V, t) is the built-in
     law's own dV/dt, :func:`~timebarrier.core._dissipation_bound`, of the
     run's own tuple ``traj.params``; another ``p`` raises ``ValueError``.
     A violation is recorded when
@@ -161,7 +162,7 @@ def check_dissipation(
     t = traj.times[checked]
     v = traj.v_values[checked]
     if traj.spec.vdot is not None:
-        lhs = traj.vdot_values[checked]
+        lhs = _evaluate(traj.spec.vdot, traj.states[checked], t)
     else:
         lhs = _lie_vdot(traj.spec, traj.states[checked], t)
     rhs_bound = _dissipation_bound(v, t, p)

@@ -85,7 +85,7 @@ class BarrierParams:
 
     def __post_init__(self):
         for name in ("tc", "beta", "q", "alpha"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _float(getattr(self, name)))
         object.__setattr__(self, "m", self.beta * (1.0 - self.alpha))
         object.__setattr__(self, "_fault", _domain_fault(self))
 
@@ -112,10 +112,26 @@ def _check_law(p: BarrierParams) -> None:
         raise ValueError(p._fault)
 
 
+def _float(x) -> float:
+    """``float(x)``, with an int past the float range read as +-inf, as ``float("1e400")`` is."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _float_array(values) -> np.ndarray:
+    """``np.asarray(values, dtype=float)``, with :func:`_float`'s reading of an int."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        return np.vectorize(_float, otypes=[float])(np.asarray(values, dtype=object))
+
+
 def _time_error(t: float, tc: float) -> NoReturn:
     """Raise the one :class:`DomainError` of a time ``t`` outside [0, tc);
     per-sample callers compare ``0.0 <= t < tc`` inline and call this on failure."""
-    raise DomainError(f"t={float(t)!r} outside [0, tc={tc!r})")
+    raise DomainError(f"t={_float(t)!r} outside [0, tc={tc!r})")
 
 
 def _x0_error(x0) -> NoReturn:
@@ -125,7 +141,7 @@ def _x0_error(x0) -> NoReturn:
 
 def _check_times(times, tc: float) -> None:
     """Raise the :class:`DomainError` of the first element of ``times`` outside [0, tc)."""
-    t = np.asarray(times, dtype=float)
+    t = _float_array(times)
     outside = ~((0.0 <= t) & (t < tc))
     if outside.any():
         _time_error(t.flat[int(outside.argmax())], tc)
@@ -213,7 +229,7 @@ def w_transform_array(v, t, p: BarrierParams) -> np.ndarray:
     [0, tc) raises ``DomainError``, or with a negative V ``ValueError``.
     """
     _check_law(p)
-    v, t = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(t, dtype=float))
+    v, t = np.broadcast_arrays(_float_array(v), _float_array(t))
     tc, beta = p.tc, p.beta
     bad = ~((0.0 <= t) & (t < tc)) | (v < 0.0)
     if bad.any():  # the first bad pair: its time first, then its V
@@ -266,7 +282,7 @@ class NumericPolicy:
             if name == "delta_end" and value is None:
                 continue  # the automatic guard; None elsewhere is a TypeError
             try:
-                finite = math.isfinite(value)
+                finite = _finite(value)
             except TypeError:
                 raise TypeError(f"{name} must be a real number, got {value!r}") from None
             if not (finite and value > 0.0):
@@ -321,6 +337,8 @@ class DynamicsSpec:
     tc: Optional[float] = None
 
     def __post_init__(self):
+        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)):
+            raise ValueError(f"dim must be an integer, got {self.dim!r}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim!r}")
         if self.vdot is not None and self.v is None:
@@ -332,13 +350,13 @@ class _Blockwise:
     maps an (n, dim) block of states and n times to the n values. Called on
     one state, it evaluates a block of one row and returns a float.
 
-    Every built-in law writes its ``v`` and ``vdot`` this way, and the
-    trajectory recorder, the certificate and :func:`validate_spec` evaluate
-    one on all their states in one call, also in a user spec that reuses it
-    (``DynamicsSpec(v=law.v)``). Any other callable, a wrapper of a block
-    form (say, one made with ``functools.wraps``) included, is called once
-    per state, so ``dataclasses.replace(spec, v=other)`` evaluates
-    ``other``.
+    Every built-in law writes its ``v`` and ``vdot`` this way. The recorder
+    (V), the certificate (dV/dt at the samples it checks, or V along the rhs)
+    and :func:`validate_spec` (V) evaluate one on all their states in one
+    call, also in a user spec that reuses it (``DynamicsSpec(v=law.v)``). Any
+    other callable, a wrapper of a block form (say, one made with
+    ``functools.wraps``) included, is called once per state, so
+    ``dataclasses.replace(spec, v=other)`` evaluates ``other``.
     """
 
     __slots__ = ("block",)

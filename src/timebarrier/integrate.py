@@ -59,9 +59,10 @@ not depend on which other times share the call.
 
 The record of a run is built once, after the loop (``_record``): the dense
 output (``_Dense``, which ``resample`` also reads), the output times and
-states, V, W and vdot at each time (in one block call where the spec's V or
-vdot is a built-in block form), then the frozen :class:`Trajectory`. The
-certificate, the closed-form oracle and the CSV writer all read its arrays.
+states, V and W at each time (V in one block call where the spec's V is a
+built-in block form), then the frozen :class:`Trajectory`. The certificate,
+the closed-form oracle and the CSV writer all read its arrays; dV/dt is
+evaluated by the certificate alone, at the samples it checks.
 
 Each simulate() call owns its mutable state; a returned trajectory is
 frozen and its arrays are read-only, so it is safe to share.
@@ -86,6 +87,7 @@ from .core import (
     StallError,
     _check_law,
     _evaluate,
+    _float_array,
     _Pointwise,
     _rhs_shape_fault,
     _x0_error,
@@ -124,7 +126,7 @@ _OUTPUT_POINTS = 512
 
 
 class TrajectorySample(NamedTuple):
-    """One recorded point: time, state, and the Lyapunov/barrier values.
+    """One recorded point: its time and state.
 
     A view of one row of a :class:`Trajectory`'s arrays: ``x`` is the
     read-only row of ``states``. A named tuple, so its fields cannot be
@@ -133,9 +135,6 @@ class TrajectorySample(NamedTuple):
 
     t: float
     x: np.ndarray
-    v: Optional[float]
-    w: Optional[float]
-    vdot: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -160,8 +159,8 @@ class Trajectory:
     :func:`simulate`: a frozen record whose arrays are read-only. Runs
     compare and hash by identity: two runs are never equal, however alike.
 
-    ``states`` has one row per time of ``times``; ``v_values``, ``w_values``
-    and ``vdot_values`` are NaN where the spec has no evaluator for them.
+    ``states`` has one row per time of ``times``; ``v_values`` and
+    ``w_values`` are NaN where the spec has no V.
     ``event_time`` is the refined instant where max|x_i| crossed eps_conv;
     ``converged_at`` adds the closed-form remaining settling time of the
     reference law from that point, capped at ``t_end = tc - delta_end``,
@@ -177,7 +176,6 @@ class Trajectory:
     states: np.ndarray
     v_values: np.ndarray
     w_values: np.ndarray
-    vdot_values: np.ndarray
     converged_at: Optional[float]
     event_time: Optional[float]
     terminal_norm: float
@@ -188,15 +186,10 @@ class Trajectory:
 
     @cached_property
     def samples(self) -> list[TrajectorySample]:
-        """The record as one :class:`TrajectorySample` per time, built on
-        first access; V, W and vdot are None where the spec has none."""
-        none = repeat(None)
-        has_v = self.spec.v is not None
-        v = self.v_values.tolist() if has_v else none
-        w = self.w_values.tolist() if has_v else none
-        vdot = self.vdot_values.tolist() if self.spec.vdot is not None else none
+        """The record as one :class:`TrajectorySample` ``(t, x)`` per time,
+        built on first access."""
         # tuple.__new__ over the rows in one C-level map: no Python call per row
-        rows = zip(self.times.tolist(), self.states, v, w, vdot)
+        rows = zip(self.times.tolist(), self.states)
         return list(map(tuple.__new__, repeat(TrajectorySample), rows))
 
 
@@ -432,10 +425,7 @@ def _prepare(spec, x0, p, policy):
     """simulate()'s argument checks: (policy, x0 array, tc, t_end)."""
     _check_law(p)
     policy = policy if policy is not None else NumericPolicy()
-    try:
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    except OverflowError:  # an int past the float range
-        _x0_error(x0)
+    x0 = np.atleast_1d(_float_array(x0)).copy()  # an int past the float range is inf
     if x0.shape != (spec.dim,):
         raise ValueError(f"x0 shape {x0.shape} does not match dim={spec.dim}")
     if not np.all(np.isfinite(x0)):
@@ -575,7 +565,7 @@ def _step(spec, x0, tc, t_end, policy):
 
 def _record(spec, x0, p, policy, t_end, steps, rejected, converged, x_last) -> Trajectory:
     """The one post-loop record builder: the dense output, the event, the
-    samples and V/W/vdot, then the :class:`Trajectory`, constructed once.
+    samples and V/W, then the :class:`Trajectory`, constructed once.
     Its arguments past ``t_end`` are what :func:`_step` returns."""
     dim = spec.dim
     n_seg = len(steps)
@@ -614,13 +604,11 @@ def _record(spec, x0, p, policy, t_end, steps, rejected, converged, x_last) -> T
     times = np.sort(np.concatenate(grid))
     times = times[np.concatenate(([True], times[1:] != times[:-1]))]
     states = dense(times)
-    v = w = vdot = np.full(times.size, np.nan)  # V, W or vdot without an evaluator
+    v = w = np.full(times.size, np.nan)  # V and W without a V
     if spec.v is not None:
         v = _evaluate(spec.v, states, times)
         w = w_transform_array(v, times, p)
-        if spec.vdot is not None:
-            vdot = _evaluate(spec.vdot, states, times)
-    for values in (times, states, v, w, vdot, seg_t0, seg_h, seg_x0, coef, x0, x_end):
+    for values in (times, states, v, w, seg_t0, seg_h, seg_x0, coef, x0, x_end):
         values.flags.writeable = False
     return Trajectory(
         spec=spec,
@@ -630,7 +618,6 @@ def _record(spec, x0, p, policy, t_end, steps, rejected, converged, x_last) -> T
         states=states,
         v_values=v,
         w_values=w,
-        vdot_values=vdot,
         converged_at=converged_at,
         event_time=event_time,
         terminal_norm=_maxabs(states[-1].tolist()),
@@ -650,7 +637,7 @@ def resample(traj: Trajectory, times) -> np.ndarray:
     block. Every time must lie in [0, t_end], the last sample time; one that
     does not, NaN and +-inf included, raises ``ValueError``.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    times = np.atleast_1d(_float_array(times))
     if not ((0.0 <= times) & (times <= traj.t_end)).all():
         raise ValueError(f"times must be finite and within [0, {traj.t_end!r}], got {times!r}")
     return traj._dense(times)

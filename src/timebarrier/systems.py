@@ -25,6 +25,8 @@ from .core import (
     _check_law,
     _check_times,
     _dissipation_bound,
+    _finite,
+    _float,
     _Pointwise,
     _time_error,
 )
@@ -67,7 +69,7 @@ def make_time_barrier_scalar(
     The Lyapunov pair is V = |x| with its derivative along trajectories.
     ``policy`` is not read; it is kept so that callers passing it stay valid.
     """
-    spec = make_time_barrier_componentwise(p, 1, _bias=float(bias))
+    spec = make_time_barrier_componentwise(p, 1, _bias=_float(bias))
     label = f"time-barrier scalar (tc={p.tc:g}, beta={p.beta:g}, q={p.q:g}, alpha={p.alpha:g})"
     if bias:
         label += f" + bias {bias:g}"
@@ -142,9 +144,9 @@ def make_autonomous_power_law(q: float, alpha: float) -> AutonomousLaw:
     in v0 -- the numeric heart of the separation from deadline-enforced
     convergence.
     """
-    if not (math.isfinite(q) and q > 0.0):
+    if not (_finite(q) and q > 0.0):
         raise ValueError("q must be > 0")
-    if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
+    if not (_finite(alpha) and 0.0 < alpha < 1.0):
         raise ValueError("alpha in (0,1) violated")
 
     def settling_time(v0: float) -> float:

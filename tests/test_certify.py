@@ -90,6 +90,31 @@ def test_a_nan_v_or_vdot_is_a_violation(default_params, default_policy, nan_v):
     assert not report.passed
 
 
+def test_vdot_is_evaluated_at_the_checked_samples_only(default_params, default_policy):
+    # a plain-callable dV/dt undefined at the origin: the run records zero
+    # states, which the certificate does not check, so it is never called there
+    biased = make_time_barrier_scalar(default_params, default_policy, bias=0.1)
+    calls = []
+
+    def vdot(x, t):
+        if x[0] == 0.0:
+            raise ZeroDivisionError("dV/dt is undefined at x = 0")
+        calls.append(t)
+        return biased.vdot(x, t)
+
+    traj = simulate(dataclasses.replace(biased, vdot=vdot), 1.0, default_params, default_policy)
+    assert np.any(traj.states == 0.0)
+    report = check_dissipation(traj, default_params, default_policy)
+    assert len(calls) == report.checked_samples > 0
+    block = check_dissipation(
+        simulate(biased, 1.0, default_params, default_policy), default_params, default_policy
+    )
+    assert report.violations == block.violations
+    assert len(report.violations) >= 1
+    assert report.max_residual == block.max_residual
+    assert report.w_monotone == block.w_monotone
+
+
 def test_a_finite_vdot_against_an_overflowed_bound_is_a_violation():
     # at tc = 0.01 and beta = 80, beta * V / (tc - t) overflows for V near
     # 1e305, so the bound is -inf and the residual of dV/dt = 0 is +inf
@@ -279,8 +304,11 @@ def test_inadmissible_params_fail_certificate(default_policy):
 
 
 def test_recorded_w_matches_transform(default_traj, default_params):
-    for sample in default_traj.samples[:: len(default_traj.samples) // 50]:
-        assert sample.w == w_transform_array(sample.v, sample.t, default_params).item()
+    every = default_traj.times.size // 50
+    rows = zip(default_traj.times[::every].tolist(), default_traj.v_values[::every].tolist(),
+               default_traj.w_values[::every].tolist())
+    for t, v, w in rows:
+        assert w == w_transform_array(v, t, default_params).item()
 
 
 def test_witness_frozen_values(default_params):

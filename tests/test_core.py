@@ -20,6 +20,7 @@ from timebarrier import (
     exact_solution_scalar_array,
     find_nonautonomy_witness,
     remaining_settling_time,
+    resample,
     settling_bound,
     simulate,
     validate_params,
@@ -27,7 +28,11 @@ from timebarrier import (
     w_transform_array,
 )
 from timebarrier.core import _Blockwise
-from timebarrier.systems import make_time_barrier_componentwise, make_time_barrier_scalar
+from timebarrier.systems import (
+    make_autonomous_power_law,
+    make_time_barrier_componentwise,
+    make_time_barrier_scalar,
+)
 
 
 def test_validate_params_boundary_admissible():
@@ -208,6 +213,47 @@ def test_one_time_rule_at_every_entry_point(case, entry):
     assert str(info.value) == text
 
 
+BIG = 10**400  # an int past the float range: float(BIG) raises OverflowError
+T_INF = r"^t=inf outside \[0, tc=1\.0\)$"
+TC_INF = "^non-finite parameter: tc$"
+
+# a call with an int past the float range, the error of the rule that names it
+# read as +-inf, and that error's text
+PAST_THE_FLOAT_RANGE = {
+    "NumericPolicy": (lambda: NumericPolicy(eps_conv=BIG), ValueError,
+                      "^eps_conv must be strictly positive, got 1000"),
+    "BarrierParams": (lambda: barrier_integral(BarrierParams(BIG, 2, 1, 0.5), 0.5),
+                      ValueError, TC_INF),
+    "make_time_barrier_scalar": (lambda: make_time_barrier_scalar(P_TIME, bias=BIG),
+                                 ValueError, "^bias must be finite, got inf$"),
+    "make_autonomous_power_law": (lambda: make_autonomous_power_law(BIG, 0.5),
+                                  ValueError, "^q must be > 0$"),
+    "barrier_integral": (lambda: barrier_integral(P_TIME, BIG), DomainError, T_INF),
+    "barrier_integral_negative": (lambda: barrier_integral(P_TIME, -BIG), DomainError,
+                                  r"^t=-inf outside "),
+    "remaining_settling_time": (lambda: remaining_settling_time(P_TIME, 1.0, BIG),
+                                DomainError, T_INF),
+    "SweepConfig": (lambda: SweepConfig(tc_values=(BIG,)), ValueError, TC_INF),
+    "find_nonautonomy_witness": (lambda: find_nonautonomy_witness(P_TIME, 0.25, 0.0, BIG),
+                                 DomainError, T_INF),
+    "exact_solution_scalar": (lambda: exact_solution_scalar(P_TIME, 1.0, BIG),
+                              DomainError, T_INF),
+    "exact_solution_scalar_array": (lambda: exact_solution_scalar_array(P_TIME, 1.0, [0.5, BIG]),
+                                    DomainError, T_INF),
+    "w_transform_array": (lambda: w_transform_array(1.0, BIG, P_TIME), DomainError, T_INF),
+    "resample": (lambda: resample(simulate(LAW, 1.0, P_TIME), [BIG]), ValueError,
+                 r"^times must be finite and within \[0, 0\.999999999\], got array\(\[inf\]\)$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAST_THE_FLOAT_RANGE))
+def test_an_int_past_the_float_range_is_named_by_its_rule(case):
+    call, error, text = PAST_THE_FLOAT_RANGE[case]
+    with pytest.raises(error, match=text) as info:
+        call()
+    assert type(info.value) is error
+
+
 def test_witness_names_the_first_time_outside_the_domain():
     with pytest.raises(DomainError, match=r"^t=1\.5 outside \[0, tc=1\.0\)$"):
         find_nonautonomy_witness(P_TIME, 0.25, 0.0, 1.5)
@@ -283,6 +329,17 @@ def test_spec_rejects_a_dim_below_one_and_vdot_without_v():
         DynamicsSpec(dim=0, rhs=lambda x, t: -x)
     with pytest.raises(ValueError, match="vdot without v"):
         DynamicsSpec(dim=1, rhs=lambda x, t: -x, vdot=lambda x, t: 0.0)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda dim: DynamicsSpec(dim=dim, rhs=lambda x, t: -x),
+             lambda dim: make_time_barrier_componentwise(P_TIME, dim)],
+    ids=["DynamicsSpec", "make_time_barrier_componentwise"],
+)
+@pytest.mark.parametrize("dim", [2.0, 1.5, True])
+def test_spec_rejects_a_dim_that_is_not_an_integer(make, dim):
+    with pytest.raises(ValueError, match=f"^dim must be an integer, got {dim!r}$"):
+        make(dim)
 
 
 def test_policy_delta_end_resolution():

@@ -75,7 +75,7 @@ def test_clamped_after_event(default_traj):
 
 def test_record_arrays_read_only(default_traj):
     for values in (default_traj.times, default_traj.states, default_traj.v_values,
-                   default_traj.w_values, default_traj.vdot_values):
+                   default_traj.w_values):
         assert not values.flags.writeable
     with pytest.raises(ValueError):
         default_traj.states[0, 0] = 2.0
@@ -85,7 +85,8 @@ def test_record_arrays_read_only(default_traj):
 
 def test_trajectory_is_one_frozen_record(default_traj, default_policy):
     fields = [f.name for f in dataclasses.fields(default_traj)]
-    assert len(fields) == 15
+    assert len(fields) == 14
+    assert "vdot_values" not in fields
     assert [name for name in fields if name.startswith("_")] == ["_dense"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         default_traj.states = default_traj.states.copy()
@@ -112,7 +113,7 @@ def test_runs_compare_and_hash_by_identity(default_traj, default_params, default
 
 
 def test_samples_are_named_tuples_over_the_state_rows(default_params, default_policy):
-    assert TrajectorySample._fields == ("t", "x", "v", "w", "vdot")
+    assert TrajectorySample._fields == ("t", "x")
     for x0 in (1.0, [1.0, -0.5]):
         law = make_time_barrier_componentwise(default_params, np.size(x0), default_policy)
         traj = simulate(law, x0, default_params, default_policy)
@@ -140,14 +141,9 @@ def test_samples_view_of_arrays(default_params, default_policy):
         assert traj.samples is samples
         assert [s.t for s in samples] == traj.times.tolist()
         assert np.array_equal([s.x for s in samples], traj.states)
-        for name, values in (("v", traj.v_values), ("w", traj.w_values),
-                             ("vdot", traj.vdot_values)):
-            column = [getattr(s, name) for s in samples]
-            if spec is bare:
-                assert column == [None] * len(samples)
-                assert np.all(np.isnan(values))
-            else:
-                assert column == values.tolist()
+        # a spec with no V has one representation of it: NaN V and W
+        for values in (traj.v_values, traj.w_values):
+            assert np.isnan(values).all() if spec is bare else np.isfinite(values).all()
 
 
 def test_replaced_v_is_evaluated(default_params, default_policy, monkeypatch):
@@ -165,18 +161,26 @@ def test_replaced_v_is_evaluated(default_params, default_policy, monkeypatch):
     assert len(calls) == traj.times.size
     assert np.array_equal(traj.v_values, 2.0 * np.abs(traj.states[:, 0]))
     traj = simulate(dataclasses.replace(spec, vdot=no_decay), 1.0, default_params, default_policy)
-    assert np.all(traj.vdot_values == 0.0)
-    # a label change keeps the block forms: one call each, the same bits
+    report = check_dissipation(traj, default_params, default_policy)
+    assert report.checked_samples > 0
+    assert [v.lhs for v in report.violations] == [0.0] * report.checked_samples
+    # a label change keeps the block forms: one call each, the same bits;
+    # simulate evaluates V, and the certificate dV/dt at its checked samples
     relabeled = dataclasses.replace(spec, label="relabeled")
     blocks = []
-    for fn in (spec.v, spec.vdot):
-        block = fn.block
-        monkeypatch.setattr(fn, "block", lambda s, t, block=block: blocks.append(t) or block(s, t))
+    for name in ("v", "vdot"):
+        block = getattr(spec, name).block
+        monkeypatch.setattr(getattr(spec, name), "block",
+                            lambda s, t, name=name, block=block: blocks.append((name, t.size))
+                            or block(s, t))
     base = simulate(spec, 1.0, default_params, default_policy)
     again = simulate(relabeled, 1.0, default_params, default_policy)
-    assert [t.size for t in blocks] == [base.times.size] * 2 + [again.times.size] * 2
+    assert blocks == [("v", base.times.size), ("v", again.times.size)]
     assert again.v_values.tobytes() == base.v_values.tobytes()
-    assert again.vdot_values.tobytes() == base.vdot_values.tobytes()
+    blocks.clear()
+    reports = [check_dissipation(traj, default_params, default_policy) for traj in (base, again)]
+    assert blocks == [("vdot", report.checked_samples) for report in reports]
+    assert reports[0] == reports[1]
 
 
 def test_equilibrium_start(default_params, default_policy):
