@@ -100,24 +100,24 @@ def _lie_vdot(spec: DynamicsSpec, states: np.ndarray, t: np.ndarray) -> np.ndarr
     difference would average the two sides' rates. It is exact for V linear along
     f and O(eps**2) for smooth V. V takes the 3n states in one call.
 
-    f is :func:`~timebarrier.core._evaluate` of the rhs on all rows. One that raises,
-    has another shape than ``states`` or is not finite is re-run row by row through
-    ``_checked_rhs``, which raises the first bad row's error (the rhs's own, its
-    shape's, or the ``BlowUpError`` of a non-finite value).
+    f and V are :func:`~timebarrier.core._evaluate`'s, on all rows and on the stencil.
+    An f that raises (of another shape included) or is not finite is re-run row by
+    row through ``_checked_rhs``, which raises the first bad row's error (the rhs's
+    own, its shape's, or the ``BlowUpError`` of a non-finite value).
     """
     n, dim = states.shape
     try:
-        f = _evaluate(spec.rhs, states, t)
+        f = _evaluate(spec, "rhs", states, t)
     except Exception:
         f = None
-    if f is None or f.shape != states.shape or not np.isfinite(f).all():
+    if f is None or not np.isfinite(f).all():
         f = np.reshape([_checked_rhs(spec, x, ti) for x, ti in zip(states, t.tolist())], (n, dim))
     f_max = np.abs(f).max(axis=1)
     x_max = np.abs(states).max(axis=1)
     h = 1e-6 * np.where(x_max > 0.0, x_max, 1.0)
     shift = f / np.where(f_max > 0.0, f_max, 1.0)[:, None] * h[:, None]
     stencil = np.concatenate((states, states + shift, states + 2.0 * shift))
-    v = _evaluate(spec.v, stencil, np.concatenate((t, t, t)))
+    v = _evaluate(spec, "v", stencil, np.concatenate((t, t, t)))
     return (-3.0 * v[:n] + 4.0 * v[n:2 * n] - v[2 * n:]) / (2.0 * h) * f_max
 
 
@@ -162,7 +162,7 @@ def check_dissipation(
     t = traj.times[checked]
     v = traj.v_values[checked]
     if traj.spec.vdot is not None:
-        lhs = _evaluate(traj.spec.vdot, traj.states[checked], t)
+        lhs = _evaluate(traj.spec, "vdot", traj.states[checked], t)
     else:
         lhs = _lie_vdot(traj.spec, traj.states[checked], t)
     rhs_bound = _dissipation_bound(v, t, p)

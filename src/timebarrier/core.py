@@ -326,7 +326,10 @@ class DynamicsSpec:
     trajectories, each called as ``v(x, t)`` on one state; ``vdot`` may be
     absent even when ``v`` is present (the certificate checker then takes
     the Lie derivative of ``v`` along ``rhs``). How many states are
-    evaluated in one call is :class:`_Blockwise`'s rule.
+    evaluated in one call is :class:`_Blockwise`'s rule. ``v`` and ``vdot``
+    give one float per state and ``rhs`` an array of the state's shape; every
+    reader evaluates them through :func:`_evaluate`, so any other shape raises
+    its ``ValueError``. A field that is not callable raises ``ValueError``.
     """
 
     dim: int
@@ -341,6 +344,9 @@ class DynamicsSpec:
             raise ValueError(f"dim must be an integer, got {self.dim!r}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim!r}")
+        for name, fn in (("rhs", self.rhs), ("v", self.v), ("vdot", self.vdot)):
+            if not (callable(fn) or (fn is None and name != "rhs")):
+                raise ValueError(f"{name} must be callable, got {fn!r}")
         if self.vdot is not None and self.v is None:
             raise ValueError("vdot without v is not meaningful")
 
@@ -350,10 +356,10 @@ class _Blockwise:
     maps an (n, dim) block of states and n times to the n values. Called on
     one state, it evaluates a block of one row and returns a float.
 
-    Every built-in law writes its ``v`` and ``vdot`` this way. The recorder
-    (V), the certificate (dV/dt at the samples it checks, or V along the rhs)
-    and :func:`validate_spec` (V) evaluate one on all their states in one
-    call, also in a user spec that reuses it (``DynamicsSpec(v=law.v)``). Any
+    Every built-in law writes its ``v`` and ``vdot`` this way. :func:`_evaluate`
+    alone calls a block, so the recorder (V), the certificate (dV/dt at the samples
+    it checks, or V along the rhs) and :func:`validate_spec` (V) evaluate one on all
+    their states in one call, also in a user spec that reuses it (``v=law.v``). Any
     other callable, a wrapper of a block form (say, one made with
     ``functools.wraps``) included, is called once per state, so
     ``dataclasses.replace(spec, v=other)`` evaluates ``other``.
@@ -389,23 +395,34 @@ class _Pointwise:
         return np.array([kernel(xi, t) for xi in x.tolist()])
 
 
-def _evaluate(fn, states: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """``fn`` (a spec's ``v``, ``vdot`` or ``rhs``) at each row of ``states`` and each
-    time, unchecked: one call of its block form, one map of its kernel over every
-    (x_i, t) shaped as ``states``, or one call per row for any other callable."""
-    if isinstance(fn, _Blockwise):
-        return fn.block(states, times)
-    if isinstance(fn, _Pointwise):
+def _evaluate(spec: DynamicsSpec, name: str, states: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The spec's ``name`` callable (``"v"``, ``"vdot"`` or ``"rhs"``) at each row of
+    ``states`` and each time, as float64: one call of its block form, one map of its
+    kernel over every (x_i, t), or one call per row for any other callable. A V or
+    dV/dt must give shape (n,) and an rhs ``states.shape``, by one compare per call;
+    any other raises :func:`_shape_fault`'s ``ValueError``. An empty block calls nothing."""
+    fn = getattr(spec, name)
+    want = states.shape if name == "rhs" else states.shape[:1]
+    if not states.size:
+        return np.zeros(want)
+    if isinstance(fn, _Pointwise):  # shaped as states by construction
         at = np.repeat(times, states.shape[1]).tolist()
         f = np.fromiter(map(fn.kernel, states.ravel().tolist(), at), float, states.size)
         return f.reshape(states.shape)
-    return np.array([fn(x, t) for x, t in zip(states, times.tolist())], dtype=float)
+    if isinstance(fn, _Blockwise):
+        f = np.asarray(fn.block(states, times), dtype=float)
+    else:
+        f = np.array([fn(x, t) for x, t in zip(states, times.tolist())], dtype=float)
+    if f.shape != want:  # named by one state's shape
+        raise ValueError(_shape_fault(spec, name, f.shape[1:], want[1:]))
+    return f
 
 
-def _rhs_shape_fault(spec: DynamicsSpec, f: np.ndarray, x: np.ndarray) -> str:
-    """The one text of an rhs value ``f`` whose shape is not that of the state
-    ``x``; callers compare the shapes inline and build this on failure."""
-    return f"rhs returned shape {f.shape}, expected {x.shape} ({spec.label})"
+def _shape_fault(spec: DynamicsSpec, name: str, got: tuple, want: tuple) -> str:
+    """The one text of a spec callable whose value has shape ``got`` where ``want``
+    is expected; callers compare the shapes and build this on failure."""
+    label = f" ({spec.label})" if spec.label else ""
+    return f"{name} returned shape {got}, expected {want}{label}"
 
 
 # the sampling of validate_spec
@@ -418,13 +435,14 @@ _TIME_POINTS = 16
 def validate_spec(spec: DynamicsSpec, horizon: float) -> list[str]:
     """Sampling-based check of the DynamicsSpec contract.
 
-    Verifies that rhs(0, t) has the state's shape and is zero and, when a
-    Lyapunov evaluator is present, V(0, t) = 0 and V(x, t) > 0 for x != 0,
-    over 64 seeded random radii in each decade from 1e-6 to 1e3 and 16 times
-    in [0, horizon). Returns a list of human-readable problems (empty when
-    the dynamics pass), at most one of each kind. The check is explicit
-    rather than run at construction because sweeps build thousands of cheap
-    spec instances. A ``horizon`` that is not finite, not > 0 or
+    Verifies that rhs(0, t) is zero and, when a Lyapunov evaluator is
+    present, V(0, t) = 0 and V(x, t) > 0 for x != 0, over 64 seeded random
+    radii in each decade from 1e-6 to 1e3 and 16 times in [0, horizon), all
+    evaluated in one :func:`_evaluate` call each, so a value of the wrong
+    shape raises its ``ValueError``. Returns a list of human-readable problems
+    (empty when the dynamics pass), at most one of each kind. The check is
+    explicit rather than run at construction because sweeps build thousands
+    of cheap spec instances. A ``horizon`` that is not finite, not > 0 or
     past ``spec.tc`` raises ``ValueError`` naming it, before any call.
     """
     if not (_finite(horizon) and horizon > 0.0 and (spec.tc is None or horizon <= spec.tc)):
@@ -432,20 +450,14 @@ def validate_spec(spec: DynamicsSpec, horizon: float) -> list[str]:
     rng = np.random.default_rng(_VALIDATE_SEED)
     problems: list[str] = []
     times = np.linspace(0.0, horizon, _TIME_POINTS, endpoint=False)
-    origin = np.zeros(spec.dim)
-    for t in times:
-        f0 = np.asarray(spec.rhs(origin, float(t)), dtype=float)
-        if f0.shape != origin.shape:
-            problems.append(_rhs_shape_fault(spec, f0, origin))
-            break
+    states = [np.zeros(spec.dim)] * _TIME_POINTS
+    for t, f0 in zip(times, _evaluate(spec, "rhs", np.array(states), times)):
         if not np.all(f0 == 0.0):
             problems.append(f"rhs(0, {t:g}) = {f0!r} is not the zero vector")
             break
     if spec.v is None:
         return problems
     # V at the origin at each time, then at the random states
-    n0 = times.size
-    states = [origin] * n0
     at = times.tolist()
     radii = []
     for decade in range(*_RADIUS_DECADES):
@@ -457,17 +469,12 @@ def validate_spec(spec: DynamicsSpec, horizon: float) -> list[str]:
             states.append(r * direction / norm)
             at.append(float(rng.choice(times)))
             radii.append(r)
-    if isinstance(spec.v, _Blockwise):
-        values = spec.v.block(np.array(states), np.array(at)).tolist()
-        at_origin, elsewhere = values[:n0], values[n0:]
-    else:  # one call per state, up to the first problem of each kind
-        at_origin = map(spec.v, states[:n0], at[:n0])
-        elsewhere = map(spec.v, states[n0:], at[n0:])
-    for t, value in zip(times, at_origin):
+    values = _evaluate(spec, "v", np.array(states), np.array(at)).tolist()
+    for t, value in zip(times, values[:_TIME_POINTS]):
         if value != 0.0:
             problems.append(f"V(0, {t:g}) = {value!r} is not zero")
             break
-    for r, t, value in zip(radii, at[n0:], elsewhere):
+    for r, t, value in zip(radii, at[_TIME_POINTS:], values[_TIME_POINTS:]):
         if not value > 0.0:
             problems.append(f"V(x, {t:g}) = {value!r} not positive at |x|={r:g}")
             break

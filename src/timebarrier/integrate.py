@@ -32,8 +32,8 @@ plain-float kernel (``core._Pointwise``, the rhs of every built-in law,
 also where a user spec reuses it) is called bare, on floats: at dim 1
 directly, at dim >= 2 for each coordinate with the common step size, where
 a coordinate held at zero skips its trial. Any other rhs is called through
-``_coerced_rhs``, the one place an rhs value is coerced to float64 and
-shape-checked, on a one-element array at dim 1 and on arrays at dim >= 2.
+``_coerced_rhs``, which coerces a trial's rhs value to float64 and checks
+its shape, on a one-element array at dim 1 and on arrays at dim >= 2.
 The error norm is finite only when the seven stages and the new state all
 are (``_trial`` adds 0.0 times k2, the one stage with zero weight in the
 error, times the new state). A trial that raises, or whose error norm is
@@ -89,7 +89,7 @@ from .core import (
     _evaluate,
     _float_array,
     _Pointwise,
-    _rhs_shape_fault,
+    _shape_fault,
     _x0_error,
     w_transform_array,
 )
@@ -216,11 +216,11 @@ def _rms(values: list) -> float:
 
 
 def _coerced_rhs(spec: DynamicsSpec, x: np.ndarray, t: float) -> np.ndarray:
-    """``spec.rhs(x, t)`` as a float64 array of the shape of ``x``: the one
-    place an rhs value is coerced and shape-checked."""
+    """``spec.rhs(x, t)`` as a float64 array of the shape of ``x``: the stepper's
+    coercion and shape check, with :func:`~timebarrier.core._shape_fault`'s text."""
     f = np.asarray(spec.rhs(x, t), dtype=float)
     if f.shape != x.shape:
-        raise ValueError(_rhs_shape_fault(spec, f, x))
+        raise ValueError(_shape_fault(spec, "rhs", f.shape, x.shape))
     return f
 
 
@@ -606,7 +606,7 @@ def _record(spec, x0, p, policy, t_end, steps, rejected, converged, x_last) -> T
     states = dense(times)
     v = w = np.full(times.size, np.nan)  # V and W without a V
     if spec.v is not None:
-        v = _evaluate(spec.v, states, times)
+        v = _evaluate(spec, "v", states, times)
         w = w_transform_array(v, times, p)
     for values in (times, states, v, w, seg_t0, seg_h, seg_x0, coef, x0, x_end):
         values.flags.writeable = False

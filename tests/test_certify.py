@@ -246,6 +246,15 @@ def test_lie_derivative_rhs_of_another_shape_is_named(default_params, default_po
         check_dissipation(dataclasses.replace(traj, spec=spec), default_params, default_policy)
 
 
+def test_vdot_of_the_wrong_shape_is_named(default_params, default_policy):
+    # one array per state is no dV/dt: named, not a bare IndexError
+    law = make_time_barrier_scalar(default_params, default_policy)
+    spec = dataclasses.replace(law, vdot=lambda x, t: -x, label="")
+    traj = simulate(spec, 1.0, default_params, default_policy)
+    with pytest.raises(ValueError, match=r"^vdot returned shape \(1,\), expected \(\)$"):
+        check_dissipation(traj, default_params, default_policy)
+
+
 @pytest.mark.parametrize("failure", ["nan", "raise", "nan, then raise"])
 def test_lie_derivative_rhs_failure_is_raised_on_both_routes(
     default_params, default_policy, failure

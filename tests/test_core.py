@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -332,6 +333,18 @@ def test_spec_rejects_a_dim_below_one_and_vdot_without_v():
 
 
 @pytest.mark.parametrize(
+    "fields, name, value",
+    [({"rhs": None}, "rhs", None), ({"v": 3.0}, "v", 3.0),
+     ({"v": abs, "vdot": "dV/dt"}, "vdot", "dV/dt")],
+    ids=["rhs-None", "v-float", "vdot-str"],
+)
+def test_spec_rejects_a_field_that_is_not_callable(fields, name, value):
+    # named at construction, not by a TypeError once a run has stepped
+    with pytest.raises(ValueError, match=f"^{name} must be callable, got {value!r}$"):
+        DynamicsSpec(**{"dim": 1, "rhs": lambda x, t: -x, **fields})
+
+
+@pytest.mark.parametrize(
     "make", [lambda dim: DynamicsSpec(dim=dim, rhs=lambda x, t: -x),
              lambda dim: make_time_barrier_componentwise(P_TIME, dim)],
     ids=["DynamicsSpec", "make_time_barrier_componentwise"],
@@ -410,10 +423,28 @@ def test_validate_spec_flags_an_rhs_of_the_wrong_shape(default_params, default_p
         DynamicsSpec(3, rhs=lambda x, t: 0.0),
         DynamicsSpec(2, rhs=lambda x, t: np.zeros(3), label="three values"),
     ):
-        # the problem is the text that simulate raises for the same spec
+        # a broken call contract raises the text that simulate raises for the same spec
         with pytest.raises(ValueError) as raised:
             simulate(spec, np.ones(spec.dim), default_params, default_policy)
-        assert validate_spec(spec, 1.0) == [str(raised.value)]
+        with pytest.raises(ValueError, match=re.escape(str(raised.value))):
+            validate_spec(spec, 1.0)
+
+
+@pytest.mark.parametrize(
+    "dim, v, text",
+    [
+        (2, lambda x, t: np.abs(x), "v returned shape (2,), expected ()"),
+        (1, lambda x, t: [abs(x[0]), 0.0], "v returned shape (2,), expected ()"),
+        (2, _Blockwise(lambda states, times: np.abs(states)), "v returned shape (2,), expected ()"),
+    ],
+    ids=["array-per-state", "list-per-state", "block-of-arrays"],
+)
+def test_validate_spec_raises_on_a_v_of_the_wrong_shape(dim, v, text, default_params, default_policy):
+    # a V that gives no float per state breaks the call contract, as it does in simulate
+    law = make_time_barrier_componentwise(default_params, dim, default_policy)
+    spec = DynamicsSpec(dim=dim, rhs=law.rhs, label="shaped V", v=v)
+    with pytest.raises(ValueError, match=f"^{re.escape(text)} \\(shaped V\\)$"):
+        validate_spec(spec, default_params.tc)
 
 
 def _zero_in_a_band(origin_value):
@@ -432,11 +463,11 @@ def _zero_in_a_band(origin_value):
 @pytest.mark.parametrize(
     "origin_value, expected, calls",
     [
-        (0.0, ["V(x, 0.5) = 0.0 not positive at |x|=0.806651"], 340),
+        (0.0, ["V(x, 0.5) = 0.0 not positive at |x|=0.806651"], 16 + 9 * 64),
         (
             1e-3,
             ["V(0, 0) = 0.001 is not zero", "V(x, 0.5) = 0.0 not positive at |x|=0.806651"],
-            1 + 324,
+            16 + 9 * 64,
         ),
     ],
     ids=["nonpositive-at-one-radius", "nonzero-at-origin-too"],
@@ -454,7 +485,7 @@ def test_validate_spec_reports_the_first_problem_of_each_kind(
 
     spec = DynamicsSpec(dim=2, rhs=law.rhs, label="user V", v=per_state, tc=law.tc)
     assert validate_spec(spec, default_params.tc) == expected
-    # each kind stops at its first problem: origin times, then states
+    # V is evaluated once on every sampled state; each kind reports its first problem
     assert len(seen) == calls
     blocks = []
 

@@ -896,6 +896,23 @@ def test_rhs_value_of_the_wrong_shape_is_rejected(default_params, default_policy
         simulate(spec, [1.0, 0.9], default_params, default_policy)
 
 
+@pytest.mark.parametrize(
+    "spec, x0, text",
+    [
+        # no label, no parenthesis
+        (DynamicsSpec(dim=2, rhs=lambda x, t: np.zeros(3)), [1.0, 0.9],
+         r"^rhs returned shape \(3,\), expected \(2,\)$"),
+        # one array per state is no V: named before a (n, 1) V or a (n, n) W is recorded
+        (DynamicsSpec(dim=1, rhs=lambda x, t: -x, label="abs", v=lambda x, t: np.abs(x)), 1.0,
+         r"^v returned shape \(1,\), expected \(\) \(abs\)$"),
+    ],
+    ids=["unlabelled-rhs", "array-v"],
+)
+def test_a_value_of_the_wrong_shape_is_named(spec, x0, text, default_params, default_policy):
+    with pytest.raises(ValueError, match=text):
+        simulate(spec, x0, default_params, default_policy)
+
+
 def test_blow_up_error(default_params, default_policy):
     def exploding(x, t):
         with np.errstate(over="ignore"):
