@@ -48,18 +48,6 @@ class SettlingBound:
     reaches_zero: bool
 
 
-def _scaled_integral(m: float, tc: float, log_lam: float) -> float:
-    """J(t) = integral of ((tc-s)/tc)**(-m) ds over [0, t] for 0 < t <= tc,
-    from ``log_lam`` = log((tc - t)/tc), -inf at t = tc; inf if divergent.
-    At t = tc, expm1(-inf) is -1.0, so m < 1 gives tc / (1 - m) exactly."""
-    if m == 1.0:
-        return -tc * log_lam
-    arg = (1.0 - m) * log_lam
-    if arg > 700.0:
-        return math.inf
-    return tc * math.expm1(arg) / (m - 1.0)
-
-
 def barrier_integral(p: BarrierParams, t: float) -> float:
     """I(t) = integral of (tc - s)**(-m) over [0, t], in closed form.
 
@@ -152,10 +140,15 @@ def exact_solution_scalar(p: BarrierParams, x0: float, t: float) -> float:
     one_minus_a = 1.0 - alpha
     z0 = abs(x0) ** one_minus_a
     log_lam = math.log1p(-t / tc)
+    # z0 - q*(1-alpha)*J(t), J(t) = integral of lam(s)**(-m) ds over [0, t]
     if q == 0.0:
         bracket = z0
+    elif m == 1.0:
+        bracket = z0 - q * one_minus_a * (-tc * log_lam)
     else:
-        bracket = z0 - q * one_minus_a * _scaled_integral(m, tc, log_lam)
+        arg = (1.0 - m) * log_lam
+        j = math.inf if arg > 700.0 else tc * math.expm1(arg) / (m - 1.0)  # inf past exp's range
+        bracket = z0 - q * one_minus_a * j
     if bracket <= 0.0 or not math.isfinite(bracket):
         return 0.0
     log_x = (m * log_lam + math.log(bracket)) / one_minus_a
@@ -185,7 +178,7 @@ def exact_solution_scalar_array(p: BarrierParams, x0: float, times) -> np.ndarra
     if q == 0.0:
         bracket = np.full(t.shape, z0)
     else:
-        # _scaled_integral below the deadline
+        # J(t), as exact_solution_scalar takes it
         if m == 1.0:
             j = -tc * log_lam
         else:

@@ -301,26 +301,12 @@ class DynamicsSpec:
     """Right-hand side f(x, t) with optional Lyapunov data.
 
     ``rhs`` maps (state vector, time) to the state derivative and must keep the
-    origin an exact equilibrium, rhs(0, t) = 0, for the clamp-and-hold
-    convergence handling to be valid. ``tc`` bounds the time domain when the
-    dynamics are only defined on [0, tc); None means unbounded.
+    origin an exact equilibrium, rhs(0, t) = 0, for the clamp at convergence to
+    be valid. ``tc`` bounds the time domain when the dynamics are only defined
+    on [0, tc); None means unbounded.
 
-    An ``rhs`` whose coordinates are decoupled, f_i depending only on (x_i, t),
-    may declare it with the attribute ``rhs.decoupled = True``; every
-    built-in law's ``rhs`` is a :class:`_Pointwise`, which carries it (false
-    for a biased law). The integrator then holds each coordinate at exactly
-    zero from its own eps_conv crossing instead of from the crossing of all
-    of them. The declaration travels with the callable, so a spec that
-    reuses the rhs keeps it. A plain wrapper function (a ``lambda``) does
-    not, and steps every coordinate to the common event. ``functools.wraps``
-    copies the attribute, so a wrapper that only observes the rhs (as the
-    bench tracer does for every spec) keeps the hold and does the same work;
-    a wrapper made with it that couples the coordinates must set
-    ``decoupled = False`` on itself, or the hold zeroes coordinates whose
-    derivative is not zero.
-
-    Every ``rhs``, not only a kernel, must be a pure function of (x, t): a
-    failing trial calls it again (:mod:`timebarrier.integrate`'s trial contract).
+    Every ``rhs``, not only a kernel, must be a pure function of (x, t): a failing
+    trial calls it again, and the hold probes it (:mod:`timebarrier.integrate`).
 
     ``v`` and ``vdot`` are the optional Lyapunov value and its derivative along
     trajectories, each called as ``v(x, t)`` on one state; ``vdot`` may be
@@ -381,14 +367,12 @@ class _Pointwise:
     array of any length, it maps the kernel over the coordinates and returns
     the array of derivatives. The integrator calls the kernel itself, bare,
     on floats, under the trial contract of :mod:`timebarrier.integrate`.
-    ``decoupled`` is the declaration of :class:`DynamicsSpec`, true unless
-    the kernel is nonzero at x_i = 0.
     """
 
-    # no __slots__: functools.wraps copies ``decoupled`` from the instance __dict__
-    def __init__(self, kernel: Callable[[float, float], float], decoupled: bool = True):
+    __slots__ = ("kernel",)
+
+    def __init__(self, kernel: Callable[[float, float], float]):
         self.kernel = kernel
-        self.decoupled = decoupled
 
     def __call__(self, x, t) -> np.ndarray:
         kernel = self.kernel
@@ -398,9 +382,10 @@ class _Pointwise:
 def _evaluate(spec: DynamicsSpec, name: str, states: np.ndarray, times: np.ndarray) -> np.ndarray:
     """The spec's ``name`` callable (``"v"``, ``"vdot"`` or ``"rhs"``) at each row of
     ``states`` and each time, as float64: one call of its block form, one map of its
-    kernel over every (x_i, t), or one call per row for any other callable. A V or
-    dV/dt must give shape (n,) and an rhs ``states.shape``, by one compare per call;
-    any other raises :func:`_shape_fault`'s ``ValueError``. An empty block calls nothing."""
+    kernel over every (x_i, t), or one call per row, in order, for any other callable,
+    whose values must be real-valued. A V or dV/dt must give shape (n,) and an rhs
+    ``states.shape``; any other value raises :func:`_value_fault`'s ``ValueError``.
+    An empty block calls nothing."""
     fn = getattr(spec, name)
     want = states.shape if name == "rhs" else states.shape[:1]
     if not states.size:
@@ -411,18 +396,27 @@ def _evaluate(spec: DynamicsSpec, name: str, states: np.ndarray, times: np.ndarr
         return f.reshape(states.shape)
     if isinstance(fn, _Blockwise):
         f = np.asarray(fn.block(states, times), dtype=float)
-    else:
-        f = np.array([fn(x, t) for x, t in zip(states, times.tolist())], dtype=float)
-    if f.shape != want:  # named by one state's shape
-        raise ValueError(_shape_fault(spec, name, f.shape[1:], want[1:]))
-    return f
+        if f.shape != want:  # named by one state's shape
+            raise ValueError(_value_fault(spec, name, f.shape[1:], want[1:]))
+        return f
+    rows = []
+    for x, t in zip(states, times.tolist()):
+        row = np.asarray(fn(x, t))
+        if row.shape != want[1:]:
+            raise ValueError(_value_fault(spec, name, row.shape, want[1:]))
+        if row.dtype.kind not in "biuf":  # numpy reads None as NaN and parses a string
+            raise ValueError(_value_fault(spec, name, row.tolist()))
+        rows.append(row)
+    return np.array(rows, dtype=float)
 
 
-def _shape_fault(spec: DynamicsSpec, name: str, got: tuple, want: tuple) -> str:
-    """The one text of a spec callable whose value has shape ``got`` where ``want``
-    is expected; callers compare the shapes and build this on failure."""
+def _value_fault(spec: DynamicsSpec, name: str, got, want: Optional[tuple] = None) -> str:
+    """The one text of a spec callable whose value breaks its contract: a value of
+    shape ``got`` where ``want`` is expected, or, with no ``want``, the value ``got``,
+    which is not real-valued. Callers check the value and build this on failure."""
     label = f" ({spec.label})" if spec.label else ""
-    return f"{name} returned shape {got}, expected {want}{label}"
+    what = f"{got!r}, which is not real-valued" if want is None else f"shape {got}, expected {want}"
+    return f"{name} returned {what}{label}"
 
 
 # the sampling of validate_spec

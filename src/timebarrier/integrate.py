@@ -11,15 +11,14 @@ deadline-aware:
   max|x_i| <= eps_conv; the crossing is refined on the dense output, the state
   is clamped to exactly zero from there on (the dynamics must keep the origin
   an equilibrium), and the reported settling instant adds the closed-form
-  remaining time of the reference law, capped at tc - delta_end. When the
-  rhs declares decoupled coordinates (``rhs.decoupled = True``, see
-  :class:`~timebarrier.core.DynamicsSpec`), each
-  coordinate is also held at exactly zero, with a zero derivative and
-  outside the error norm, from the first accepted step that ends with
-  |x_i| <= eps_conv. This is the sliding-mode (Filippov) solution of the
-  discontinuous law; with an exact sign() a settled coordinate would
-  otherwise flip around zero (chattering) and shrink every step until the
-  last coordinate settles.
+  remaining time of the reference law, capped at tc - delta_end. At dim >= 2,
+  after each accepted step, a coordinate with |x_i| <= eps_conv whose field
+  points toward zero from both sides, f_i(x_i = +eps_conv) <= 0 <=
+  f_i(x_i = -eps_conv), is held at exactly zero, with a zero derivative and
+  outside the error norm, until that test fails (``_live``): the sliding-mode
+  (Filippov) solution on the plane x_i = 0. With an exact sign() a settled
+  coordinate would otherwise flip around zero (chattering) and shrink every
+  step until the last coordinate settles.
 
 Every run, a cell of a sweep included, goes through simulate() and one
 stepping loop (``_step``). The DOPRI5(4) trial step has one body
@@ -89,7 +88,7 @@ from .core import (
     _evaluate,
     _float_array,
     _Pointwise,
-    _shape_fault,
+    _value_fault,
     _x0_error,
     w_transform_array,
 )
@@ -217,10 +216,10 @@ def _rms(values: list) -> float:
 
 def _coerced_rhs(spec: DynamicsSpec, x: np.ndarray, t: float) -> np.ndarray:
     """``spec.rhs(x, t)`` as a float64 array of the shape of ``x``: the stepper's
-    coercion and shape check, with :func:`~timebarrier.core._shape_fault`'s text."""
+    coercion and shape check, with :func:`~timebarrier.core._value_fault`'s text."""
     f = np.asarray(spec.rhs(x, t), dtype=float)
     if f.shape != x.shape:
-        raise ValueError(_shape_fault(spec, "rhs", f.shape, x.shape))
+        raise ValueError(_value_fault(spec, "rhs", f.shape, x.shape))
     return f
 
 
@@ -305,6 +304,17 @@ def _trial(rhs, larger, atol, rtol, t, x, f, h, t_new):
 _HELD = (0.0,) * 7
 
 
+def _live(probe, x, eps, t):
+    """The hold's verdict (module docstring) on the list ``x`` at the end of an accepted
+    step at ``t``, False for each coordinate to hold, by ``probe(x, i, xi, t)``: f_i at
+    ``x`` with x_i replaced by ``xi``. A value that is not finite is not toward zero."""
+    return [
+        abs(xi) > eps
+        or not -math.inf < probe(x, i, eps, t) <= 0.0 <= probe(x, i, -eps, t) < math.inf
+        for i, xi in enumerate(x)
+    ]
+
+
 def _coordinate_trial(trial, live, t, x, f, h, t_new):
     """The kernel's trial of a run of dim >= 2: the float ``trial`` of each live
     coordinate of ``x, f`` (lists of floats), all with the common step, with
@@ -332,6 +342,9 @@ def _array_trial(rhs, atol, rtol, live, t, x, f, h, t_new):
     the re-run of a failing trial. Returns what :func:`_coordinate_trial`
     returns; the error norm is of the ``live`` coordinates.
     """
+    if not all(live):  # a held coordinate's stages are zero, as in the kernel's trial
+        held, unheld = np.logical_not(live), rhs
+        rhs = lambda x, t: np.where(held, 0.0, unheld(x, t))
     x_new, f_new, k, err = _trial(
         rhs, np.maximum, atol, rtol, t, np.array(x), np.array(f), h, t_new
     )
@@ -468,8 +481,8 @@ def _step(spec, x0, tc, t_end, policy):
     The run's one trial follows the trial contract of the module docstring:
     :func:`_trial` on floats at dim 1, and at dim >= 2 :func:`_coordinate_trial`
     over a kernel or :func:`_array_trial`, both on the state as a list of
-    floats. ``live`` drops each coordinate that the hold of a decoupled rhs
-    (see :class:`~timebarrier.core.DynamicsSpec`) holds at zero.
+    floats. ``live`` drops each coordinate that the hold (:func:`_live`, which
+    probes the bare kernel or :func:`_coerced_rhs`) holds at zero.
     """
     eps_conv = policy.eps_conv
     rtol, atol = policy.rel_tol, policy.abs_tol
@@ -493,14 +506,17 @@ def _step(spec, x0, tc, t_end, policy):
             if kernel is None:  # the array contract on floats
                 kernel = lambda xi, ti: _coerced_rhs(spec, np.array([xi]), ti).item()
             trial = partial(_trial, kernel, _larger, atol, rtol)
+            probe = None  # no hold
         else:
             norm = _maxabs
             x, f = x0.tolist(), f0.tolist()
-            trial = partial(_array_trial, partial(_coerced_rhs, spec), atol, rtol, live)
+            coerced = partial(_coerced_rhs, spec)
+            trial = partial(_array_trial, coerced, atol, rtol, live)
+            probe = lambda x, i, xi, t: coerced(np.array(x[:i] + [xi] + x[i + 1:]), t)[i]
             if kernel is not None:
                 trial = partial(_coordinate_trial, partial(_trial, kernel, _larger, atol, rtol), live)
+                probe = lambda x, i, xi, t: kernel(xi, t)
         checked = partial(_array_trial, partial(_checked_rhs, spec), atol, rtol, live)
-        hold = spec.dim > 1 and getattr(spec.rhs, "decoupled", False) is True
         err_prev = 1e-4
 
         end_guard = 8.0 * math.ulp(t_end)
@@ -544,10 +560,9 @@ def _step(spec, x0, tc, t_end, policy):
                 if norm(x_new) <= eps_conv:
                     converged = True
                     break
-                if hold:
-                    live[:] = [abs(xi) > eps_conv for xi in x_new]
+                if probe is not None:
+                    live[:] = _live(probe, x_new, eps_conv, t)
                     if not all(live):
-                        # rhs(0, t) = 0 and decoupling make the zero derivative exact
                         x_new = [xi if on else 0.0 for xi, on in zip(x_new, live)]
                         f_new = [fi if on else 0.0 for fi, on in zip(f_new, live)]
                 x = x_new

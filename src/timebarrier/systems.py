@@ -88,9 +88,7 @@ def make_time_barrier_componentwise(
     unchanged (beta, q, alpha), so the scalar certificate applies per
     coordinate.
 
-    The ``rhs`` is one plain-float kernel wrapped in
-    :class:`timebarrier.core._Pointwise` for every dim, declared decoupled
-    (see :class:`timebarrier.core.DynamicsSpec`) unless it has a bias.
+    The ``rhs`` is one plain-float kernel in a :class:`timebarrier.core._Pointwise`.
 
     ``policy`` is not read; it is kept so that callers passing it stay valid.
     """
@@ -112,8 +110,7 @@ def make_time_barrier_componentwise(
             return -beta * x / (tc - t) + q * (-x) ** alpha + bias
         return -beta * x / (tc - t) - q * abs(x) ** alpha * 0.0 + bias
 
-    # a bias breaks rhs(0, t) = 0, which the hold needs
-    rhs = _Pointwise(kernel, decoupled=not bias)
+    rhs = _Pointwise(kernel)
 
     def vdot(states: np.ndarray, times: np.ndarray) -> np.ndarray:
         _check_times(times, tc)

@@ -447,6 +447,27 @@ def test_validate_spec_raises_on_a_v_of_the_wrong_shape(dim, v, text, default_pa
         validate_spec(spec, default_params.tc)
 
 
+@pytest.mark.parametrize(
+    "field, text",
+    [
+        ({"rhs": lambda x, t: np.zeros(2) if t < 0.5 else np.zeros(3)},
+         "rhs returned shape (3,), expected (2,)"),
+        ({"v": lambda x, t: 0.0 if not x.any() else np.abs(x)},
+         "v returned shape (2,), expected ()"),
+        ({"v": lambda x, t: None}, "v returned None, which is not real-valued"),
+        ({"v": lambda x, t: "0"}, "v returned '0', which is not real-valued"),
+    ],
+    ids=["rhs-shape-varies", "v-shape-varies", "v-none", "v-string"],
+)
+def test_validate_spec_names_a_per_state_value_it_cannot_read(field, text, default_params):
+    # each per-state value is checked on its own, so one that differs from the
+    # values before it, or is not a number, is named rather than stacked or read as NaN
+    law = make_time_barrier_componentwise(default_params, 2)
+    spec = DynamicsSpec(**{"dim": 2, "rhs": law.rhs, "label": "per state", **field})
+    with pytest.raises(ValueError, match=f"^{re.escape(text)} \\(per state\\)$"):
+        validate_spec(spec, default_params.tc)
+
+
 def _zero_in_a_band(origin_value):
     """A user V, one state per call: max|x_i|, but ``origin_value`` at the
     origin and zero where max|x_i| lies in [0.5, 0.6)."""

@@ -280,9 +280,9 @@ def test_scalar_kernel_steps_like_the_array_contract(default_params):
         )
     for x0 in ([1.0, 0.9], [1.0, -0.1, 1e-3], [1e3, 1e-3], [-1.0, 0.0, 1e-9]):
         # a functools.wraps wrapper, which the bench tracer builds around
-        # every rhs, inherits rhs.decoupled and so the per-coordinate hold;
-        # it steps on arrays over the coordinates, the law's own rhs on
-        # floats per coordinate. The last two coordinates of [-1, 0, 1e-9]
+        # every rhs, steps on arrays over the coordinates, the law's own rhs
+        # on floats per coordinate, and both probe the same values for the
+        # per-coordinate hold. The last two coordinates of [-1, 0, 1e-9]
         # are held from the first accepted step.
         law = make_time_barrier_componentwise(default_params, len(x0), policy)
         wrapped = functools.wraps(law.rhs)(lambda x, t: law.rhs(x, t))
@@ -526,7 +526,7 @@ def test_unchecked_trial_coerces_the_rhs_value(convert, dim, default_params, def
     # a passing trial checks no stage on its own, yet each value is still
     # coerced to float64 of the state's shape, as a hand-made coercion does,
     # and so is the certificate's per-row rhs route when vdot is withheld;
-    # functools.wraps keeps the law's hold, so the runs do not chatter
+    # the hold probes the rhs itself, so neither run chatters
     law = make_time_barrier_componentwise(default_params, dim, default_policy)
 
     @functools.wraps(law.rhs)
@@ -559,7 +559,7 @@ def test_vector_kernel_stall_matches_the_array_path(default_params, default_poli
 
     errors = []
     for rhs in (
-        _Pointwise(kernel, decoupled=False),
+        _Pointwise(kernel),
         lambda x, t: np.array([kernel(xi, t) for xi in x.tolist()]),
     ):
         with pytest.raises(StallError) as info:
@@ -595,17 +595,19 @@ def test_vector_kernel_sees_only_floats(default_params, default_policy):
 
 def test_undeclared_pointwise_steps_like_its_lambda(default_params, default_policy):
     law = make_time_barrier_componentwise(default_params, 2, default_policy)
-    undeclared = _Pointwise(law.rhs.kernel, decoupled=False)
+    # the law's kernel in a new _Pointwise, stepped per coordinate on floats
+    pointwise = _Pointwise(law.rhs.kernel)
     per_coordinate = simulate(
-        dataclasses.replace(law, rhs=undeclared), [1.0, 0.99], default_params, default_policy
+        dataclasses.replace(law, rhs=pointwise), [1.0, 0.99], default_params, default_policy
     )
-    # the lambda steps on arrays over the coordinates; neither holds
+    # the lambda steps on arrays over the coordinates; both hold by the same probe
     wrapped = simulate(
-        dataclasses.replace(law, rhs=lambda x, t: undeclared(x, t)), [1.0, 0.99],
+        dataclasses.replace(law, rhs=lambda x, t: pointwise(x, t)), [1.0, 0.99],
         default_params, default_policy,
     )
     _assert_same_run(per_coordinate, wrapped)
-    assert (per_coordinate.step_count, per_coordinate.rejected_steps) == (450, 13)
+    _assert_same_run(per_coordinate, simulate(law, [1.0, 0.99], default_params, default_policy))
+    assert (per_coordinate.step_count, per_coordinate.rejected_steps) == (179, 7)
 
 
 def test_vector_runs_work_is_pinned(default_params, default_policy):
@@ -717,9 +719,8 @@ def test_componentwise_vector_run(default_params, default_policy):
 )
 def test_decoupled_coordinates_settle_on_their_own(x0, scalar_x0, default_params, default_policy):
     law = make_time_barrier_componentwise(default_params, 2, default_policy)
-    # a user spec around the law's rhs keeps its decoupling declaration
+    # a user spec around the law's rhs
     spec = DynamicsSpec(dim=2, rhs=law.rhs, label="user spec", v=law.v, tc=law.tc)
-    assert spec.rhs.decoupled is True
     traj = simulate(spec, x0, default_params, default_policy)
     scalar = simulate(
         make_time_barrier_scalar(default_params, default_policy), scalar_x0,
@@ -732,36 +733,108 @@ def test_decoupled_coordinates_settle_on_their_own(x0, scalar_x0, default_params
         assert dev <= max(1e-6 * abs(xi), 10 * default_policy.eps_conv)
 
 
-def test_undeclared_rhs_steps_every_coordinate(default_params, default_policy):
+def test_undeclared_rhs_holds_like_the_law(default_params, default_policy):
     law = make_time_barrier_componentwise(default_params, 2, default_policy)
     wrapped = DynamicsSpec(dim=2, rhs=lambda x, t: law.rhs(x, t), label="wrapper", tc=law.tc)
-    assert law.rhs.decoupled is True and not hasattr(wrapped.rhs, "decoupled")
-    traj = simulate(wrapped, [1.0, 0.99], default_params, default_policy)
-    # the work of the loop without the per-coordinate hold
-    assert (traj.step_count, traj.rejected_steps) == (450, 13)
-    held = simulate(law, [1.0, 0.99], default_params, default_policy)
-    assert held.step_count < traj.step_count
+    for x0, counts in (([1.0, 0.99], (179, 7)), ([1.0, 0.1], (256, 12))):
+        traj = simulate(wrapped, x0, default_params, default_policy)
+        # the hold is worked out from the rhs, so the lambda takes the law's steps
+        assert (traj.step_count, traj.rejected_steps) == counts
+        _assert_same_run(traj, simulate(law, x0, default_params, default_policy))
 
 
-def test_coupled_wraps_wrapper_opts_out(default_params, default_policy):
+def test_non_finite_probe_holds_nothing(default_params, default_policy):
+    law = make_time_barrier_componentwise(default_params, 2, default_policy)
+    eps = default_policy.eps_conv
+
+    def kernel(x, t):
+        # not finite only at the probe's two states, x_i = +-eps_conv
+        return math.nan if abs(x) == eps else law.rhs.kernel(x, t)
+
+    runs = [
+        simulate(DynamicsSpec(dim=2, rhs=rhs), [1.0, 0.99], default_params, default_policy)
+        for rhs in (_Pointwise(kernel), lambda x, t: np.array([kernel(xi, t) for xi in x]))
+    ]
+    _assert_same_run(*runs)
+    # the work of the loop without the per-coordinate hold; the run still converges
+    assert (runs[0].step_count, runs[0].rejected_steps) == (450, 13)
+    assert runs[0].converged_at is not None
+
+
+def test_coupled_wraps_wrapper_steps_like_its_lambda(default_params, default_policy):
     law = make_time_barrier_componentwise(default_params, 2, default_policy)
 
     @functools.wraps(law.rhs)
     def coupled(x, t):
         return law.rhs(x, t) + 0.5 * x[::-1]
 
-    # functools.wraps copies the declaration, which no longer holds here
-    assert coupled.decoupled is True
     spec = DynamicsSpec(dim=2, rhs=coupled, label="coupled", tc=law.tc)
-    wrongly_held = simulate(spec, [1.0, 0.1], default_params, default_policy)
-    coupled.decoupled = False
     traj = simulate(spec, [1.0, 0.1], default_params, default_policy)
     undeclared = DynamicsSpec(dim=2, rhs=lambda x, t: coupled(x, t), label="lambda", tc=law.tc)
-    want = simulate(undeclared, [1.0, 0.1], default_params, default_policy)
-    assert (traj.step_count, traj.rejected_steps) == (want.step_count, want.rejected_steps)
-    assert traj.times.tobytes() == want.times.tobytes()
-    assert traj.states.tobytes() == want.states.tobytes()
-    assert wrongly_held.step_count != traj.step_count
+    _assert_same_run(traj, simulate(undeclared, [1.0, 0.1], default_params, default_policy))
+    assert traj.converged_at is not None
+    # the second coordinate is held only where the first one's push, 0.5 * x_0,
+    # is weaker than the law's pull toward zero at x_1 = +-eps_conv
+    p, eps = default_params, default_policy.eps_conv
+    starts, x = traj._dense.t0, traj._dense.x0
+    held = x[:, 1] == 0.0
+    pull = p.q * eps**p.alpha + p.beta * eps / (p.tc - starts[held])
+    assert held.any() and (0.5 * np.abs(x[held, 0]) <= pull).all()
+
+
+def test_held_coordinate_stays_zero_on_both_routes(default_params, default_policy):
+    law = make_time_barrier_componentwise(default_params, 2, default_policy)
+
+    def kernel(x, t):
+        # off zero at x = 0, but by less than the band's pull toward it
+        return law.rhs.kernel(x, t) + 1e-6 * math.sin(50.0 * t)
+
+    runs = [
+        simulate(DynamicsSpec(dim=2, rhs=rhs), [1.0, 0.01], default_params, default_policy)
+        for rhs in (_Pointwise(kernel), lambda x, t: np.array([kernel(xi, t) for xi in x.tolist()]))
+    ]
+    # the array route zeroes a held coordinate's stages, as the kernel's skips them
+    _assert_same_run(*runs)
+    assert (runs[0].step_count, runs[0].rejected_steps) == (246, 11)
+
+
+def test_held_coordinate_is_released_when_its_field_turns(default_params, default_policy):
+    law = make_time_barrier_componentwise(default_params, 2, default_policy)
+
+    def rhs(x, t):
+        # a push on the second coordinate during [0.3, 0.5)
+        return law.rhs(x, t) + np.array([0.0, 0.5 if 0.3 <= t < 0.5 else 0.0])
+
+    traj = simulate(DynamicsSpec(dim=2, rhs=rhs), [1.0, 0.01], default_params, default_policy)
+    # the second coordinate at the start of each accepted step: held at zero
+    # from its crossing near t = 0.18 until the push, then released
+    starts, second = traj._dense.t0, traj._dense.x0[:, 1]
+    held = (0.2 < starts) & (starts < 0.3)
+    assert held.any() and (second[held] == 0.0).all()
+    assert (second[(0.35 < starts) & (starts < 0.5)] > default_policy.eps_conv).all()
+    assert traj.converged_at is not None
+
+
+def test_stalling_undeclared_field_converges():
+    # a dim-3 case that stalled after 139-184 s without the hold's probe
+    p = BarrierParams(2.3561094871914, 2.639366374016299, 0.33000249064999365, 0.28185482012872654)
+    x0 = [1.0475717863872476, 0.41687160372402976, 0.016577422898493142]
+    law = make_time_barrier_componentwise(p, 3)
+    traj = simulate(DynamicsSpec(dim=3, rhs=lambda x, t: law.rhs(x, t)), x0, p)
+    assert traj.converged_at is not None
+    assert traj.step_count <= 3 * simulate(law, x0, p).step_count
+
+
+@pytest.mark.parametrize(
+    "x0, counts", [([1.0, 0.1], (271, 15)), ([1.0, -0.5], (341, 34))], ids=["1,0.1", "1,-0.5"]
+)
+def test_biased_law_is_never_held(x0, counts, default_params, default_policy):
+    # the bias points the field away from zero on one side of every band
+    law = make_time_barrier_componentwise(default_params, 2, default_policy, _bias=0.1)
+    traj = simulate(law, x0, default_params, default_policy)
+    assert (traj.step_count, traj.rejected_steps) == counts
+    wrapped = dataclasses.replace(law, rhs=lambda x, t: law.rhs(x, t))
+    _assert_same_run(traj, simulate(wrapped, x0, default_params, default_policy))
 
 
 def test_impossible_tolerances_fail_by_name(default_params):
@@ -905,12 +978,26 @@ def test_rhs_value_of_the_wrong_shape_is_rejected(default_params, default_policy
         # one array per state is no V: named before a (n, 1) V or a (n, n) W is recorded
         (DynamicsSpec(dim=1, rhs=lambda x, t: -x, label="abs", v=lambda x, t: np.abs(x)), 1.0,
          r"^v returned shape \(1,\), expected \(\) \(abs\)$"),
+        # a V whose shape varies from state to state is named at its first odd state
+        (DynamicsSpec(dim=1, rhs=lambda x, t: -x, label="abs",
+                      v=lambda x, t: np.abs(x) if x[0] > 0.5 else abs(x[0])), 1.0,
+         r"^v returned shape \(1,\), expected \(\) \(abs\)$"),
+        (DynamicsSpec(dim=1, rhs=lambda x, t: -x, label="abs",
+                      v=lambda x, t: abs(x[0]) if x[0] > 0.5 else np.abs(x)), 1.0,
+         r"^v returned shape \(1,\), expected \(\) \(abs\)$"),
     ],
-    ids=["unlabelled-rhs", "array-v"],
+    ids=["unlabelled-rhs", "array-v", "array-then-float-v", "float-then-array-v"],
 )
 def test_a_value_of_the_wrong_shape_is_named(spec, x0, text, default_params, default_policy):
     with pytest.raises(ValueError, match=text):
         simulate(spec, x0, default_params, default_policy)
+
+
+def test_a_v_that_is_not_a_number_is_named(default_params, default_policy):
+    # numpy would read None as NaN
+    spec = DynamicsSpec(dim=1, rhs=lambda x, t: -x, label="none", v=lambda x, t: None)
+    with pytest.raises(ValueError, match=r"^v returned None, which is not real-valued \(none\)$"):
+        simulate(spec, 1.0, default_params, default_policy)
 
 
 def test_blow_up_error(default_params, default_policy):

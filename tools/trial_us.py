@@ -13,9 +13,11 @@ the run's trials (accepted plus rejected steps), which one ``simulate`` of
 the case reads from ``Trajectory.step_count`` and ``rejected_steps``. Every
 case runs twice: with the law's own rhs, whose plain-float kernel the
 stepper calls itself, and through the array contract, behind a
-``functools.wraps`` wrapper that keeps the per-coordinate hold and so does
-the same work. Both paths take the same unchecked trial: the "array" one
-calls the wrapper through ``integrate._coerced_rhs``, which coerces and
+``functools.wraps`` wrapper. The per-coordinate hold probes the rhs on both
+paths, so they do the same work; the wrapper copies the rhs's attributes,
+so a tree older than the probe, which read the hold from an attribute of
+the rhs, holds on both paths too. Both paths take the same unchecked trial:
+the "array" one calls the wrapper through ``integrate._coerced_rhs``, which coerces and
 shape-checks each stage's value and, as on the kernel path, leaves its
 finiteness to the error norm. The trial counts are printed next to the times, so a change
 in speed can be told apart from a change in work: the script exits 1 when
