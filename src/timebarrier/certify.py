@@ -101,9 +101,9 @@ def _lie_vdot(spec: DynamicsSpec, states: np.ndarray, t: np.ndarray) -> np.ndarr
     f and O(eps**2) for smooth V. V takes the 3n states in one call.
 
     f and V are :func:`~timebarrier.core._evaluate`'s, on all rows and on the stencil.
-    An f that raises (of another shape included) or is not finite is re-run row by
-    row through ``_checked_rhs``, which raises the first bad row's error (the rhs's
-    own, its shape's, or the ``BlowUpError`` of a non-finite value).
+    An f that raises (a value ``_value`` rejects included) or is not finite is re-run
+    row by row through ``_checked_rhs``, which raises the first bad row's error (the
+    rhs's own, ``_value``'s, or the ``BlowUpError`` of a non-finite value).
     """
     n, dim = states.shape
     try:

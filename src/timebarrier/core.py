@@ -7,6 +7,7 @@ construction, so one instance can be shared by any number of runs.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -213,6 +214,7 @@ def _or_on_overflow(fn, value):
 _finite = _or_on_overflow(math.isfinite, False)  # false for an int past the float range
 _exp_or_inf = _or_on_overflow(math.exp, math.inf)
 _MIN_NORMAL = sys.float_info.min  # below it a float is subnormal and has lost digits
+_FLOAT64 = np.dtype(float)
 
 
 def w_transform_array(v, t, p: BarrierParams) -> np.ndarray:
@@ -303,7 +305,7 @@ class DynamicsSpec:
     ``rhs`` maps (state vector, time) to the state derivative and must keep the
     origin an exact equilibrium, rhs(0, t) = 0, for the clamp at convergence to
     be valid. ``tc`` bounds the time domain when the dynamics are only defined
-    on [0, tc); None means unbounded.
+    on [0, tc), a real number > 0 (else ``ValueError``); None or inf is unbounded.
 
     Every ``rhs``, not only a kernel, must be a pure function of (x, t): a failing
     trial calls it again, and the hold probes it (:mod:`timebarrier.integrate`).
@@ -312,10 +314,10 @@ class DynamicsSpec:
     trajectories, each called as ``v(x, t)`` on one state; ``vdot`` may be
     absent even when ``v`` is present (the certificate checker then takes
     the Lie derivative of ``v`` along ``rhs``). How many states are
-    evaluated in one call is :class:`_Blockwise`'s rule. ``v`` and ``vdot``
-    give one float per state and ``rhs`` an array of the state's shape; every
-    reader evaluates them through :func:`_evaluate`, so any other shape raises
-    its ``ValueError``. A field that is not callable raises ``ValueError``.
+    evaluated in one call is :class:`_Blockwise`'s rule. ``v`` and ``vdot`` give
+    one float per state and ``rhs`` an array of the state's shape, all real; every
+    reader, the stepper included, reads a plain callable's values by :func:`_value`,
+    so any other value raises its ``ValueError``. A field that is not callable raises too.
     """
 
     dim: int
@@ -335,6 +337,9 @@ class DynamicsSpec:
                 raise ValueError(f"{name} must be callable, got {fn!r}")
         if self.vdot is not None and self.v is None:
             raise ValueError("vdot without v is not meaningful")
+        if self.tc is not None and (isinstance(self.tc, bool) or not isinstance(self.tc, numbers.Real)
+                                    or not _float(self.tc) > 0.0):  # an int past the range is inf
+            raise ValueError(f"tc must be a real number > 0 or None, got {self.tc!r}")
 
 
 class _Blockwise:
@@ -382,10 +387,9 @@ class _Pointwise:
 def _evaluate(spec: DynamicsSpec, name: str, states: np.ndarray, times: np.ndarray) -> np.ndarray:
     """The spec's ``name`` callable (``"v"``, ``"vdot"`` or ``"rhs"``) at each row of
     ``states`` and each time, as float64: one call of its block form, one map of its
-    kernel over every (x_i, t), or one call per row, in order, for any other callable,
-    whose values must be real-valued. A V or dV/dt must give shape (n,) and an rhs
-    ``states.shape``; any other value raises :func:`_value_fault`'s ``ValueError``.
-    An empty block calls nothing."""
+    kernel over every (x_i, t), or, for any other callable, one call per row, in order,
+    read by :func:`_value`. A V or dV/dt must give shape (n,) and an rhs ``states.shape``,
+    or :func:`_value_fault`'s ``ValueError`` is raised. An empty block calls nothing."""
     fn = getattr(spec, name)
     want = states.shape if name == "rhs" else states.shape[:1]
     if not states.size:
@@ -399,21 +403,25 @@ def _evaluate(spec: DynamicsSpec, name: str, states: np.ndarray, times: np.ndarr
         if f.shape != want:  # named by one state's shape
             raise ValueError(_value_fault(spec, name, f.shape[1:], want[1:]))
         return f
-    rows = []
-    for x, t in zip(states, times.tolist()):
-        row = np.asarray(fn(x, t))
-        if row.shape != want[1:]:
-            raise ValueError(_value_fault(spec, name, row.shape, want[1:]))
-        if row.dtype.kind not in "biuf":  # numpy reads None as NaN and parses a string
-            raise ValueError(_value_fault(spec, name, row.tolist()))
-        rows.append(row)
-    return np.array(rows, dtype=float)
+    return np.array([_value(spec, name, fn(x, t), want[1:]) for x, t in zip(states, times.tolist())])
+
+
+def _value(spec: DynamicsSpec, name: str, value, want: tuple) -> np.ndarray:
+    """One value of the spec's ``name`` callable as float64 of shape ``want``, the one check of
+    every value read per call; any other value raises :func:`_value_fault`'s ``ValueError``."""
+    value = np.asarray(value)
+    if value.shape != want:
+        raise ValueError(_value_fault(spec, name, value.shape, want))
+    if value.dtype is not _FLOAT64:
+        if value.dtype.kind not in "biuf":  # numpy reads None as NaN and parses a string
+            raise ValueError(_value_fault(spec, name, value.tolist()))
+        value = value.astype(float, copy=False)
+    return value
 
 
 def _value_fault(spec: DynamicsSpec, name: str, got, want: Optional[tuple] = None) -> str:
-    """The one text of a spec callable whose value breaks its contract: a value of
-    shape ``got`` where ``want`` is expected, or, with no ``want``, the value ``got``,
-    which is not real-valued. Callers check the value and build this on failure."""
+    """The one text of a value that fails :func:`_value`'s check: of shape ``got`` where
+    ``want`` is expected, or, with no ``want``, the value ``got``, which is not real-valued."""
     label = f" ({spec.label})" if spec.label else ""
     what = f"{got!r}, which is not real-valued" if want is None else f"shape {got}, expected {want}"
     return f"{name} returned {what}{label}"

@@ -31,8 +31,8 @@ plain-float kernel (``core._Pointwise``, the rhs of every built-in law,
 also where a user spec reuses it) is called bare, on floats: at dim 1
 directly, at dim >= 2 for each coordinate with the common step size, where
 a coordinate held at zero skips its trial. Any other rhs is called through
-``_coerced_rhs``, which coerces a trial's rhs value to float64 and checks
-its shape, on a one-element array at dim 1 and on arrays at dim >= 2.
+``_coerced_rhs``, which reads each value by ``core._value`` as ``_evaluate``
+does, on a one-element array at dim 1 and on arrays at dim >= 2.
 The error norm is finite only when the seven stages and the new state all
 are (``_trial`` adds 0.0 times k2, the one stage with zero weight in the
 error, times the new state). A trial that raises, or whose error norm is
@@ -88,7 +88,7 @@ from .core import (
     _evaluate,
     _float_array,
     _Pointwise,
-    _value_fault,
+    _value,
     _x0_error,
     w_transform_array,
 )
@@ -215,12 +215,8 @@ def _rms(values: list) -> float:
 
 
 def _coerced_rhs(spec: DynamicsSpec, x: np.ndarray, t: float) -> np.ndarray:
-    """``spec.rhs(x, t)`` as a float64 array of the shape of ``x``: the stepper's
-    coercion and shape check, with :func:`~timebarrier.core._value_fault`'s text."""
-    f = np.asarray(spec.rhs(x, t), dtype=float)
-    if f.shape != x.shape:
-        raise ValueError(_value_fault(spec, "rhs", f.shape, x.shape))
-    return f
+    """``spec.rhs(x, t)`` through :func:`~timebarrier.core._value`, the check ``_evaluate`` makes."""
+    return _value(spec, "rhs", spec.rhs(x, t), x.shape)
 
 
 def _checked_rhs(spec: DynamicsSpec, x: np.ndarray, t: float) -> np.ndarray:

@@ -345,6 +345,20 @@ def test_spec_rejects_a_field_that_is_not_callable(fields, name, value):
 
 
 @pytest.mark.parametrize(
+    "tc", [math.nan, 0, -1.0, -math.inf, -10**400, True, "2", 1 + 2j],
+    ids=["nan", "zero", "negative", "-inf", "-int-past-float", "bool", "str", "complex"],
+)
+def test_spec_rejects_a_tc_that_is_not_a_real_number_above_zero(tc):
+    # one reading at construction: simulate ran a NaN tc and validate_spec rejected
+    # every horizon against it, and a str or complex tc was a bare TypeError in simulate
+    text = f"^tc must be a real number > 0 or None, got {re.escape(repr(tc))}$"
+    with pytest.raises(ValueError, match=text):
+        DynamicsSpec(dim=1, rhs=lambda x, t: -x, tc=tc)
+    with pytest.raises(ValueError, match=text):
+        dataclasses.replace(LAW, tc=tc)
+
+
+@pytest.mark.parametrize(
     "make", [lambda dim: DynamicsSpec(dim=dim, rhs=lambda x, t: -x),
              lambda dim: make_time_barrier_componentwise(P_TIME, dim)],
     ids=["DynamicsSpec", "make_time_barrier_componentwise"],

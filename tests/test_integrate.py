@@ -4,8 +4,10 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 import struct
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from timebarrier import (
     settling_bound,
     settling_report,
     simulate,
+    validate_spec,
 )
 from timebarrier import integrate
 from timebarrier.core import _Pointwise
@@ -955,12 +958,17 @@ def test_spec_domain_ending_before_the_deadline_is_rejected(default_params, defa
         simulate(dataclasses.replace(law, tc=0.5), 1.0, default_params, default_policy)
 
 
-@pytest.mark.parametrize("value", [[-1.0, 2.0], np.array([-1, 2])], ids=["list", "int-array"])
-def test_checked_rhs_coerces_the_rhs_value_to_float64(value):
+@pytest.mark.parametrize(
+    "value, expected",
+    [([-1.0, 2.0], [-1.0, 2.0]), (np.array([-1, 2]), [-1.0, 2.0]),
+     (np.array([True, False]), [1.0, 0.0])],
+    ids=["list", "int-array", "bool-array"],
+)
+def test_checked_rhs_coerces_the_rhs_value_to_float64(value, expected):
     spec = DynamicsSpec(dim=2, rhs=lambda x, t: value, label="coerced")
     f = _checked_rhs(spec, np.array([1.0, -2.0]), 0.0)
     assert f.dtype == np.float64
-    assert f.tolist() == [-1.0, 2.0]
+    assert f.tolist() == expected
 
 
 def test_rhs_value_of_the_wrong_shape_is_rejected(default_params, default_policy):
@@ -998,6 +1006,38 @@ def test_a_v_that_is_not_a_number_is_named(default_params, default_policy):
     spec = DynamicsSpec(dim=1, rhs=lambda x, t: -x, label="none", v=lambda x, t: None)
     with pytest.raises(ValueError, match=r"^v returned None, which is not real-valued \(none\)$"):
         simulate(spec, 1.0, default_params, default_policy)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize(
+    "bad, start",
+    [(None, 0.0), ("0.0", 0.0), (0j, 0.0), (Fraction(0), 0.0), (None, 0.5)],
+    ids=["None", "str", "complex", "Fraction", "None-from-half"],
+)
+def test_an_rhs_value_that_is_not_real_is_named_by_every_reader(
+    bad, start, dim, default_params, default_policy
+):
+    # numpy would read None as NaN, parse a string, drop an imaginary part (with a
+    # ComplexWarning) and convert a Fraction; the stepper (the float adapter at dim 1,
+    # arrays at dim 2), the certificate's rhs rows and validate_spec all read the value
+    # by _evaluate's rule. From t = 0.5 on, the trial's checked re-run names it.
+    law = make_time_barrier_componentwise(default_params, dim, default_policy)
+    value = [bad] * dim
+    spec = dataclasses.replace(
+        law, rhs=lambda x, t: value if t >= start else law.rhs(x, t), vdot=None, label="odd"
+    )
+    x0 = [1.0, -0.5][:dim]
+    text = f"^rhs returned {re.escape(repr(value))}, which is not real-valued \\(odd\\)$"
+    run = simulate(law, x0, default_params, default_policy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for read in (
+            lambda: simulate(spec, x0, default_params, default_policy),
+            lambda: check_dissipation(dataclasses.replace(run, spec=spec), default_params),
+            lambda: validate_spec(spec, default_params.tc),
+        ):
+            with pytest.raises(ValueError, match=text):
+                read()
 
 
 def test_blow_up_error(default_params, default_policy):

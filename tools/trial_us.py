@@ -17,9 +17,10 @@ stepper calls itself, and through the array contract, behind a
 paths, so they do the same work; the wrapper copies the rhs's attributes,
 so a tree older than the probe, which read the hold from an attribute of
 the rhs, holds on both paths too. Both paths take the same unchecked trial:
-the "array" one calls the wrapper through ``integrate._coerced_rhs``, which coerces and
-shape-checks each stage's value and, as on the kernel path, leaves its
-finiteness to the error norm. The trial counts are printed next to the times, so a change
+the "array" one calls the wrapper through ``integrate._coerced_rhs``, which
+reads each stage's value by ``core._value`` (its shape and real kind, float64
+out) and, as on the kernel path, leaves its finiteness to the error norm.
+The trial counts are printed next to the times, so a change
 in speed can be told apart from a change in work: the script exits 1 when
 a case's accepted/rejected counts, on either path, differ from the pinned
 ones in ``CASES``.
