@@ -30,7 +30,6 @@ from .core import (
     _dissipation_bound,
     _evaluate,
     _finite,
-    _log_w,
     _or_on_overflow,
     validate_params,
 )
@@ -142,14 +141,14 @@ def check_dissipation(
     A violation is recorded when
     lhs > rhs_bound + residual_tol * (1 + |rhs_bound|) or lhs - rhs_bound = inf
     (a finite dV/dt against a -inf bound), and when V or dV/dt is NaN, which
-    makes ``max_residual`` NaN. Monotonicity reads the trajectory's W (from
-    :func:`~timebarrier.core.w_transform_array`): a step counts as a rise
-    when W grows by more than
-    residual_tol * (1 + |W0|) + |W0| * (e0/V0 + e1/V1), where
-    e = abs_tol + rel_tol * V is the error the policy allows the stepper in
-    V (the second term is 0 where V0 = 0). A step with W past the float
-    range at both ends is decided on log W, from the same helper as W's own
-    log form, against log1p(residual_tol) + e0/V0 + e1/V1.
+    makes ``max_residual`` NaN. Monotonicity is one rule on
+    log W = log V - beta*log(tc - t), from ``v_values`` and ``times``, so it
+    holds at every scale of W, past the float range included: a step counts
+    as a rise when log W grows by more than log1p(residual_tol) + e0/V0 +
+    e1/V1, where e = abs_tol + rel_tol * V is the error the policy allows
+    the stepper in V, or when V goes from 0 to a value > 0. A step that ends
+    at V = 0, or that has a NaN V, is not a rise. It stores no value, so it
+    takes numpy's logs.
     """
     p = _own_params(traj, p)
     policy = policy if policy is not None else traj.policy
@@ -172,25 +171,12 @@ def check_dissipation(
     rows = zip(*(a[flagged].tolist() for a in (t, v, lhs, rhs_bound, residual)))
     violations = [Violation(*row) for row in rows]
 
-    w, v_all = traj.w_values, traj.v_values
-    with np.errstate(invalid="ignore"):  # inf - inf: decided on log W below
-        increase = np.diff(w)
-    band = tol * (1.0 + np.abs(w[:-1]))
-    rising = increase > band
     # a rise within the error the policy allows V at both ends of the step is
-    # the stepper's, not the flow's: W may grow by |W0| * (e0/V0 + e1/V1) more
-    # (nothing more where V0 = 0); only a step that rises past tol needs it
-    up = np.flatnonzero(rising)
-    if up.size:
-        with np.errstate(invalid="ignore"):  # 0 * inf where V0 = 0
-            slack = np.abs(w[up]) * _v_error(v_all[up], v_all[up + 1], policy)
-        rising[up] = increase[up] > band[up] + np.where(v_all[up] == 0.0, 0.0, slack)
-    # where W is past the float range at both ends, the rise is decided on log W
-    over = np.flatnonzero(np.isinf(w[:-1]) & np.isinf(w[1:]))
-    if over.size:
-        v0, v1, t = v_all[over], v_all[over + 1], traj.times
-        log_w0, log_w1 = _log_w(v0, t[over], p), _log_w(v1, t[over + 1], p)
-        rising[over] = log_w1 - log_w0 > math.log1p(tol) + _v_error(v0, v1, policy)
+    # the stepper's, not the flow's; a rise from V0 = 0 has no such band
+    v0, v1 = traj.v_values[:-1], traj.v_values[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf; -inf - -inf is NaN
+        rise = np.diff(np.log(traj.v_values) - p.beta * np.log(p.tc - traj.times))
+        rising = (rise > math.log1p(tol) + _v_error(v0, v1, policy)) | ((v0 == 0.0) & (v1 > 0.0))
 
     return CertificateReport(
         checked_samples=int(np.count_nonzero(checked)),

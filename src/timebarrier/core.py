@@ -194,13 +194,6 @@ def _dissipation_bound(v: np.ndarray, t: np.ndarray, p: BarrierParams) -> np.nda
         return -p.beta * v / (p.tc - t) - p.q * _map_floats(operator.pow, v, p.alpha)
 
 
-def _log_w(v, t, p: BarrierParams) -> np.ndarray:
-    """log W = log V - beta*log(tc - t) at every pair with V > 0, on Python
-    floats: the log form of :func:`w_transform_array`, and the certificate's
-    reading of a W past the float range."""
-    return _map_floats(math.log, v) - p.beta * _map_floats(math.log, p.tc - t)
-
-
 def _or_on_overflow(fn, value):
     """``fn`` on Python floats, with ``value`` where its result leaves the float range."""
     def call(*args):
@@ -217,18 +210,25 @@ _MIN_NORMAL = sys.float_info.min  # below it a float is subnormal and has lost d
 _FLOAT64 = np.dtype(float)
 
 
+def _check_v(v: np.ndarray) -> None:
+    """Raise the one ``ValueError`` of a negative Lyapunov value, naming the first in ``v``."""
+    if (v < 0.0).any():
+        raise ValueError(f"negative Lyapunov value {v[v < 0.0][0].item()!r}")
+
+
 def w_transform_array(v, t, p: BarrierParams) -> np.ndarray:
     """Barrier-rescaled Lyapunov value v / (tc - t)**beta at every (v, t)
     pair; ``v`` and ``t`` broadcast against each other, so one scalar pair
     gives a 0-d result.
 
-    The one implementation of W, shared by the trajectory recorder and the
-    certificate checker. An element takes the direct quotient where
-    (tc - t)**beta is a normal float, and the log form (:func:`_log_w`)
-    exactly where it is not (zero, subnormal or past the float range); a W
-    past the float range is inf, with no warning. A tuple outside the law's
-    domain raises ``ValueError``; then the first pair with a time outside
-    [0, tc) raises ``DomainError``, or with a negative V ``ValueError``.
+    The one implementation of W, which :attr:`Trajectory.w_values
+    <timebarrier.integrate.Trajectory.w_values>` reads. An element takes the
+    direct quotient where (tc - t)**beta is a normal float, and the log form
+    log W = log V - beta*log(tc - t), on Python floats, exactly where it is
+    not (zero, subnormal or past the float range); a W past the float range
+    is inf, with no warning. A tuple outside the law's domain raises
+    ``ValueError``; then the first pair with a time outside [0, tc) raises
+    ``DomainError``, or with a negative V :func:`_check_v`'s ``ValueError``.
     """
     _check_law(p)
     v, t = np.broadcast_arrays(_float_array(v), _float_array(t))
@@ -237,7 +237,7 @@ def w_transform_array(v, t, p: BarrierParams) -> np.ndarray:
     if bad.any():  # the first bad pair: its time first, then its V
         i = int(bad.argmax())
         _check_times(t.flat[i], tc)
-        raise ValueError(f"negative Lyapunov value {v.flat[i].item()!r}")
+        _check_v(v.flat[i:i + 1])
     nonzero = v != 0.0
     vn, tn = v[nonzero], t[nonzero]
     try:
@@ -249,7 +249,8 @@ def w_transform_array(v, t, p: BarrierParams) -> np.ndarray:
         wn = vn / power
     logs = power < _MIN_NORMAL
     if logs.any():
-        wn[logs] = _map_floats(_exp_or_inf, _log_w(vn[logs], tn[logs], p))
+        log_w = _map_floats(math.log, vn[logs]) - beta * _map_floats(math.log, tc - tn[logs])
+        wn[logs] = _map_floats(_exp_or_inf, log_w)
     w = np.zeros(v.shape)
     w[nonzero] = wn
     return w
@@ -387,8 +388,9 @@ class _Pointwise:
 def _evaluate(spec: DynamicsSpec, name: str, states: np.ndarray, times: np.ndarray) -> np.ndarray:
     """The spec's ``name`` callable (``"v"``, ``"vdot"`` or ``"rhs"``) at each row of
     ``states`` and each time, as float64: one call of its block form, one map of its
-    kernel over every (x_i, t), or, for any other callable, one call per row, in order,
-    read by :func:`_value`. A V or dV/dt must give shape (n,) and an rhs ``states.shape``,
+    kernel over every (x_i, t), or, for any other callable, one call per row, in order.
+    Every value but a kernel's is read by :func:`_value`, a block's by its first row, which
+    carries the block's dtype. A V or dV/dt must give shape (n,) and an rhs ``states.shape``,
     or :func:`_value_fault`'s ``ValueError`` is raised. An empty block calls nothing."""
     fn = getattr(spec, name)
     want = states.shape if name == "rhs" else states.shape[:1]
@@ -399,10 +401,11 @@ def _evaluate(spec: DynamicsSpec, name: str, states: np.ndarray, times: np.ndarr
         f = np.fromiter(map(fn.kernel, states.ravel().tolist(), at), float, states.size)
         return f.reshape(states.shape)
     if isinstance(fn, _Blockwise):
-        f = np.asarray(fn.block(states, times), dtype=float)
+        f = np.asarray(fn.block(states, times))
         if f.shape != want:  # named by one state's shape
             raise ValueError(_value_fault(spec, name, f.shape[1:], want[1:]))
-        return f
+        _value(spec, name, f[0, ...], want[1:])  # the first row, as an array of the block's dtype
+        return f.astype(float, copy=False)
     return np.array([_value(spec, name, fn(x, t), want[1:]) for x, t in zip(states, times.tolist())])
 
 

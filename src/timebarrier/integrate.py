@@ -15,10 +15,10 @@ deadline-aware:
   after each accepted step, a coordinate with |x_i| <= eps_conv whose field
   points toward zero from both sides, f_i(x_i = +eps_conv) <= 0 <=
   f_i(x_i = -eps_conv), is held at exactly zero, with a zero derivative and
-  outside the error norm, until that test fails (``_live``): the sliding-mode
-  (Filippov) solution on the plane x_i = 0. With an exact sign() a settled
-  coordinate would otherwise flip around zero (chattering) and shrink every
-  step until the last coordinate settles.
+  outside the error norm, until that test fails (``_live``); the others step
+  on f at x_i = 0, not on Filippov's convex combination of its two sides.
+  With an exact sign() a settled coordinate would otherwise flip around zero
+  (chattering) and shrink every step until the last coordinate settles.
 
 Every run, a cell of a sweep included, goes through simulate() and one
 stepping loop (``_step``). The DOPRI5(4) trial step has one body
@@ -58,10 +58,11 @@ not depend on which other times share the call.
 
 The record of a run is built once, after the loop (``_record``): the dense
 output (``_Dense``, which ``resample`` also reads), the output times and
-states, V and W at each time (V in one block call where the spec's V is a
-built-in block form), then the frozen :class:`Trajectory`. The certificate,
-the closed-form oracle and the CSV writer all read its arrays; dV/dt is
-evaluated by the certificate alone, at the samples it checks.
+states, V at each time (in one block call where the spec's V is a built-in
+block form), then the frozen :class:`Trajectory`. The certificate, the
+closed-form oracle and the CSV writer all read its arrays; W is computed from
+V on first access (``Trajectory.w_values``), and dV/dt is evaluated by the
+certificate alone, at the samples it checks.
 
 Each simulate() call owns its mutable state; a returned trajectory is
 frozen and its arrays are read-only, so it is safe to share.
@@ -85,6 +86,7 @@ from .core import (
     NumericPolicy,
     StallError,
     _check_law,
+    _check_v,
     _evaluate,
     _float_array,
     _Pointwise,
@@ -158,8 +160,8 @@ class Trajectory:
     :func:`simulate`: a frozen record whose arrays are read-only. Runs
     compare and hash by identity: two runs are never equal, however alike.
 
-    ``states`` has one row per time of ``times``; ``v_values`` and
-    ``w_values`` are NaN where the spec has no V.
+    ``states`` has one row per time of ``times``; ``v_values`` is NaN where
+    the spec has no V, and so is ``w_values``, W computed from it on first access.
     ``event_time`` is the refined instant where max|x_i| crossed eps_conv;
     ``converged_at`` adds the closed-form remaining settling time of the
     reference law from that point, capped at ``t_end = tc - delta_end``,
@@ -174,7 +176,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     v_values: np.ndarray
-    w_values: np.ndarray
     converged_at: Optional[float]
     event_time: Optional[float]
     terminal_norm: float
@@ -182,6 +183,14 @@ class Trajectory:
     rejected_steps: int
     t_end: float
     _dense: _Dense
+
+    @cached_property
+    def w_values(self) -> np.ndarray:
+        """W at each time, from ``v_values`` by :func:`~timebarrier.core.w_transform_array`
+        (NaN where V is), built on first access; read-only."""
+        w = w_transform_array(self.v_values, self.times, self.params)
+        w.flags.writeable = False
+        return w
 
     @cached_property
     def samples(self) -> list[TrajectorySample]:
@@ -576,7 +585,8 @@ def _step(spec, x0, tc, t_end, policy):
 
 def _record(spec, x0, p, policy, t_end, steps, rejected, converged, x_last) -> Trajectory:
     """The one post-loop record builder: the dense output, the event, the
-    samples and V/W, then the :class:`Trajectory`, constructed once.
+    samples and V (a negative V raises ``ValueError``), then the
+    :class:`Trajectory`, constructed once.
     Its arguments past ``t_end`` are what :func:`_step` returns."""
     dim = spec.dim
     n_seg = len(steps)
@@ -615,11 +625,11 @@ def _record(spec, x0, p, policy, t_end, steps, rejected, converged, x_last) -> T
     times = np.sort(np.concatenate(grid))
     times = times[np.concatenate(([True], times[1:] != times[:-1]))]
     states = dense(times)
-    v = w = np.full(times.size, np.nan)  # V and W without a V
+    v = np.full(times.size, np.nan)  # V without a V
     if spec.v is not None:
         v = _evaluate(spec, "v", states, times)
-        w = w_transform_array(v, times, p)
-    for values in (times, states, v, w, seg_t0, seg_h, seg_x0, coef, x0, x_end):
+        _check_v(v)
+    for values in (times, states, v, seg_t0, seg_h, seg_x0, coef, x0, x_end):
         values.flags.writeable = False
     return Trajectory(
         spec=spec,
@@ -628,7 +638,6 @@ def _record(spec, x0, p, policy, t_end, steps, rejected, converged, x_last) -> T
         times=times,
         states=states,
         v_values=v,
-        w_values=w,
         converged_at=converged_at,
         event_time=event_time,
         terminal_norm=_maxabs(states[-1].tolist()),

@@ -447,12 +447,26 @@ def test_w_rise_within_the_steppers_error_is_not_flagged(default_policy, params,
 
 
 def test_w_rise_from_the_origin_is_flagged(default_traj, default_params, default_policy):
-    # V0 = 0 leaves no relative band (0 * inf would be NaN and pass any rise)
+    # V0 = 0 leaves no relative band (log W rises from -inf, past any band)
     v = np.zeros(default_traj.times.size)
     v[1] = 1e-3
-    w = w_transform_array(v, default_traj.times, default_params)
-    traj = dataclasses.replace(default_traj, v_values=v, w_values=w)
+    traj = dataclasses.replace(default_traj, v_values=v)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = check_dissipation(traj, default_params, default_policy)
     assert not report.w_monotone
+
+
+@pytest.mark.parametrize("x0", [1e-6, 1e-3, 1.0, 1e3])
+def test_a_relative_rise_of_w_is_flagged_at_every_scale(x0, default_params, default_policy):
+    # x' = -2x/(1-t) + 0.01x gives W = x0*exp(0.01*t): W rises by ~1% from every x0,
+    # also where W is far below 1 and a band absolute in W would let the rise through
+    p = default_params
+    spec = DynamicsSpec(
+        dim=1, rhs=lambda x, t: -p.beta * x / (p.tc - t) + 0.01 * x,
+        v=lambda x, t: abs(float(x[0])), tc=p.tc,
+    )
+    traj = simulate(spec, x0, p, default_policy)
+    report = check_dissipation(traj, p, default_policy)
+    assert not report.w_monotone
+    assert not report.passed

@@ -17,6 +17,7 @@ from timebarrier import (
     NumericPolicy,
     SweepConfig,
     barrier_integral,
+    check_dissipation,
     exact_solution_scalar,
     exact_solution_scalar_array,
     find_nonautonomy_witness,
@@ -479,6 +480,21 @@ def test_validate_spec_names_a_per_state_value_it_cannot_read(field, text, defau
     law = make_time_barrier_componentwise(default_params, 2)
     spec = DynamicsSpec(**{"dim": 2, "rhs": law.rhs, "label": "per state", **field})
     with pytest.raises(ValueError, match=f"^{re.escape(text)} \\(per state\\)$"):
+        validate_spec(spec, default_params.tc)
+
+
+def test_a_block_of_values_that_are_not_real_is_named(default_params, default_policy):
+    # a block's values go through the one value check: strings are not parsed as numbers
+    law = make_time_barrier_scalar(default_params, default_policy)
+    block = _Blockwise(lambda states, times: np.abs(states[:, 0]).astype(str))
+    spec = DynamicsSpec(dim=1, rhs=law.rhs, label="string block", v=block)
+    text = r"^v returned '[0-9.]+', which is not real-valued \(string block\)$"
+    with pytest.raises(ValueError, match=text):
+        simulate(spec, 1.0, default_params, default_policy)
+    traj = dataclasses.replace(simulate(law, 1.0, default_params, default_policy), spec=spec)
+    with pytest.raises(ValueError, match=text):
+        check_dissipation(traj, default_params, default_policy)
+    with pytest.raises(ValueError, match=text):
         validate_spec(spec, default_params.tc)
 
 

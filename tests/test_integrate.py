@@ -27,6 +27,7 @@ from timebarrier import (
     settling_report,
     simulate,
     validate_spec,
+    w_transform_array,
 )
 from timebarrier import integrate
 from timebarrier.core import _Pointwise
@@ -88,7 +89,7 @@ def test_record_arrays_read_only(default_traj):
 
 def test_trajectory_is_one_frozen_record(default_traj, default_policy):
     fields = [f.name for f in dataclasses.fields(default_traj)]
-    assert len(fields) == 14
+    assert len(fields) == 13
     assert "vdot_values" not in fields
     assert [name for name in fields if name.startswith("_")] == ["_dense"]
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -104,6 +105,27 @@ def test_trajectory_is_one_frozen_record(default_traj, default_policy):
     p = BarrierParams(1.0, 0.5, 1.0, 0.5)
     slow = simulate(make_time_barrier_scalar(p), 100.0, p, default_policy)
     assert (slow.event_time, slow._dense.zero_from) == (None, math.inf)
+
+
+def test_w_is_computed_from_v_on_first_access(default_traj, default_params):
+    assert "w_values" not in vars(default_traj)
+    w = default_traj.w_values
+    assert default_traj.w_values is w and not w.flags.writeable
+    assert np.array_equal(w, w_transform_array(default_traj.v_values, default_traj.times,
+                                               default_params))
+    # a record with other V values reads its own W, never the W of the record it came from
+    v = 0.5 * default_traj.v_values
+    replaced = dataclasses.replace(default_traj, v_values=v)
+    assert np.array_equal(replaced.w_values,
+                          w_transform_array(v, default_traj.times, default_params))
+    assert not np.array_equal(replaced.w_values, default_traj.w_values)
+
+
+def test_a_negative_v_stops_the_run(default_params, default_policy):
+    law = make_time_barrier_scalar(default_params, default_policy)
+    spec = DynamicsSpec(dim=1, rhs=law.rhs, v=lambda x, t: -abs(float(x[0])))
+    with pytest.raises(ValueError, match=r"^negative Lyapunov value -1.0$"):
+        simulate(spec, 1.0, default_params, default_policy)
 
 
 def test_runs_compare_and_hash_by_identity(default_traj, default_params, default_policy):
