@@ -27,6 +27,7 @@ from .core import (
     ParamVerdict,
     _check_law,
     _check_times,
+    _check_v,
     _dissipation_bound,
     _evaluate,
     _finite,
@@ -90,16 +91,16 @@ class NonAutonomyWitness:
     note: str = ""
 
 
-def _lie_vdot(spec: DynamicsSpec, states: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _lie_vdot(spec: DynamicsSpec, states: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
     """grad V . f at each row of ``states`` and each time: the one-sided difference
     (-3V(x) + 4V(x + eps*f) - V(x + 2*eps*f)) / (2*eps) with eps = 1e-6*max|x|/max|f|,
     formed as a shift of 1e-6*max|x| (1e-6 at x = 0) along f/max|f| so that no eps
     leaves the float range; 0 where f = 0. Forward only, it reads V's right
     derivative, which the bound constrains; at a tie of V = max_i |x_i| a central
     difference would average the two sides' rates. It is exact for V linear along
-    f and O(eps**2) for smooth V. V takes the 3n states in one call.
+    f and O(eps**2) for smooth V. V(x) is ``v``, the record's.
 
-    f and V are :func:`~timebarrier.core._evaluate`'s, on all rows and on the stencil.
+    f on all rows and V on the 2n shifted states are :func:`~timebarrier.core._evaluate`'s.
     An f that raises (a value ``_value`` rejects included) or is not finite is re-run
     row by row through ``_checked_rhs``, which raises the first bad row's error (the
     rhs's own, ``_value``'s, or the ``BlowUpError`` of a non-finite value).
@@ -115,9 +116,9 @@ def _lie_vdot(spec: DynamicsSpec, states: np.ndarray, t: np.ndarray) -> np.ndarr
     x_max = np.abs(states).max(axis=1)
     h = 1e-6 * np.where(x_max > 0.0, x_max, 1.0)
     shift = f / np.where(f_max > 0.0, f_max, 1.0)[:, None] * h[:, None]
-    stencil = np.concatenate((states, states + shift, states + 2.0 * shift))
-    v = _evaluate(spec, "v", stencil, np.concatenate((t, t, t)))
-    return (-3.0 * v[:n] + 4.0 * v[n:2 * n] - v[2 * n:]) / (2.0 * h) * f_max
+    stencil = np.concatenate((states + shift, states + 2.0 * shift))
+    ahead = _evaluate(spec, "v", stencil, np.concatenate((t, t)))
+    return (-3.0 * v + 4.0 * ahead[:n] - ahead[n:]) / (2.0 * h) * f_max
 
 
 def _v_error(v0: np.ndarray, v1: np.ndarray, policy: NumericPolicy) -> np.ndarray:
@@ -133,27 +134,26 @@ def check_dissipation(
 ) -> CertificateReport:
     """Check the decay inequality and barrier-scaled monotonicity along ``traj``.
 
-    Samples with V <= eps_conv are excluded (the inequality is quantified over
-    nonzero states only); dV/dt is evaluated at the checked samples only. The
-    bound at each checked (V, t) is the built-in
-    law's own dV/dt, :func:`~timebarrier.core._dissipation_bound`, of the
-    run's own tuple ``traj.params``; another ``p`` raises ``ValueError``.
-    A violation is recorded when
-    lhs > rhs_bound + residual_tol * (1 + |rhs_bound|) or lhs - rhs_bound = inf
-    (a finite dV/dt against a -inf bound), and when V or dV/dt is NaN, which
-    makes ``max_residual`` NaN. Monotonicity is one rule on
-    log W = log V - beta*log(tc - t), from ``v_values`` and ``times``, so it
-    holds at every scale of W, past the float range included: a step counts
-    as a rise when log W grows by more than log1p(residual_tol) + e0/V0 +
-    e1/V1, where e = abs_tol + rel_tol * V is the error the policy allows
-    the stepper in V, or when V goes from 0 to a value > 0. A step that ends
-    at V = 0, or that has a NaN V, is not a rise. It stores no value, so it
-    takes numpy's logs.
+    V is the record's; a negative V raises ``core._check_v``'s ``ValueError``. Samples
+    with V <= eps_conv are excluded (the inequality is quantified over nonzero states
+    only); dV/dt (``vdot``, else :func:`_lie_vdot`) is evaluated at the checked samples
+    only. The bound at each checked (V, t) is
+    :func:`~timebarrier.core._dissipation_bound` of the run's own tuple ``traj.params``;
+    another ``p`` raises ``ValueError``. A violation is recorded when lhs > rhs_bound +
+    residual_tol * (1 + |rhs_bound|) or lhs - rhs_bound = inf (a finite dV/dt against a
+    -inf bound), and when V or dV/dt is NaN, which makes ``max_residual`` NaN.
+    Monotonicity is one rule on log W = log V - beta*log(tc - t), from ``v_values`` and
+    ``times``, so it holds at every scale of W, past the float range included: a step
+    counts as a rise when log W grows by more than log1p(residual_tol) + e0/V0 + e1/V1,
+    where e = abs_tol + rel_tol * V is the error the policy allows the stepper in V, or
+    when V goes from 0 to a value > 0. A step that ends at V = 0, or that has a NaN V,
+    is not a rise. It stores no value, so it takes numpy's logs.
     """
     p = _own_params(traj, p)
     policy = policy if policy is not None else traj.policy
     if traj.spec.v is None:
         raise ValueError("trajectory carries no Lyapunov samples")
+    _check_v(traj.v_values)
     tol = policy.residual_tol
 
     # a NaN V or dV/dt is a violation; a NaN residual of two -inf sides is not
@@ -163,7 +163,7 @@ def check_dissipation(
     if traj.spec.vdot is not None:
         lhs = _evaluate(traj.spec, "vdot", traj.states[checked], t)
     else:
-        lhs = _lie_vdot(traj.spec, traj.states[checked], t)
+        lhs = _lie_vdot(traj.spec, traj.states[checked], t, v)
     rhs_bound = _dissipation_bound(v, t, p)
     residual = lhs - rhs_bound
     flagged = (residual > tol * (1.0 + np.abs(rhs_bound))) | (residual == np.inf)

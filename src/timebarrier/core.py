@@ -348,9 +348,10 @@ class _Blockwise:
     maps an (n, dim) block of states and n times to the n values. Called on
     one state, it evaluates a block of one row and returns a float.
 
-    Every built-in law writes its ``v`` and ``vdot`` this way. :func:`_evaluate`
-    alone calls a block, so the recorder (V), the certificate (dV/dt at the samples
-    it checks, or V along the rhs) and :func:`validate_spec` (V) evaluate one on all
+    Every built-in law writes its ``v`` this way, and an unbiased one its ``vdot``
+    (a biased law states none). :func:`_evaluate` alone calls a block, so the
+    recorder (V), the certificate (dV/dt at the samples it checks, or V at the states
+    shifted along the rhs) and :func:`validate_spec` (V) evaluate one on all
     their states in one call, also in a user spec that reuses it (``v=law.v``). Any
     other callable, a wrapper of a block form (say, one made with
     ``functools.wraps``) included, is called once per state, so

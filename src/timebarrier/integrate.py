@@ -671,10 +671,11 @@ def _own_params(traj: Trajectory, p: Optional[BarrierParams]) -> BarrierParams:
 
 
 def settling_report(traj: Trajectory, p: Optional[BarrierParams] = None) -> SettlingReport:
-    """Compare the measured settling instant against the analytic bound of
-    the run's own tuple, ``traj.params``; another ``p`` raises ``ValueError``."""
+    """Compare the measured settling instant against the analytic bound of the
+    run's own tuple, ``traj.params``; another ``p`` or a negative V raises ``ValueError``."""
     p = _own_params(traj, p)
     if traj.spec.v is not None:
+        _check_v(traj.v_values)
         v0 = traj.v_values[0].item()
     else:
         v0 = _maxabs(traj.states[0].tolist())

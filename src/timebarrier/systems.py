@@ -2,10 +2,12 @@
 extension, and the autonomous power-law comparator.
 
 Constructors are pure and the returned evaluators are stateless, so one spec
-can drive any number of runs. Every built-in law writes V and dV/dt once, as
-a block form over many states (a one-state call evaluates a block of one
-row), and its rhs once, as a plain-float kernel that the integrator steps on
-Python floats. The comparator builds no dynamics: it is known by its closed-form
+can drive any number of runs. Every built-in law writes V once, as a block form
+over many states (a one-state call evaluates a block of one row), and its rhs
+once, as a plain-float kernel that the integrator steps on Python floats. An
+unbiased law's dV/dt is the bound itself, so its certificate tests V's record
+and W, not the field; a biased law states none and is certified through its
+field. The comparator builds no dynamics: it is known by its closed-form
 settling time alone.
 """
 
@@ -66,7 +68,7 @@ def make_time_barrier_scalar(
     right-hand side; it exists to construct dissipation counterexamples and
     breaks the equilibrium at the origin on purpose.
 
-    The Lyapunov pair is V = |x| with its derivative along trajectories.
+    V = |x|; the unbiased law's dV/dt is the bound, and a biased law states none.
     ``policy`` is not read; it is kept so that callers passing it stay valid.
     """
     spec = make_time_barrier_componentwise(p, 1, _bias=_float(bias))
@@ -95,8 +97,7 @@ def make_time_barrier_componentwise(
     _check_law(p)
     if not math.isfinite(_bias):
         raise ValueError(f"bias must be finite, got {_bias!r}")
-    tc, beta, q, alpha = p.tc, p.beta, p.q, p.alpha
-    bias = _bias
+    tc, beta, q, alpha, bias = p.tc, p.beta, p.q, p.alpha, _bias
 
     # a plain-float kernel: the integrator calls it thousands of times
     def kernel(x: float, t: float) -> float:
@@ -116,11 +117,6 @@ def make_time_barrier_componentwise(
         _check_times(times, tc)
         av = _max_abs(states, times)
         value = _dissipation_bound(av, times, p)
-        if bias:
-            # derivative of the max coordinate; for the biased scalar demo
-            # this is sgn(x)*rhs(x, t)
-            top = states[np.arange(len(states)), np.argmax(np.abs(states), axis=1)]
-            value += bias * np.where(top > 0, 1.0, -1.0)
         value[av == 0.0] = 0.0
         return value
 
@@ -129,7 +125,8 @@ def make_time_barrier_componentwise(
         f"(tc={tc:g}, beta={beta:g}, q={q:g}, alpha={alpha:g})"
     )
     return DynamicsSpec(
-        dim=dim, rhs=rhs, label=label, v=_Blockwise(_max_abs), vdot=_Blockwise(vdot), tc=tc
+        dim=dim, rhs=rhs, label=label,
+        v=_Blockwise(_max_abs), vdot=None if bias else _Blockwise(vdot), tc=tc,
     )
 
 

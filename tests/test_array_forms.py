@@ -50,9 +50,9 @@ def sample_states(dim, n=400, seed=0):
     return x
 
 
-def reference_pair(p, dim=1, bias=0.0):
-    """Plain-Python V and dV/dt of the componentwise law, one state at a
-    time: an independent reference for its block forms."""
+def reference_pair(p, dim=1):
+    """Plain-Python V and dV/dt of the unbiased componentwise law, one state
+    at a time: an independent reference for its block forms."""
     tc, beta, q, alpha = p.tc, p.beta, p.q, p.alpha
 
     def v(x, t):
@@ -65,23 +65,20 @@ def reference_pair(p, dim=1, bias=0.0):
         if av == 0.0:
             return 0.0
         decay = q * av**alpha
-        value = -beta * av / (tc - t) - decay
-        if bias:
-            i = int(np.argmax(np.abs(x)))
-            value += bias * (1.0 if x[i] > 0 else -1.0)
-        return value
+        return -beta * av / (tc - t) - decay
 
     return v, vdot
 
 
 P_2 = BarrierParams(2.0, 4.0, 0.5, 0.2)
+# a biased law states no dV/dt: its reference vdot is None
 SPECS = {  # name: (spec, reference (v, vdot))
     "scalar": (make_time_barrier_scalar(P), reference_pair(P)),
-    "scalar_bias": (make_time_barrier_scalar(P, bias=0.5), reference_pair(P, bias=0.5)),
+    "scalar_bias": (make_time_barrier_scalar(P, bias=0.5), (reference_pair(P)[0], None)),
     "componentwise_2": (make_time_barrier_componentwise(P_2, 2), reference_pair(P_2, 2)),
     "componentwise_3_bias": (
         make_time_barrier_componentwise(P, 3, _bias=-0.25),
-        reference_pair(P, 3, bias=-0.25),
+        (reference_pair(P, 3)[0], None),
     ),
 }
 
@@ -93,8 +90,11 @@ def test_v_and_vdot_arrays_match_one_state_functions(name):
     times = np.linspace(0.0, spec.tc, states.shape[0], endpoint=False)
     times[1] = 0.0
     for which, one in zip(("v", "vdot"), reference):
-        want = [one(x, t) for x, t in zip(states, times.tolist())]
         fn = getattr(spec, which)
+        if one is None:
+            assert fn is None, which
+            continue
+        want = [one(x, t) for x, t in zip(states, times.tolist())]
         assert same_bits(fn.block(states, times), want), which
         # a one-state call is a block of one row
         assert same_bits([fn(x, t) for x, t in zip(states, times.tolist())], want), which

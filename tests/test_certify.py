@@ -18,10 +18,17 @@ from timebarrier import (
     simulate,
     w_transform_array,
 )
-from timebarrier.core import _Pointwise
+from timebarrier.core import _Blockwise, _Pointwise
 from timebarrier.systems import make_time_barrier_componentwise, make_time_barrier_scalar
 
 from conftest import random_admissible
+
+
+def biased_vdot(p, bias):
+    """The biased scalar law's dV/dt written out: the unbiased law's, which is
+    the bound, plus bias * sgn(x). The law itself states none."""
+    block = make_time_barrier_scalar(p).vdot.block
+    return _Blockwise(lambda states, times: block(states, times) + bias * np.sign(states[:, 0]))
 
 
 @pytest.fixture
@@ -94,20 +101,23 @@ def test_vdot_is_evaluated_at_the_checked_samples_only(default_params, default_p
     # a plain-callable dV/dt undefined at the origin: the run records zero
     # states, which the certificate does not check, so it is never called there
     biased = make_time_barrier_scalar(default_params, default_policy, bias=0.1)
+    block_vdot = biased_vdot(default_params, 0.1)
     calls = []
 
     def vdot(x, t):
         if x[0] == 0.0:
             raise ZeroDivisionError("dV/dt is undefined at x = 0")
         calls.append(t)
-        return biased.vdot(x, t)
+        return block_vdot(x, t)
 
     traj = simulate(dataclasses.replace(biased, vdot=vdot), 1.0, default_params, default_policy)
     assert np.any(traj.states == 0.0)
     report = check_dissipation(traj, default_params, default_policy)
     assert len(calls) == report.checked_samples > 0
     block = check_dissipation(
-        simulate(biased, 1.0, default_params, default_policy), default_params, default_policy
+        simulate(dataclasses.replace(biased, vdot=block_vdot), 1.0, default_params, default_policy),
+        default_params,
+        default_policy,
     )
     assert report.violations == block.violations
     assert len(report.violations) >= 1
@@ -155,12 +165,12 @@ def test_finite_difference_short_horizon_not_vacuous(default_params):
     # spacing, so every checked sample gets a derivative
     policy = NumericPolicy(delta_end=0.999999)
     biased = make_time_barrier_scalar(default_params, policy, bias=1.0)
-    stripped = dataclasses.replace(biased, vdot=None)
+    stated = dataclasses.replace(biased, vdot=biased_vdot(default_params, 1.0))
     analytic = check_dissipation(
-        simulate(biased, 1.0, default_params, policy), default_params, policy
+        simulate(stated, 1.0, default_params, policy), default_params, policy
     )
     fd = check_dissipation(
-        simulate(stripped, 1.0, default_params, policy), default_params, policy
+        simulate(biased, 1.0, default_params, policy), default_params, policy
     )
     assert analytic.checked_samples == fd.checked_samples == 512
     assert len(analytic.violations) == len(fd.violations) == 512
@@ -217,6 +227,45 @@ def test_lie_derivative_reads_the_right_derivative_at_a_tie(default_params):
     first = report.violations[0]
     assert (first.t, first.rhs_bound) == (0.0, -3.0)
     assert first.lhs == pytest.approx(-1.0, rel=1e-8)
+
+
+def test_the_biased_law_is_judged_by_its_field_at_a_tie():
+    # from the tie x0 = (1, -1) the bias -0.25 gives f = (-3.25, 2.75) at t = 0:
+    # |x_2| falls at 2.75, so V's right derivative is -2.75, above the bound -3.
+    # A dV/dt by the sign of the first largest coordinate read -3.25 there
+    p = BarrierParams(1.0, 2.0, 1.0, 0.5)
+    law = make_time_barrier_componentwise(p, 2, _bias=-0.25)
+    assert law.vdot is None
+    report = check_dissipation(simulate(law, [1.0, -1.0], p), p)
+    first = report.violations[0]
+    assert (first.t, first.rhs_bound) == (0.0, -3.0)
+    assert first.lhs == pytest.approx(-2.75, rel=1e-8)
+
+
+def test_the_lie_derivative_reads_v_at_the_checked_states_from_the_record(
+    default_params, default_policy
+):
+    # a per-row V is called on the two shifted states of each checked sample only
+    law = make_time_barrier_scalar(default_params, default_policy)
+    calls = []
+
+    def v(x, t):
+        calls.append(t)
+        return abs(float(x[0]))
+
+    spec = DynamicsSpec(dim=1, rhs=law.rhs, v=v, tc=law.tc)
+    traj = simulate(spec, 1.0, default_params, default_policy)
+    calls.clear()
+    report = check_dissipation(traj, default_params, default_policy)
+    assert len(calls) == 2 * report.checked_samples > 0
+
+
+def test_every_reader_of_a_negative_v_raises_the_recorders_error(default_traj, default_params):
+    traj = dataclasses.replace(default_traj, v_values=-default_traj.v_values)
+    readers = (check_dissipation, settling_report, lambda traj, p: traj.w_values)
+    for read in readers:
+        with pytest.raises(ValueError, match=r"^negative Lyapunov value -1.0$"):
+            read(traj, default_params)
 
 
 @pytest.mark.parametrize("bias", [0.0, 0.1])

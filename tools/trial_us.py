@@ -13,10 +13,10 @@ the run's trials (accepted plus rejected steps), which one ``simulate`` of
 the case reads from ``Trajectory.step_count`` and ``rejected_steps``. Every
 case runs twice: with the law's own rhs, whose plain-float kernel the
 stepper calls itself, and through the array contract, behind a
-``functools.wraps`` wrapper. The per-coordinate hold probes the rhs on both
-paths, so they do the same work; the wrapper copies the rhs's attributes,
-so a tree older than the probe, which read the hold from an attribute of
-the rhs, holds on both paths too. Both paths take the same unchecked trial:
+``functools.wraps`` wrapper. The wrapper is there to step through the array
+contract: it is not a ``core._Pointwise``, so the stepper calls it on
+arrays. The per-coordinate hold probes the rhs on both paths, so they do
+the same work. Both paths take the same unchecked trial:
 the "array" one calls the wrapper through ``integrate._coerced_rhs``, which
 reads each stage's value by ``core._value`` (its shape and real kind, float64
 out) and, as on the kernel path, leaves its finiteness to the error norm.
