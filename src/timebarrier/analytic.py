@@ -29,7 +29,6 @@ __all__ = [
     "SettlingBound",
     "barrier_integral",
     "settling_bound",
-    "remaining_settling_time",
     "exact_solution_scalar",
     "exact_solution_scalar_array",
 ]
@@ -77,10 +76,9 @@ def barrier_integral(p: BarrierParams, t: float) -> float:
     return _exp_or_inf((1.0 - m) * math.log(tc) + log_expm1 - math.log(abs(m - 1.0)))
 
 
-def remaining_settling_time(
-    p: BarrierParams, v_start: float, t_start: float = 0.0
-) -> SettlingBound:
-    """Time at which the decay envelope started at (t_start, v_start) hits zero.
+def settling_bound(p: BarrierParams, v_start: float, t_start: float = 0.0) -> SettlingBound:
+    """Time at which the decay envelope started at (t_start, v_start) hits zero:
+    the settling-time bound at t_start = 0, the envelope restarted at any later (t, V).
 
     Solves z0 * lam0**(-m) = q*(1-alpha) * (J(tau) - J(t_start)) for tau with
     z0 = v_start**(1-alpha). A finite crossing always exists for m >= 1 and
@@ -112,11 +110,6 @@ def remaining_settling_time(
     # tc - tc*lam_tau, without its cancellation where tau << tc
     tau = min(max(-tc * math.expm1(log_lam_tau), t_start), tc)
     return SettlingBound(tau, True)
-
-
-def settling_bound(p: BarrierParams, v0: float) -> SettlingBound:
-    """Settling-time bound from the initial Lyapunov value v0 at t = 0."""
-    return remaining_settling_time(p, v0, 0.0)
 
 
 def exact_solution_scalar(p: BarrierParams, x0: float, t: float) -> float:

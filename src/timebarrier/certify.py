@@ -27,7 +27,6 @@ from .core import (
     ParamVerdict,
     _check_law,
     _check_times,
-    _check_v,
     _dissipation_bound,
     _evaluate,
     _finite,
@@ -134,7 +133,7 @@ def check_dissipation(
 ) -> CertificateReport:
     """Check the decay inequality and barrier-scaled monotonicity along ``traj``.
 
-    V is the record's; a negative V raises ``core._check_v``'s ``ValueError``. Samples
+    V is the record's, which holds no negative value (``Trajectory``). Samples
     with V <= eps_conv are excluded (the inequality is quantified over nonzero states
     only); dV/dt (``vdot``, else :func:`_lie_vdot`) is evaluated at the checked samples
     only. The bound at each checked (V, t) is
@@ -153,7 +152,6 @@ def check_dissipation(
     policy = policy if policy is not None else traj.policy
     if traj.spec.v is None:
         raise ValueError("trajectory carries no Lyapunov samples")
-    _check_v(traj.v_values)
     tol = policy.residual_tol
 
     # a NaN V or dV/dt is a violation; a NaN residual of two -inf sides is not

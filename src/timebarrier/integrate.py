@@ -9,10 +9,11 @@ deadline-aware:
   straddles a step;
 * a convergence event fires on the first accepted step that ends with
   max|x_i| <= eps_conv; the crossing is refined on the dense output, the state
-  is clamped to exactly zero from there on (the dynamics must keep the origin
-  an equilibrium), and the reported settling instant adds the closed-form
-  remaining time of the reference law, capped at tc - delta_end. At dim >= 2,
-  after each accepted step, a coordinate with |x_i| <= eps_conv whose field
+  is clamped to exactly zero from there on, and the reported settling instant
+  adds the closed-form remaining time of the reference law, capped at tc -
+  delta_end, where rhs(0, t) is exactly zero at the crossing (else the clamp
+  is not the flow, and the run has no settling instant). At dim >= 2, after
+  each accepted step, a coordinate with |x_i| <= eps_conv whose field
   points toward zero from both sides, f_i(x_i = +eps_conv) <= 0 <=
   f_i(x_i = -eps_conv), is held at exactly zero, with a zero derivative and
   outside the error norm, until that test fails (``_live``); the others step
@@ -59,10 +60,10 @@ not depend on which other times share the call.
 The record of a run is built once, after the loop (``_record``): the dense
 output (``_Dense``, which ``resample`` also reads), the output times and
 states, V at each time (in one block call where the spec's V is a built-in
-block form), then the frozen :class:`Trajectory`. The certificate, the
-closed-form oracle and the CSV writer all read its arrays; W is computed from
-V on first access (``Trajectory.w_values``), and dV/dt is evaluated by the
-certificate alone, at the samples it checks.
+block form), then the frozen :class:`Trajectory`, which rejects a negative V.
+The certificate, the closed-form oracle and the CSV writer all read its
+arrays; W is computed from V on first access (``Trajectory.w_values``), and
+dV/dt is evaluated by the certificate alone, at the samples it checks.
 
 Each simulate() call owns its mutable state; a returned trajectory is
 frozen and its arrays are read-only, so it is safe to share.
@@ -78,7 +79,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .analytic import remaining_settling_time, settling_bound
+from .analytic import settling_bound
 from .core import (
     BarrierParams,
     BlowUpError,
@@ -145,7 +146,8 @@ class SettlingReport:
 
     ``deadline_pass`` is ``converged_at is not None``: :func:`simulate`
     caps ``converged_at`` at ``t_end``, and leaves it ``None`` for a run
-    with no crossing or with one whose closed form never reaches zero.
+    with no crossing, or with one whose closed form never reaches zero or
+    where the origin is not an equilibrium (see :class:`Trajectory`).
     """
 
     converged_at: Optional[float]
@@ -162,12 +164,15 @@ class Trajectory:
 
     ``states`` has one row per time of ``times``; ``v_values`` is NaN where
     the spec has no V, and so is ``w_values``, W computed from it on first access.
+    A negative V raises ``core._check_v``'s ``ValueError`` when a record is
+    built, ``dataclasses.replace`` included, so no reader checks it again.
     ``event_time`` is the refined instant where max|x_i| crossed eps_conv;
     ``converged_at`` adds the closed-form remaining settling time of the
     reference law from that point, capped at ``t_end = tc - delta_end``,
     and is ``None`` when that closed form never reaches zero (q = 0, or
-    m < 1 past its finite-integral threshold). All recorded states past
-    ``event_time`` are exactly zero (clamped).
+    m < 1 past its finite-integral threshold) or when rhs(0, event_time) is
+    not exactly zero (a biased law). All recorded states past ``event_time``
+    are exactly zero (clamped).
     """
 
     spec: DynamicsSpec
@@ -183,6 +188,9 @@ class Trajectory:
     rejected_steps: int
     t_end: float
     _dense: _Dense
+
+    def __post_init__(self):
+        _check_v(self.v_values)
 
     @cached_property
     def w_values(self) -> np.ndarray:
@@ -585,8 +593,8 @@ def _step(spec, x0, tc, t_end, policy):
 
 def _record(spec, x0, p, policy, t_end, steps, rejected, converged, x_last) -> Trajectory:
     """The one post-loop record builder: the dense output, the event, the
-    samples and V (a negative V raises ``ValueError``), then the
-    :class:`Trajectory`, constructed once.
+    samples and V, then the :class:`Trajectory`, constructed once (a negative
+    V raises its ``ValueError`` there).
     Its arguments past ``t_end`` are what :func:`_step` returns."""
     dim = spec.dim
     n_seg = len(steps)
@@ -606,10 +614,14 @@ def _record(spec, x0, p, policy, t_end, steps, rejected, converged, x_last) -> T
             event_time = seg_t0[-1].item() + theta * seg_h[-1].item()
         else:
             event_time, v_event = 0.0, _maxabs(x0.tolist())
-        # a crossing whose closed form never reaches zero is not convergence
-        rem = remaining_settling_time(p, v_event, event_time)
+        # a crossing is convergence only where its closed form reaches zero and the origin
+        # is an equilibrium (validate_spec's test, NaN not zero), so the clamp is the flow
+        rem = settling_bound(p, v_event, event_time)
         if rem.reaches_zero:
-            converged_at = min(rem.tau_bound, t_end)
+            with np.errstate(invalid="ignore", divide="ignore"):  # a NaN there is data
+                f0 = _evaluate(spec, "rhs", np.zeros((1, dim)), np.array([event_time]))
+            if np.all(f0 == 0.0):
+                converged_at = min(rem.tau_bound, t_end)
     else:
         x_end = np.atleast_1d(np.asarray(x_last, dtype=float))
     dense = _Dense(
@@ -628,7 +640,6 @@ def _record(spec, x0, p, policy, t_end, steps, rejected, converged, x_last) -> T
     v = np.full(times.size, np.nan)  # V without a V
     if spec.v is not None:
         v = _evaluate(spec, "v", states, times)
-        _check_v(v)
     for values in (times, states, v, seg_t0, seg_h, seg_x0, coef, x0, x_end):
         values.flags.writeable = False
     return Trajectory(
@@ -672,10 +683,9 @@ def _own_params(traj: Trajectory, p: Optional[BarrierParams]) -> BarrierParams:
 
 def settling_report(traj: Trajectory, p: Optional[BarrierParams] = None) -> SettlingReport:
     """Compare the measured settling instant against the analytic bound of the
-    run's own tuple, ``traj.params``; another ``p`` or a negative V raises ``ValueError``."""
+    run's own tuple, ``traj.params``; another ``p`` raises ``ValueError``."""
     p = _own_params(traj, p)
     if traj.spec.v is not None:
-        _check_v(traj.v_values)
         v0 = traj.v_values[0].item()
     else:
         v0 = _maxabs(traj.states[0].tolist())

@@ -95,8 +95,8 @@ DEFAULT_GRID = SweepConfig()
 class SweepRow:
     """Results for one (params, x0) cell.
 
-    Rows whose simulation raised carry the exception in ``error``, ``False``
-    in the three pass flags and ``None`` in every other result field.
+    Rows whose simulation raised carry the exception in ``error`` and the
+    defaults: ``False`` in the three pass flags, ``None`` in every other field.
     Otherwise ``converged_at`` and ``bound_gap`` are ``None`` only when the
     run did not converge (no crossing, or one whose closed form never
     reaches zero), and every other field holds a value.
@@ -110,16 +110,16 @@ class SweepRow:
     m: float
     admissible: bool
     x0: float
-    converged_at: Optional[float]
-    tau_bound: Optional[float]
-    reaches_zero: Optional[bool]
-    deadline_pass: Optional[bool]
-    certificate_pass: Optional[bool]
-    bound_gap: Optional[float]
-    oracle_error: Optional[float]
-    oracle_pass: Optional[bool]
-    terminal_norm: Optional[float]
-    step_count: Optional[int]
+    converged_at: Optional[float] = None
+    tau_bound: Optional[float] = None
+    reaches_zero: Optional[bool] = None
+    deadline_pass: bool = False
+    certificate_pass: bool = False
+    bound_gap: Optional[float] = None
+    oracle_error: Optional[float] = None
+    oracle_pass: bool = False
+    terminal_norm: Optional[float] = None
+    step_count: Optional[int] = None
     error: str = ""
 
 
@@ -145,12 +145,7 @@ def _compute_row(index, p, x0, policy, spec) -> tuple[SweepRow, int]:
     try:
         traj = simulate(spec, x0, p, policy)
     except TimeBarrierError as exc:
-        return SweepRow(
-            **base, converged_at=None, tau_bound=None, reaches_zero=None,
-            deadline_pass=False, certificate_pass=False, bound_gap=None,
-            oracle_error=None, oracle_pass=False, terminal_norm=None,
-            step_count=None, error=f"{type(exc).__name__}: {exc}",
-        ), 0
+        return SweepRow(**base, error=f"{type(exc).__name__}: {exc}"), 0
 
     report = settling_report(traj, p)
     converged_at = report.converged_at

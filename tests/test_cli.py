@@ -777,10 +777,15 @@ def test_simulate_reads_config_bias(tmp_path, capsys):
     cfg_path = tmp_path / "bias.json"
     cfg_path.write_text(json.dumps({"simulate": {"bias": 0.5}}))
     out_file = tmp_path / "traj.csv"
-    code, _, _ = run_cli(
+    code, out, _ = run_cli(
         capsys, "--config", str(cfg_path), "--out", str(out_file), "simulate", "--x0", "1"
     )
-    assert code == EXIT_OK
+    # the biased field at the origin is the bias, so the clamp past its crossing is
+    # not its flow: no settling instant and a FAIL
+    assert code == EXIT_PROPERTY
+    block = block_of(out)
+    assert (block["converged_at"], block["deadline_pass"]) == ("", "false")
+    assert "deadline check: FAIL" in out
     p, policy = BarrierParams(1.0, 2.0, 1.0, 0.5), NumericPolicy()
     want, unbiased = (
         render_trajectory_csv(simulate(make_time_barrier_scalar(p, policy, bias=b), 1.0, p, policy))

@@ -21,7 +21,6 @@ from timebarrier import (
     exact_solution_scalar,
     exact_solution_scalar_array,
     find_nonautonomy_witness,
-    remaining_settling_time,
     resample,
     settling_bound,
     simulate,
@@ -147,7 +146,7 @@ ENTRY_POINTS = {
     "exact_solution_scalar": lambda p: exact_solution_scalar(p, 1.0, 0.5),
     "exact_solution_scalar_array": lambda p: exact_solution_scalar_array(p, 1.0, [0.0, 0.5]),
     "settling_bound": lambda p: settling_bound(p, 1.0),
-    "remaining_settling_time": lambda p: remaining_settling_time(p, 1.0, 0.25),
+    "remaining_settling_time": lambda p: settling_bound(p, 1.0, 0.25),
     "barrier_integral": lambda p: barrier_integral(p, 0.5),
     "find_nonautonomy_witness": lambda p: find_nonautonomy_witness(p, 0.25, 0.0, 0.5),
     "w_transform_array": lambda p: w_transform_array([1.0], [0.5], p),
@@ -196,7 +195,7 @@ TIME_ENTRY_POINTS = {
     "w_transform_array": lambda t: w_transform_array([1.0, 1.0], [0.0, t], P_TIME),
     "exact_solution_scalar": lambda t: exact_solution_scalar(P_TIME, 1.0, t),
     "exact_solution_scalar_array": lambda t: exact_solution_scalar_array(P_TIME, 1.0, [0.0, t]),
-    "remaining_settling_time": lambda t: remaining_settling_time(P_TIME, 1.0, t),
+    "remaining_settling_time": lambda t: settling_bound(P_TIME, 1.0, t),
     "find_nonautonomy_witness": lambda t: find_nonautonomy_witness(P_TIME, 0.25, t, 0.5),
 }
 
@@ -233,7 +232,7 @@ PAST_THE_FLOAT_RANGE = {
     "barrier_integral": (lambda: barrier_integral(P_TIME, BIG), DomainError, T_INF),
     "barrier_integral_negative": (lambda: barrier_integral(P_TIME, -BIG), DomainError,
                                   r"^t=-inf outside "),
-    "remaining_settling_time": (lambda: remaining_settling_time(P_TIME, 1.0, BIG),
+    "remaining_settling_time": (lambda: settling_bound(P_TIME, 1.0, BIG),
                                 DomainError, T_INF),
     "SweepConfig": (lambda: SweepConfig(tc_values=(BIG,)), ValueError, TC_INF),
     "find_nonautonomy_witness": (lambda: find_nonautonomy_witness(P_TIME, 0.25, 0.0, BIG),

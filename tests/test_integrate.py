@@ -19,6 +19,7 @@ from timebarrier import (
     DynamicsSpec,
     NumericPolicy,
     StallError,
+    Trajectory,
     TrajectorySample,
     check_dissipation,
     exact_solution_scalar,
@@ -128,6 +129,15 @@ def test_a_negative_v_stops_the_run(default_params, default_policy):
         simulate(spec, 1.0, default_params, default_policy)
 
 
+def test_a_record_with_a_negative_v_cannot_be_built(default_traj):
+    # the constructor checks its own V (dataclasses.replace goes through it too),
+    # so no reader is handed a negative V
+    fields = {f.name: getattr(default_traj, f.name) for f in dataclasses.fields(default_traj)}
+    fields["v_values"] = -default_traj.v_values
+    with pytest.raises(ValueError, match=r"^negative Lyapunov value -1.0$"):
+        Trajectory(**fields)
+
+
 def test_runs_compare_and_hash_by_identity(default_traj, default_params, default_policy):
     again = simulate(default_traj.spec, 1.0, default_params, default_policy)
     assert np.array_equal(again.states, default_traj.states)
@@ -224,6 +234,33 @@ def test_pure_barrier_flow_matches_closed_form(default_policy):
     assert x_mid == pytest.approx(0.25, rel=1e-6)
     # no exact-zero crossing exists, so the eps-crossing is not convergence
     assert traj.converged_at is None and traj.event_time is not None
+
+
+def test_a_crossing_where_the_origin_is_not_an_equilibrium_is_not_convergence(default_params):
+    # the biased law's field at the origin is its bias: the clamp to zero past
+    # the crossing is not the flow, so the run reports no settling instant
+    biased = simulate(make_time_barrier_scalar(default_params, bias=0.1), 1.0, default_params)
+    assert biased.event_time is not None and biased.converged_at is None
+    report = settling_report(biased)
+    assert report.converged_at is None and report.deadline_pass is False
+    # the unbiased law's field at the origin is -0.0, which is zero: its instant keeps its bits
+    plain = simulate(make_time_barrier_scalar(default_params), 1.0, default_params)
+    assert plain.converged_at == 0.8646647164774124
+
+
+@pytest.mark.parametrize(
+    "at_origin", [lambda x: x + 1e-300, lambda x: x / x], ids=["tiny", "nan"]
+)
+def test_an_origin_field_that_is_not_exactly_zero_is_not_convergence(default_params, at_origin):
+    # rhs(0, t) is read once, at the event, by validate_spec's test: NaN is not
+    # zero, and the 0/0 that gives it there raises no warning
+    law = make_time_barrier_componentwise(default_params, 2)
+
+    def rhs(x, t):
+        return law.rhs(x, t) if np.any(x != 0.0) else at_origin(x)
+
+    traj = simulate(DynamicsSpec(dim=2, rhs=rhs), [1.0, -0.5], default_params)
+    assert traj.event_time is not None and traj.converged_at is None
 
 
 def test_oracle_equivalence_sampled(default_policy):
@@ -337,8 +374,10 @@ def test_wraps_wrapper_of_the_kernel_is_called_on_every_stage(default_params, de
     spec = DynamicsSpec(dim=1, rhs=counted, label="counted", v=law.v, tc=law.tc)
     traj = simulate(spec, 1.0, default_params, default_policy)
     # two calls to start (the derivative at t = 0 and the initial step
-    # proposal), then six per trial step, accepted or rejected
-    assert len(calls) == 2 + 6 * (traj.step_count + traj.rejected_steps)
+    # proposal), six per trial step, accepted or rejected, and one at the
+    # origin at the event, which finds it an equilibrium
+    assert len(calls) == 2 + 6 * (traj.step_count + traj.rejected_steps) + 1
+    assert calls[-1] == traj.event_time and traj.converged_at is not None
     plain = simulate(law, 1.0, default_params, default_policy)
     assert traj.states.tobytes() == plain.states.tobytes()
 
