@@ -172,10 +172,13 @@ def test_settling_bound_keeps_its_digits_where_tau_is_small(v0):
     assert tau == pytest.approx(-math.expm1(-2 * math.sqrt(v0)), rel=1e-12, abs=0.0)
 
 
-def test_settling_bound_names_an_initial_value_past_the_float_range():
+@pytest.mark.parametrize(
+    "t_start", [0.0, 0.25], ids=["settling_bound", "remaining_settling_time"]
+)
+def test_settling_bound_names_an_initial_value_past_the_float_range(t_start):
     # an int past the float range is not finite: the check's ValueError, not OverflowError
     with pytest.raises(ValueError, match="initial Lyapunov value must be finite"):
-        settling_bound(BarrierParams(1, 2, 1, 0.5), 10**400)
+        settling_bound(BarrierParams(1, 2, 1, 0.5), 10**400, t_start)
 
 
 def test_settling_bound_past_the_exp_range_reaches_zero():
