@@ -7,9 +7,9 @@ The scalar law linearizes under the substitution z = |x|**(1-alpha), giving
 
 where J(t) = integral of lam(s)**(-m) over [0, t] and m = beta*(1-alpha).
 Everything here is derived from that identity, with log(lam) taken as
-log1p(-t/tc), stable for t << tc, and log-space forms where a direct factor
-would leave the float range. These functions are the oracles the
-adaptive integrator is verified against, so they must not share code with it.
+log1p(-t/tc), stable for t << tc, and one float-range rule: the direct form
+where it is finite, its log form exactly where it is not. As the oracles the
+adaptive integrator is verified against, they share no code with it.
 Each first raises the ``ValueError`` of a tuple outside the law's domain.
 """
 
@@ -66,14 +66,18 @@ def barrier_integral(p: BarrierParams, t: float) -> float:
         return 0.0
     if m == 1.0:
         return -math.log1p(-t / tc)
-    arg = (1.0 - m) * (math.log1p(-t / tc) if t < tc else -math.inf)
-    if abs(arg) < _MIN_NORMAL:  # t/tc below the normal range: I = t * tc**(-m) to first order
+    log_lam = math.log1p(-t / tc) if t < tc else -math.inf
+    if abs((1.0 - m) * log_lam) < _MIN_NORMAL:  # t/tc below the normal range: I = t * tc**(-m)
         return _exp_or_inf(math.log(t) - m * math.log(tc))
-    if arg > 40.0:  # log expm1(arg), also where expm1 overflows
-        log_expm1 = arg + math.log1p(-math.exp(-arg))
-    else:
-        log_expm1 = math.log(abs(math.expm1(arg)))
-    return _exp_or_inf((1.0 - m) * math.log(tc) + log_expm1 - math.log(abs(m - 1.0)))
+    return _exp_or_inf((1.0 - m) * math.log(tc) + _log_j(m, log_lam))
+
+
+def _log_j(m: float, log_lam: float) -> float:
+    """log(J(t)/tc) from log lam(t), with log|expm1(arg)| as arg + log1p(-exp(-arg)) past 40."""
+    arg = (1.0 - m) * log_lam
+    if arg > 40.0:  # so m > 1, and expm1(arg) may overflow
+        return arg + math.log1p(-math.exp(-arg)) - math.log(m - 1.0)
+    return math.log(-log_lam) if m == 1.0 else math.log(abs(math.expm1(arg))) - math.log(abs(m - 1.0))
 
 
 def settling_bound(p: BarrierParams, v_start: float, t_start: float = 0.0) -> SettlingBound:
@@ -84,6 +88,7 @@ def settling_bound(p: BarrierParams, v_start: float, t_start: float = 0.0) -> Se
     z0 = v_start**(1-alpha). A finite crossing always exists for m >= 1 and
     q > 0; for m < 1 it exists only below the finite-integral threshold, and
     for q = 0 never (the pure-barrier flow converges only in the limit).
+    A and g = (m-1)*A are taken by their logs where they leave the float range.
     """
     _check_law(p)
     if not (_finite(v_start) and v_start >= 0.0):
@@ -97,16 +102,16 @@ def settling_bound(p: BarrierParams, v_start: float, t_start: float = 0.0) -> Se
         return SettlingBound(tc, False)
     one_minus_a = 1.0 - alpha
     log_lam0 = math.log1p(-t_start / tc)
-    # A = z0 / (lam0 * q * (1-alpha) * tc), kept in log space
+    # A = z0 / (lam0 * q * (1-alpha) * tc) by its log; past the float range, log1p(g) = log g
     log_a = one_minus_a * math.log(v_start) - log_lam0 - math.log(q * one_minus_a * tc)
-    a = _exp_or_inf(log_a)
     if m == 1.0:
-        log_lam_tau = log_lam0 - a
+        log_lam_tau = log_lam0 - _exp_or_inf(log_a)
     else:
-        g = (m - 1.0) * a
+        g = (m - 1.0) * _exp_or_inf(log_a)
         if g <= -1.0:  # m < 1 past the finite-integral threshold
             return SettlingBound(tc, False)
-        log_lam_tau = log_lam0 - math.log1p(g) / (m - 1.0)
+        log1p_g = math.log1p(g) if g < math.inf else log_a + math.log(m - 1.0)
+        log_lam_tau = log_lam0 - log1p_g / (m - 1.0)
     # tc - tc*lam_tau, without its cancellation where tau << tc
     tau = min(max(-tc * math.expm1(log_lam_tau), t_start), tc)
     return SettlingBound(tau, True)
@@ -115,8 +120,8 @@ def settling_bound(p: BarrierParams, v_start: float, t_start: float = 0.0) -> Se
 def exact_solution_scalar(p: BarrierParams, x0: float, t: float) -> float:
     """Exact trajectory of the scalar law, clamped to 0 past the crossing.
 
-    For q = 0 this reduces to x0 * ((tc - t)/tc)**beta. The value is exactly
-    x0 at t = 0 and exactly 0 for all t at or past the crossing time.
+    For q = 0, x0 * ((tc - t)/tc)**beta. Exactly x0 at t = 0 and 0 at or past the
+    crossing; q*(1-alpha)*J is taken by its log where its direct form is not finite.
     """
     _check_law(p)
     tc, q, alpha, m = p.tc, p.q, p.alpha, p.m
@@ -138,16 +143,19 @@ def exact_solution_scalar(p: BarrierParams, x0: float, t: float) -> float:
         bracket = z0
     elif m == 1.0:
         bracket = z0 - q * one_minus_a * (-tc * log_lam)
-    else:
+    else:  # -inf past 700, where expm1 may overflow
         arg = (1.0 - m) * log_lam
-        j = math.inf if arg > 700.0 else tc * math.expm1(arg) / (m - 1.0)  # inf past exp's range
-        bracket = z0 - q * one_minus_a * j
-    if bracket <= 0.0 or not math.isfinite(bracket):
+        bracket = z0 - q * one_minus_a * (tc * math.expm1(arg) / (m - 1.0)) if arg <= 700.0 else -math.inf
+    if not bracket > -math.inf:  # the direct q*(1-alpha)*J is past the float range: by its log
+        log_qj = math.log(q) + math.log(one_minus_a) + math.log(tc) + _log_j(m, log_lam)
+        bracket = z0 - _exp_or_inf(log_qj)
+    if bracket <= 0.0:
         return 0.0
     log_x = (m * log_lam + math.log(bracket)) / one_minus_a
     return math.copysign(math.exp(log_x), x0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # Python floats overflow to inf without a warning
 def exact_solution_scalar_array(p: BarrierParams, x0: float, times) -> np.ndarray:
     """:func:`exact_solution_scalar` at every time of ``times``, bit for bit.
 
@@ -161,28 +169,24 @@ def exact_solution_scalar_array(p: BarrierParams, x0: float, times) -> np.ndarra
     if not _finite(x0):
         _x0_error(x0)
     _check_times(t, tc)
-    out = np.zeros(t.shape)
-    start = t == 0.0
-    out[start] = x0
-    t = t[~start]
+    out = np.full(t.shape, float(x0))
+    later = t > 0.0
+    t = t[later]
     one_minus_a = 1.0 - alpha
     z0 = abs(x0) ** one_minus_a
     log_lam = _map_floats(math.log1p, -t / tc)
     if q == 0.0:
         bracket = np.full(t.shape, z0)
-    else:
-        # J(t), as exact_solution_scalar takes it
-        if m == 1.0:
-            j = -tc * log_lam
-        else:
-            arg = (1.0 - m) * log_lam
-            j = np.full(t.shape, math.inf)
-            finite = ~(arg > 700.0)
-            j[finite] = tc * _map_floats(math.expm1, arg[finite]) / (m - 1.0)
-        bracket = z0 - q * one_minus_a * j
-    live = (bracket > 0.0) & np.isfinite(bracket)
+    else:  # as exact_solution_scalar takes it
+        arg = (1.0 - m) * log_lam
+        j = -tc * log_lam if m == 1.0 else tc * _map_floats(math.expm1, arg.clip(max=700.0)) / (m - 1.0)
+        bracket = np.where(arg <= 700.0, z0 - q * one_minus_a * j, -math.inf)
+        far = ~(bracket > -math.inf)
+        log_qt = math.log(q) + math.log(one_minus_a) + math.log(tc)
+        bracket[far] = z0 - _map_floats(_exp_or_inf, log_qt + _map_floats(_log_j, m, log_lam[far]))
+    live = bracket > 0.0
     log_x = (m * log_lam[live] + _map_floats(math.log, bracket[live])) / one_minus_a
     values = np.zeros(t.shape)
     values[live] = np.copysign(_map_floats(math.exp, log_x), x0)
-    out[~start] = values
+    out[later] = values
     return out

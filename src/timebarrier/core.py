@@ -438,6 +438,7 @@ _RADIUS_DECADES = (-6, 3)
 _TIME_POINTS = 16
 
 
+@np.errstate(invalid="ignore", divide="ignore")  # a NaN at the origin is a problem to report
 def validate_spec(spec: DynamicsSpec, horizon: float) -> list[str]:
     """Sampling-based check of the DynamicsSpec contract.
 

@@ -14,6 +14,7 @@ from timebarrier import (
     BarrierParams,
     DivergentIntegralError,
     DomainError,
+    SettlingBound,
     barrier_integral,
     exact_solution_scalar,
     exact_solution_scalar_array,
@@ -63,14 +64,29 @@ def test_barrier_integral_log_space_branch_past_exp_40():
     assert barrier_integral(p, 0.9) == pytest.approx((10.0**49 - 1.0) / 49.0, rel=1e-12)
 
 
+def decimal_log1p(x):
+    """ln(1 + x) to the context's digits, also where 1 + x rounds to 1 (the next term is x**3/3)."""
+    return x - x * x / 2 if abs(x) < Decimal("1e-30") else (1 + x).ln()
+
+
+def decimal_expm1(x):
+    """exp(x) - 1 to the context's digits, also where exp(x) rounds to 1 (the next term is x**3/6)."""
+    return x + x * x / 2 if abs(x) < Decimal("1e-30") else x.exp() - 1
+
+
+def decimal_j(p, lam):
+    """J = integral of lam(s)**(-m) over [0, t] = tc * (lam**(1-m) - 1) / (m-1), or
+    -tc * ln(lam) at m = 1, to the context's digits."""
+    tc, e = Decimal(p.tc), 1 - Decimal(p.m)
+    return -tc * lam.ln() if e == 0 else tc * decimal_expm1(e * lam.ln()) / -e
+
+
 def decimal_barrier_integral(p, t):
-    """I(t) = tc**(1-m) * (lam**(1-m) - 1) / (m-1) to 100 digits, from the
-    float lam = 1 - fl(t/tc) that the closed form reads."""
+    """I(t) = tc**(-m) * J to 100 digits, from the float lam = 1 - fl(t/tc) that the
+    closed form reads."""
     with localcontext() as ctx:
         ctx.prec = 100
-        lam = 1 - Decimal(t / p.tc)
-        e = 1 - Decimal(p.m)
-        return Decimal(p.tc) ** e * (lam**e - 1) / -e
+        return Decimal(p.tc) ** -Decimal(p.m) * decimal_j(p, 1 - Decimal(t / p.tc))
 
 
 @pytest.mark.parametrize(
@@ -182,17 +198,132 @@ def test_settling_bound_names_an_initial_value_past_the_float_range(t_start):
 
 
 def test_settling_bound_past_the_exp_range_reaches_zero():
-    # log A = 709.78...: exp overflows there, so A is inf and the crossing is at tc
+    # log A = 709.78...: A is past the float range, so log1p(g) is taken as log g, and
+    # lam(tau) = exp(-709.78...) puts the crossing at tc in floats
     sb = settling_bound(BarrierParams(1, 4, 1e-300, 0.5), 1.0215165681210286e16)
     assert sb.reaches_zero
     assert sb.tau_bound == 1.0
 
 
-@pytest.mark.parametrize(
+def test_settling_bound_takes_g_by_its_log_past_the_float_range():
+    # A = 1e150 / 5e-301 is past the float range; the 60-digit zero is 0.9999730010536269,
+    # where an overflowed g gave tc
+    sb = settling_bound(BarrierParams(1.0, 200.0, 1e-300, 0.5), 1e300)
+    assert sb == SettlingBound(0.9999730010536269, True)
+
+
+ORACLES = pytest.mark.parametrize(
     "oracle",
-    [exact_solution_scalar, lambda p, x0, t: exact_solution_scalar_array(p, x0, [t])],
+    [exact_solution_scalar, lambda p, x0, t: exact_solution_scalar_array(p, x0, [t]).item()],
     ids=["scalar", "array"],
 )
+
+
+@ORACLES
+def test_exact_solution_takes_q_j_by_its_log_past_exps_range(oracle):
+    # arg = 706.3 is past exp's range, but q*(1-alpha)*J is far below z0 = 1e153:
+    # the 60-digit value is 8.709809816217217e-303, where a J of inf gave 0
+    x = oracle(BarrierParams(1.0, 2000.0, 1e-300, 0.49), 1e300, 0.5)
+    assert x == pytest.approx(8.709809816217217e-303, rel=1e-12, abs=0.0)
+    # arg = 700.5 at lam = 6.2e-7, where log1p(-t/tc) rounds t/tc first (ROADMAP item 32 (i)),
+    # so only 1e-6 of the 60-digit 2.70247057904e-7
+    x = oracle(BarrierParams(100.0, 50.5, 1e-300, 0.01), 1e307, 99.99993823706295)
+    assert x == pytest.approx(2.70247057904e-7, rel=1e-6, abs=0.0)
+
+
+def closed_form_draw(n):
+    """n seeded points (p, x0, t, t_start) over the law's domain, with t and t_start
+    at most tc/2. Every fourth is in the far range: m near 1000, q down to 1e-300, |x0|
+    up to 1e300 and t near tc/2, where arg passes 700 and A the float range. Every
+    eighth has m = 1 exactly."""
+    rng = np.random.default_rng(32)
+    points = []
+    for i in range(n):
+        tc, alpha = 10.0 ** rng.uniform(-6, 6), rng.uniform(0.01, 0.99)
+        log_m, log_q, log_x0 = rng.uniform(-2, 3.1), rng.uniform(-300, 2), rng.uniform(-300, 300)
+        t = tc * rng.uniform(0.0, 0.5)
+        if i % 4 == 0:
+            log_m, log_q, log_x0 = rng.uniform(2.9, 3.1), rng.uniform(-300, -200), rng.uniform(200, 300)
+            t = tc * rng.uniform(0.4, 0.5)
+        m, q, x0 = 10.0**log_m, 10.0**log_q, 10.0**log_x0
+        if i % 8 == 1:
+            alpha, m = float(rng.choice([0.5, 0.75, 0.875])), 1.0  # beta = 1/(1-alpha) exactly
+        t_start = tc * rng.uniform(0.0, 0.5) if i % 2 else 0.0
+        x0 *= float(rng.choice([-1.0, 1.0]))
+        points.append((BarrierParams(tc, m / (1.0 - alpha), q, alpha), x0, t, t_start))
+    return points
+
+
+def decimal_exact_solution(p, x0, t):
+    """x(t) and the bracket's condition z0/|bracket|, to the context's digits."""
+    one_minus_a = 1 - Decimal(p.alpha)
+    lam = 1 - Decimal(t) / Decimal(p.tc)
+    z0 = Decimal(abs(x0)) ** one_minus_a
+    bracket = z0 - Decimal(p.q) * one_minus_a * decimal_j(p, lam)
+    condition = z0 / abs(bracket) if bracket else Decimal("Infinity")
+    if bracket <= 0:
+        return Decimal(0), condition
+    return ((lam ** Decimal(p.m) * bracket) ** (1 / one_minus_a)).copy_sign(Decimal(x0)), condition
+
+
+def decimal_settling_time(p, v, t_start):
+    """The zero of the envelope restarted at (t_start, v), to the context's digits, or
+    None where it never reaches zero (m < 1 past the finite-integral threshold)."""
+    tc, m, one_minus_a = Decimal(p.tc), Decimal(p.m), 1 - Decimal(p.alpha)
+    lam0 = 1 - Decimal(t_start) / tc
+    a = Decimal(v) ** one_minus_a / (lam0 * Decimal(p.q) * one_minus_a * tc)
+    if m == 1:
+        u = a
+    else:
+        g = (m - 1) * a
+        if g <= -1:
+            return None
+        u = decimal_log1p(g) / (m - 1)
+    # lam(tau) = lam0 * exp(-u), so tau = t_start + tc*lam0*(1 - exp(-u)), without cancellation
+    return Decimal(t_start) - tc * lam0 * decimal_expm1(-u)
+
+
+CLOSED_FORM_DIGITS = 60
+CLOSED_FORM_REL = Decimal("1e-12")
+WELL_CONDITIONED = Decimal(1000)
+
+
+def test_closed_forms_match_a_60_digit_evaluation():
+    # x(t), I(t) = tc**(-m) * J(t) and tau against the same formulas in 60-digit decimal,
+    # from the same float inputs, at 300 seeded points: every normal result within 1e-12
+    # relative, a state past its crossing exactly 0, and no crossing where there is none.
+    # Excluded: states whose bracket z0 - q*(1-alpha)*J cancels (z0/|bracket| > 1e3), where
+    # the lost digits are the problem's and not the code's; and t, t_start > tc/2, where
+    # log1p(-t/tc) rounds t/tc first and loses digits near tc (ROADMAP item 32 (i), open).
+    # Over 3,000 points of the same draw the worst errors are 4.1e-13, 1.5e-13 and 9.3e-14.
+    normal = Decimal(sys.float_info.min), Decimal(sys.float_info.max)
+    faults = []
+    with localcontext() as ctx:
+        ctx.prec = CLOSED_FORM_DIGITS
+        for p, x0, t, t_start in closed_form_draw(300):
+            got = exact_solution_scalar(p, x0, t)
+            assert exact_solution_scalar_array(p, x0, [t]).tobytes() == np.float64(got).tobytes()
+            want, condition = decimal_exact_solution(p, x0, t)
+            checked = condition <= WELL_CONDITIONED and not 0 < abs(want) < normal[0]
+            if checked and abs(Decimal(got) - want) > CLOSED_FORM_REL * abs(want):  # 0 where want is
+                faults.append(("x", p, x0, t, got, float(want)))
+            want = Decimal(p.tc) ** -Decimal(p.m) * decimal_j(p, 1 - Decimal(t) / Decimal(p.tc))
+            got = barrier_integral(p, t)
+            if normal[0] <= want <= normal[1] and abs(Decimal(got) - want) > CLOSED_FORM_REL * want:
+                faults.append(("I", p, t, got, float(want)))
+            want = decimal_settling_time(p, abs(x0), t_start)
+            got = settling_bound(p, abs(x0), t_start)
+            if want is None:
+                if got != SettlingBound(p.tc, False):
+                    faults.append(("tau", p, abs(x0), t_start, got, None))
+            elif abs(Decimal(got.tau_bound) - want) > CLOSED_FORM_REL * want or not got.reaches_zero:
+                faults.append(("tau", p, abs(x0), t_start, got, float(want)))
+    counts = {kind: sum(f[0] == kind for f in faults) for kind in ("x", "I", "tau")}
+    firsts = [next(f for f in faults if f[0] == kind) for kind in counts if counts[kind]]
+    assert not faults, f"faults {counts}, the first of each kind: {firsts}"
+
+
+@ORACLES
 def test_exact_solution_names_an_x0_past_the_float_range(oracle):
     with pytest.raises(ValueError, match="x0 must be finite"):
         oracle(BarrierParams(1, 2, 1, 0.5), 10**400, 0.5)

@@ -243,11 +243,13 @@ ORACLE_PARAMS = {
     "q_0": BarrierParams(1.0, 2.0, 0.0, 0.5),
     "arg_above_700": BarrierParams(1.0, 80.0, 1.0, 0.5),
     "beta_above_30": BarrierParams(3.0, 35.0, 0.3, 0.2),
+    # arg passes 700 from t = 0.497: q*(1-alpha)*J is taken by its log, and stays below z0
+    "q_tiny_past_exp": BarrierParams(1.0, 2000.0, 1e-300, 0.49),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_PARAMS))
-@pytest.mark.parametrize("x0", [1e-6, -1.0, 3.5, -1e6, 0.0, -0.0])
+@pytest.mark.parametrize("x0", [1e-6, -1.0, 3.5, -1e6, 0.0, -0.0, 1e300])
 def test_exact_solution_array_matches(name, x0):
     p = ORACLE_PARAMS[name]
     t = np.concatenate([

@@ -432,6 +432,21 @@ def test_validate_spec_flags_broken_equilibrium(default_params, default_policy):
     ]
 
 
+@pytest.mark.parametrize(
+    "field, problem",
+    [
+        ({"rhs": lambda x, t: -x / np.abs(x)}, "rhs(0, 0) = array([nan]) is not the zero vector"),
+        ({"rhs": lambda x, t: -x, "v": lambda x, t: np.abs(x[0]) * (np.abs(x[0]) / np.abs(x[0]))},
+         "V(0, 0) = nan is not zero"),
+    ],
+    ids=["rhs", "v"],
+)
+def test_validate_spec_reports_a_nan_at_the_origin(field, problem):
+    # 0/0 at the origin is a problem of the spec to report, as the recorder reads the
+    # same NaN as data, not a RuntimeWarning raised under warnings-as-errors
+    assert validate_spec(DynamicsSpec(1, **field), 1.0) == [problem]
+
+
 def test_validate_spec_flags_an_rhs_of_the_wrong_shape(default_params, default_policy):
     for spec in (
         DynamicsSpec(3, rhs=lambda x, t: 0.0),
