@@ -102,8 +102,14 @@ def settling_bound(p: BarrierParams, v_start: float, t_start: float = 0.0) -> Se
         return SettlingBound(tc, False)
     one_minus_a = 1.0 - alpha
     log_lam0 = math.log1p(-t_start / tc)
-    # A = z0 / (lam0 * q * (1-alpha) * tc) by its log; past the float range, log1p(g) = log g
-    log_a = one_minus_a * math.log(v_start) - log_lam0 - math.log(q * one_minus_a * tc)
+    # A = z0 / (lam0 * q * (1-alpha) * tc) by its log, the product's log by its
+    # factors' where it is not a normal float; past the float range, log1p(g) = log g
+    qt = q * one_minus_a * tc
+    if _MIN_NORMAL <= qt < math.inf:
+        log_qt = math.log(qt)
+    else:
+        log_qt = math.log(q) + math.log(one_minus_a) + math.log(tc)
+    log_a = one_minus_a * math.log(v_start) - log_lam0 - log_qt
     if m == 1.0:
         log_lam_tau = log_lam0 - _exp_or_inf(log_a)
     else:

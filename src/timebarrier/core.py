@@ -163,7 +163,7 @@ def validate_params(p: BarrierParams) -> ParamVerdict:
     reason = p._fault or (
         "beta must be > 0" if p.beta == 0.0
         else "q must be > 0" if p.q == 0.0
-        else f"beta*(1-alpha)={p.m:g} < 1" if p.m < 1.0
+        else f"beta*(1-alpha)={p.m!r} < 1" if p.m < 1.0
         else None
     )
     return ParamVerdict(reason is None, reason)

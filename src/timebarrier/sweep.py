@@ -14,6 +14,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
@@ -24,7 +25,7 @@ from .analytic import exact_solution_scalar_array
 from .certify import check_dissipation
 from .core import BarrierParams, NumericPolicy, TimeBarrierError, _check_law, validate_params
 from .integrate import settling_report, simulate
-from .systems import make_autonomous_power_law, make_time_barrier_scalar
+from .systems import make_time_barrier_scalar
 
 __all__ = [
     "SweepConfig",
@@ -242,25 +243,34 @@ def separation_table(
 ) -> list[SeparationRow]:
     """Compare deadline-enforced settling against the power-law comparator.
 
-    The barrier exponent is set to 1/(1-alpha), the minimal admissible value,
-    which makes the comparison least favorable to the deadline law. The
-    comparator settling time |x0|**(1-alpha) / (q*(1-alpha)) grows without
-    bound in |x0| while the simulated settling stays below tc.
+    The barrier exponent is the least float beta with beta*(1-alpha) >= 1, the
+    minimal admissible value, which makes the comparison least favorable to
+    the deadline law. The comparator dV/dt = -q*V**alpha settles in
+    |x0|**(1-alpha) / (q*(1-alpha)), which grows without bound in |x0| while
+    the simulated settling stays below tc. A tuple outside the law's domain,
+    or q = 0, raises ``ValueError`` with :func:`validate_params`' reason.
     """
-    beta = 1.0 / (1.0 - alpha)
-    p = BarrierParams(tc, beta, q, alpha)
-    law = make_autonomous_power_law(q, alpha)
+    p = BarrierParams(tc, 0.0, q, alpha)  # beta = 0 is in the law's domain
+    one_minus_a = 1.0 - p.alpha
+    if p._fault is None:  # so 1 - alpha is in (0, 1)
+        beta = 1.0 / one_minus_a
+        if beta * one_minus_a < 1.0:  # m rounded below 1: one float up is admissible
+            beta = math.nextafter(beta, math.inf)
+        p = BarrierParams(p.tc, beta, p.q, p.alpha)
+    verdict = validate_params(p)
+    if not verdict.admissible:
+        raise ValueError(verdict.reason)
     spec = make_time_barrier_scalar(p)
     rows = []
     for x0 in x0_list:
         traj = simulate(spec, x0, p, policy)  # names an x0 that is not finite
-        auto = law.settling_time(abs(float(x0)))
+        auto = abs(float(x0)) ** one_minus_a / (p.q * one_minus_a)
         rows.append(
             SeparationRow(
                 x0=float(x0),
                 barrier_settling=traj.converged_at,
                 autonomous_settling=auto,
-                autonomous_exceeds_deadline=auto > tc,
+                autonomous_exceeds_deadline=auto > p.tc,
             )
         )
     return rows

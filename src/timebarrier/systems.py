@@ -1,5 +1,5 @@
-"""Built-in dynamics: the scalar deadline-decay law, its componentwise vector
-extension, and the autonomous power-law comparator.
+"""Built-in dynamics: the scalar deadline-decay law and its componentwise vector
+extension.
 
 Constructors are pure and the returned evaluators are stateless, so one spec
 can drive any number of runs. Every built-in law writes V once, as a block form
@@ -7,15 +7,16 @@ over many states (a one-state call evaluates a block of one row), and its rhs
 once, as a plain-float kernel that the integrator steps on Python floats. An
 unbiased law's dV/dt is the bound itself, so its certificate tests V's record
 and W, not the field; a biased law states none and is certified through its
-field. The comparator builds no dynamics: it is known by its closed-form
-settling time alone.
+field. The power-law comparator builds no dynamics:
+:func:`timebarrier.sweep.separation_table` computes its closed-form settling
+time inline.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 
@@ -27,29 +28,15 @@ from .core import (
     _check_law,
     _check_times,
     _dissipation_bound,
-    _finite,
     _float,
     _Pointwise,
     _time_error,
 )
 
 __all__ = [
-    "AutonomousLaw",
     "make_time_barrier_scalar",
     "make_time_barrier_componentwise",
-    "make_autonomous_power_law",
 ]
-
-
-@dataclass(frozen=True)
-class AutonomousLaw:
-    """A state-only decay law dV/dt = -phi(V), known by its settling time.
-
-    ``settling_time(v0)`` is the closed form of the settling integral of
-    dV/phi(V) over [0, v0], the time the law takes from V = v0 to zero.
-    """
-
-    settling_time: Callable[[float], float]
 
 
 def _max_abs(states: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -128,22 +115,3 @@ def make_time_barrier_componentwise(
         dim=dim, rhs=rhs, label=label,
         v=_Blockwise(_max_abs), vdot=None if bias else _Blockwise(vdot), tc=tc,
     )
-
-
-def make_autonomous_power_law(q: float, alpha: float) -> AutonomousLaw:
-    """Comparator dV/dt = -q * V**alpha, known by its settling time.
-
-    The power law is the classical finite-time decay; its settling time has
-    the closed form v0**(1-alpha) / (q*(1-alpha)), which grows without bound
-    in v0 -- the numeric heart of the separation from deadline-enforced
-    convergence.
-    """
-    if not (_finite(q) and q > 0.0):
-        raise ValueError("q must be > 0")
-    if not (_finite(alpha) and 0.0 < alpha < 1.0):
-        raise ValueError("alpha in (0,1) violated")
-
-    def settling_time(v0: float) -> float:
-        return v0 ** (1.0 - alpha) / (q * (1.0 - alpha))
-
-    return AutonomousLaw(settling_time=settling_time)

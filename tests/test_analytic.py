@@ -323,6 +323,27 @@ def test_closed_forms_match_a_60_digit_evaluation():
     assert not faults, f"faults {counts}, the first of each kind: {firsts}"
 
 
+@pytest.mark.parametrize(
+    "p, v",
+    [
+        (BarrierParams(1e-30, 2.0, 1e-300, 0.5), 1.0),
+        (BarrierParams(2e-21, 2.0, 1e-300, 0.001), 1e-321),
+        (BarrierParams(1e304, 2.0, 1e5, 0.001), 1e307),
+    ],
+    ids=["underflows_to_0", "subnormal", "past_the_float_range"],
+)
+def test_settling_bound_where_q_times_1_minus_alpha_times_tc_is_no_normal_float(p, v):
+    # log(q*(1-alpha)*tc) is taken as log q + log(1-alpha) + log tc there: the
+    # direct log raised a domain error at 0, lost digits below the normal range
+    # and gave tau = 0 at inf
+    got = settling_bound(p, v)
+    with localcontext() as ctx:
+        ctx.prec = CLOSED_FORM_DIGITS
+        want = decimal_settling_time(p, v, 0.0)
+        assert got.reaches_zero
+        assert abs(Decimal(got.tau_bound) - want) <= CLOSED_FORM_REL * want
+
+
 @ORACLES
 def test_exact_solution_names_an_x0_past_the_float_range(oracle):
     with pytest.raises(ValueError, match="x0 must be finite"):

@@ -22,6 +22,7 @@ from timebarrier import (
     exact_solution_scalar_array,
     find_nonautonomy_witness,
     resample,
+    separation_table,
     settling_bound,
     simulate,
     validate_params,
@@ -30,7 +31,6 @@ from timebarrier import (
 )
 from timebarrier.core import _Blockwise
 from timebarrier.systems import (
-    make_autonomous_power_law,
     make_time_barrier_componentwise,
     make_time_barrier_scalar,
 )
@@ -93,7 +93,7 @@ def test_exponent_precomputed_once():
     assert p.m == 2.3 * (1.0 - 0.37)
     # the verdict reads the tuple's own m: its reason names it
     low = BarrierParams(1, 1.3, 1, 0.37)
-    assert validate_params(low).reason == f"beta*(1-alpha)={low.m:g} < 1"
+    assert validate_params(low).reason == f"beta*(1-alpha)={low.m!r} < 1"
 
 
 def test_validate_monotone_in_beta():
@@ -227,8 +227,8 @@ PAST_THE_FLOAT_RANGE = {
                       ValueError, TC_INF),
     "make_time_barrier_scalar": (lambda: make_time_barrier_scalar(P_TIME, bias=BIG),
                                  ValueError, "^bias must be finite, got inf$"),
-    "make_autonomous_power_law": (lambda: make_autonomous_power_law(BIG, 0.5),
-                                  ValueError, "^q must be > 0$"),
+    "separation_table": (lambda: separation_table(1.0, BIG, 0.5, [1.0]),
+                         ValueError, "^non-finite parameter: q$"),
     "barrier_integral": (lambda: barrier_integral(P_TIME, BIG), DomainError, T_INF),
     "barrier_integral_negative": (lambda: barrier_integral(P_TIME, -BIG), DomainError,
                                   r"^t=-inf outside "),

@@ -582,6 +582,29 @@ def test_failing_wrapper_is_called_at_most_twice_per_stage(
     assert all(failing.count(s) <= 2 for s in stages)
 
 
+def test_a_trial_error_its_checked_rerun_finds_no_fault_in_is_raised_again(
+    default_params, default_policy
+):
+    # the rhs raises once, on its 40th call, inside a trial; the checked re-run
+    # of that step finds every stage finite, so the run raises the trial's own error
+    class Refusal(Exception):
+        pass
+
+    calls, raised = [], []
+
+    def rhs(x, t):
+        calls.append(t)
+        if len(calls) == 40:
+            raised.append(Refusal(f"refused at t={t!r}"))
+            raise raised[0]
+        return -x
+
+    with pytest.raises(Refusal) as info:
+        simulate(DynamicsSpec(dim=1, rhs=rhs), [1.0], default_params, default_policy)
+    assert info.value is raised[0]
+    assert len(calls) > 40  # the re-run called the rhs again
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize(
     "convert", [np.ndarray.tolist, lambda f: f.astype(np.float32)], ids=["list", "float32"]

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import math
 
 import pytest
 
@@ -16,7 +17,9 @@ from timebarrier import (
     separation_table,
     settling_bound,
     simulate,
+    validate_params,
 )
+from timebarrier import sweep
 from timebarrier.cli import render_sweep_csv
 from timebarrier.systems import make_time_barrier_scalar
 
@@ -280,6 +283,29 @@ def test_separation_barrier_settling_matches_bound(default_policy):
     p = BarrierParams(1.0, 2.0, 1.0, 0.5)
     want = settling_bound(p, 1.0).tau_bound
     assert rows[0].barrier_settling == pytest.approx(want, abs=1e-4)
+
+
+def test_separation_tuple_is_the_least_admissible_one(monkeypatch):
+    # 1/(1-alpha) rounds m = beta*(1-alpha) below 1 for 149 of these alphas;
+    # the table runs the least float beta with m >= 1 instead
+    tuples = []
+
+    def recording(spec, x0, p, policy=None):
+        tuples.append(p)
+        return simulate(spec, x0, p, policy)
+
+    monkeypatch.setattr(sweep, "simulate", recording)
+    for k in range(1, 1000):
+        alpha = k / 1000
+        tuples.clear()
+        rows = separation_table(1.0, 1.0, alpha, [1e3, 1e6])
+        assert [row.x0 for row in rows] == [1e3, 1e6]
+        (p,) = set(tuples)
+        assert (p.tc, p.q, p.alpha) == (1.0, 1.0, alpha)
+        assert validate_params(p).admissible, alpha
+        assert math.nextafter(p.beta, 0.0) * (1.0 - alpha) < 1.0, alpha
+        for row in rows:
+            assert row.barrier_settling is None or row.barrier_settling < 1.0
 
 
 def test_lane_that_blows_up_is_rerun_with_the_same_error(default_policy):

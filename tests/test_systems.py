@@ -7,10 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from timebarrier import BarrierParams, DomainError
+from timebarrier import BarrierParams, DomainError, separation_table
 from timebarrier.systems import (
-    AutonomousLaw,
-    make_autonomous_power_law,
     make_time_barrier_componentwise,
     make_time_barrier_scalar,
 )
@@ -88,16 +86,22 @@ def test_componentwise_max_norm_lyapunov(default_params, default_policy):
 
 
 def test_power_law_values():
-    law = make_autonomous_power_law(1.0, 0.5)
-    assert isinstance(law, AutonomousLaw)
-    assert law.settling_time(1.0) == 2.0
+    # the comparator dV/dt = -q*V**alpha settles in |x0|**(1-alpha) / (q*(1-alpha))
+    (row,) = separation_table(1.0, 1.0, 0.5, [1.0])
+    assert row.autonomous_settling == 2.0
 
 
 def test_power_law_rejects_bad_params():
-    with pytest.raises(ValueError):
-        make_autonomous_power_law(0.0, 0.5)
-    with pytest.raises(ValueError):
-        make_autonomous_power_law(1.0, 1.0)
+    # the table's tuple is judged by the law's own rules, with their texts
+    for q, alpha, text in [
+        (0.0, 0.5, "q must be > 0"),
+        (1.0, 1.0, "alpha in (0,1) violated"),
+        (-1.0, 0.5, "q must be >= 0"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            separation_table(1.0, q, alpha, [1.0])
+        assert type(info.value) is ValueError
+        assert str(info.value) == text
 
 
 @pytest.mark.parametrize("bias", [0.0, 0.5])
