@@ -33,6 +33,8 @@ __all__ = [
     "exact_solution_scalar_array",
 ]
 
+_LOG_MIN_NORMAL = math.log(_MIN_NORMAL)
+
 
 @dataclass(frozen=True)
 class SettlingBound:
@@ -88,7 +90,8 @@ def settling_bound(p: BarrierParams, v_start: float, t_start: float = 0.0) -> Se
     z0 = v_start**(1-alpha). A finite crossing always exists for m >= 1 and
     q > 0; for m < 1 it exists only below the finite-integral threshold, and
     for q = 0 never (the pure-barrier flow converges only in the limit).
-    A and g = (m-1)*A are taken by their logs where they leave the float range.
+    A is taken by its log where it is no normal float, and g = (m-1)*A by its
+    log past the float range.
     """
     _check_law(p)
     if not (_finite(v_start) and v_start >= 0.0):
@@ -110,6 +113,10 @@ def settling_bound(p: BarrierParams, v_start: float, t_start: float = 0.0) -> Se
     else:
         log_qt = math.log(q) + math.log(one_minus_a) + math.log(tc)
     log_a = one_minus_a * math.log(v_start) - log_lam0 - log_qt
+    if log_a < _LOG_MIN_NORMAL:  # A below the normal range: tau - t_start = tc*lam0*A*log1p(g)/g
+        g = (m - 1.0) * math.exp(log_a)  # |g| < 4, and log1p(g)/g is 1 where g is below 1e-16
+        log_u = log_a + math.log(math.log1p(g) / g) if g else log_a
+        return SettlingBound(t_start + math.exp(math.log(tc) + log_lam0 + log_u), True)
     if m == 1.0:
         log_lam_tau = log_lam0 - _exp_or_inf(log_a)
     else:

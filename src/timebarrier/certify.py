@@ -30,7 +30,7 @@ from .core import (
     _dissipation_bound,
     _evaluate,
     _finite,
-    _or_on_overflow,
+    _float,
     validate_params,
 )
 from .integrate import Trajectory, _checked_rhs, _own_params
@@ -212,6 +212,6 @@ def find_nonautonomy_witness(
 
     vdot1, vdot2 = _dissipation_bound(np.array([v_level, v_level]), np.array([t1, t2]), p).tolist()
     beta, v, tc, a, b = (Fraction(float(x)) for x in (p.beta, v_level, p.tc, t1, t2))
-    gap = _or_on_overflow(float, math.inf)(beta * v * (b - a) / ((tc - a) * (tc - b)))
+    gap = _float(beta * v * (b - a) / ((tc - a) * (tc - b)))
     note = "no witness (autonomous limit)" if p.beta == 0.0 else ""
     return NonAutonomyWitness(v_level, t1, t2, vdot1, vdot2, gap, note)

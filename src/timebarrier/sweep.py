@@ -249,6 +249,9 @@ def separation_table(
     |x0|**(1-alpha) / (q*(1-alpha)), which grows without bound in |x0| while
     the simulated settling stays below tc. A tuple outside the law's domain,
     or q = 0, raises ``ValueError`` with :func:`validate_params`' reason.
+    ``barrier_settling`` is None where the envelope's zero lies before tc but
+    rounds to it (alpha = 0.05, q = tc = 1, |x0| >= 1e3): the run ends at
+    tc - delta_end before V reaches eps_conv.
     """
     p = BarrierParams(tc, 0.0, q, alpha)  # beta = 0 is in the law's domain
     one_minus_a = 1.0 - p.alpha

@@ -344,6 +344,32 @@ def test_settling_bound_where_q_times_1_minus_alpha_times_tc_is_no_normal_float(
         assert abs(Decimal(got.tau_bound) - want) <= CLOSED_FORM_REL * want
 
 
+@pytest.mark.parametrize(
+    "p, v, t_start",
+    [
+        (BarrierParams(1e300, 2.0, 1e300, 0.5), 1.0, 0.0),
+        (BarrierParams(1e300, 3.0, 1e300, 0.5), 1.0, 0.0),
+        (BarrierParams(1e300, 1.0, 1e300, 0.5), 1.0, 0.0),
+        (BarrierParams(1e300, 2.0, 1e300, 0.5), 1.0, 1e-300),
+        (BarrierParams(1e300, 3.0, 1e300, 0.5), 1.0, 1e-300),
+        (BarrierParams(1e300, 1.0, 1e300, 0.5), 1.0, 1e-300),
+        (BarrierParams(1e10, 1.6e308, 1e300, 0.5), 2.5e-11, 0.0),
+    ],
+    ids=["m_1", "m_above_1", "m_below_1", "m_1_restart", "m_above_1_restart",
+         "m_below_1_restart", "g_1e-7"],
+)
+def test_settling_bound_where_a_is_below_the_normal_range(p, v, t_start):
+    # exp(log A) is 0 or a subnormal there, which would put tau at t_start or lose
+    # digits: tau - t_start = tc*lam0*A*log1p(g)/g is taken by its log. At m = 8e307,
+    # g = (m-1)*A is 8e-8, so log1p(g)/(m-1) is A*(1 - 4e-8), not A
+    got = settling_bound(p, v, t_start)
+    with localcontext() as ctx:
+        ctx.prec = CLOSED_FORM_DIGITS
+        want = decimal_settling_time(p, v, t_start)
+        assert got.reaches_zero
+        assert abs(Decimal(got.tau_bound) - want) <= CLOSED_FORM_REL * want
+
+
 @ORACLES
 def test_exact_solution_names_an_x0_past_the_float_range(oracle):
     with pytest.raises(ValueError, match="x0 must be finite"):

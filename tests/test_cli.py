@@ -234,8 +234,9 @@ def test_trajectory_csv_matches_the_reference_render(name):
 ])
 def test_cli_trajectory_csv_bytes_are_pinned(tmp_path, capsys, x0, digest):
     out_file = tmp_path / "t.csv"
-    code, _, _ = run_cli(capsys, "--quiet", "--out", str(out_file), "simulate", "--x0", x0)
+    code, out, _ = run_cli(capsys, "--quiet", "--out", str(out_file), "simulate", "--x0", x0)
     assert code == EXIT_OK
+    assert block_of(out)["deadline_pass"] == "true"
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
@@ -299,8 +300,21 @@ def test_vector_initial_condition_csv(tmp_path, capsys):
     assert header == ["t", "x_1", "x_2", "V", "W"]
 
 
-def test_certify_clean(capsys):
-    code, out, _ = run_cli(capsys, "certify")
+@pytest.mark.parametrize("argv", [[], ["--x0", "1000,-0.001,1e-6"]], ids=["default", "dim3"])
+def test_certify_clean(capsys, argv):
+    code, out, _ = run_cli(capsys, "certify", *argv)
+    assert code == EXIT_OK
+    block = block_of(out)
+    assert block["violations"] == "0"
+    assert block["max_residual"] == "0.0"
+    assert block["w_monotone"] == "true"
+
+
+def test_certify_with_every_w_past_the_float_range_passes(capsys):
+    # W's rise is decided on log W, so a W that is inf at every sample rises nowhere
+    code, out, _ = run_cli(
+        capsys, "certify", "--tc", "0.01", "--beta", "8", "--q", "1", "--x0", "1e300"
+    )
     assert code == EXIT_OK
     block = block_of(out)
     assert block["violations"] == "0"
@@ -312,10 +326,13 @@ def test_certify_bias_fails(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "--out", str(report_file), "certify", "--bias", "0.1"
     )
+    # the field breaks the bound at every checked sample; the law states no dV/dt, so
+    # the residual is the difference quotient of V along the rhs, rounding included
     assert code == EXIT_PROPERTY
     block = block_of(out)
-    assert int(block["violations"]) >= 1
-    assert float(block["max_residual"]) == pytest.approx(0.1, rel=1e-6)
+    assert block["violations"] == "763"
+    assert block["max_residual"] == "0.1000000006688242"
+    assert block["w_monotone"] == "false"
     lines = report_file.read_text().splitlines()
     assert any(line.startswith("violation=") for line in lines)
     assert "dissipation certificate: FAIL on violations, W rise (" in out
@@ -351,14 +368,16 @@ def test_certify_inadmissible_params(capsys):
 
 
 def test_witness_values(capsys):
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "witness", "--vlevel", "0.25", "--t1", "0", "--t2", "0.5"
     )
     assert code == EXIT_OK
     block = block_of(out)
     assert float(block["vdot1"]) == -1.0
     assert float(block["vdot2"]) == -1.5
-    assert float(block["gap"]) == 0.5
+    assert block["gap"] == "0.5"
+    # those are the defaults
+    assert run_cli(capsys, "witness") == (code, out, err)
 
 
 def test_witness_near_deadline_gap(capsys):
@@ -403,12 +422,28 @@ def test_bound_command(capsys):
     assert block["reaches_zero"] == "true"
 
 
-def test_bound_past_the_exp_range_reaches_zero(capsys):
-    code, out, _ = run_cli(
-        capsys, "--quiet", "bound", "--beta", "4", "--q", "1e-300", "--x0", "1.0215165681210286e16"
-    )
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        # log A between log(max float) and 710: log1p(g) is taken as log g
+        (["--beta", "4", "--q", "1e-300", "--x0", "1.0215165681210286e16"],
+         {"reaches_zero": "true"}),
+        # with m = 99 that log g puts the crossing before tc: the 60-digit zero
+        (["--tc", "1", "--beta", "200", "--q", "1e-300", "--alpha", "0.5", "--x0", "1e300"],
+         {"tau_bound": "0.9999730010536269", "reaches_zero": "true"}),
+        # q*(1-alpha)*tc underflows to 0: its log is taken by its factors'
+        (["--tc", "1e-30", "--q", "1e-300", "--x0", "1"], {"reaches_zero": "true"}),
+        # A = 2e-600 is below the float range: tau = tc*A, 2e-300 to 3e-14 relative
+        (["--tc", "1e300", "--q", "1e300", "--x0", "1"],
+         {"tau_bound": "1.9999999999999374e-300", "reaches_zero": "true"}),
+    ],
+    ids=["log_a_past_max_float", "m_99", "product_underflows", "a_underflows"],
+)
+def test_bound_at_the_float_range_edges_reaches_zero(capsys, argv, lines):
+    code, out, _ = run_cli(capsys, "--quiet", "bound", *argv)
     assert code == EXIT_OK
-    assert block_of(out)["reaches_zero"] == "true"
+    block = block_of(out)
+    assert {key: block[key] for key in lines} == lines
 
 
 def test_bound_non_reaching(capsys):
@@ -434,6 +469,19 @@ def test_sweep_small_config(tmp_path, capsys):
     assert "deadline failures: 0" in out
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert len(lines) == 1 + 5
+
+
+def test_default_sweep_through_the_cli_is_pinned(tmp_path, capsys):
+    # the script reads its config and policy through the CLI, and writes the
+    # DEFAULT_GRID CSV with the bytes and step counts of the library's
+    out_file = tmp_path / "sweep.csv"
+    code, out, _ = run_cli(capsys, "--quiet", "--out", str(out_file), "sweep")
+    assert code == EXIT_OK
+    block = block_of(out)
+    assert (block["steps_accepted"], block["steps_rejected"]) == ("202636", "9519")
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+        "7ab8585da6504646abe60594517a31057ec4f1b818fc2f7e41f274349a04d168"
+    )
 
 
 def test_sweep_bound_failure_exits_with_the_property_code(tmp_path, capsys):
@@ -966,6 +1014,10 @@ def test_simulate_bias_flag_matches_the_config_key(tmp_path, capsys):
         capsys, "--config", str(cfg_path), "--out", str(by_key), "simulate"
     )
     assert (code_a, block_of(out_a), err_a) == (code_b, block_of(out_b), err_b)
+    # the biased field at the origin is the bias, so the origin is no equilibrium and
+    # the clamp past the crossing is not the flow: no settling instant, a FAIL
+    assert code_a == EXIT_PROPERTY
+    assert block_of(out_a)["deadline_pass"] == "false"
     assert by_flag.read_bytes() == by_key.read_bytes()
     unbiased = tmp_path / "c.csv"
     run_cli(capsys, "--out", str(unbiased), "simulate")

@@ -285,6 +285,17 @@ def test_separation_barrier_settling_matches_bound(default_policy):
     assert rows[0].barrier_settling == pytest.approx(want, abs=1e-4)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the run ends at t_end = tc - delta_end before V reaches eps_conv, so barrier_settling is "
+    "None; ROADMAP item 30's closed-form tail past t_end would give these rows a settling time"
+))
+def test_separation_rows_whose_envelope_reaches_zero_within_an_ulp_of_tc_settle():
+    # at alpha = 0.05 the table runs m = 1, and A ~ 745 at x0 = 1e3: settling_bound of
+    # the table's own tuple reaches zero on every row, with tau rounded to tc
+    rows = separation_table(1.0, 1.0, 0.05, [1e3, 1e4, 1e5, 1e6])
+    assert [row.barrier_settling is not None for row in rows] == [True] * 4
+
+
 def test_separation_tuple_is_the_least_admissible_one(monkeypatch):
     # 1/(1-alpha) rounds m = beta*(1-alpha) below 1 for 149 of these alphas;
     # the table runs the least float beta with m >= 1 instead
