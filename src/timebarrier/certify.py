@@ -203,7 +203,7 @@ def find_nonautonomy_witness(
     """
     _check_law(p)
     if not (_finite(v_level) and v_level > 0.0):
-        raise ValueError(f"v_level must be > 0, got {v_level!r}")
+        raise ValueError(f"v_level must be finite and > 0, got {v_level!r}")
     _check_times((t1, t2), p.tc)
     if t1 == t2:
         raise ValueError("t1 must differ from t2")

@@ -30,6 +30,8 @@ from .core import (
     StallError,
     TimeBarrierError,
     _check_law,
+    _float,
+    _x0_error,
     validate_params,
 )
 from .integrate import Trajectory, settling_report, simulate
@@ -241,17 +243,10 @@ def load_config(path: Optional[str]) -> dict:
             ):
                 got = json.dumps(value)
                 raise ValueError(f"invalid {section}.{key}: expected {name}, got {got}")
-            # a JSON integer past the float range fails float() by OverflowError
-            try:
-                for item in items:
-                    if float in types and isinstance(item, int):
-                        float(item)
-            except OverflowError as exc:
-                raise ValueError(f"invalid {section}.{key}: {exc}") from exc
     return data
 
 
-def _resolve(args, config: dict, name: str, convert=float):
+def _resolve(args, config: dict, name: str, convert=_float):
     """A setting's value through ``convert``: the flag wins over the config
     key, which wins over the default. A value ``convert`` rejects is named
     by where it came from, ``--x0`` or ``simulate.x0``."""
@@ -383,7 +378,7 @@ def _sweep_config_from(config: dict) -> SweepConfig:
         _check_x0_decades(*decades)
     except ValueError as exc:
         raise ValueError(f"invalid sweep.x0_decades: {exc}") from exc
-    grid = {f"{key}_values": tuple(map(float, section[key])) for key in ("tc", "beta", "q", "alpha")
+    grid = {f"{key}_values": tuple(map(_float, section[key])) for key in ("tc", "beta", "q", "alpha")
             if key in section}
     try:
         return SweepConfig(**grid, x0_decades=decades)
@@ -412,6 +407,8 @@ def _cmd_sweep(args, config: dict) -> int:
 def _cmd_bound(args, config: dict) -> int:
     p = _params_from(args, config)
     x0 = _resolve(args, config, "x0", _vector)
+    if not np.isfinite(x0).all():
+        _x0_error(x0)
     v0 = float(np.max(np.abs(x0)))
     sb = settling_bound(p, v0)
     _print_block([("tau_bound", sb.tau_bound), ("reaches_zero", sb.reaches_zero), ("v0", v0)])

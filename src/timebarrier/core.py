@@ -447,10 +447,11 @@ def validate_spec(spec: DynamicsSpec, horizon: float) -> list[str]:
     radii in each decade from 1e-6 to 1e3 and 16 times in [0, horizon), all
     evaluated in one :func:`_evaluate` call each, so a value of the wrong
     shape raises its ``ValueError``. Returns a list of human-readable problems
-    (empty when the dynamics pass), at most one of each kind. The check is
-    explicit rather than run at construction because sweeps build thousands
-    of cheap spec instances. A ``horizon`` that is not finite, not > 0 or
-    past ``spec.tc`` raises ``ValueError`` naming it, before any call.
+    (empty when the dynamics pass), at most one of each kind. It is not run at
+    construction: it needs a horizon, which a spec without ``tc`` lacks, and a
+    spec may break the contract on purpose (the biased law's rhs(0, t) is the
+    bias). A ``horizon`` that is not finite, not > 0 or past ``spec.tc``
+    raises ``ValueError`` naming it, before any call.
     """
     if not (_finite(horizon) and horizon > 0.0 and (spec.tc is None or horizon <= spec.tc)):
         raise ValueError(f"horizon={horizon!r} must be finite, > 0 and at most tc={spec.tc!r}")

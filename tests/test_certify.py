@@ -436,7 +436,7 @@ def test_witness_input_validation(default_params):
 
 def test_witness_names_a_level_past_the_float_range():
     # an int past the float range is not finite: the check's ValueError, not OverflowError
-    with pytest.raises(ValueError, match="v_level must be > 0"):
+    with pytest.raises(ValueError, match=r"^v_level must be finite and > 0, got 1000"):
         find_nonautonomy_witness(BarrierParams(1, 2, 1, 0.5), 10**400, 0.0, 0.5)
 
 
